@@ -6,8 +6,6 @@ polynomial radial Galerkin method), evaluates families of universal upper
 bounds on the next eigenvalue, and checks the two against each other.
 """
 
-from ._kernels import BACKEND
-
 __version__ = "0.1.0"
 
-__all__ = ["BACKEND", "__version__"]
+__all__ = ["__version__"]

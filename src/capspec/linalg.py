@@ -2,25 +2,32 @@
 
 Everything here is sized for spectral-Galerkin systems (order <= a few
 hundred): a pivot-checked Cholesky, a cyclic Jacobi eigensolver, and the
-Cholesky reduction of the generalized symmetric-definite problem. The hot
-loops live in `capspec._kernels` (compiled when available, numpy fallback
-otherwise); this module owns the contracts and tolerances.
+Cholesky reduction of the generalized symmetric-definite problem. The
+triangular solves of the reduction go to LAPACK through `numpy.linalg.solve`.
+
+The eigensolver is cyclic Jacobi rather than LAPACK `eigh` on purpose. The
+reduced matrices are strongly graded (at N=32, p=3 their eigenvalues span
+75 to 4e9), and Jacobi keeps high relative accuracy on graded matrices
+(Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992). Rayleigh-Ritz
+monotonicity across nested bases holds to 1e-10 with Jacobi; with `eigh` the
+n=2, p=3 buckling values rise by up to 1e-7 when the basis grows from 16 to
+32.
 
 Tolerances:
   - Cholesky pivot failure: pivot <= order * 1e-14 * max(diag).
   - Jacobi convergence: off-diagonal Frobenius norm <= 1e-12 * ||C||_F,
-    within a 64-sweep budget (the kernel targets 1e-13 for margin).
+    within a 64-sweep budget (the sweeps target 1e-13 for margin).
   - Reported eigenvectors are orthonormal (B-orthonormal in the generalized
     case) to 1e-10.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import NoConvergence, NotPositiveDefinite, ValidationError
 
 PIVOT_RELATIVE = 1e-14
@@ -92,7 +99,7 @@ def cholesky(mat) -> np.ndarray:
     n = b.shape[0]
     maxdiag = float(np.max(b.diagonal())) if n else 0.0
     threshold = n * PIVOT_RELATIVE * maxdiag
-    low, bad = _kernels.cholesky_lower(np.ascontiguousarray(b), threshold)
+    low, bad = _cholesky_lower(b, threshold)
     if bad >= 0:
         raise NotPositiveDefinite(
             f"pivot {bad + 1} of {n} at or below threshold {threshold:.3e}"
@@ -110,9 +117,7 @@ def sym_eigen(mat, max_sweeps: int = JACOBI_SWEEP_BUDGET) -> EigenPairs:
     c = _as_sym(mat).entries
     norm = float(np.linalg.norm(c))
     target = JACOBI_TARGET * norm
-    diag, vec, sweeps = _kernels.jacobi_eigh(
-        np.ascontiguousarray(c), target, max_sweeps
-    )
+    diag, vec, sweeps = _jacobi_eigh(c, target, max_sweeps)
     if sweeps < 0:
         raise NoConvergence(
             f"cyclic Jacobi missed its off-diagonal target after {max_sweeps} sweeps"
@@ -139,25 +144,107 @@ def generalized_sym_eigen(a_mat, b_mat, max_sweeps: int = JACOBI_SWEEP_BUDGET) -
     else:
         d = np.ones_like(diag)  # not positive definite; let the pivot check say so
     scale = np.outer(d, d)
-    a_s = np.ascontiguousarray(a * scale)
-    b_s = np.ascontiguousarray(b * scale)
+    a_s = a * scale
+    b_s = b * scale
     n = b.shape[0]
     maxdiag = float(np.max(b_s.diagonal())) if n else 0.0
-    low, bad = _kernels.cholesky_lower(b_s, n * PIVOT_RELATIVE * maxdiag)
+    low, bad = _cholesky_lower(b_s, n * PIVOT_RELATIVE * maxdiag)
     if bad >= 0:
         raise NotPositiveDefinite(
             f"pivot {bad + 1} of {n} at or below threshold; right operand not positive definite"
         )
-    half = _kernels.solve_lower(low, a_s)
-    c = _kernels.solve_lower(low, np.ascontiguousarray(half.T))
-    c = np.ascontiguousarray((c + c.T) / 2.0)
+    half = np.linalg.solve(low, a_s)
+    c = np.linalg.solve(low, half.T)
+    c = (c + c.T) / 2.0
     norm = float(np.linalg.norm(c))
-    diag_c, vec, sweeps = _kernels.jacobi_eigh(c, JACOBI_TARGET * norm, max_sweeps)
+    diag_c, vec, sweeps = _jacobi_eigh(c, JACOBI_TARGET * norm, max_sweeps)
     if sweeps < 0:
         raise NoConvergence(
             f"cyclic Jacobi missed its off-diagonal target after {max_sweeps} sweeps"
         )
-    x = _kernels.solve_lower_t(low, vec)
+    x = np.linalg.solve(low.T, vec)
     x = x * d[:, None]
     order = np.argsort(diag_c, kind="stable")
     return EigenPairs(values=diag_c[order].copy(), vectors=np.ascontiguousarray(x[:, order]))
+
+
+def _cholesky_lower(b, threshold):
+    """Row-by-row Cholesky of symmetric b.
+
+    Returns (L, i) where i == -1 on success; otherwise i is the index of the
+    first pivot that fell at or below threshold (L is then partial garbage).
+    """
+    n = b.shape[0]
+    low = np.zeros_like(b)
+    for i in range(n):
+        row = low[i, :i]
+        pivot = b[i, i] - row @ row
+        if pivot <= threshold:
+            return low, i
+        d = math.sqrt(pivot)
+        low[i, i] = d
+        if i + 1 < n:
+            low[i + 1 :, i] = (b[i + 1 :, i] - low[i + 1 :, :i] @ row) / d
+    return low, -1
+
+
+def _jacobi_eigh(c, off_target, max_sweeps):
+    """Cyclic Jacobi diagonalization of symmetric c.
+
+    Sweeps row-major over the strict upper triangle; convergence is checked
+    against the off-diagonal Frobenius norm at the top of each sweep. Returns
+    (diag, V, sweeps) with V accumulating the rotations columnwise; sweeps is
+    -1 when the budget ran out before the target was met.
+    """
+    a = np.array(c, dtype=float, copy=True)
+    n = a.shape[0]
+    vec = np.eye(n)
+    if n < 2:
+        return a.diagonal().copy(), vec, 0
+    # entries below this produce pure-roundoff rotations; skipping them keeps
+    # sweeps cheap without stalling progress (see off-norm bound below)
+    skip = off_target / (4.0 * n)
+    for sweep in range(max_sweeps + 1):
+        off = _offdiag_norm(a)
+        if off <= off_target:
+            return a.diagonal().copy(), vec, sweep
+        if sweep == max_sweeps:
+            break
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                apq = a[p, q]
+                if abs(apq) <= skip:
+                    continue
+                app = a[p, p]
+                aqq = a[q, q]
+                theta = (aqq - app) / (2.0 * apq)
+                t = math.copysign(1.0, theta) / (
+                    abs(theta) + math.sqrt(theta * theta + 1.0)
+                )
+                cs = 1.0 / math.sqrt(t * t + 1.0)
+                sn = t * cs
+                colp = a[:, p].copy()
+                colq = a[:, q].copy()
+                newp = cs * colp - sn * colq
+                newq = sn * colp + cs * colq
+                a[:, p] = newp
+                a[p, :] = newp
+                a[:, q] = newq
+                a[q, :] = newq
+                a[p, p] = cs * cs * app - 2.0 * sn * cs * apq + sn * sn * aqq
+                a[q, q] = sn * sn * app + 2.0 * sn * cs * apq + cs * cs * aqq
+                a[p, q] = 0.0
+                a[q, p] = 0.0
+                vp = vec[:, p].copy()
+                vq = vec[:, q].copy()
+                vec[:, p] = cs * vp - sn * vq
+                vec[:, q] = sn * vp + cs * vq
+    return a.diagonal().copy(), vec, -1
+
+
+def _offdiag_norm(a):
+    # summed directly over off-diagonal entries: subtracting the diagonal
+    # from the total Frobenius norm cancels catastrophically near convergence
+    sq = a * a
+    np.fill_diagonal(sq, 0.0)
+    return math.sqrt(float(np.sum(sq)))

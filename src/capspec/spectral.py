@@ -263,7 +263,7 @@ def solve_spectrum(cfg: SolverConfig) -> Spectrum:
     estimate against a companion solve at basis N - 4, and the
     lambda_1 > n - 2 guard outcome.
     """
-    records, l_last, defect, cache = _merge_modes(cfg, enforce_sufficiency=True)
+    records, l_last, defect = _merge_modes(cfg, enforce_sufficiency=True)
     estimates = _convergence_estimates(cfg, records)
     entries = tuple(
         SpectrumEntry(value=float(v), l=l, radial_index=j, multiplicity=multiplicity(l, cfg.n))
@@ -276,27 +276,24 @@ def solve_spectrum(cfg: SolverConfig) -> Spectrum:
         "quad_size": cfg.quad_base,
         "basis_companion": _companion_basis(cfg),
         "lambda1_guard_ok": bool(entries[0].value > cfg.n - 2),
-        "backend_modes_solved": sorted(cache),
     }
     return Spectrum(config=cfg, entries=entries, diagnostics=diagnostics)
 
 
 def _merge_modes(cfg: SolverConfig, enforce_sufficiency: bool):
-    """Solve modes until sufficiency; returns (records, last_l, defect, cache).
+    """Solve modes until sufficiency; returns (records, last_l, defect).
 
-    records are (value, l, radial_index) triples, ascending, covering at
-    least requested_count expanded eigenvalues.
+    records are (value, l, radial_index) triples in `_merge_key` order,
+    covering at least requested_count expanded eigenvalues.
     """
     want = cfg.requested_count
     hard_cap = cfg.mode_cap if cfg.mode_cap is not None else max(64, 2 * want + 8)
     all_records = []
-    cache = {}
     worst_defect = 0.0
     prev_ground = 0.0
     l = 0
     while True:
         mode, defect = _solve_mode_full(cfg, l)
-        cache[l] = mode
         worst_defect = max(worst_defect, defect)
         ground = float(mode.radial_values[0])
         if ground < prev_ground * (1.0 - 1e-12):
@@ -309,7 +306,7 @@ def _merge_modes(cfg: SolverConfig, enforce_sufficiency: bool):
         all_records.extend(
             (float(v), l, j) for j, v in enumerate(mode.radial_values)
         )
-        all_records.sort()
+        all_records.sort(key=_merge_key)
         kth = _kth_expanded(all_records, cfg.n, want)
         if kth is not None and ground > MODE_SAFETY * kth:
             break
@@ -328,7 +325,18 @@ def _merge_modes(cfg: SolverConfig, enforce_sufficiency: bool):
         total += multiplicity(ll, cfg.n)
         if total >= want:
             break
-    return records, l, worst_defect, cache
+    return records, l, worst_defect
+
+
+def _merge_key(record):
+    """Sort key for (value, l, radial_index) records.
+
+    Values equal to 12 significant digits count as one level, ordered by
+    radial index and then mode, so ties such as the two n=2 clamped entries
+    at 12 do not swap with last-bit roundoff of the eigensolver.
+    """
+    v, l, j = record
+    return (float(f"{v:.12g}"), j, l)
 
 
 def _kth_expanded(sorted_records, n, k):
@@ -394,12 +402,12 @@ def convergence_study(cfg: SolverConfig, basis_sizes) -> ConvergenceStudy:
         raise ValidationError(f"basis sizes must be positive and ascending, got {sizes}")
 
     top = replace(cfg, basis_size=sizes[-1])
-    _, l_last, _, _ = _merge_modes(top, enforce_sufficiency=True)
+    _, l_last, _ = _merge_modes(top, enforce_sufficiency=True)
 
     rows = []
     for size in sizes:
         sub = replace(cfg, basis_size=size, mode_cap=l_last)
-        records, _, _, _ = _merge_modes(sub, enforce_sufficiency=False)
+        records, _, _ = _merge_modes(sub, enforce_sufficiency=False)
         expanded = []
         for v, l, _ in records:
             expanded.extend([v] * multiplicity(l, cfg.n))

@@ -1,22 +1,15 @@
-"""Dense linear algebra: frozen hand values, contracts, and backend parity."""
+"""Dense linear algebra: frozen hand values and contracts."""
 
 import math
 
 import numpy as np
 import pytest
 
-from capspec import _kernels
+from capspec import linalg
 from capspec.errors import NoConvergence, NotPositiveDefinite, ValidationError
 from capspec.linalg import SymMatrix, cholesky, generalized_sym_eigen, sym_eigen
 
 from oracles import generalized_eigen_2x2
-
-BACKENDS = sorted(_kernels.available_backends())
-
-
-@pytest.fixture(params=BACKENDS)
-def kernels(request):
-    return _kernels.available_backends()[request.param]
 
 
 # ---------------------------------------------------------------- SymMatrix
@@ -63,13 +56,13 @@ def test_cholesky_indefinite_fails_on_second_pivot():
         cholesky([[1.0, 2.0], [2.0, 1.0]])
 
 
-def test_cholesky_reconstructs(kernels):
+def test_cholesky_reconstructs():
     rng = np.random.RandomState(7)
     for order in (1, 2, 5, 16, 33):
         m = rng.standard_normal((order, order))
         b = m @ m.T + order * np.eye(order)
         maxdiag = float(np.max(b.diagonal()))
-        low, bad = kernels.cholesky_lower(
+        low, bad = linalg._cholesky_lower(
             np.ascontiguousarray(b), order * 1e-14 * maxdiag
         )
         assert bad == -1
@@ -91,13 +84,13 @@ def test_sym_eigen_hand_2x2():
     assert np.allclose(pairs.values, [-1.0, 1.0], atol=1e-14)
 
 
-def test_sym_eigen_posts(kernels):
+def test_sym_eigen_posts():
     rng = np.random.RandomState(11)
     for order in (2, 3, 8, 24):
         m = rng.standard_normal((order, order))
         c = np.ascontiguousarray((m + m.T) / 2.0)
         norm = float(np.linalg.norm(c))
-        diag, vec, sweeps = kernels.jacobi_eigh(c, 1e-13 * norm, 64)
+        diag, vec, sweeps = linalg._jacobi_eigh(c, 1e-13 * norm, 64)
         assert 0 <= sweeps <= 64
         # off-diagonal norm of the rotated matrix
         rot = vec.T @ c @ vec
@@ -208,28 +201,3 @@ def test_generalized_rejects_indefinite_b():
 def test_generalized_order_mismatch():
     with pytest.raises(ValidationError):
         generalized_sym_eigen(np.eye(2), np.eye(3))
-
-
-# ------------------------------------------------------------ backend parity
-
-
-@pytest.mark.skipif(len(BACKENDS) < 2, reason="compiled backend not built")
-def test_backend_parity():
-    impls = _kernels.available_backends()
-    rng = np.random.RandomState(23)
-    for order in (3, 9, 17):
-        m = rng.standard_normal((order, order))
-        b = np.ascontiguousarray(m @ m.T + order * np.eye(order))
-        c = np.ascontiguousarray((m + m.T) / 2.0)
-        norm = float(np.linalg.norm(c))
-        results = {}
-        for name, impl in impls.items():
-            low, bad = impl.cholesky_lower(b, 0.0)
-            assert bad == -1
-            diag, vec, sweeps = impl.jacobi_eigh(c, 1e-13 * norm, 64)
-            assert sweeps >= 0
-            results[name] = (low, np.sort(diag))
-        ref_low, ref_diag = results["python"]
-        for name, (low, diag) in results.items():
-            assert np.max(np.abs(low - ref_low)) <= 1e-13 * norm + 1e-15
-            assert np.max(np.abs(diag - ref_diag)) <= 1e-12 * norm

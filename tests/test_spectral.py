@@ -25,6 +25,7 @@ from capspec.spectral import (
     Problem,
     SolverConfig,
     Spectrum,
+    _merge_key,
     assemble_mode,
     convergence_study,
     solve_mode,
@@ -180,6 +181,15 @@ class TestSpectrumStructure:
         va = solve_spectrum(cfg).expanded_values()
         vb = solve_spectrum(cfg).expanded_values()
         assert np.array_equal(va, vb)
+
+    def test_tie_order_ignores_last_bit(self):
+        # the n=2 clamped hemisphere has (l=2, j=0) and (l=0, j=1) both at 12;
+        # whichever of them rounds high, radial index 0 comes first
+        up, down = math.nextafter(12.0, 13.0), math.nextafter(12.0, 11.0)
+        for v_mode2, v_mode0 in ((up, down), (down, up), (12.0, 12.0)):
+            records = [(v_mode0, 0, 1), (v_mode2, 2, 0), (6.0, 1, 0)]
+            ordered = sorted(records, key=_merge_key)
+            assert [(l, j) for _, l, j in ordered] == [(1, 0), (2, 0), (0, 1)]
 
     def test_guard_flag(self):
         wide = SolverConfig(n=4, p=1, theta0=2.9, problem=Problem.CLAMPED,
