@@ -1,9 +1,14 @@
 """Gauss-Jacobi quadrature for the weight (1 - s)^gamma on [-1, 1].
 
 Nodes are the roots of the degree-m Jacobi polynomial for parameters
-(gamma, 0), found by sign-change bracketing on a cosine grid, bisection, and
-a few Newton polish steps. With the second parameter fixed at 0 the classical
-weight normalization collapses to 2^(gamma+1), so no Gamma functions appear:
+(gamma, 0), computed by the Golub-Welsch method (Golub & Welsch, Math. Comp.
+23, 1969): they are the eigenvalues of the symmetric tridiagonal Jacobi
+matrix of the three-term recurrence, with diagonal
+-gamma^2 / ((2k+gamma)(2k+gamma+2)) (0 when gamma = 0) and off-diagonal
+2k(k+gamma) / ((2k+gamma) sqrt((2k+gamma)^2 - 1)). Two Newton steps on the
+recurrence-evaluated polynomial then polish each node to full precision.
+With the second parameter fixed at 0 the classical weight normalization
+collapses to 2^(gamma+1), so no Gamma functions appear:
 
     w_i = 2^(gamma+1) / ((1 - x_i^2) * P_m'(x_i)^2)
 
@@ -19,16 +24,16 @@ import numpy as np
 
 from .errors import NoConvergence, ValidationError
 
-_BISECTIONS = 72
-_POLISH = 3
+_NEWTON_STEPS = 2
 
 
 def gauss_jacobi_rule(gamma: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (ascending, inside (-1, 1)) and positive weights.
 
     gamma >= 0 is the weight exponent; m >= 1 the node count. Raises
-    NoConvergence only if root bracketing or polishing fails, which signals
-    an implementation bug for any m <= 512.
+    NoConvergence only if the eigenvalue nodes after Newton polishing are
+    not strictly ascending or a weight is not positive, which signals an
+    implementation bug for any m <= 512.
     """
     if not (isinstance(m, (int, np.integer)) and m >= 1):
         raise ValidationError(f"node count must be a positive integer, got {m!r}")
@@ -41,8 +46,10 @@ def gauss_jacobi_rule(gamma: float, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=512)
 def _cached_rule(gamma: float, m: int):
-    lo, hi = _bracket_roots(gamma, m)
-    x = _refine_roots(gamma, m, lo, hi)
+    x = np.linalg.eigvalsh(_jacobi_matrix(gamma, m))
+    for _ in range(_NEWTON_STEPS):
+        val, deriv = _jacobi_eval(gamma, m, x)
+        x = x - val / deriv
     _, deriv = _jacobi_eval(gamma, m, x)
     weights = 2.0 ** (gamma + 1.0) / ((1.0 - x * x) * deriv * deriv)
     if not (np.all(np.diff(x) > 0.0) and np.all(weights > 0.0)):
@@ -50,6 +57,18 @@ def _cached_rule(gamma: float, m: int):
     x.flags.writeable = False
     weights.flags.writeable = False
     return x, weights
+
+
+def _jacobi_matrix(gamma: float, m: int) -> np.ndarray:
+    """Symmetric tridiagonal Jacobi matrix of the orthonormal polynomials
+    for the weight (1 - s)^gamma; its eigenvalues are the m nodes."""
+    k = np.arange(m, dtype=float)
+    t = 2.0 * k + gamma
+    diag = np.zeros(m) if gamma == 0.0 else -gamma * gamma / (t * (t + 2.0))
+    k = k[1:]
+    t = t[1:]
+    off = 2.0 * k * (k + gamma) / (t * np.sqrt(t * t - 1.0))
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def _jacobi_eval(gamma: float, m: int, x: np.ndarray):
@@ -73,39 +92,3 @@ def _jacobi_eval(gamma: float, m: int, x: np.ndarray):
         p_prev, p = p, p_next
         d_prev, d = d, d_next
     return p, d
-
-
-def _bracket_roots(gamma: float, m: int):
-    """Sign-change brackets for all m roots from a cosine-spaced grid."""
-    count = 8 * (m + int(gamma) + 2)
-    for _ in range(8):
-        grid = np.cos(np.linspace(np.pi, 0.0, count + 1))  # ascending in x
-        vals, _ = _jacobi_eval(gamma, m, grid)
-        if np.any(vals == 0.0):  # nudge exact zeros off the grid
-            hit = vals == 0.0
-            grid[hit] = np.nextafter(grid[hit], 1.0)
-            vals, _ = _jacobi_eval(gamma, m, grid)
-        flips = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0.0)[0]
-        if len(flips) == m:
-            return grid[flips].copy(), grid[flips + 1].copy()
-        count *= 2
-    raise NoConvergence(
-        f"failed to bracket {m} quadrature nodes for weight exponent {gamma}"
-    )
-
-
-def _refine_roots(gamma: float, m: int, lo: np.ndarray, hi: np.ndarray):
-    flo, _ = _jacobi_eval(gamma, m, lo)
-    sign_lo = np.sign(flo)
-    for _ in range(_BISECTIONS):
-        mid = 0.5 * (lo + hi)
-        fmid, _ = _jacobi_eval(gamma, m, mid)
-        left = np.sign(fmid) * sign_lo > 0.0
-        lo = np.where(left, mid, lo)
-        hi = np.where(left, hi, mid)
-    x = 0.5 * (lo + hi)
-    for _ in range(_POLISH):
-        val, deriv = _jacobi_eval(gamma, m, x)
-        step = np.where(deriv != 0.0, val / np.where(deriv != 0.0, deriv, 1.0), 0.0)
-        x = np.clip(x - step, lo, hi)
-    return x

@@ -11,13 +11,21 @@ x = cos(theta) on [x0, 1], x0 = cos(theta0). Polynomials are stored by their
 Chebyshev coefficients in the mapped variable s = 2(x - x0)/(1 - x0) - 1,
 which lives on [-1, 1]; the map anchor x0 travels with the coefficients.
 
-D_{l,n} is exact on polynomials and does not raise the degree: the operator
-is applied through coefficient recurrences (differentiation and
-multiplication by fixed quadratics), never through sampled values.
+D_{l,n} acts on coefficients as one upper-triangular matrix,
+
+    D_{l,n} = M2 - (2l + n) M1 - l (l + n - 1) I,
+
+with M2 = (1 - x^2) d^2/dx^2 and M1 = x d/dx written as Chebyshev-in-s
+coefficient matrices. It is exact on polynomials and does not raise the
+degree: the matrices come from the Chebyshev differentiation and
+multiplication-by-s recurrences, never from sampled values. M1 and M2 do not
+depend on the mode, so they are built once per (x0, size), and the size-s
+matrix is exactly the leading s x s block of every larger one.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -98,24 +106,45 @@ def operator_coeffs(c: np.ndarray, l: int, n: int, x0: float) -> np.ndarray:
     Returns an array of the same length as c.
     """
     c = np.asarray(c, dtype=float)
-    size = len(c)
+    return operator_matrix(l, n, x0, len(c)) @ c
+
+
+def operator_matrix(l: int, n: int, x0: float, size: int) -> np.ndarray:
+    """D_{l,n} as a (size, size) upper-triangular matrix on Chebyshev-in-s
+    coefficients: column j is the image of T_j(s)."""
+    a = (1.0 - x0) / 2.0
+    scaled_m1, scaled_m2 = _derivative_matrices(float(x0), int(size))
+    return (scaled_m2 / a - float(2 * l + n) * scaled_m1) / a - float(
+        l * (l + n - 1)
+    ) * np.eye(size)
+
+
+@functools.lru_cache(maxsize=32)
+def _derivative_matrices(x0: float, size: int):
+    """a * M1 and a^2 * M2 for the map x = a s + b, a = (1 - x0)/2.
+
+    Built from integer and half-integer Chebyshev recurrence matrices whose
+    products are exact in floating point, so every entry is independent of
+    size and the nesting across sizes holds bit for bit.
+    """
     a = (1.0 - x0) / 2.0
     b = (1.0 + x0) / 2.0
-    # 1 - x^2 and x as Chebyshev series in s
-    quad = np.array([1.0 - b * b - a * a / 2.0, -2.0 * a * b, -a * a / 2.0])
-    lin = np.array([b, a])
-    out = -float(l * (l + n - 1)) * c
+    j = np.arange(size)
+    gap = j[None, :] - j[:, None]
+    # d/ds: T_j' = 2j sum over k < j with j - k odd of T_k, the T_0 term halved
+    der = np.where((gap > 0) & (gap % 2 == 1), 2.0 * j[None, :], 0.0)
+    der[:1] /= 2.0
+    # multiplication by s: s T_j = (T_{j-1} + T_{j+1}) / 2, s T_0 = T_1
+    mul_s = np.zeros((size, size))
+    mul_s[j[1:], j[:-1]] = 0.5
+    mul_s[j[:-1], j[1:]] = 0.5
     if size > 1:
-        d1 = cheb.chebder(c) / a
-        out = _add(out, -float(2 * l + n) * cheb.chebmul(lin, d1), size)
-    if size > 2:
-        d2 = cheb.chebder(c, 2) / (a * a)
-        out = _add(out, cheb.chebmul(quad, d2), size)
-    return out
-
-
-def _add(acc, term, size):
-    term = term[:size]
-    if len(term) < len(acc):
-        term = np.pad(term, (0, len(acc) - len(term)))
-    return acc + term
+        mul_s[1, 0] = 1.0
+    der2 = der @ der
+    s_der2 = mul_s @ der2
+    # x d/dx = (b + a s) d/ds / a; (1 - x^2) = (1 - b^2) - 2ab s - a^2 s^2
+    scaled_m1 = b * der + a * (mul_s @ der)
+    scaled_m2 = (1.0 - b * b) * der2 - 2.0 * a * b * s_der2 - a * a * (mul_s @ s_der2)
+    scaled_m1.flags.writeable = False
+    scaled_m2.flags.writeable = False
+    return scaled_m1, scaled_m2

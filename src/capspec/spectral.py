@@ -26,6 +26,7 @@ expands each by the harmonic multiplicity of its mode.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -42,7 +43,7 @@ from .errors import (
 )
 from .linalg import SymMatrix, generalized_sym_eigen
 from .quadrature import gauss_jacobi_rule
-from .radial import multiplicity, operator_coeffs
+from .radial import multiplicity, operator_matrix
 
 QUAD_DOUBLING_REL = 1e-11
 ASYMMETRY_WARN = 1e-8
@@ -160,17 +161,20 @@ class Spectrum:
         return np.array(out[:limit])
 
 
-def assemble_mode(cfg: SolverConfig, l: int) -> tuple[SymMatrix, SymMatrix]:
+def assemble_mode(cfg: SolverConfig, l: int) -> tuple[SymMatrix, SymMatrix, float]:
     """Stiffness-like and mass-like forms for mode l, doubling-validated.
 
     Raises QuadratureNotConverged if doubling the node count moves any entry
     by more than 1e-11 relative to the larger matrix's scale; otherwise
     returns the refined forms, symmetrized, with their asymmetry defects
-    recorded on the SymMatrix wrappers.
+    recorded on the SymMatrix wrappers, and the worst relative doubling gap
+    of the two forms.
     """
     base = cfg.quad_base
-    a1, b1 = _raw_forms(cfg, l, base)
-    a2, b2 = _raw_forms(cfg, l, 2 * base)
+    factors = _form_factors(cfg, l)
+    a1, b1 = _raw_forms(cfg, l, factors, base)
+    a2, b2 = _raw_forms(cfg, l, factors, 2 * base)
+    worst = 0.0
     for coarse, fine, tag in ((a1, a2, "stiffness"), (b1, b2, "mass")):
         scale = float(np.max(np.abs(fine)))
         gap = float(np.max(np.abs(coarse - fine)))
@@ -179,54 +183,61 @@ def assemble_mode(cfg: SolverConfig, l: int) -> tuple[SymMatrix, SymMatrix]:
                 f"{tag} form moved by {gap:.3e} (scale {scale:.3e}) "
                 f"under node doubling {base} -> {2 * base} at mode {l}"
             )
-    return SymMatrix(a2), SymMatrix(b2)
+        worst = max(worst, gap / scale)
+    return SymMatrix(a2), SymMatrix(b2), worst
 
 
-def _raw_forms(cfg: SolverConfig, l: int, quad_m: int):
-    n, p = cfg.n, cfg.p
+def _form_factors(cfg: SolverConfig, l: int):
+    """Coefficient rows (left, right) of the two factors of each form.
+
+    Row j of every matrix is a Chebyshev-in-s coefficient vector of length
+    p + N, built from the trial coefficients by the operator matrix.
+    """
+    p = cfg.p
     x0 = math.cos(cfg.theta0)
-    half_width = (1.0 - x0) / 2.0
-    gamma = l + (n - 2) / 2.0
-    s, w = gauss_jacobi_rule(gamma, quad_m)
-    x = x0 + half_width * (s + 1.0)
-    eff_w = w * half_width ** (gamma + 1.0) * (1.0 + x) ** gamma
-
-    size = p + cfg.basis_size  # coefficient length, degree p + N - 1
-    coeffs0 = np.zeros((cfg.basis_size, size))
-    factor = half_width**p * cheb.chebpow(np.array([1.0, 1.0]), p)
-    for j in range(cfg.basis_size):
-        unit = np.zeros(j + 1)
-        unit[j] = 1.0
-        prod = cheb.chebmul(factor, unit)
-        coeffs0[j, : len(prod)] = prod
-
-    def apply_op(mat):
-        out = np.empty_like(mat)
-        for row in range(mat.shape[0]):
-            out[row] = operator_coeffs(mat[row], l, n, x0)
-        return out
+    coeffs0 = _trial_coeffs(p, cfg.basis_size, x0)
+    op_t = operator_matrix(l, cfg.n, x0, coeffs0.shape[1]).T
 
     half_order = p // 2
     coeffs_m = coeffs0
     for _ in range(half_order):
-        coeffs_m = apply_op(coeffs_m)
-
-    vander = cheb.chebvander(s, size - 1)  # (quad_m, size)
-    v_m = coeffs_m @ vander.T
+        coeffs_m = coeffs_m @ op_t
     if p % 2 == 0:
-        a_raw = (v_m * eff_w) @ v_m.T
+        stiffness = (coeffs_m, coeffs_m)
     else:
-        v_md = apply_op(coeffs_m) @ vander.T
-        a_raw = -(v_m * eff_w) @ v_md.T
-
+        stiffness = (-coeffs_m, coeffs_m @ op_t)
     if cfg.problem is Problem.CLAMPED:
-        v_0 = coeffs0 @ vander.T if half_order else v_m
-        b_raw = (v_0 * eff_w) @ v_0.T
+        mass = (coeffs0, coeffs0)
     else:
-        v_0 = coeffs0 @ vander.T if p > 1 else v_m
-        v_1 = apply_op(coeffs0) @ vander.T
-        b_raw = -(v_0 * eff_w) @ v_1.T
-    return a_raw, b_raw
+        mass = (-coeffs0, coeffs0 @ op_t)
+    return stiffness, mass
+
+
+@functools.lru_cache(maxsize=32)
+def _trial_coeffs(p: int, basis_size: int, x0: float) -> np.ndarray:
+    """Coefficients of q_j = (x - x0)^p T_j(s), one row per j."""
+    size = p + basis_size  # coefficient length, degree p + N - 1
+    coeffs0 = np.zeros((basis_size, size))
+    factor = ((1.0 - x0) / 2.0) ** p * cheb.chebpow(np.array([1.0, 1.0]), p)
+    for j in range(basis_size):
+        unit = np.zeros(j + 1)
+        unit[j] = 1.0
+        prod = cheb.chebmul(factor, unit)
+        coeffs0[j, : len(prod)] = prod
+    coeffs0.flags.writeable = False
+    return coeffs0
+
+
+def _raw_forms(cfg: SolverConfig, l: int, factors, quad_m: int):
+    x0 = math.cos(cfg.theta0)
+    half_width = (1.0 - x0) / 2.0
+    gamma = l + (cfg.n - 2) / 2.0
+    s, w = gauss_jacobi_rule(gamma, quad_m)
+    x = x0 + half_width * (s + 1.0)
+    eff_w = w * half_width ** (gamma + 1.0) * (1.0 + x) ** gamma
+
+    vander_t = cheb.chebvander(s, cfg.p + cfg.basis_size - 1).T  # (size, quad_m)
+    return [((left @ vander_t) * eff_w) @ (right @ vander_t).T for left, right in factors]
 
 
 def solve_mode(cfg: SolverConfig, l: int) -> ModeResult:
@@ -236,7 +247,9 @@ def solve_mode(cfg: SolverConfig, l: int) -> ModeResult:
 
 
 def _solve_mode_full(cfg: SolverConfig, l: int):
-    a_form, b_form = assemble_mode(cfg, l)
+    """ModeResult of mode l plus its health numbers: the worst form asymmetry
+    and the worst relative node-doubling gap."""
+    a_form, b_form, doubling_gap = assemble_mode(cfg, l)
     defect = max(a_form.asymmetry_defect, b_form.asymmetry_defect)
     if defect > ASYMMETRY_WARN:
         warnings.warn(
@@ -250,7 +263,8 @@ def _solve_mode_full(cfg: SolverConfig, l: int):
         raise NumericalError(
             f"nonpositive radial eigenvalue {values[0]:.6e} at mode {l}"
         )
-    return ModeResult(l, values.copy(), multiplicity(l, cfg.n)), defect
+    health = {"max_form_asymmetry": defect, "quad_doubling_gap": doubling_gap}
+    return ModeResult(l, values.copy(), multiplicity(l, cfg.n)), health
 
 
 def solve_spectrum(cfg: SolverConfig) -> Spectrum:
@@ -259,18 +273,18 @@ def solve_spectrum(cfg: SolverConfig) -> Spectrum:
     Merges per-mode radial values across angular modes, expanding by
     multiplicity; the mode loop is extended (or, with a fixed cap, verified)
     until the last mode's smallest value clears the K-th merged value by 5%.
-    Diagnostics carry the worst form asymmetry, a per-entry convergence
-    estimate against a companion solve at basis N - 4, and the
-    lambda_1 > n - 2 guard outcome.
+    Diagnostics carry the worst form asymmetry and relative node-doubling
+    gap over the solved modes, a per-entry convergence estimate against a
+    companion solve at basis N - 4, and the lambda_1 > n - 2 guard outcome.
     """
-    records, l_last, defect = _merge_modes(cfg, enforce_sufficiency=True)
+    records, l_last, health = _merge_modes(cfg, enforce_sufficiency=True)
     estimates = _convergence_estimates(cfg, records)
     entries = tuple(
         SpectrumEntry(value=float(v), l=l, radial_index=j, multiplicity=multiplicity(l, cfg.n))
         for v, l, j in records
     )
     diagnostics = {
-        "max_form_asymmetry": defect,
+        **health,
         "convergence": estimates,
         "l_max": l_last,
         "quad_size": cfg.quad_base,
@@ -281,7 +295,7 @@ def solve_spectrum(cfg: SolverConfig) -> Spectrum:
 
 
 def _merge_modes(cfg: SolverConfig, enforce_sufficiency: bool):
-    """Solve modes until sufficiency; returns (records, last_l, defect).
+    """Solve modes until sufficiency; returns (records, last_l, health).
 
     records are (value, l, radial_index) triples in `_merge_key` order,
     covering at least requested_count expanded eigenvalues.
@@ -289,12 +303,13 @@ def _merge_modes(cfg: SolverConfig, enforce_sufficiency: bool):
     want = cfg.requested_count
     hard_cap = cfg.mode_cap if cfg.mode_cap is not None else max(64, 2 * want + 8)
     all_records = []
-    worst_defect = 0.0
+    worst = {}
     prev_ground = 0.0
     l = 0
     while True:
-        mode, defect = _solve_mode_full(cfg, l)
-        worst_defect = max(worst_defect, defect)
+        mode, health = _solve_mode_full(cfg, l)
+        for key, value in health.items():
+            worst[key] = max(worst.get(key, 0.0), value)
         ground = float(mode.radial_values[0])
         if ground < prev_ground * (1.0 - 1e-12):
             raise ModeCapTooSmall(
@@ -325,7 +340,7 @@ def _merge_modes(cfg: SolverConfig, enforce_sufficiency: bool):
         total += multiplicity(ll, cfg.n)
         if total >= want:
             break
-    return records, l, worst_defect
+    return records, l, worst
 
 
 def _merge_key(record):

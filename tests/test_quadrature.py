@@ -62,7 +62,7 @@ def test_node_weight_contracts(gamma, m):
 
 
 def test_large_rule_smoke():
-    # the bracketing + bisection pipeline must hold up to 512 nodes
+    # the Golub-Welsch eigenvalues plus Newton polish must hold up to 512 nodes
     x, w = gauss_jacobi_rule(3.5, 512)
     assert len(x) == 512
     assert float(np.sum(w)) == pytest.approx(jacobi_moment(3.5, 0), rel=1e-12)
@@ -70,6 +70,35 @@ def test_large_rule_smoke():
     j = 513
     exact = jacobi_moment(3.5, j)
     assert float(w @ x**j) == pytest.approx(exact, rel=1e-10)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 3.0, 8.5])
+def test_against_mpmath_rule(gamma):
+    """Nodes are the roots of mpmath's Jacobi polynomial at 50 digits, and
+    weights follow from the same formula there, with
+    P_m' = (m + gamma + 1)/2 * P_{m-1}^(gamma+1, 1)."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        g = mpmath.mpf(gamma)
+        for m in (5, 20, 41):
+            x, w = gauss_jacobi_rule(gamma, m)
+            roots = [
+                mpmath.findroot(
+                    lambda t: mpmath.jacobi(m, g, 0, t, zeroprec=400), mpmath.mpf(float(xi))
+                )
+                for xi in x
+            ]
+            weights = [
+                2 ** (g + 1)
+                / ((1 - r * r) * ((m + g + 1) / 2 * mpmath.jacobi(m - 1, g + 1, 1, r)) ** 2)
+                for r in roots
+            ]
+            exact_x = np.array([float(r) for r in roots])
+            exact_w = np.array([float(v) for v in weights])
+            # each root found once: the float nodes start Newton in distinct basins
+            assert np.all(np.diff(exact_x) > 0.0), (gamma, m)
+            assert np.max(np.abs(x - exact_x)) <= 1e-15, (gamma, m)
+            assert np.max(np.abs(w - exact_w) / exact_w) <= 1e-13, (gamma, m)
 
 
 def test_determinism():

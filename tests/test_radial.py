@@ -1,10 +1,14 @@
 """Radial operator and harmonic multiplicities."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev as cheb
+from numpy.polynomial import polynomial as poly
 
 from capspec.errors import ValidationError
-from capspec.radial import RadialPoly, apply_radial_operator, multiplicity
+from capspec.radial import RadialPoly, apply_radial_operator, multiplicity, operator_matrix
 
 THETAS = [np.pi / 2, 1.0, 2.0 * np.pi / 3.0]
 
@@ -119,6 +123,93 @@ def test_linearity_general_scalars():
         ).coeffs + apply_radial_operator(RadialPoly(c2, x0), 3, 4).coeffs
         scale = float(np.max(np.abs(right))) + 1.0
         assert np.max(np.abs(left - right)) <= 1e-13 * scale
+
+
+# ------------------------------------------------------ operator as a matrix
+# On monomials the operator has the closed form
+#   D x^k = k(k-1) x^(k-2) - (k(k-1) + (2l+n) k + l(l+n-1)) x^k,
+# which cross-checks every column without the Chebyshev recurrences. The
+# change of basis T_j(s) -> x^k -> T_i(s) is badly conditioned for small
+# caps, so the oracle runs in exact rational arithmetic.
+
+MODES = [(0, 2), (1, 3), (3, 4), (6, 5)]
+
+
+def _compose(coeffs, inner):
+    """Monomial coefficients of sum_k coeffs[k] * inner(t)^k (exact)."""
+    out = np.array([Fraction(0)], dtype=object)
+    for c in coeffs[::-1]:
+        out = poly.polyadd(poly.polymul(out, inner), [c])
+    return out
+
+
+def _monomials_to_chebyshev(coeffs):
+    """Chebyshev coefficients of a monomial series, via t T_0 = T_1 and
+    t T_k = (T_{k-1} + T_{k+1}) / 2 (exact)."""
+    out = [Fraction(0)] * len(coeffs)
+    power = [Fraction(1)]  # t^k in the Chebyshev basis
+    for c in coeffs:
+        for i, v in enumerate(power):
+            out[i] += c * v
+        nxt = [Fraction(0)] * (len(power) + 1)
+        for i, v in enumerate(power):
+            if i == 0:
+                nxt[1] += v
+            else:
+                nxt[i - 1] += v / 2
+                nxt[i + 1] += v / 2
+        power = nxt
+    return out
+
+
+def _monomial_image(x_coeffs, l, n):
+    out = [Fraction(0)] * len(x_coeffs)
+    for k, c in enumerate(x_coeffs):
+        out[k] -= c * (k * (k - 1) + (2 * l + n) * k + l * (l + n - 1))
+        if k >= 2:
+            out[k - 2] += c * k * (k - 1)
+    return out
+
+
+@pytest.mark.parametrize("theta0", THETAS)
+@pytest.mark.parametrize("l,n", MODES)
+def test_operator_matrix_columns_are_unit_images(theta0, l, n):
+    x0 = float(np.cos(theta0))
+    a, b = Fraction((1.0 - x0) / 2.0), Fraction((1.0 + x0) / 2.0)
+    size = 9
+    mat = operator_matrix(l, n, x0, size)
+    assert mat.shape == (size, size)
+    for j in range(size):
+        unit = np.zeros(size)
+        unit[j] = 1.0
+        # T_j(s) in x-monomials, its image by the closed form, back to T_i(s)
+        t_j = np.array([Fraction(v) for v in unit[: j + 1]], dtype=object)
+        x_coeffs = _compose(cheb.cheb2poly(t_j), [-b / a, 1 / a])
+        image = _compose(_monomial_image(x_coeffs, l, n), [b, a])
+        expected = np.zeros(size)
+        expected[: len(image)] = [float(v) for v in _monomials_to_chebyshev(image)]
+        scale = float(np.max(np.abs(expected))) + 1.0
+        assert np.max(np.abs(mat[:, j] - expected)) <= 1e-13 * scale, j
+        # the coefficient-level operator is this matrix applied to c
+        assert np.array_equal(apply_radial_operator(RadialPoly(unit, x0), l, n).coeffs,
+                              mat @ unit)
+
+
+@pytest.mark.parametrize("theta0", THETAS)
+@pytest.mark.parametrize("l,n", MODES)
+def test_operator_matrix_upper_triangular(theta0, l, n):
+    mat = operator_matrix(l, n, float(np.cos(theta0)), 12)
+    assert np.array_equal(np.tril(mat, -1), np.zeros_like(mat))
+
+
+@pytest.mark.parametrize("theta0", THETAS)
+@pytest.mark.parametrize("l,n", MODES)
+def test_operator_matrix_nests_across_sizes(theta0, l, n):
+    x0 = float(np.cos(theta0))
+    for size in (1, 2, 5, 16, 33):
+        small = operator_matrix(l, n, x0, size)
+        large = operator_matrix(l, n, x0, size + 4)
+        assert np.array_equal(small, large[:size, :size]), size
 
 
 def test_eval_and_roundtrip():

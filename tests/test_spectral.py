@@ -17,6 +17,7 @@ from capspec.errors import (
     QuadratureNotConverged,
     ValidationError,
 )
+from capspec.io import spectrum_to_doc
 from capspec.linalg import generalized_sym_eigen
 from capspec.quadrature import gauss_jacobi_rule
 from capspec.radial import operator_coeffs
@@ -63,7 +64,7 @@ class TestHemisphereClosedForms:
         assert np.allclose(mode.radial_values[:3], [2, 12, 30], rtol=0, atol=1e-9)
 
     def test_assembled_forms_ground_value(self):
-        a_form, b_form = assemble_mode(hemi(2, 1, Problem.CLAMPED), 0)
+        a_form, b_form, _ = assemble_mode(hemi(2, 1, Problem.CLAMPED), 0)
         pairs = generalized_sym_eigen(a_form, b_form)
         assert abs(pairs.values[0] - 2.0) < 1e-10
 
@@ -72,14 +73,14 @@ class TestAssembly:
     def test_forms_nearly_symmetric_odd_order(self):
         cfg = SolverConfig(n=3, p=3, theta0=1.0, problem=Problem.CLAMPED,
                            basis_size=24, requested_count=8)
-        a_form, b_form = assemble_mode(cfg, 1)
+        a_form, b_form, _ = assemble_mode(cfg, 1)
         assert a_form.asymmetry_defect < 1e-10
         assert b_form.asymmetry_defect < 1e-10
 
     def test_forms_nearly_symmetric_buckling(self):
         cfg = SolverConfig(n=3, p=3, theta0=1.0, problem=Problem.BUCKLING,
                            basis_size=24, requested_count=8)
-        a_form, b_form = assemble_mode(cfg, 1)
+        a_form, b_form, _ = assemble_mode(cfg, 1)
         assert a_form.asymmetry_defect < 1e-10
         assert b_form.asymmetry_defect < 1e-10
 
@@ -205,6 +206,15 @@ class TestSpectrumStructure:
     def test_asymmetry_diagnostic_tracked(self):
         spec = solve_spectrum(hemi(3, 3, Problem.BUCKLING, N=20, K=4))
         assert 0.0 <= spec.diagnostics["max_form_asymmetry"] < 1e-10
+
+    @pytest.mark.parametrize("p,problem", [(2, Problem.BUCKLING), (3, Problem.CLAMPED)])
+    def test_doubling_gap_diagnostic_recorded(self, p, problem):
+        # the worst relative node-doubling gap over the solved modes; it
+        # stays out of the spectrum file
+        spec = solve_spectrum(hemi(2, p, problem, N=16, K=6))
+        gap = spec.diagnostics["quad_doubling_gap"]
+        assert 0.0 <= gap <= 1e-11
+        assert "quad_doubling_gap" not in spectrum_to_doc(spec)["meta"]
 
 
 class TestFlatLimit:
