@@ -5,7 +5,11 @@ problem by the first k eigenvalues. Two mechanisms appear:
 
 * predicate families state an inequality between both sides evaluated at a
   candidate value c >= Lambda_k; the implied bound is the first c at which
-  the predicate fails (bracket doubling + bisection);
+  the predicate fails. With x = c - Lambda_k and e_i = Lambda_k - lambda_i,
+  every side is a sum  sum_i w_i (x + e_i)^m  with exact coefficients in x,
+  so the failure points are polynomial roots: a quadratic for the delta
+  family and, after squaring both (non-negative) sides, a quartic for the
+  two sqrt families;
 * closed-form families reduce to a quadratic
   k X^2 - X (2 sum v_i + sum c_i) + (sum v_i^2 + sum c_i v_i) <= 0
   whose larger root is the bound, or to the averaged pair (S, T) with
@@ -37,8 +41,7 @@ from .spectral import Problem, Spectrum
 
 INEQ_SLACK = 1e-12
 DISC_SLACK = 1e-12
-BISECT_REL = 1e-11
-BRACKET_DOUBLINGS = 64
+LIMIT_LOG2 = 64  # an implied bound above Lambda_k 2^64 counts as none
 DELTA_LOG_RANGE = (-6.0, 6.0)
 DELTA_GRID_POINTS = 64
 DELTA_LOG_TOL = 1e-8
@@ -225,6 +228,15 @@ def _coeff_h(prefix: np.ndarray, n: int) -> np.ndarray:
     return prefix + (n - 2) ** 2 / 4.0
 
 
+def _delta_weight(prefix: np.ndarray, n: int, d):
+    """The delta family's weight on (c - lambda_i)^2, divided by d:
+    lambda + d (lambda - (n-2)) / (4 (d lambda + n - 2)), written so that
+    no d^2 is formed and the n = 2 denominator cannot cancel to zero. For
+    subnormal d, (n-2)/d overflows to inf, the right limit."""
+    with np.errstate(over="ignore"):
+        return prefix + (prefix - (n - 2)) / (4.0 * (prefix + (n - 2) / d))
+
+
 def quadratic_terms(seq: EigenSequence, k: int) -> tuple[float, float]:
     """Averaged pair (S, T) of the closed-form sphere buckling bound."""
     _check_compat(family(QUADRATIC), seq)
@@ -290,7 +302,7 @@ def evaluate_predicate(fam: BoundFamily, seq: EigenSequence, k: int,
         rhs = float(np.sum(diffs * g * h))
     else:  # DELTA
         d = fam.delta
-        mult = d * prefix + d * d * (prefix - (n - 2)) / (4.0 * (d * prefix + n - 2))
+        mult = d * _delta_weight(prefix, n, d)
         lhs = 2.0 * float(np.sum(diffs**2))
         rhs = float(np.sum(diffs**2 * mult)) + float(np.sum(diffs * h)) / d
     holds = lhs <= rhs + INEQ_SLACK * (abs(lhs) + abs(rhs))
@@ -299,42 +311,139 @@ def evaluate_predicate(fam: BoundFamily, seq: EigenSequence, k: int,
 
 def implied_bound(fam: BoundFamily, seq: EigenSequence, k: int,
                   actual: float | None = None) -> BoundResult:
-    """First candidate at which the predicate fails: bracket doubling from
-    the k-th eigenvalue, then bisection to relative width 1e-11. The failing
-    end of the final bracket is reported (conservative side)."""
+    """First candidate at which the predicate fails, from polynomial roots.
+
+    With x = c - Lambda_k the delta family fails where a quadratic is
+    positive (closed form, see delta_bounds). For the sqrt families both
+    sides are non-negative, so (1-eps) L <= 2 (1+eps) sqrt(G) sqrt(H), with
+    eps = INEQ_SLACK, fails exactly where the quartic
+    (1-eps)^2 L^2 - 4 (1+eps)^2 G H is positive; its real roots and those
+    of G (the max(., 0) clamp) cut [0, inf) into intervals, each is tested
+    once at an interior point with evaluate_predicate, and the bound is
+    Lambda_k plus the left end of the first failing one. BracketFailure
+    when no failure lies at or below Lambda_k 2^64."""
     if fam.name not in _IMPLIED_FAMILIES:
         raise FamilyMismatch(f"family {fam.name} has no implied bound")
     _check_compat(fam, seq)
     prefix = seq.prefix(k)
     _guard_prefix(prefix, seq.n)
     lam_k = float(prefix[-1])
-
-    def holds(c):
-        return evaluate_predicate(fam, seq, k, c).holds
-
-    limit = lam_k * 2.0**BRACKET_DOUBLINGS
-    lo = lam_k
-    step = max(lam_k, 1.0)
-    hi = lam_k + step
-    while holds(hi):
-        lo = hi
-        step *= 2.0
-        hi = lam_k + step
-        if hi > limit:
-            raise BracketFailure(
-                f"predicate of {fam} still holds at candidate {hi:.6g} "
-                f"(limit {limit:.6g}); no finite implied bound"
-            )
-    while hi - lo > BISECT_REL * hi:
-        mid = 0.5 * (lo + hi)
-        if holds(mid):
-            lo = mid
-        else:
-            hi = mid
-    aux = {}
+    limit = lam_k * 2.0**LIMIT_LOG2
     if fam.name == DELTA:
-        aux["delta"] = fam.delta
-    return BoundResult(family=fam, k=k, bound=hi, aux=aux, actual=actual)
+        bound = float(_delta_bound_fn(prefix, seq.n)(np.array([fam.delta]))[0])
+        aux = {"delta": fam.delta}
+    else:
+        bound = math.inf
+        for left, probe in _intervals(_sqrt_breakpoints(fam, seq, prefix), lam_k):
+            if lam_k + left > limit:
+                break
+            if not evaluate_predicate(fam, seq, k, lam_k + probe).holds:
+                bound = lam_k + left
+                break
+        aux = {}
+    if not math.isfinite(bound):
+        raise BracketFailure(
+            f"predicate of {fam} holds at every candidate up to {limit:.6g}; "
+            f"no finite implied bound"
+        )
+    return BoundResult(family=fam, k=k, bound=bound, aux=aux, actual=actual)
+
+
+def _shifted_sum(w: np.ndarray, e: np.ndarray, power: int) -> np.ndarray:
+    """Coefficients in x, highest power first, of sum_i w_i (x + e_i)^power
+    for power 1 or 2."""
+    if power == 1:
+        return np.array([np.sum(w), np.sum(w * e)])
+    return np.array([np.sum(w), 2.0 * np.sum(w * e), np.sum(w * e * e)])
+
+
+def _sqrt_breakpoints(fam: BoundFamily, seq: EigenSequence,
+                      prefix: np.ndarray) -> np.ndarray:
+    """Positive real roots, in x = c - Lambda_k, of the squared sqrt-family
+    predicate and of the g-sum under its root."""
+    n = seq.n
+    e = prefix[-1] - prefix
+    g = _coeff_g(prefix, n, seq.p) if fam.name == SQRT else _coeff_g_p2(prefix, n)
+    lhs = _shifted_sum(2.0 + (n - 2) / (prefix - (n - 2)), e, 2)
+    gsum = _shifted_sum(g, e, 2)
+    hsum = _shifted_sum(_coeff_h(prefix, n), e, 1)
+    quartic = np.polysub((1.0 - INEQ_SLACK) ** 2 * np.polymul(lhs, lhs),
+                         4.0 * (1.0 + INEQ_SLACK) ** 2 * np.polymul(gsum, hsum))
+    roots = np.concatenate([np.roots(quartic), np.roots(gsum)])
+    real = roots[np.abs(roots.imag) <= 1e-8 * np.abs(roots)].real
+    return real[real > 0.0]
+
+
+def _intervals(breakpoints: np.ndarray, lam_k: float):
+    """(left end, interior point) of each interval into which the sorted
+    positive breakpoints cut [0, inf)."""
+    edges = [0.0] + sorted(set(breakpoints.tolist()))
+    for left, right in zip(edges, edges[1:]):
+        yield left, 0.5 * (left + right)
+    last = edges[-1]
+    yield last, last + max(last, lam_k, 1.0)
+
+
+def _first_positive(a, b, c):
+    """Elementwise smallest x >= 0 at which a x^2 + b x + c > 0 (inf if none)."""
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
+    scale[scale == 0.0] = 1.0
+    a, b, c = a / scale, b / scale, c / scale
+    disc = b * b - 4.0 * a * c
+    q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
+    # q / a and c / q are the two roots (Press et al.'s stable form); each
+    # quotient is kept only where its denominator is non-zero, and one that
+    # overflows is a root beyond every finite candidate
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = np.where(a > 0.0, np.where(q == 0.0, 0.0, np.maximum(q / a, c / q)), math.inf)
+        x = np.where((a < 0.0) & (disc > 0.0) & (b > 0.0), c / q, x)
+        x = np.where((a == 0.0) & (b > 0.0), -c / b, x)
+    return np.where(c > 0.0, 0.0, x)
+
+
+def _delta_bound_fn(prefix: np.ndarray, n: int):
+    """The delta family's implied bound for this prefix as a function of an
+    array of deltas (inf where the predicate holds up to Lambda_k 2^64).
+    The predicate fails where (1-eps) lhs - (1+eps) rhs > 0, a quadratic in
+    x = c - Lambda_k whose delta-free sums are formed once here."""
+    lam_k = float(prefix[-1])
+    limit = lam_k * 2.0**LIMIT_LOG2
+    e = lam_k - prefix
+    powers = np.stack([np.ones_like(e), e, e * e], axis=1)  # rows 1, e_i, e_i^2
+    lhs = 2.0 * np.sum(powers, axis=0) * [1.0, 2.0, 1.0]
+    h_sums = _coeff_h(prefix, n) @ powers[:, :2]
+    lo, hi = 1.0 - INEQ_SLACK, 1.0 + INEQ_SLACK
+
+    def bounds(deltas: np.ndarray) -> np.ndarray:
+        d = deltas[:, None]
+        # the quadratic is divided by max(d, 1/d) so that no coefficient can
+        # overflow: with r = min(d, 1/d) the lhs, d-weighted and h / d sums
+        # carry the factors r, d r and r / d, each at most 1
+        large = d >= 1.0
+        r = np.where(large, 1.0 / np.maximum(d, 1.0), d)
+        l_part = r * lhs
+        m_part = np.where(large, 1.0, r * r) * (_delta_weight(prefix, n, d) @ powers)
+        h_part = np.where(large, r * r, 1.0) * h_sums
+        a = lo * l_part[:, 0] - hi * m_part[:, 0]
+        b = lo * l_part[:, 1] - hi * (2.0 * m_part[:, 1] + h_part[:, 0])
+        c = lo * l_part[:, 2] - hi * (m_part[:, 2] + h_part[:, 1])
+        x = lam_k + _first_positive(a, b, c)
+        return np.where(x <= limit, x, math.inf)
+
+    return bounds
+
+
+def delta_bounds(seq: EigenSequence, k: int, deltas) -> np.ndarray:
+    """The delta family's implied bound at every delta of an array, in
+    closed form; +inf where the predicate has no failure at or below
+    Lambda_k 2^64 (where implied_bound raises BracketFailure)."""
+    _check_compat(family(DELTA_OPT), seq)
+    deltas = np.asarray(deltas, dtype=float).ravel()
+    if not np.all(np.isfinite(deltas) & (deltas > 0.0)):
+        raise ValidationError("every delta must be a positive finite real")
+    prefix = seq.prefix(k)
+    _guard_prefix(prefix, seq.n)
+    return _delta_bound_fn(prefix, seq.n)(deltas)
 
 
 def closed_form_bound(fam: BoundFamily, seq: EigenSequence, k: int,
@@ -403,21 +512,21 @@ def _quadratic_root_result(fam, k, prefix, coeffs, actual):
 
 def best_delta_bound(seq: EigenSequence, k: int,
                      actual: float | None = None) -> BoundResult:
-    """Minimize the delta family's implied bound over delta: a 64-point
-    log10 grid on [1e-6, 1e6] seeds a golden-section search in log10 delta.
-    Grid points with no finite bound count as +inf; if every point is
-    infinite the failure propagates."""
+    """Minimize the delta family's implied bound over delta: the closed form
+    on a 64-point log10 grid on [1e-6, 1e6] seeds a golden-section search
+    in log10 delta on the same closed form. Grid points with no finite
+    bound count as +inf; if every point is infinite, BracketFailure."""
     _check_compat(family(DELTA_OPT), seq)
+    prefix = seq.prefix(k)
+    _guard_prefix(prefix, seq.n)
+    bounds = _delta_bound_fn(prefix, seq.n)
 
     def bound_at(log_delta):
-        try:
-            return implied_bound(family(DELTA, delta=10.0**log_delta), seq, k).bound
-        except BracketFailure:
-            return float("inf")
+        return float(bounds(np.array([10.0**log_delta]))[0])
 
     lo_log, hi_log = DELTA_LOG_RANGE
     grid = np.linspace(lo_log, hi_log, DELTA_GRID_POINTS)
-    values = [bound_at(g) for g in grid]
+    values = bounds(10.0**grid)
     best = int(np.argmin(values))
     if not math.isfinite(values[best]):
         raise BracketFailure(
@@ -449,7 +558,7 @@ def best_delta_bound(seq: EigenSequence, k: int,
 
 def evaluate_bound(fam: BoundFamily, seq: EigenSequence, k: int,
                    actual: float | None = None) -> BoundResult:
-    """Single entry point: dispatches to the implied-bound search, the
+    """Single entry point: dispatches to the implied-bound roots, the
     closed forms, or the delta optimizer according to the family."""
     if fam.name in _IMPLIED_FAMILIES:
         return implied_bound(fam, seq, k, actual=actual)

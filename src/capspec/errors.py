@@ -51,7 +51,7 @@ class ModeCapTooSmall(NumericalError):
 
 
 class BracketFailure(NumericalError):
-    """Bracket doubling found no predicate failure below the cap."""
+    """No predicate failure at or below Lambda_k 2^64: no finite implied bound."""
 
 
 class MonotonicityViolation(NumericalError):

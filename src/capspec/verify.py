@@ -15,18 +15,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import (
-    DELTA,
     SQRT,
     SQRT_P2,
     BoundFamily,
     BoundResult,
     EigenSequence,
     best_delta_bound,
+    delta_bounds,
     evaluate_bound,
     family,
     implied_bound,
 )
-from .errors import BracketFailure, GuardViolation, OracleMismatch, ValidationError
+from .errors import GuardViolation, OracleMismatch, ValidationError
 from .spectral import Problem, SolverConfig, Spectrum, solve_spectrum
 
 HOLDS_SLACK = 1e-8
@@ -154,16 +154,9 @@ def compare_sharpness(spec, delta_grid=(1e-3, 1e3, 32)) -> SharpnessReport:
         sqrt_bound = implied_bound(family(SQRT), seq, k).bound
         p2_bound = implied_bound(family(SQRT_P2), seq, k).bound
         twins_agree = abs(sqrt_bound - p2_bound) <= TWIN_REL_TOL * sqrt_bound
-        grid_bounds = []
-        for d in deltas:
-            try:
-                grid_bounds.append(
-                    implied_bound(family(DELTA, delta=float(d)), seq, k).bound
-                )
-            except BracketFailure:
-                grid_bounds.append(float("inf"))
+        grid_bounds = delta_bounds(seq, k, deltas)
         slack = DOMINANCE_SLACK * max(1.0, sqrt_bound)
-        dominated = sum(1 for b in grid_bounds if sqrt_bound > b + slack)
+        dominated = int(np.count_nonzero(sqrt_bound > grid_bounds + slack))
         opt = best_delta_bound(seq, k)
         rows.append(SharpnessRow(
             k=k,
@@ -172,7 +165,7 @@ def compare_sharpness(spec, delta_grid=(1e-3, 1e3, 32)) -> SharpnessReport:
             twins_agree=twins_agree,
             delta_opt_bound=opt.bound,
             delta_star=opt.aux["delta_star"],
-            grid_min_bound=min(grid_bounds),
+            grid_min_bound=float(grid_bounds.min()),
             dominated_count=dominated,
             grid_size=count,
         ))

@@ -6,9 +6,12 @@ integer evaluation of the five terms).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from capspec.bounds import (
     FAMILY_NAMES,
@@ -16,6 +19,7 @@ from capspec.bounds import (
     EigenSequence,
     best_delta_bound,
     closed_form_bound,
+    delta_bounds,
     evaluate_bound,
     evaluate_predicate,
     family,
@@ -23,7 +27,7 @@ from capspec.bounds import (
     quadratic_terms,
     sphere_buckling_factor,
 )
-from capspec.bounds import _disc_root
+from capspec.bounds import _disc_root, _first_positive
 from capspec.errors import (
     BracketFailure,
     DiscriminantNegative,
@@ -199,6 +203,204 @@ class TestImpliedBounds:
             b1 = implied_bound(family("sphere-buckling-sqrt"), seq, k).bound
             b2 = implied_bound(family("sphere-buckling-sqrt"), seq2, k).bound
             assert b2 >= b1 - 1e-11 * b1
+
+
+def bisected_bound(fam, seq, k, rel=1e-13):
+    """Reference implied bound straight from the predicate: the first
+    failing candidate on the geometric scan Lambda_k (1 + 2^j),
+    j = -40 .. 63, then Lambda_k 2^64, refined by bisection to relative
+    width rel; inf when the predicate holds at every scan point."""
+    lam_k = seq.values[k - 1]
+    scan = [lam_k * (1.0 + 2.0**j) for j in range(-40, 64)] + [lam_k * 2.0**64]
+
+    def holds(c):
+        return evaluate_predicate(fam, seq, k, c).holds
+
+    lo = lam_k
+    for hi in scan:
+        if not holds(hi):
+            break
+        lo = hi
+    else:
+        return math.inf
+    while hi - lo > rel * hi:
+        mid = 0.5 * (lo + hi)
+        if holds(mid):
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def bound_or_inf(fam, seq, k):
+    try:
+        return evaluate_bound(fam, seq, k).bound
+    except BracketFailure:
+        return math.inf
+
+
+class TestRootsAgainstBisection:
+    def test_random_prefixes(self):
+        rng = np.random.RandomState(21)
+        deltas = np.logspace(-6, 6, 13)
+        checked = failures = 0
+        for _ in range(24):
+            n = int(rng.choice([2, 3, 4]))
+            p = int(rng.choice([2, 3]))
+            k = int(rng.randint(1, 7))
+            base = n - 2 + rng.uniform(0.05, 3.0)
+            vals = base + np.concatenate([[0.0], np.cumsum(rng.uniform(0.0, 8.0, k - 1))])
+            seq = buck(tuple(vals), n=n, p=p)
+            fams = [family("sphere-buckling-sqrt")]
+            if p == 2:
+                fams.append(family("sphere-buckling-sqrt-p2"))
+                fams += [family("sphere-buckling-delta", delta=d) for d in deltas]
+            for fam in fams:
+                want = bisected_bound(fam, seq, k)
+                got = bound_or_inf(fam, seq, k)
+                checked += 1
+                if math.isinf(want):
+                    failures += 1
+                    assert math.isinf(got), (fam, seq.values)
+                else:
+                    assert abs(got - want) <= 1e-11 * want, (fam, seq.values)
+        assert failures and checked > 150
+
+    def test_delta_array_matches_scalar_bounds(self):
+        rng = np.random.RandomState(8)
+        deltas = np.logspace(-6, 6, 25)
+        for _ in range(6):
+            n = int(rng.choice([2, 3, 4]))
+            k = int(rng.randint(1, 6))
+            seq = random_buckling_prefix(rng, n, k)
+            got = delta_bounds(seq, k, deltas)
+            want = np.array([bound_or_inf(family("sphere-buckling-delta", delta=d),
+                                          seq, k) for d in deltas])
+            assert np.array_equal(np.isinf(got), np.isinf(want))
+            finite = np.isfinite(want)
+            assert np.allclose(got[finite], want[finite], rtol=1e-14, atol=0.0)
+
+    def test_extreme_deltas_stay_finite_arithmetic(self):
+        # the n = 2 delta weight must not cancel to 0/0 for delta lambda
+        # below 1e-16, nor its sums overflow for delta near 1e307 or 1/delta
+        # for subnormal delta
+        deltas = np.append(np.logspace(-307, 307, 41), [1e-320, 5e-324])
+        for n in (2, 3, 4):
+            seq = random_buckling_prefix(np.random.RandomState(n), n, 5)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                got = delta_bounds(seq, 5, deltas)
+            assert not np.isnan(got).any()
+            assert np.all(got >= seq.values[4])
+
+    def test_first_positive_every_case(self):
+        # (a, b, c) of a x^2 + b x + c and the first x >= 0 where it is > 0
+        cases = [
+            ((1.0, 0.0, 2.0), 0.0),     # positive at 0
+            ((1.0, 0.0, -1.0), 1.0),    # convex: the upper root
+            ((1.0, -1.0, 0.0), 1.0),
+            ((1.0, 1.0, 0.0), 0.0),     # convex, rises from a root at 0
+            ((-1.0, 3.0, -2.0), 1.0),   # concave, positive on (1, 2)
+            ((-1.0, 1.0, 0.0), 0.0),    # concave, positive on (0, 1)
+            ((-1.0, -1.0, -1.0), math.inf),
+            ((-1.0, 1.0, -1.0), math.inf),  # concave, never reaches 0
+            ((-1.0, 2.0, -1.0), math.inf),  # touches 0 at 1 only
+            ((0.0, 2.0, -1.0), 0.5),    # linear
+            ((0.0, -1.0, -1.0), math.inf),
+            ((0.0, 0.0, 0.0), math.inf),
+            ((1e300, -1e300, -2e300), 2.0),  # scaled before squaring
+        ]
+        coeffs = np.array([c for c, _ in cases]).T
+        got = _first_positive(*coeffs)
+        assert got.tolist() == pytest.approx([want for _, want in cases], rel=1e-15)
+
+    def test_delta_array_validated(self):
+        with pytest.raises(ValidationError):
+            delta_bounds(ONE, 1, [0.5, 0.0])
+        with pytest.raises(ValidationError):
+            delta_bounds(ONE, 1, [math.inf])
+        with pytest.raises(FamilyMismatch):
+            delta_bounds(buck((5.0,), p=3), 1, [0.5])
+
+
+SQRT_FAMILY = family("sphere-buckling-sqrt")
+
+
+@st.composite
+def any_prefixes(draw):
+    """An order-2 buckling prefix that passes the sphere guard."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    k = draw(st.integers(1, 5))
+    vals = [n - 2 + draw(st.floats(0.05, 50.0))]
+    for _ in range(k - 1):
+        vals.append(vals[-1] + draw(st.floats(0.0, 50.0)))
+    return buck(tuple(vals), n=n), k
+
+
+def sqrt_consistent(seq):
+    """Every eigenvalue after the first lies at or below the sqrt family's
+    bound from the ones before it, as in any genuine spectrum."""
+    return all(seq.values[j] <= bound_or_inf(SQRT_FAMILY, seq, j)
+               for j in range(1, len(seq)))
+
+
+@st.composite
+def raised_prefixes(draw):
+    """A sqrt-consistent order-2 buckling prefix and a copy with one
+    eigenvalue raised, still ascending."""
+    n = draw(st.sampled_from([2, 3, 4]))
+    k = draw(st.integers(1, 5))
+    vals = [n - 2 + draw(st.floats(0.05, 50.0))]
+    for j in range(1, k):
+        cap = bound_or_inf(SQRT_FAMILY, buck(tuple(vals), n=n), j)
+        vals.append(vals[-1] + draw(st.floats(0.0, 1.0)) * (cap - vals[-1]))
+    i = draw(st.integers(0, k - 1))
+    ceiling = vals[i + 1] if i + 1 < k else 1.5 * vals[i]
+    raised = list(vals)
+    raised[i] = min(vals[i] + draw(st.floats(0.0, 1.0)) * (ceiling - vals[i]), ceiling)
+    return buck(tuple(vals), n=n), buck(tuple(raised), n=n), k
+
+
+def delta_families():
+    return st.floats(-3.0, 3.0).map(
+        lambda log_d: family("sphere-buckling-delta", delta=10.0**log_d))
+
+
+class TestBoundProperties:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(case=any_prefixes(), fam=st.one_of(
+        st.sampled_from(["sphere-buckling-sqrt", "sphere-buckling-sqrt-p2",
+                         "sphere-buckling-delta-opt"]).map(family),
+        delta_families()))
+    def test_never_below_lambda_k(self, case, fam):
+        seq, k = case
+        assert bound_or_inf(fam, seq, k) >= seq.values[k - 1]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=raised_prefixes(), fam=st.one_of(
+        st.just(family("sphere-buckling-delta-opt")), delta_families()))
+    def test_delta_families_monotone(self, case, fam):
+        # on prefixes that are not sqrt-consistent the delta predicate can
+        # fail right at Lambda_k, and raising an eigenvalue can then lower
+        # the bound: (1, 2) -> (1, 3) at n = 2 takes delta = 1 from 5.16 to 3
+        seq, raised, k = case
+        assume(sqrt_consistent(raised))
+        before = bound_or_inf(fam, seq, k)
+        after = bound_or_inf(fam, raised, k)
+        if math.isinf(before):
+            assert math.isinf(after)
+        else:
+            assert after >= before - 1e-11 * before
+
+    def test_sqrt_family_not_monotone(self):
+        # recorded counterexample, not a code fault: raising the last of
+        # four sqrt-consistent eigenvalues lowers the sqrt family's bound,
+        # so the property above is not asserted for the sqrt twins
+        fam = family("sphere-buckling-sqrt")
+        low = buck((0.875, 1.640625, 1.640625, 1.869))
+        high = buck((0.875, 1.640625, 1.640625, 2.8))
+        assert sqrt_consistent(low) and sqrt_consistent(high)
+        assert implied_bound(fam, high, 4).bound < implied_bound(fam, low, 4).bound - 0.1
 
 
 class TestClosedForms:

@@ -1,5 +1,7 @@
 import json
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from capspec.spectral import Problem, SolverConfig, solve_spectrum
 from capspec.verify import check_spectrum
 
 HEMI = "1.5707963267948966"
+STORED = Path(__file__).resolve().parents[1] / "benchmark" / "data" / "spectra"
 
 
 def run(*argv):
@@ -239,6 +242,16 @@ class TestCompareCommand:
                    "--out", tmp_path / "x.csv")
         assert code == 2
         assert "LO:HI:COUNT" in capsys.readouterr().err
+
+    def test_extreme_delta_grid(self, tmp_path, capsys):
+        # at delta = 1e-300 the n = 2 delta weight must not cancel to 0/0,
+        # which would warn and report spurious dominance violations
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run("compare", "--in", STORED / "n2-pi_2.json",
+                       "--delta-grid", "1e-300:1e300:4", "--out", tmp_path / "x.csv")
+        assert code == 0
+        assert "0 dominance violations" in capsys.readouterr().out
 
     def test_custom_grid_accepted(self, tmp_path):
         spec_path = solve_hemi_buckling(tmp_path, count=4)
