@@ -1,22 +1,25 @@
 """Dense symmetric linear algebra on small matrices.
 
 Everything here is sized for spectral-Galerkin systems (order <= a few
-hundred): a pivot-checked Cholesky, a cyclic Jacobi eigensolver, and the
-Cholesky reduction of the generalized symmetric-definite problem. The
-triangular solves of the reduction go to LAPACK through `numpy.linalg.solve`.
+hundred): a pivot-checked Cholesky, LAPACK's symmetric eigensolver
+(`numpy.linalg.eigh`), and the Cholesky reduction of the generalized
+symmetric-definite problem. The triangular solves of the reduction go to
+LAPACK through `numpy.linalg.solve`.
 
-The eigensolver is cyclic Jacobi rather than LAPACK `eigh` on purpose. The
-reduced matrices are strongly graded (at N=32, p=3 their eigenvalues span
-75 to 4e9), and Jacobi keeps high relative accuracy on graded matrices
-(Demmel & Veselic, SIAM J. Matrix Anal. Appl. 13, 1992). Rayleigh-Ritz
-monotonicity across nested bases holds to 1e-10 with Jacobi; with `eigh` the
-n=2, p=3 buckling values rise by up to 1e-7 when the basis grows from 16 to
-32.
+`eigh` is backward stable, so each eigenvalue of the reduced matrix comes
+with an absolute error of a few ulps of its largest eigenvalue. The cap
+pencils are strongly graded (at N=32, p=3 their eigenvalues span 75 to 4e9),
+so that error is large relative to the smallest eigenvalues, which are the
+wanted ones: reducing A x = lambda B x by the Cholesky of B loses up to
+2e-10 relative in them, and Rayleigh-Ritz monotonicity across nested bases
+then fails its 1e-10 slack. The solver therefore passes the pencil inverted,
+B x = mu A x with lambda = 1/mu, reduced by the Cholesky of the positive
+definite stiffness form A. The wanted values are then the largest mu, which
+`eigh` resolves to full relative accuracy (about 1e-13 at N=32, p=3).
 
 Tolerances:
   - Cholesky pivot failure: pivot <= order * 1e-14 * max(diag).
-  - Jacobi convergence: off-diagonal Frobenius norm <= 1e-12 * ||C||_F,
-    within a 64-sweep budget (the sweeps target 1e-13 for margin).
+  - A LAPACK convergence failure is reported as NoConvergence.
   - Reported eigenvectors are orthonormal (B-orthonormal in the generalized
     case) to 1e-10.
 """
@@ -31,8 +34,6 @@ import numpy as np
 from .errors import NoConvergence, NotPositiveDefinite, ValidationError
 
 PIVOT_RELATIVE = 1e-14
-JACOBI_TARGET = 1e-13
-JACOBI_SWEEP_BUDGET = 64
 
 
 class SymMatrix:
@@ -107,32 +108,25 @@ def cholesky(mat) -> np.ndarray:
     return low
 
 
-def sym_eigen(mat, max_sweeps: int = JACOBI_SWEEP_BUDGET) -> EigenPairs:
-    """Full eigendecomposition of a symmetric matrix by cyclic Jacobi.
+def sym_eigen(mat) -> EigenPairs:
+    """Full eigendecomposition of a symmetric matrix by LAPACK `eigh`.
 
     Values come back ascending, vectors orthonormal in the columns. Raises
-    NoConvergence if the off-diagonal norm has not dropped to
-    1e-12 * ||C||_F within the sweep budget.
+    NoConvergence if LAPACK reports that its iteration failed.
     """
-    c = _as_sym(mat).entries
-    norm = float(np.linalg.norm(c))
-    target = JACOBI_TARGET * norm
-    diag, vec, sweeps = _jacobi_eigh(c, target, max_sweeps)
-    if sweeps < 0:
-        raise NoConvergence(
-            f"cyclic Jacobi missed its off-diagonal target after {max_sweeps} sweeps"
-        )
-    order = np.argsort(diag, kind="stable")
-    return EigenPairs(values=diag[order].copy(), vectors=vec[:, order].copy())
+    values, vectors = _eigh(_as_sym(mat).entries)
+    return EigenPairs(values=values, vectors=vectors)
 
 
-def generalized_sym_eigen(a_mat, b_mat, max_sweeps: int = JACOBI_SWEEP_BUDGET) -> EigenPairs:
+def generalized_sym_eigen(a_mat, b_mat) -> EigenPairs:
     """Solve A x = lambda B x for symmetric A and positive definite B.
 
-    Reduction is B = L L^T, C = L^{-1} A L^{-T}, then cyclic Jacobi on C;
-    vectors are mapped back through L^{-T} so they are B-orthonormal. A
-    symmetric diagonal pre-scaling (unit diagonal of B) is applied first;
-    it is an exact congruence and only improves conditioning.
+    Reduction is B = L L^T, C = L^{-1} A L^{-T}, then `eigh` on C; vectors
+    are mapped back through L^{-T} so they are B-orthonormal. A symmetric
+    diagonal pre-scaling (unit diagonal of B) is applied first; it is an
+    exact congruence and only improves conditioning. The values are accurate
+    relative to the largest |lambda|, so callers after the smallest values
+    of a graded pencil pass it inverted (see the module docstring).
     """
     a = _as_sym(a_mat).entries
     b = _as_sym(b_mat).entries
@@ -155,17 +149,17 @@ def generalized_sym_eigen(a_mat, b_mat, max_sweeps: int = JACOBI_SWEEP_BUDGET) -
         )
     half = np.linalg.solve(low, a_s)
     c = np.linalg.solve(low, half.T)
-    c = (c + c.T) / 2.0
-    norm = float(np.linalg.norm(c))
-    diag_c, vec, sweeps = _jacobi_eigh(c, JACOBI_TARGET * norm, max_sweeps)
-    if sweeps < 0:
-        raise NoConvergence(
-            f"cyclic Jacobi missed its off-diagonal target after {max_sweeps} sweeps"
-        )
-    x = np.linalg.solve(low.T, vec)
-    x = x * d[:, None]
-    order = np.argsort(diag_c, kind="stable")
-    return EigenPairs(values=diag_c[order].copy(), vectors=np.ascontiguousarray(x[:, order]))
+    values, vec = _eigh((c + c.T) / 2.0)
+    x = np.linalg.solve(low.T, vec) * d[:, None]
+    return EigenPairs(values=values, vectors=np.ascontiguousarray(x))
+
+
+def _eigh(c):
+    """Ascending eigenvalues and orthonormal eigenvectors of symmetric c."""
+    try:
+        return np.linalg.eigh(c)
+    except np.linalg.LinAlgError as err:
+        raise NoConvergence(f"LAPACK eigh did not converge: {err}") from None
 
 
 def _cholesky_lower(b, threshold):
@@ -186,65 +180,3 @@ def _cholesky_lower(b, threshold):
         if i + 1 < n:
             low[i + 1 :, i] = (b[i + 1 :, i] - low[i + 1 :, :i] @ row) / d
     return low, -1
-
-
-def _jacobi_eigh(c, off_target, max_sweeps):
-    """Cyclic Jacobi diagonalization of symmetric c.
-
-    Sweeps row-major over the strict upper triangle; convergence is checked
-    against the off-diagonal Frobenius norm at the top of each sweep. Returns
-    (diag, V, sweeps) with V accumulating the rotations columnwise; sweeps is
-    -1 when the budget ran out before the target was met.
-    """
-    a = np.array(c, dtype=float, copy=True)
-    n = a.shape[0]
-    vec = np.eye(n)
-    if n < 2:
-        return a.diagonal().copy(), vec, 0
-    # entries below this produce pure-roundoff rotations; skipping them keeps
-    # sweeps cheap without stalling progress (see off-norm bound below)
-    skip = off_target / (4.0 * n)
-    for sweep in range(max_sweeps + 1):
-        off = _offdiag_norm(a)
-        if off <= off_target:
-            return a.diagonal().copy(), vec, sweep
-        if sweep == max_sweeps:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= skip:
-                    continue
-                app = a[p, p]
-                aqq = a[q, q]
-                theta = (aqq - app) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (
-                    abs(theta) + math.sqrt(theta * theta + 1.0)
-                )
-                cs = 1.0 / math.sqrt(t * t + 1.0)
-                sn = t * cs
-                colp = a[:, p].copy()
-                colq = a[:, q].copy()
-                newp = cs * colp - sn * colq
-                newq = sn * colp + cs * colq
-                a[:, p] = newp
-                a[p, :] = newp
-                a[:, q] = newq
-                a[q, :] = newq
-                a[p, p] = cs * cs * app - 2.0 * sn * cs * apq + sn * sn * aqq
-                a[q, q] = sn * sn * app + 2.0 * sn * cs * apq + cs * cs * aqq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                vp = vec[:, p].copy()
-                vq = vec[:, q].copy()
-                vec[:, p] = cs * vp - sn * vq
-                vec[:, q] = sn * vp + cs * vq
-    return a.diagonal().copy(), vec, -1
-
-
-def _offdiag_norm(a):
-    # summed directly over off-diagonal entries: subtracting the diagonal
-    # from the total Frobenius norm cancels catastrophically near convergence
-    sq = a * a
-    np.fill_diagonal(sq, 0.0)
-    return math.sqrt(float(np.sum(sq)))

@@ -18,15 +18,19 @@ weight splits as (1-x)^gamma * (1+x)^gamma; the first factor is the
 Gauss-Jacobi weight on the mapped interval and the smooth second factor is
 folded into the integrand. Every assembly is validated by node doubling.
 
-Eigenvalues of one mode come from the generalized symmetric-definite solve;
-the spectrum merges modes by value (ties broken by (l, radial_index)) and
-expands each by the harmonic multiplicity of its mode.
+Eigenvalues of one mode come from the generalized symmetric-definite solve
+of the inverted pencil B x = mu A x, lambda = 1/mu (see capspec.linalg); the
+spectrum merges modes by value (ties broken by (l, radial_index)) and expands
+each by the harmonic multiplicity of its mode. Since q_j does not depend on
+N, the forms of a smaller basis are leading blocks of the forms of a larger
+one, so the companion at basis N - 4 is solved from those blocks.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field, replace
@@ -242,13 +246,14 @@ def _raw_forms(cfg: SolverConfig, l: int, factors, quad_m: int):
 
 def solve_mode(cfg: SolverConfig, l: int) -> ModeResult:
     """Radial eigenvalues of mode l (all of them, ascending)."""
-    result, _ = _solve_mode_full(cfg, l)
+    result, _, _ = _solve_mode_full(cfg, l)
     return result
 
 
 def _solve_mode_full(cfg: SolverConfig, l: int):
-    """ModeResult of mode l plus its health numbers: the worst form asymmetry
-    and the worst relative node-doubling gap."""
+    """ModeResult of mode l, its refined forms (A, B), and its health
+    numbers: the worst form asymmetry and the worst relative node-doubling
+    gap."""
     a_form, b_form, doubling_gap = assemble_mode(cfg, l)
     defect = max(a_form.asymmetry_defect, b_form.asymmetry_defect)
     if defect > ASYMMETRY_WARN:
@@ -257,14 +262,23 @@ def _solve_mode_full(cfg: SolverConfig, l: int):
             RuntimeWarning,
             stacklevel=3,
         )
-    pairs = generalized_sym_eigen(a_form, b_form)
-    values = pairs.values
-    if float(values[0]) <= 0.0:
-        raise NumericalError(
-            f"nonpositive radial eigenvalue {values[0]:.6e} at mode {l}"
-        )
+    values = _radial_values(a_form, b_form, l)
     health = {"max_form_asymmetry": defect, "quad_doubling_gap": doubling_gap}
-    return ModeResult(l, values.copy(), multiplicity(l, cfg.n)), health
+    return ModeResult(l, values, multiplicity(l, cfg.n)), (a_form, b_form), health
+
+
+def _radial_values(a_form, b_form, l: int) -> np.ndarray:
+    """Ascending eigenvalues of A x = lambda B x, solved as B x = mu A x.
+
+    The wanted smallest lambda are the largest mu, which the eigensolver
+    resolves to full relative accuracy on these graded pencils.
+    """
+    mu = generalized_sym_eigen(b_form, a_form).values[::-1]
+    if float(mu[-1]) <= 0.0:
+        raise NumericalError(
+            f"nonpositive radial eigenvalue (1/mu with mu = {mu[-1]:.6e}) at mode {l}"
+        )
+    return 1.0 / mu
 
 
 def solve_spectrum(cfg: SolverConfig) -> Spectrum:
@@ -275,10 +289,11 @@ def solve_spectrum(cfg: SolverConfig) -> Spectrum:
     until the last mode's smallest value clears the K-th merged value by 5%.
     Diagnostics carry the worst form asymmetry and relative node-doubling
     gap over the solved modes, a per-entry convergence estimate against a
-    companion solve at basis N - 4, and the lambda_1 > n - 2 guard outcome.
+    companion solve on the leading N - 4 blocks of each mode's forms, and
+    the lambda_1 > n - 2 guard outcome.
     """
-    records, l_last, health = _merge_modes(cfg, enforce_sufficiency=True)
-    estimates = _convergence_estimates(cfg, records)
+    records, l_last, health, forms = _merge_modes(cfg, enforce_sufficiency=True)
+    estimates = _convergence_estimates(cfg, records, forms)
     entries = tuple(
         SpectrumEntry(value=float(v), l=l, radial_index=j, multiplicity=multiplicity(l, cfg.n))
         for v, l, j in records
@@ -295,19 +310,21 @@ def solve_spectrum(cfg: SolverConfig) -> Spectrum:
 
 
 def _merge_modes(cfg: SolverConfig, enforce_sufficiency: bool):
-    """Solve modes until sufficiency; returns (records, last_l, health).
+    """Solve modes until sufficiency; returns (records, last_l, health, forms).
 
-    records are (value, l, radial_index) triples in `_merge_key` order,
-    covering at least requested_count expanded eigenvalues.
+    records are (value, l, radial_index) triples in `_merge_key` order with
+    values ascending, covering at least requested_count expanded
+    eigenvalues; forms maps each solved mode to its refined (A, B).
     """
     want = cfg.requested_count
     hard_cap = cfg.mode_cap if cfg.mode_cap is not None else max(64, 2 * want + 8)
     all_records = []
     worst = {}
+    forms = {}
     prev_ground = 0.0
     l = 0
     while True:
-        mode, health = _solve_mode_full(cfg, l)
+        mode, forms[l], health = _solve_mode_full(cfg, l)
         for key, value in health.items():
             worst[key] = max(worst.get(key, 0.0), value)
         ground = float(mode.radial_values[0])
@@ -335,12 +352,12 @@ def _merge_modes(cfg: SolverConfig, enforce_sufficiency: bool):
         l += 1
     records = []
     total = 0
-    for v, ll, j in all_records:
+    for v, ll, j in _ascending_within_levels(all_records):
         records.append((v, ll, j))
         total += multiplicity(ll, cfg.n)
         if total >= want:
             break
-    return records, l, worst
+    return records, l, worst, forms
 
 
 def _merge_key(record):
@@ -352,6 +369,22 @@ def _merge_key(record):
     """
     v, l, j = record
     return (float(f"{v:.12g}"), j, l)
+
+
+def _ascending_within_levels(sorted_records):
+    """Records in `_merge_key` order with each level's values ascending.
+
+    Within a level the labels keep their (radial_index, l) order and take
+    the level's values in ascending order, so the merged values ascend even
+    when roundoff leaves a later label 1 ulp below an earlier one. Rounding
+    is monotone, so values in different levels are already ascending.
+    """
+    out = []
+    for _, level in itertools.groupby(sorted_records, key=lambda r: _merge_key(r)[0]):
+        level = list(level)
+        values = sorted(v for v, _, _ in level)
+        out.extend((v, l, j) for v, (_, l, j) in zip(values, level))
+    return out
 
 
 def _kth_expanded(sorted_records, n, k):
@@ -367,18 +400,26 @@ def _companion_basis(cfg: SolverConfig) -> int:
     return max(cfg.requested_count, cfg.basis_size - COMPANION_DROP)
 
 
-def _convergence_estimates(cfg: SolverConfig, records):
-    """Per-record |v_N - v_companion| / v_N; zeros when no companion."""
+def _convergence_estimates(cfg: SolverConfig, records, forms):
+    """Per-record |v_N - v_companion| / v_N; zeros when no companion.
+
+    The companion values of mode l are those of the leading
+    companion-by-companion blocks of the mode's refined forms.
+    """
     companion = _companion_basis(cfg)
     if companion >= cfg.basis_size:
         return [0.0] * len(records)
-    sub = replace(cfg, basis_size=companion, quad_size=None)
     cache = {}
     out = []
     for v, l, j in records:
         if l not in cache:
-            cache[l], _ = _solve_mode_full(sub, l)
-        coarse = cache[l].radial_values
+            a_form, b_form = forms[l]
+            cache[l] = _radial_values(
+                a_form.entries[:companion, :companion],
+                b_form.entries[:companion, :companion],
+                l,
+            )
+        coarse = cache[l]
         if j < len(coarse):
             out.append(abs(float(coarse[j]) - v) / v)
         else:
@@ -417,12 +458,12 @@ def convergence_study(cfg: SolverConfig, basis_sizes) -> ConvergenceStudy:
         raise ValidationError(f"basis sizes must be positive and ascending, got {sizes}")
 
     top = replace(cfg, basis_size=sizes[-1])
-    _, l_last, _ = _merge_modes(top, enforce_sufficiency=True)
+    _, l_last, _, _ = _merge_modes(top, enforce_sufficiency=True)
 
     rows = []
     for size in sizes:
         sub = replace(cfg, basis_size=size, mode_cap=l_last)
-        records, _, _ = _merge_modes(sub, enforce_sufficiency=False)
+        records, _, _, _ = _merge_modes(sub, enforce_sufficiency=False)
         expanded = []
         for v, l, _ in records:
             expanded.extend([v] * multiplicity(l, cfg.n))

@@ -113,6 +113,18 @@ class TestBoundsCommand:
         expected = [fmt.REPORT_HEADER] + fmt.verification_rows(report)
         assert out.read_text().splitlines() == expected
 
+    def test_tied_clamped_spectrum_reads_back(self, tmp_path):
+        # the n=2 clamped hemisphere has a level at 12 shared by (l=2, j=0)
+        # and (l=0, j=1); whichever of the two comes out high in the last
+        # bits, the written entries must ascend so that readers accept them
+        path = tmp_path / "tie.json"
+        assert run("solve", "--n", 2, "--p", 1, "--theta0", "pi/2",
+                   "--problem", "clamped", "--count", 6, "--out", path) == 0
+        values = [e["value"] for e in json.loads(path.read_text())["entries"]]
+        assert values == sorted(values)
+        assert run("bounds", "--in", path, "--family", "euclidean-membrane",
+                   "--out", tmp_path / "r.csv") == 0
+
     def test_family_mismatch_exits_2(self, tmp_path, capsys):
         clamped = tmp_path / "c.json"
         run("solve", "--n", 2, "--p", 1, "--theta0", "pi/2",

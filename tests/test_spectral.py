@@ -11,6 +11,7 @@ import math
 import numpy as np
 import pytest
 
+from capspec import quadrature
 from capspec.errors import (
     ModeCapTooSmall,
     MonotonicityViolation,
@@ -26,7 +27,9 @@ from capspec.spectral import (
     Problem,
     SolverConfig,
     Spectrum,
+    _ascending_within_levels,
     _merge_key,
+    _radial_values,
     assemble_mode,
     convergence_study,
     solve_mode,
@@ -192,6 +195,16 @@ class TestSpectrumStructure:
             ordered = sorted(records, key=_merge_key)
             assert [(l, j) for _, l, j in ordered] == [(1, 0), (2, 0), (0, 1)]
 
+    def test_level_values_ascend(self):
+        # the labels keep their tie order and take the level's values in
+        # ascending order, so the merged values never descend by an ulp
+        up, down = math.nextafter(12.0, 13.0), math.nextafter(12.0, 11.0)
+        for v_mode2, v_mode0 in ((up, down), (down, up), (12.0, 12.0)):
+            records = [(v_mode0, 0, 1), (v_mode2, 2, 0), (6.0, 1, 0), (20.0, 3, 0)]
+            merged = _ascending_within_levels(sorted(records, key=_merge_key))
+            assert [(l, j) for _, l, j in merged] == [(1, 0), (2, 0), (0, 1), (3, 0)]
+            assert [v for v, _, _ in merged] == sorted(v for v, _, _ in records)
+
     def test_guard_flag(self):
         wide = SolverConfig(n=4, p=1, theta0=2.9, problem=Problem.CLAMPED,
                             basis_size=28, requested_count=1)
@@ -202,6 +215,31 @@ class TestSpectrumStructure:
     def test_convergence_estimates_small_on_hemisphere(self):
         spec = solve_spectrum(hemi(3, 2, Problem.BUCKLING, N=24, K=8))
         assert max(spec.diagnostics["convergence"]) < 1e-10
+
+    def test_companion_from_leading_blocks(self):
+        # q_j does not depend on N, so the companion's forms are the leading
+        # blocks of the main assembly; the estimates come from those blocks
+        cfg = SolverConfig(n=2, p=3, theta0=1.9, problem=Problem.BUCKLING,
+                           basis_size=24, requested_count=8)
+        spec = solve_spectrum(cfg)
+        size = spec.diagnostics["basis_companion"]
+        assert size == 20
+        expected = []
+        for e in spec.entries:
+            a_form, b_form, _ = assemble_mode(cfg, e.l)
+            coarse = _radial_values(a_form.entries[:size, :size],
+                                    b_form.entries[:size, :size], e.l)
+            expected.append(abs(float(coarse[e.radial_index]) - e.value) / e.value)
+        assert spec.diagnostics["convergence"] == expected
+        assert 0.0 < max(expected) < 1e-6
+
+    def test_cold_solve_rule_builds(self):
+        # a base and a doubled rule per solved mode (0..4); the companion
+        # reuses the main assembly and builds none
+        quadrature._cached_rule.cache_clear()
+        spec = solve_spectrum(hemi(2, 2, Problem.BUCKLING, N=32, K=8))
+        assert spec.diagnostics["l_max"] == 4
+        assert quadrature._cached_rule.cache_info().misses == 10
 
     def test_asymmetry_diagnostic_tracked(self):
         spec = solve_spectrum(hemi(3, 3, Problem.BUCKLING, N=20, K=4))
@@ -215,6 +253,27 @@ class TestSpectrumStructure:
         gap = spec.diagnostics["quad_doubling_gap"]
         assert 0.0 <= gap <= 1e-11
         assert "quad_doubling_gap" not in spectrum_to_doc(spec)["meta"]
+
+
+class TestPencilAccuracy:
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_graded_pencil_against_mpmath(self, n):
+        """The first 8 radial values of the p=3 hemisphere buckling pencils
+        at N=32 match a 40-digit solve of the same assembled forms to 1e-12
+        relative. Their eigenvalues span 75 to 4e9; reducing the uninverted
+        pencil by the Cholesky of B loses up to ~2e-10 here."""
+        mpmath = pytest.importorskip("mpmath")
+        cfg = hemi(n, 3, Problem.BUCKLING, N=32, K=8)
+        for l in (0, 2, 5):
+            a_form, b_form, _ = assemble_mode(cfg, l)
+            with mpmath.workdps(40):
+                low_inv = mpmath.inverse(
+                    mpmath.cholesky(mpmath.matrix(a_form.entries.tolist())))
+                c = low_inv * mpmath.matrix(b_form.entries.tolist()) * low_inv.T
+                mu = mpmath.eigsy((c + c.T) / 2, eigvals_only=True)
+                ref = np.array(sorted(float(1 / m) for m in mu)[:8])
+            got = solve_mode(cfg, l).radial_values[:8]
+            assert np.max(np.abs(got - ref) / ref) <= 1e-12, l
 
 
 class TestFlatLimit:
@@ -253,6 +312,16 @@ class TestConvergenceStudy:
         assert np.all(study.values[1] <= study.values[0] + 1e-10)
         assert np.all(study.values[2] <= study.values[1] + 1e-10)
         assert np.all(study.estimates < 1e-6)
+
+    @pytest.mark.parametrize("theta0", [math.pi / 3, 2 * math.pi / 3])
+    def test_monotone_off_hemisphere(self, theta0):
+        # criterion 8's grid and slack at two radii besides the hemisphere
+        for n in (2, 3, 4):
+            for p in (2, 3):
+                cfg = SolverConfig(n=n, p=p, theta0=theta0, problem=Problem.BUCKLING,
+                                   basis_size=32, requested_count=8)
+                study = convergence_study(cfg, (8, 16, 32))
+                assert np.diff(study.values, axis=0).max() <= 1e-10, (n, p)
 
     def test_repeated_sizes_identical(self):
         cfg = SolverConfig(n=3, p=2, theta0=1.0, problem=Problem.CLAMPED,
