@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .bounds import DELTA, DELTA_OPT, EigenSequence
 from .errors import SchemaError, ValidationError
+from .radial import multiplicity
 from .spectral import Problem, Spectrum, SpectrumEntry
 
 SPECTRUM_SCHEMA = "spectrum/1"
@@ -159,10 +160,13 @@ def read_spectrum(path) -> SpectrumDocument:
         problem = Problem(problem_raw)
     except ValueError:
         raise SchemaError(f"problem must be 'clamped' or 'buckling', got {problem_raw!r}")
+    if n < 2:
+        raise SchemaError(f"n must be >= 2, got {n}")
     raw_entries = _need(doc, "entries", list, "spectrum file")
     if not raw_entries:
         raise SchemaError("spectrum file has no entries")
     entries = []
+    labels = set()
     for i, raw in enumerate(raw_entries):
         where = f"entries[{i}]"
         if not isinstance(raw, dict):
@@ -173,8 +177,17 @@ def read_spectrum(path) -> SpectrumDocument:
         mult = _need(raw, "multiplicity", int, where)
         if value <= 0 or not math.isfinite(value):
             raise SchemaError(f"{where}: value must be positive finite, got {value!r}")
-        if l < 0 or radial_index < 0 or mult < 1:
-            raise SchemaError(f"{where}: indices must be nonnegative, multiplicity >= 1")
+        if l < 0 or radial_index < 0:
+            raise SchemaError(f"{where}: indices must be nonnegative")
+        expected = multiplicity(l, n)
+        if mult != expected:
+            raise SchemaError(
+                f"{where}: multiplicity {mult} does not match mode l={l} "
+                f"in dimension n={n} (expected {expected})"
+            )
+        if (l, radial_index) in labels:
+            raise SchemaError(f"{where}: duplicate label (l={l}, radial_index={radial_index})")
+        labels.add((l, radial_index))
         entries.append(SpectrumEntry(value=value, l=l, radial_index=radial_index,
                                      multiplicity=mult))
     for i in range(len(entries) - 1):
@@ -183,6 +196,8 @@ def read_spectrum(path) -> SpectrumDocument:
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise SchemaError("meta must be an object")
+    if "requested_count" in meta and _need(meta, "requested_count", int, "meta") < 1:
+        raise SchemaError(f"meta['requested_count'] must be >= 1, got {meta['requested_count']}")
     if not (0.0 < theta0 < math.pi):
         raise SchemaError(f"theta0 must lie in (0, pi), got {theta0!r}")
     return SpectrumDocument(n=n, p=p, theta0=theta0, problem=problem,

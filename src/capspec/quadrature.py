@@ -13,7 +13,10 @@ collapses to 2^(gamma+1), so no Gamma functions appear:
     w_i = 2^(gamma+1) / ((1 - x_i^2) * P_m'(x_i)^2)
 
 The resulting rule integrates polynomials of degree <= 2m - 1 against the
-weight to relative 1e-13 (relative to the weight mass).
+weight to relative 1e-13 (relative to the weight mass). Any gamma >= 0 is
+accepted, but the solver asks only for gamma in {0, 1/2}: the integer part
+of its weight exponent is folded into the integrand (see capspec.spectral),
+so a solve builds one rule per node count.
 """
 
 from __future__ import annotations

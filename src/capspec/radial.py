@@ -38,8 +38,9 @@ from .errors import ValidationError
 def multiplicity(l: int, n: int) -> int:
     """Dimension of the degree-l harmonics on the equatorial (n-1)-sphere.
 
-    n = 2: 1 for l = 0, else 2. n >= 3: (2l+n-2) (l+n-3)! / (l! (n-2)!).
-    Exact integer arithmetic.
+    n = 2: 1 for l = 0, else 2. n >= 3: (2l+n-2) (l+n-3)! / (l! (n-2)!),
+    evaluated exactly as (2l+n-2) C(l+n-3, l) / (n-2), whose cost grows with
+    min(l, n-3) rather than with l + n.
     """
     if not (isinstance(l, (int, np.integer)) and l >= 0):
         raise ValidationError(f"mode index must be a nonnegative integer, got {l!r}")
@@ -47,11 +48,7 @@ def multiplicity(l: int, n: int) -> int:
         raise ValidationError(f"dimension must be an integer >= 2, got {n!r}")
     if n == 2:
         return 1 if l == 0 else 2
-    return (
-        (2 * l + n - 2)
-        * math.factorial(l + n - 3)
-        // (math.factorial(l) * math.factorial(n - 2))
-    )
+    return (2 * l + n - 2) * math.comb(l + n - 3, l) // (n - 2)
 
 
 @dataclass(frozen=True)

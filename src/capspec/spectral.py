@@ -13,10 +13,14 @@ m = floor(p/2) and D for the mode-reduced Laplacian, the forms are
     clamped:   B[i][j] =  integral q_i q_j w dx
     buckling:  B[i][j] = -integral q_i (D q_j) w dx
 
-over [x0, 1] with weight w(x) = (1 - x^2)^gamma, gamma = l + (n-2)/2. The
-weight splits as (1-x)^gamma * (1+x)^gamma; the first factor is the
-Gauss-Jacobi weight on the mapped interval and the smooth second factor is
-folded into the integrand. Every assembly is validated by node doubling.
+over [x0, 1] with weight w(x) = (1 - x^2)^gamma, gamma = l + (n-2)/2. On the
+mapped interval 1 - x is proportional to 1 - s, and gamma splits as
+gamma0 + j with gamma0 = (n-2)/2 mod 1 in {0, 1/2} and j = l + floor((n-2)/2)
+an integer. The Gauss-Jacobi rule carries only (1 - s)^gamma0, so one rule
+(and one Chebyshev Vandermonde at its nodes) per node count serves every
+mode of a solve; the polynomial factor (1 - s)^j and the smooth factor
+(1 + x)^gamma are folded into the effective weight. Every assembly is
+validated by node doubling, mode by mode.
 
 Eigenvalues of one mode come from the generalized symmetric-definite solve
 of the inverted pencil B x = mu A x, lambda = 1/mu (see capspec.linalg); the
@@ -235,13 +239,24 @@ def _trial_coeffs(p: int, basis_size: int, x0: float) -> np.ndarray:
 def _raw_forms(cfg: SolverConfig, l: int, factors, quad_m: int):
     x0 = math.cos(cfg.theta0)
     half_width = (1.0 - x0) / 2.0
-    gamma = l + (cfg.n - 2) / 2.0
-    s, w = gauss_jacobi_rule(gamma, quad_m)
+    gamma0 = cfg.n % 2 / 2.0
+    shift = l + (cfg.n - 2) // 2
+    gamma = gamma0 + shift
+    s, w, vander_t = _shared_rule(gamma0, quad_m, cfg.p + cfg.basis_size - 1)
     x = x0 + half_width * (s + 1.0)
-    eff_w = w * half_width ** (gamma + 1.0) * (1.0 + x) ** gamma
-
-    vander_t = cheb.chebvander(s, cfg.p + cfg.basis_size - 1).T  # (size, quad_m)
+    eff_w = w * half_width ** (gamma + 1.0) * (1.0 - s) ** shift * (1.0 + x) ** gamma
     return [((left @ vander_t) * eff_w) @ (right @ vander_t).T for left, right in factors]
+
+
+@functools.lru_cache(maxsize=32)
+def _shared_rule(gamma0: float, quad_m: int, degree: int):
+    """Gauss-Jacobi rule for (1 - s)^gamma0 and the transposed Chebyshev
+    Vandermonde (degree + 1, quad_m) at its nodes, shared by every mode."""
+    s, w = gauss_jacobi_rule(gamma0, quad_m)
+    vander_t = cheb.chebvander(s, degree).T
+    for arr in (s, w, vander_t):
+        arr.flags.writeable = False
+    return s, w, vander_t
 
 
 def solve_mode(cfg: SolverConfig, l: int) -> ModeResult:

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capspec import io as fmt
 from capspec.bounds import EigenSequence, family
@@ -34,7 +39,7 @@ def write_synthetic(tmp_path, values, n=2, p=2, problem="buckling"):
     doc = {
         "schema": "spectrum/1", "n": n, "p": p, "theta0": 1.0,
         "problem": problem,
-        "entries": [{"value": v, "l": i, "radial_index": 0, "multiplicity": 1}
+        "entries": [{"value": v, "l": 0, "radial_index": i, "multiplicity": 1}
                     for i, v in enumerate(values)],
         "meta": {},
     }
@@ -223,6 +228,78 @@ class TestVerifyCommand:
         assert a.read_bytes() == b.read_bytes()
         assert (tmp_path / "a.summary.json").read_bytes() == \
                (tmp_path / "b.summary.json").read_bytes()
+
+
+def mutated_copy(tmp_path, mutate, name="n2-pi_2.json"):
+    doc = json.loads((STORED / name).read_text())
+    mutate(doc)
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+class TestMalformedStoredSpectrum:
+    @pytest.mark.parametrize("mutate,reason", [
+        (lambda d: d["entries"][1].update(multiplicity=7), "multiplicity 7"),
+        (lambda d: d["entries"][2].update(l=1), "duplicate label"),
+        (lambda d: d["meta"].update(requested_count="x"), "requested_count"),
+    ], ids=["multiplicity", "duplicate-label", "requested-count"])
+    def test_verify_exits_2(self, tmp_path, capsys, mutate, reason):
+        code = run("verify", "--in", mutated_copy(tmp_path, mutate),
+                   "--out", tmp_path / "v.csv")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "SchemaError" in err and reason in err
+
+
+FIELD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 40), st.integers(-10**20, 10**20),
+    st.floats(), st.text(max_size=4), st.lists(st.integers(0, 3), max_size=2),
+    st.just({}),
+)
+
+
+@st.composite
+def mutated_buckling_docs(draw):
+    """A stored p=2 buckling spectrum with 1-3 fields replaced or deleted,
+    at the top level, in meta or in one entry."""
+    name = draw(st.sampled_from(["n2-pi_2.json", "n3-2pi_3.json", "n4-pi_3.json"]))
+    doc = json.loads((STORED / name).read_text())
+    for _ in range(draw(st.integers(1, 3))):
+        where = draw(st.sampled_from(["top", "meta", "entry"]))
+        obj = doc
+        if where == "meta" and isinstance(doc.get("meta"), dict):
+            obj = doc["meta"]
+        elif where == "entry" and isinstance(doc.get("entries"), list) and doc["entries"]:
+            obj = draw(st.sampled_from(doc["entries"]))
+        if not isinstance(obj, dict) or not obj:
+            continue
+        key = draw(st.sampled_from(sorted(obj)))
+        if draw(st.integers(0, 4)) == 0:
+            del obj[key]
+        else:
+            obj[key] = draw(FIELD_VALUES)
+    return doc
+
+
+class TestFuzzedSpectrum:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(doc=mutated_buckling_docs())
+    def test_verify_exit_code_without_traceback(self, doc):
+        # an uncaught exception fails the test; a refusal is one line on
+        # stderr. Exit 3 is allowed only as BracketFailure: a header that no
+        # longer fits the values (say p = 27 over a p = 2 spectrum) can leave
+        # a bound with no finite value, which is exit 3 for any input
+        err = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mutated.json"
+            path.write_text(json.dumps(doc))
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(["verify", "--in", str(path), "--out", str(Path(tmp) / "v.csv")])
+        err = err.getvalue()
+        assert code in (0, 1, 2) or (code == 3 and "BracketFailure" in err), err
+        if code >= 2:
+            assert err.count("\n") == 1 and err.startswith("error: "), err
 
 
 class TestCompareCommand:

@@ -1,13 +1,24 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capspec import io as fmt
 from capspec.bounds import EigenSequence, family
 from capspec.errors import SchemaError, ValidationError
-from capspec.spectral import Problem, SolverConfig, convergence_study, solve_spectrum
+from capspec.spectral import (
+    Problem,
+    SolverConfig,
+    Spectrum,
+    SpectrumEntry,
+    convergence_study,
+    solve_spectrum,
+)
 from capspec.verify import check_spectrum
 
 
@@ -177,6 +188,74 @@ class TestReadSpectrumRejects:
         doc["entries"][1]["multiplicity"] = 0
         with pytest.raises(SchemaError, match="multiplicity"):
             fmt.read_spectrum(self.write(tmp_path, doc))
+
+    def test_multiplicity_must_match_mode(self, tmp_path):
+        doc = self.base()
+        doc["entries"][1]["multiplicity"] = 7
+        with pytest.raises(SchemaError, match=r"multiplicity 7 .*expected 2"):
+            fmt.read_spectrum(self.write(tmp_path, doc))
+
+    def test_dimension_floor(self, tmp_path):
+        doc = self.base()
+        doc["n"] = 1
+        with pytest.raises(SchemaError, match="n must be >= 2"):
+            fmt.read_spectrum(self.write(tmp_path, doc))
+
+    def test_huge_dimension_refused_promptly(self, tmp_path):
+        # the multiplicity of l = 1 at n = 1e12 is 1e12; checking it must
+        # not evaluate (n - 2)!
+        doc = self.base()
+        doc["n"] = 10**12
+        with pytest.raises(SchemaError, match="multiplicity 2 .*expected 1000000000000"):
+            fmt.read_spectrum(self.write(tmp_path, doc))
+
+    def test_duplicate_label(self, tmp_path):
+        doc = self.base()
+        doc["entries"][1].update(l=0, multiplicity=1)
+        with pytest.raises(SchemaError, match=r"duplicate label \(l=0, radial_index=0\)"):
+            fmt.read_spectrum(self.write(tmp_path, doc))
+
+    @pytest.mark.parametrize("count", ["x", 0, -2, 2.5, True, None])
+    def test_requested_count_type(self, tmp_path, count):
+        doc = self.base()
+        doc["meta"]["requested_count"] = count
+        with pytest.raises(SchemaError, match="requested_count"):
+            fmt.read_spectrum(self.write(tmp_path, doc))
+
+
+class TestRoundTripExact:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        values=st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+                        min_size=1, max_size=6),
+        theta0=st.floats(min_value=0.0, max_value=math.pi, exclude_min=True,
+                         exclude_max=True),
+        convergence=st.floats(min_value=0.0, allow_infinity=False),
+    )
+    def test_write_then_read(self, values, theta0, convergence):
+        values = sorted(values)
+        cfg = SolverConfig(n=3, p=2, theta0=theta0, problem=Problem.BUCKLING,
+                           basis_size=8, requested_count=len(values))
+        entries = tuple(SpectrumEntry(value=v, l=0, radial_index=j, multiplicity=1)
+                        for j, v in enumerate(values))
+        diagnostics = {"l_max": 0, "quad_size": 34, "max_form_asymmetry": 0.0,
+                       "convergence": [convergence] * len(values),
+                       "lambda1_guard_ok": True}
+        spec = Spectrum(config=cfg, entries=entries, diagnostics=diagnostics)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "spec.json"
+            fmt.write_spectrum(spec, path)
+            text = path.read_text()
+            doc = fmt.read_spectrum(path)
+        assert (doc.n, doc.p, doc.theta0, doc.problem) == (3, 2, theta0, Problem.BUCKLING)
+        assert doc.entries == entries
+        assert doc.meta == fmt.spectrum_to_doc(spec)["meta"]
+        again = {"schema": fmt.SPECTRUM_SCHEMA, "n": doc.n, "p": doc.p,
+                 "theta0": doc.theta0, "problem": doc.problem.value,
+                 "entries": [{"value": e.value, "l": e.l, "radial_index": e.radial_index,
+                              "multiplicity": e.multiplicity} for e in doc.entries],
+                 "meta": doc.meta}
+        assert fmt.json_dumps(again) == text
 
 
 class TestReportCsv:

@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from capspec import quadrature
+from capspec import quadrature, spectral
 from capspec.errors import (
     ModeCapTooSmall,
     MonotonicityViolation,
@@ -28,8 +28,10 @@ from capspec.spectral import (
     SolverConfig,
     Spectrum,
     _ascending_within_levels,
+    _form_factors,
     _merge_key,
     _radial_values,
+    _raw_forms,
     assemble_mode,
     convergence_study,
     solve_mode,
@@ -234,12 +236,22 @@ class TestSpectrumStructure:
         assert 0.0 < max(expected) < 1e-6
 
     def test_cold_solve_rule_builds(self):
-        # a base and a doubled rule per solved mode (0..4); the companion
-        # reuses the main assembly and builds none
+        # one base and one doubled rule serve every solved mode (0..4): the
+        # rule carries (1 - s)^gamma0 with gamma0 = (n - 2)/2 mod 1 = 0, and
+        # the companion reuses the main assembly and builds none
+        self._assert_two_rule_builds(2, l_max=4)
+
+    def test_cold_solve_rule_builds_odd_dimension(self):
+        # n = 3: gamma0 = 1/2, still one rule pair for modes 0..3
+        self._assert_two_rule_builds(3, l_max=3)
+
+    @staticmethod
+    def _assert_two_rule_builds(n, l_max):
+        spectral._shared_rule.cache_clear()
         quadrature._cached_rule.cache_clear()
-        spec = solve_spectrum(hemi(2, 2, Problem.BUCKLING, N=32, K=8))
-        assert spec.diagnostics["l_max"] == 4
-        assert quadrature._cached_rule.cache_info().misses == 10
+        spec = solve_spectrum(hemi(n, 2, Problem.BUCKLING, N=32, K=8))
+        assert spec.diagnostics["l_max"] == l_max
+        assert quadrature._cached_rule.cache_info().misses == 2
 
     def test_asymmetry_diagnostic_tracked(self):
         spec = solve_spectrum(hemi(3, 3, Problem.BUCKLING, N=20, K=4))
@@ -253,6 +265,37 @@ class TestSpectrumStructure:
         gap = spec.diagnostics["quad_doubling_gap"]
         assert 0.0 <= gap <= 1e-11
         assert "quad_doubling_gap" not in spectrum_to_doc(spec)["meta"]
+
+
+def per_mode_forms(cfg, l, quad_m):
+    """The forms of mode l from a rule for the full exponent
+    gamma = l + (n - 2)/2, as the solver built them before every mode shared
+    one rule per weight parity."""
+    factors = _form_factors(cfg, l)
+    x0 = math.cos(cfg.theta0)
+    a = (1.0 - x0) / 2.0
+    gamma = l + (cfg.n - 2) / 2.0
+    s, w = gauss_jacobi_rule(gamma, quad_m)
+    x = x0 + a * (s + 1.0)
+    eff_w = w * a ** (gamma + 1.0) * (1.0 + x) ** gamma
+    vander_t = np.polynomial.chebyshev.chebvander(s, cfg.p + cfg.basis_size - 1).T
+    return [((left @ vander_t) * eff_w) @ (right @ vander_t).T for left, right in factors]
+
+
+class TestSharedRuleAgainstPerModeRule:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("theta0", [math.pi / 3, math.pi / 2])
+    @pytest.mark.parametrize("p,problem", [(2, Problem.BUCKLING), (3, Problem.CLAMPED)])
+    def test_forms_match(self, n, theta0, p, problem):
+        cfg = SolverConfig(n=n, p=p, theta0=theta0, problem=problem,
+                           basis_size=16, requested_count=6)
+        for l in range(5):
+            factors = _form_factors(cfg, l)
+            for quad_m in (cfg.quad_base, 2 * cfg.quad_base):
+                shared = _raw_forms(cfg, l, factors, quad_m)
+                for got, want in zip(shared, per_mode_forms(cfg, l, quad_m)):
+                    scale = np.max(np.abs(want))
+                    assert np.max(np.abs(got - want)) <= 1e-12 * scale, (l, quad_m)
 
 
 class TestPencilAccuracy:
