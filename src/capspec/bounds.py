@@ -9,7 +9,10 @@ problem by the first k eigenvalues. Two mechanisms appear:
   every side is a sum  sum_i w_i (x + e_i)^m  with exact coefficients in x,
   so the failure points are polynomial roots: a quadratic for the delta
   family and, after squaring both (non-negative) sides, a quartic for the
-  two sqrt families;
+  two sqrt families. The delta-opt bound is the delta family's bound at
+  the delta where its right side is stationary in delta (an envelope
+  condition): at n = 2 the same quartic gives it, and for n >= 3 that
+  quartic seeds a one-dimensional root search in log10 delta;
 * closed-form families reduce to a quadratic
   k X^2 - X (2 sum v_i + sum c_i) + (sum v_i^2 + sum c_i v_i) <= 0
   whose larger root is the bound, or to the averaged pair (S, T) with
@@ -43,8 +46,8 @@ INEQ_SLACK = 1e-12
 DISC_SLACK = 1e-12
 LIMIT_LOG2 = 64  # an implied bound above Lambda_k 2^64 counts as none
 DELTA_LOG_RANGE = (-6.0, 6.0)
-DELTA_GRID_POINTS = 64
-DELTA_LOG_TOL = 1e-8
+DELTA_ROOT_TOL = 1e-9  # in log10 delta, for the delta-opt stationarity root
+LN10 = math.log(10.0)
 
 SQRT = "sphere-buckling-sqrt"
 QUADRATIC = "sphere-buckling-quadratic"
@@ -364,12 +367,25 @@ def _sqrt_breakpoints(fam: BoundFamily, seq: EigenSequence,
     n = seq.n
     e = prefix[-1] - prefix
     g = _coeff_g(prefix, n, seq.p) if fam.name == SQRT else _coeff_g_p2(prefix, n)
-    lhs = _shifted_sum(2.0 + (n - 2) / (prefix - (n - 2)), e, 2)
     gsum = _shifted_sum(g, e, 2)
-    hsum = _shifted_sum(_coeff_h(prefix, n), e, 1)
-    quartic = np.polysub((1.0 - INEQ_SLACK) ** 2 * np.polymul(lhs, lhs),
-                         4.0 * (1.0 + INEQ_SLACK) ** 2 * np.polymul(gsum, hsum))
-    roots = np.concatenate([np.roots(quartic), np.roots(gsum)])
+    quartic = _slack_quartic(_shifted_sum(2.0 + (n - 2) / (prefix - (n - 2)), e, 2),
+                             gsum, _shifted_sum(_coeff_h(prefix, n), e, 1))
+    return np.concatenate([_positive_real_roots(quartic), _positive_real_roots(gsum)])
+
+
+def _slack_quartic(lsum: np.ndarray, gsum: np.ndarray,
+                   hsum: np.ndarray) -> np.ndarray:
+    """(1-eps)^2 L^2 - 4 (1+eps)^2 G H, eps = INEQ_SLACK, from the
+    coefficients of L, G and H in x (highest power first, L and G of degree
+    2, H of degree 1). For L >= 0 it is positive exactly where
+    (1-eps) L > 2 (1+eps) sqrt(G H)."""
+    quartic = (1.0 - INEQ_SLACK) ** 2 * np.convolve(lsum, lsum)
+    quartic[1:] -= 4.0 * (1.0 + INEQ_SLACK) ** 2 * np.convolve(gsum, hsum)
+    return quartic
+
+
+def _positive_real_roots(coeffs: np.ndarray) -> np.ndarray:
+    roots = np.roots(coeffs)
     real = roots[np.abs(roots.imag) <= 1e-8 * np.abs(roots)].real
     return real[real > 0.0]
 
@@ -510,50 +526,152 @@ def _quadratic_root_result(fam, k, prefix, coeffs, actual):
                        aux={}, actual=actual)
 
 
+def _delta_weight_slope(prefix: np.ndarray, n: int, d: float) -> np.ndarray:
+    """d/d delta of delta * _delta_weight: with c = n - 2,
+    lambda + (1 - c/lambda) (1 - (c / (delta lambda + c))^2) / 4. It rises
+    from lambda as delta -> 0 to lambda + (1 - c/lambda) / 4 as delta -> inf,
+    and is lambda + 1/4 at every delta when n = 2."""
+    c = n - 2
+    return prefix + (1.0 - c / prefix) * (1.0 - (c / (d * prefix + c)) ** 2) / 4.0
+
+
+def _delta_seed(prefix: np.ndarray, n: int) -> float | None:
+    """log10 of the best delta with the delta weights frozen at their
+    large-delta limit W_i = lambda_i + (1 - (n-2)/lambda_i) / 4, or None if
+    that frozen family has no failure at or below Lambda_k 2^64.
+
+    Frozen, the predicate fails where (1-eps) L > (1+eps) (delta M + H/delta)
+    with L = 2 sum d_i^2, M = sum W_i d_i^2, H = sum h_i d_i, d_i = x + e_i.
+    Its right side is least, 2 (1+eps) sqrt(M H), at delta = sqrt(H/M), so
+    the best frozen bound is the first failing point of the quartic the
+    sqrt families solve. At n = 2 the weights do not depend on delta and the
+    seed is the optimum itself. x, e_i and H are taken in units of Lambda_k
+    (H in units of Lambda_k^2), so neither tiny nor huge eigenvalues under-
+    or overflow the coefficients."""
+    lam_k = float(prefix[-1])
+    e = (lam_k - prefix) / lam_k
+    rows = np.stack([np.full_like(prefix, 2.0),
+                     prefix + (1.0 - (n - 2) / prefix) / 4.0,
+                     _coeff_h(prefix, n) / lam_k])  # L, M and H weights
+    sums = rows @ np.stack([np.ones_like(e), e, e * e], axis=1)
+    lsum, msum = sums[:2] * [1.0, 2.0, 1.0]
+    quartic = _slack_quartic(lsum, msum, sums[2, :2])
+    if not np.all(np.isfinite(quartic)):
+        return None
+    # x = 0 is probed on its own: a prefix that fails there needs no root,
+    # and np.roots can lose small roots when the coefficients span decades
+    lefts, probes = np.array(
+        [(0.0, 0.0)] + list(_intervals(_positive_real_roots(quartic), 1.0))).T
+    keep = 1.0 + lefts <= 2.0**LIMIT_LOG2
+    # rows of d: the kept left ends, then their probes; sums in d-form
+    d = np.concatenate([lefts[keep], probes[keep]])[:, None] + e
+    with np.errstate(over="ignore", invalid="ignore"):
+        lm = (d * d) @ rows[:2].T
+        hs = d @ rows[2]
+        fails = ((1.0 - INEQ_SLACK) * lm[:, 0]
+                 > 2.0 * (1.0 + INEQ_SLACK) * np.sqrt(lm[:, 1] * hs))
+    fails = fails[len(d) // 2:]
+    if not fails.any():
+        return None
+    at = np.argmax(fails)
+    return 0.5 * math.log10(hs[at] / lm[at, 1])
+
+
 def best_delta_bound(seq: EigenSequence, k: int,
                      actual: float | None = None) -> BoundResult:
-    """Minimize the delta family's implied bound over delta: the closed form
-    on a 64-point log10 grid on [1e-6, 1e6] seeds a golden-section search
-    in log10 delta on the same closed form. Grid points with no finite
-    bound count as +inf; if every point is infinite, BracketFailure."""
+    """Minimize the delta family's implied bound over delta in [1e-6, 1e6].
+
+    The bound Lambda_k + x(delta) is the first failure of
+    (1-eps) L(x) > (1+eps) R(x, delta), R = sum_i d_i^2 delta w_i(delta)
+    + H(x)/delta (see _delta_bound_fn). By the envelope theorem x(delta)
+    moves with the sign of dR/d delta at (x(delta), delta), and each term of
+    R is convex in delta, so where x(delta) has one minimum (on every
+    stored spectrum) it lies at the root of that derivative. The root is
+    found in t = log10 delta on the sign-equivalent residual
+    log(delta^2 sum_i d_i^2 w_i'(delta) / H), whose slope is about 2 ln 10:
+    a chord step from _delta_seed (already the optimum at n = 2), secant
+    steps until the sign changes, then Illinois regula falsi, to
+    DELTA_ROOT_TOL. Every point is the closed form at one delta, so the
+    bound is the delta family's own bound at delta_star. A root past an end
+    of the range is clamped to that end. BracketFailure when the seed's
+    frozen-weight family has no finite bound, or the closed form has none
+    at the (clamped) seed."""
     _check_compat(family(DELTA_OPT), seq)
     prefix = seq.prefix(k)
-    _guard_prefix(prefix, seq.n)
-    bounds = _delta_bound_fn(prefix, seq.n)
+    n = seq.n
+    _guard_prefix(prefix, n)
+    bounds = _delta_bound_fn(prefix, n)
+    h = _coeff_h(prefix, n)
+    lo_t, hi_t = DELTA_LOG_RANGE
 
-    def bound_at(log_delta):
-        return float(bounds(np.array([10.0**log_delta]))[0])
+    def point(t):
+        """(t, bound, residual), the residual None where there is no bound;
+        d_i are taken in units of the bound, so no square under- or
+        overflows."""
+        delta = 10.0**t
+        bound = float(bounds(np.array([delta]))[0])
+        if not math.isfinite(bound):
+            return t, bound, None
+        d = (bound - prefix) / bound
+        ratio = np.dot(d * d, _delta_weight_slope(prefix, n, delta)) / np.dot(h, d)
+        return t, bound, 2.0 * LN10 * t + math.log(ratio) + math.log(bound)
 
-    lo_log, hi_log = DELTA_LOG_RANGE
-    grid = np.linspace(lo_log, hi_log, DELTA_GRID_POINTS)
-    values = bounds(10.0**grid)
-    best = int(np.argmin(values))
-    if not math.isfinite(values[best]):
+    def result(best):
+        return BoundResult(family=family(DELTA_OPT), k=k, bound=best[1],
+                           aux={"delta_star": 10.0**best[0]}, actual=actual)
+
+    seed = _delta_seed(prefix, n)
+    if seed is None:
         raise BracketFailure(
-            "the delta family has no finite implied bound anywhere on the grid"
+            "the delta family has no finite implied bound even with its "
+            "weights at their large-delta limit"
         )
-    left = grid[max(best - 1, 0)]
-    right = grid[min(best + 1, len(grid) - 1)]
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = left, right
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = bound_at(c), bound_at(d)
-    while b - a > DELTA_LOG_TOL:
-        if fc <= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = bound_at(c)
+    inner = point(min(max(seed, lo_t), hi_t))
+    if inner[2] is None:
+        raise BracketFailure(
+            f"the delta family has no finite implied bound at delta = "
+            f"{10.0**inner[0]:.6g}, where its large-delta form is least"
+        )
+    # step from the seed (a chord step, then secant extrapolation) until the
+    # residual changes sign or the bound is lost; a root past an end of the
+    # range stays at that end
+    step = -inner[2] / (2.0 * LN10)
+    while True:
+        t = min(max(inner[0] + step, lo_t), hi_t)
+        if abs(t - inner[0]) <= DELTA_ROOT_TOL:
+            return result(inner)
+        outer = point(t)
+        if outer[2] is None or (outer[2] > 0.0) != (inner[2] > 0.0):
+            break
+        rise = inner[2] - outer[2]
+        secant = outer[2] * (outer[0] - inner[0]) / rise if rise else 0.0
+        step = secant if secant * step > 0.0 else 2.0 * step
+        inner = outer
+    # Illinois on [inner, outer]: a retained end twice in a row has its
+    # residual halved; while outer has no bound, bisect
+    last, fa, fb, side = outer, inner[2], outer[2], 0
+    while True:
+        if fb is None:
+            t = 0.5 * (inner[0] + outer[0])
         else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = bound_at(d)
-    log_star = c if fc <= fd else d
-    delta_star = 10.0**log_star
-    bound = bound_at(log_star)
-    fam = family(DELTA_OPT)
-    return BoundResult(family=fam, k=k, bound=bound,
-                       aux={"delta_star": delta_star}, actual=actual)
+            t = (inner[0] * fb - outer[0] * fa) / (fb - fa)
+        if abs(t - last[0]) <= DELTA_ROOT_TOL:
+            return result(last if last[2] is not None else inner)
+        last = point(t)
+        if last[2] is None:
+            outer, fb, side = last, None, 0
+        elif last[2] == 0.0:
+            return result(last)
+        elif (last[2] > 0.0) == (inner[2] > 0.0):
+            inner, fa = last, last[2]
+            if side == 1 and fb is not None:
+                fb *= 0.5
+            side = 1
+        else:
+            outer, fb = last, last[2]
+            if side == -1:
+                fa *= 0.5
+            side = -1
 
 
 def evaluate_bound(fam: BoundFamily, seq: EigenSequence, k: int,

@@ -10,6 +10,7 @@ to the --out files.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -55,7 +56,10 @@ def _auto_or_int(text: str):
     return _positive_int(text)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The capspec argument parser. parse_args leaves it unchanged, so it
+    is built once and every main call in a process shares it."""
     parser = argparse.ArgumentParser(
         prog="capspec",
         description="Eigenvalues of clamped and buckling problems on "

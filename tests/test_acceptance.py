@@ -280,9 +280,10 @@ def test_criterion_9_hand_value_regression():
 
     opt = best_delta_bound(one2, 1)
     check(opt.bound, 2.25)
-    # delta* is a golden-section argmin on a flat quadratic minimum of the
-    # closed-form delta bound: it lands within ~3e-11 of 0.8, far inside
-    # this 1e-5 tolerance, while bound values are held to 1e-10
+    # delta* is the stationarity root of the delta bound's right side; at
+    # n = 2 it is sqrt(H/M) at the quartic's root, within ~2e-12 of 0.8
+    # here (the 1e-12 inequality slack), far inside this 1e-5 tolerance,
+    # while bound values are held to 1e-10
     assert abs(opt.aux["delta_star"] - 0.8) <= 1e-5
 
     elapsed = time.perf_counter() - start

@@ -5,8 +5,11 @@ reduce to one-variable algebra; the factor values follow from direct
 integer evaluation of the five terms).
 """
 
+import contextlib
 import math
 import warnings
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from capspec.bounds import (
     quadratic_terms,
     sphere_buckling_factor,
 )
+from capspec import bounds as bounds_module
 from capspec.bounds import _disc_root, _first_positive
 from capspec.errors import (
     BracketFailure,
@@ -35,6 +39,7 @@ from capspec.errors import (
     FamilyMismatch,
     ValidationError,
 )
+from capspec.io import read_spectrum
 from capspec.spectral import Problem
 
 
@@ -514,6 +519,227 @@ class TestDeltaOptimizer:
         sqrt_bound = implied_bound(family("sphere-buckling-sqrt"), ONE, 1).bound
         opt = best_delta_bound(ONE, 1).bound
         assert sqrt_bound <= opt + 1e-10
+
+
+STORED = Path(__file__).resolve().parents[1] / "benchmark" / "data" / "spectra"
+MAX_CLOSED_FORMS = 16  # closed-form evaluations one delta-opt bound may make
+
+
+def stored_prefixes():
+    """(file name, sequence, k) for every prefix of every stored spectrum."""
+    out = []
+    for path in sorted(STORED.glob("*.json")):
+        seq = read_spectrum(path).sequence()
+        out += [(path.name, seq, k) for k in range(1, len(seq))]
+    return out
+
+
+def golden_section_delta_opt(seq, k):
+    """Reference delta-opt bound by search: the closed form on a 64-point
+    log10 grid on [1e-6, 1e6] seeds a golden-section search in log10 delta,
+    stopped at width 1e-8. Returns (bound, delta_star); BracketFailure when
+    every grid point is infinite."""
+    grid = np.linspace(-6.0, 6.0, 64)
+    values = delta_bounds(seq, k, 10.0**grid)
+    best = int(np.argmin(values))
+    if not math.isfinite(values[best]):
+        raise BracketFailure("no finite delta bound on the grid")
+
+    def bound_at(log_delta):
+        return float(delta_bounds(seq, k, [10.0**log_delta])[0])
+
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = grid[max(best - 1, 0)], grid[min(best + 1, len(grid) - 1)]
+    c, d = b - inv_phi * (b - a), a + inv_phi * (b - a)
+    fc, fd = bound_at(c), bound_at(d)
+    while b - a > 1e-8:
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = bound_at(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = bound_at(d)
+    log_star = c if fc <= fd else d
+    return bound_at(log_star), 10.0**log_star
+
+
+@contextlib.contextmanager
+def counted_closed_forms():
+    """Yields a list that gets one entry per closed-form delta evaluation."""
+    calls = []
+    real = bounds_module._delta_bound_fn
+
+    def counting(prefix, n):
+        evaluate = real(prefix, n)
+
+        def counted(deltas):
+            calls.append(len(deltas))
+            return evaluate(deltas)
+        return counted
+
+    with mock.patch.object(bounds_module, "_delta_bound_fn", counting):
+        yield calls
+
+
+def delta_opt_checked(seq, k):
+    """best_delta_bound against the golden-section referee, for any prefix:
+    BracketFailure in exactly the referee's cases; otherwise at most
+    MAX_CLOSED_FORMS closed-form evaluations, a bound that is the closed
+    form at the reported delta_star and never above the referee's. Returns
+    (result, referee bound, referee delta_star), or None on BracketFailure."""
+    try:
+        want, want_star = golden_section_delta_opt(seq, k)
+    except BracketFailure:
+        with pytest.raises(BracketFailure):
+            best_delta_bound(seq, k)
+        return None
+    with counted_closed_forms() as calls:
+        got = best_delta_bound(seq, k)
+    assert len(calls) <= MAX_CLOSED_FORMS, seq.values[:k]
+    star = got.aux["delta_star"]
+    assert 1e-6 <= star <= 1e6
+    assert got.bound == float(delta_bounds(seq, k, [star])[0])
+    assert got.bound <= want * (1.0 + 1e-12), seq.values[:k]
+    return got, want, want_star
+
+
+def assert_matches_referee(got, want, want_star, lam_k):
+    """Two-sided agreement where the referee's minimum is interior and
+    unique: the golden section stops 1e-8 short of a range end, and where
+    the bound is Lambda_k itself a whole interval of delta attains it."""
+    if got.aux["delta_star"] in (1e-6, 1e6) or want <= lam_k * (1.0 + 1e-12):
+        return
+    assert got.bound >= want * (1.0 - 1e-10)
+    assert abs(math.log10(got.aux["delta_star"] / want_star)) <= 1e-6
+
+
+@st.composite
+def scaled_prefixes(draw):
+    """An order-2 buckling prefix scaled by up to 10^7.5, far enough for the
+    optimal delta to fall below 1e-6 or for no delta to give a bound."""
+    seq, k = draw(any_prefixes())
+    scale = 10.0 ** draw(st.floats(0.0, 7.5))
+    shift = seq.n - 2
+    return buck(tuple(shift + scale * (v - shift) for v in seq.values), n=seq.n), k
+
+
+class TestDeltaOptAgainstGoldenSection:
+    def test_stored_spectra(self):
+        for name, seq, k in stored_prefixes():
+            got, want, want_star = delta_opt_checked(seq, k)
+            assert got.bound >= want * (1.0 - 1e-10), (name, k)
+            assert abs(math.log10(got.aux["delta_star"] / want_star)) <= 1e-6, (name, k)
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(case=any_prefixes())
+    def test_random_prefixes(self, case):
+        seq, k = case
+        checked = delta_opt_checked(seq, k)
+        if checked is not None and sqrt_consistent(seq):
+            assert_matches_referee(*checked, seq.values[k - 1])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=scaled_prefixes())
+    def test_scaled_prefixes(self, case):
+        seq, k = case
+        checked = delta_opt_checked(seq, k)
+        if checked is not None and sqrt_consistent(seq):
+            assert_matches_referee(*checked, seq.values[k - 1])
+
+    def test_search_misses_a_narrow_window(self):
+        # recorded case, not sqrt-consistent: the delta bound is 42.5 at
+        # delta ~ 0.18 and Lambda_k itself on a window near delta = 1/3
+        # between two deltas with no finite bound; the 64-point grid steps
+        # over the window, while at n = 2 the quartic finds it
+        seq = buck((0.5110755712964452, 3.084522952106665, 3.333644830639533,
+                    8.594448125295653, 11.342960900238838, 14.841230966510512))
+        want, _ = golden_section_delta_opt(seq, 6)
+        got = best_delta_bound(seq, 6)
+        assert want > 42.0
+        assert got.bound == seq.values[5]
+        assert abs(got.aux["delta_star"] - 1.0 / 3.0) < 1e-3
+
+
+class TestDeltaOptEdges:
+    def test_clamped_to_lower_end(self):
+        for n in (2, 3, 4):
+            seq = buck((1.5e6,), n=n)
+            got = best_delta_bound(seq, 1)
+            at_end = delta_bounds(seq, 1, [1e-6, 1.01e-6])
+            assert got.aux["delta_star"] == 1e-6
+            assert got.bound == at_end[0] < at_end[1]
+
+    def test_clamped_to_upper_end(self, monkeypatch):
+        # a valid prefix's optimal delta stays below 4 (1 / (lambda + 1/4)
+        # at n = 2, k = 1), so the upper end is exercised on a narrowed range
+        monkeypatch.setattr(bounds_module, "DELTA_LOG_RANGE", (-6.0, -1.0))
+        for n, lam in ((2, 1.0), (3, 2.0), (4, 3.0)):
+            seq = buck((lam,), n=n)
+            got = best_delta_bound(seq, 1)
+            at_end = delta_bounds(seq, 1, [0.099, 0.1])
+            assert got.aux["delta_star"] == 0.1
+            assert got.bound == at_end[1] < at_end[0]
+
+    def test_bracket_failure_without_any_finite_bound(self):
+        deltas = np.logspace(-6.0, 6.0, 241)
+        for n in (2, 3, 4):
+            for values in ((1e7,), (3e6, 4e6), (1e25,)):
+                seq = buck(values, n=n)
+                k = len(values)
+                assert np.all(np.isinf(delta_bounds(seq, k, deltas)))
+                with pytest.raises(BracketFailure):
+                    best_delta_bound(seq, k)
+
+    def test_n2_optimum_is_sqrt_h_over_m(self):
+        # at n = 2 the weights lambda + 1/4 do not depend on delta: delta* is
+        # sqrt(H / M) at the quartic's root, and one closed form suffices
+        for name, seq, k in stored_prefixes():
+            if seq.n != 2:
+                continue
+            with counted_closed_forms() as calls:
+                got = best_delta_bound(seq, k)
+            prefix = np.array(seq.values[:k])
+            d = got.bound - prefix
+            h_sum = np.dot(prefix, d)
+            m_sum = np.dot(prefix + 0.25, d * d)
+            assert got.aux["delta_star"] == pytest.approx(math.sqrt(h_sum / m_sum),
+                                                          rel=1e-9), (name, k)
+            assert len(calls) == 1, (name, k)
+
+    def test_failure_at_lambda_k_needs_no_root(self):
+        # (1, 1e30) fails the delta predicate at Lambda_k itself; its seed
+        # quartic spans 30 decades, where np.roots misplaces the small roots
+        got = best_delta_bound(buck((1.0, 1e30)), 2)
+        assert got.bound == 1e30
+        assert got.aux["delta_star"] == 1e-6
+
+    def test_extreme_prefixes_stay_finite_arithmetic(self):
+        # no RuntimeWarning and no exception from scalar arithmetic: every
+        # case ends in a bound >= Lambda_k or in BracketFailure
+        cases = [((1e-300,), 2), ((1e-10, 1.0), 2), ((1.0, 1e30), 2),
+                 ((1.5, 1e100), 3), ((5.0,) * 7, 4), ((1e150,), 3),
+                 ((1e300, 1e300), 2), ((1.000000000000001,), 3),
+                 ((2.000000000000001, 2.000000000000001, 5.0), 4),
+                 ((2.0, 2.0000000000001), 3), ((1.5, 1e5), 3)]
+        outcomes = set()
+        for values, n in cases:
+            seq = buck(values, n=n)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                try:
+                    got = best_delta_bound(seq, len(values))
+                except BracketFailure:
+                    outcomes.add("none")
+                    continue
+            assert math.isfinite(got.bound) and got.bound >= values[-1], values
+            outcomes.add("bound")
+        assert outcomes == {"bound", "none"}
+        # sums past the float range (the closed form itself overflows and
+        # warns here) end in BracketFailure, not in np.roots' LinAlgError
+        with np.errstate(over="ignore"), pytest.raises(BracketFailure):
+            best_delta_bound(buck((1e308, 1.5e308)), 2)
 
 
 class TestDispatcherAndOrdering:

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from capspec import io as fmt
 from capspec.bounds import EigenSequence, family
-from capspec.cli import main, parse_theta0
+from capspec.cli import build_parser, main, parse_theta0
 from capspec.errors import ValidationError
 from capspec.spectral import Problem, SolverConfig, solve_spectrum
 from capspec.verify import check_spectrum
@@ -349,6 +349,25 @@ class TestCompareCommand:
                    "1e-2:1e2:16", "--out", out) == 0
         summary = json.loads((tmp_path / "cmp.summary.json").read_text())
         assert summary["dominance_violations"] == 0
+
+
+class TestParserBuiltOnce:
+    def test_repeated_calls_share_one_parser(self, tmp_path, capsys):
+        # main builds its argument parser once per process; a call rejected
+        # by argument parsing in between must leave later calls unchanged
+        assert build_parser() is build_parser()
+        spec_path = STORED / "n3-pi_3.json"
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run("compare", "--in", spec_path, "--out", a) == 0
+        with pytest.raises(SystemExit) as exc:
+            run("compare", "--in", spec_path, "--out", tmp_path / "x.csv",
+                "--delta-grid")
+        assert exc.value.code == 2
+        assert run("compare", "--in", spec_path, "--out", b) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert (tmp_path / "a.summary.json").read_bytes() == \
+               (tmp_path / "b.summary.json").read_bytes()
+        capsys.readouterr()
 
 
 class TestConvergenceCommand:
