@@ -363,13 +363,18 @@ def _shifted_sum(w: np.ndarray, e: np.ndarray, power: int) -> np.ndarray:
 def _sqrt_breakpoints(fam: BoundFamily, seq: EigenSequence,
                       prefix: np.ndarray) -> np.ndarray:
     """Positive real roots, in x = c - Lambda_k, of the squared sqrt-family
-    predicate and of the g-sum under its root."""
+    predicate and of the g-sum under its root. BracketFailure when either
+    polynomial's coefficients overflow the float range."""
     n = seq.n
     e = prefix[-1] - prefix
     g = _coeff_g(prefix, n, seq.p) if fam.name == SQRT else _coeff_g_p2(prefix, n)
     gsum = _shifted_sum(g, e, 2)
     quartic = _slack_quartic(_shifted_sum(2.0 + (n - 2) / (prefix - (n - 2)), e, 2),
                              gsum, _shifted_sum(_coeff_h(prefix, n), e, 1))
+    if not all(map(math.isfinite, quartic.tolist() + gsum.tolist())):
+        raise BracketFailure(
+            f"the coefficients of the {fam} predicate overflow; no finite implied bound"
+        )
     return np.concatenate([_positive_real_roots(quartic), _positive_real_roots(gsum)])
 
 

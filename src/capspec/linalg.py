@@ -96,16 +96,7 @@ def cholesky(mat) -> np.ndarray:
     Raises NotPositiveDefinite when any pivot falls at or below
     order * 1e-14 * max(diag); the message names the failing pivot.
     """
-    b = _as_sym(mat).entries
-    n = b.shape[0]
-    maxdiag = float(np.max(b.diagonal())) if n else 0.0
-    threshold = n * PIVOT_RELATIVE * maxdiag
-    low, bad = _cholesky_lower(b, threshold)
-    if bad >= 0:
-        raise NotPositiveDefinite(
-            f"pivot {bad + 1} of {n} at or below threshold {threshold:.3e}"
-        )
-    return low
+    return _checked_cholesky(_as_sym(mat).entries)
 
 
 def sym_eigen(mat) -> EigenPairs:
@@ -140,13 +131,7 @@ def generalized_sym_eigen(a_mat, b_mat) -> EigenPairs:
     scale = np.outer(d, d)
     a_s = a * scale
     b_s = b * scale
-    n = b.shape[0]
-    maxdiag = float(np.max(b_s.diagonal())) if n else 0.0
-    low, bad = _cholesky_lower(b_s, n * PIVOT_RELATIVE * maxdiag)
-    if bad >= 0:
-        raise NotPositiveDefinite(
-            f"pivot {bad + 1} of {n} at or below threshold; right operand not positive definite"
-        )
+    low = _checked_cholesky(b_s)
     half = np.linalg.solve(low, a_s)
     c = np.linalg.solve(low, half.T)
     values, vec = _eigh((c + c.T) / 2.0)
@@ -160,6 +145,19 @@ def _eigh(c):
         return np.linalg.eigh(c)
     except np.linalg.LinAlgError as err:
         raise NoConvergence(f"LAPACK eigh did not converge: {err}") from None
+
+
+def _checked_cholesky(b):
+    """Lower Cholesky factor of exactly symmetric b, pivot-checked."""
+    n = b.shape[0]
+    maxdiag = float(np.max(b.diagonal())) if n else 0.0
+    threshold = n * PIVOT_RELATIVE * maxdiag
+    low, bad = _cholesky_lower(b, threshold)
+    if bad >= 0:
+        raise NotPositiveDefinite(
+            f"pivot {bad + 1} of {n} at or below threshold {threshold:.3e}"
+        )
+    return low
 
 
 def _cholesky_lower(b, threshold):

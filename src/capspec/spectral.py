@@ -24,10 +24,12 @@ validated by node doubling, mode by mode.
 
 Eigenvalues of one mode come from the generalized symmetric-definite solve
 of the inverted pencil B x = mu A x, lambda = 1/mu (see capspec.linalg); the
-spectrum merges modes by value (ties broken by (l, radial_index)) and expands
+spectrum merges modes by value (ties broken by (radial_index, l)) and expands
 each by the harmonic multiplicity of its mode. Since q_j does not depend on
 N, the forms of a smaller basis are leading blocks of the forms of a larger
-one, so the companion at basis N - 4 is solved from those blocks.
+one. One assembly at the largest size thus serves every size a run needs:
+the companion at basis N - 4 and each row of a convergence study are solved
+from those blocks.
 """
 
 from __future__ import annotations
@@ -307,7 +309,8 @@ def solve_spectrum(cfg: SolverConfig) -> Spectrum:
     companion solve on the leading N - 4 blocks of each mode's forms, and
     the lambda_1 > n - 2 guard outcome.
     """
-    records, l_last, health, forms = _merge_modes(cfg, enforce_sufficiency=True)
+    mode_values, forms, health = _solve_modes(cfg)
+    records = _merge(mode_values, cfg.n, cfg.requested_count)
     estimates = _convergence_estimates(cfg, records, forms)
     entries = tuple(
         SpectrumEntry(value=float(v), l=l, radial_index=j, multiplicity=multiplicity(l, cfg.n))
@@ -316,7 +319,7 @@ def solve_spectrum(cfg: SolverConfig) -> Spectrum:
     diagnostics = {
         **health,
         "convergence": estimates,
-        "l_max": l_last,
+        "l_max": len(mode_values) - 1,
         "quad_size": cfg.quad_base,
         "basis_companion": _companion_basis(cfg),
         "lambda1_guard_ok": bool(entries[0].value > cfg.n - 2),
@@ -324,55 +327,52 @@ def solve_spectrum(cfg: SolverConfig) -> Spectrum:
     return Spectrum(config=cfg, entries=entries, diagnostics=diagnostics)
 
 
-def _merge_modes(cfg: SolverConfig, enforce_sufficiency: bool):
-    """Solve modes until sufficiency; returns (records, last_l, health, forms).
-
-    records are (value, l, radial_index) triples in `_merge_key` order with
-    values ascending, covering at least requested_count expanded
-    eigenvalues; forms maps each solved mode to its refined (A, B).
-    """
+def _solve_modes(cfg: SolverConfig):
+    """Solve modes 0, 1, ... until the last ground value clears the K-th
+    merged value by 5%; returns (values, forms, health), where values[l] and
+    forms[l] are mode l's radial values and refined (A, B), and health holds
+    the worst health numbers. Raises ModeCapTooSmall if a ground value drops
+    or the mode cap comes first."""
     want = cfg.requested_count
     hard_cap = cfg.mode_cap if cfg.mode_cap is not None else max(64, 2 * want + 8)
-    all_records = []
-    worst = {}
-    forms = {}
-    prev_ground = 0.0
-    l = 0
-    while True:
-        mode, forms[l], health = _solve_mode_full(cfg, l)
+    values, forms, worst = [], [], {}
+    # (value, l, radial_index) in plain tuple order: that may reorder a tie
+    # level against `_merge_key`, but its values agree to 12 digits, which
+    # the K-th value's 5% test cannot tell apart
+    records = []
+    for l in itertools.count():
+        mode, mode_forms, health = _solve_mode_full(cfg, l)
         for key, value in health.items():
             worst[key] = max(worst.get(key, 0.0), value)
         ground = float(mode.radial_values[0])
-        if ground < prev_ground * (1.0 - 1e-12):
+        if values and ground < float(values[-1][0]) * (1.0 - 1e-12):
             raise ModeCapTooSmall(
-                f"per-mode ground value dropped from {prev_ground:.6e} to {ground:.6e} "
+                f"per-mode ground value dropped from {values[-1][0]:.6e} to {ground:.6e} "
                 f"at mode {l}; the sufficiency rule does not apply"
             )
-        prev_ground = ground
-        mult = mode.multiplicity
-        all_records.extend(
-            (float(v), l, j) for j, v in enumerate(mode.radial_values)
-        )
-        all_records.sort(key=_merge_key)
-        kth = _kth_expanded(all_records, cfg.n, want)
-        if kth is not None and ground > MODE_SAFETY * kth:
-            break
+        values.append(mode.radial_values)
+        forms.append(mode_forms)
+        records.extend((float(v), l, j) for j, v in enumerate(mode.radial_values))
+        records.sort()
+        covering = _covering_prefix(records, cfg.n, want)
+        if covering and ground > MODE_SAFETY * covering[-1][0]:
+            return values, forms, worst
         if l >= hard_cap:
-            if enforce_sufficiency:
-                raise ModeCapTooSmall(
-                    f"modes 0..{l} cannot certify the first {want} eigenvalues "
-                    f"(need last ground value > {MODE_SAFETY:g} * K-th merged value)"
-                )
-            break
-        l += 1
-    records = []
-    total = 0
-    for v, ll, j in _ascending_within_levels(all_records):
-        records.append((v, ll, j))
-        total += multiplicity(ll, cfg.n)
-        if total >= want:
-            break
-    return records, l, worst, forms
+            raise ModeCapTooSmall(
+                f"modes 0..{l} cannot certify the first {want} eigenvalues "
+                f"(need last ground value > {MODE_SAFETY:g} * K-th merged value)"
+            )
+
+
+def _merge(mode_values, n: int, want: int):
+    """(value, l, radial_index) records of the radial values of modes
+    0, 1, ... in `_merge_key` order, each level ascending, cut once they
+    cover `want` expanded eigenvalues."""
+    records = sorted(
+        ((float(v), l, j) for l, values in enumerate(mode_values) for j, v in enumerate(values)),
+        key=_merge_key,
+    )
+    return _covering_prefix(_ascending_within_levels(records), n, want)
 
 
 def _merge_key(record):
@@ -402,12 +402,14 @@ def _ascending_within_levels(sorted_records):
     return out
 
 
-def _kth_expanded(sorted_records, n, k):
+def _covering_prefix(sorted_records, n, k):
+    """Shortest prefix of the records covering k expanded eigenvalues, or
+    None if they cover fewer."""
     total = 0
-    for v, l, _ in sorted_records:
+    for i, (_, l, _) in enumerate(sorted_records):
         total += multiplicity(l, n)
         if total >= k:
-            return v
+            return sorted_records[: i + 1]
     return None
 
 
@@ -419,27 +421,21 @@ def _convergence_estimates(cfg: SolverConfig, records, forms):
     """Per-record |v_N - v_companion| / v_N; zeros when no companion.
 
     The companion values of mode l are those of the leading
-    companion-by-companion blocks of the mode's refined forms.
+    companion-by-companion blocks of the mode's refined forms. A record's
+    radial index is below requested_count, so the companion has its value.
     """
     companion = _companion_basis(cfg)
     if companion >= cfg.basis_size:
         return [0.0] * len(records)
-    cache = {}
-    out = []
-    for v, l, j in records:
-        if l not in cache:
-            a_form, b_form = forms[l]
-            cache[l] = _radial_values(
-                a_form.entries[:companion, :companion],
-                b_form.entries[:companion, :companion],
-                l,
-            )
-        coarse = cache[l]
-        if j < len(coarse):
-            out.append(abs(float(coarse[j]) - v) / v)
-        else:
-            out.append(float("inf"))
-    return out
+    coarse = {l: _leading_values(forms[l], l, companion) for l in {l for _, l, _ in records}}
+    return [abs(float(coarse[l][j]) - v) / v for v, l, j in records]
+
+
+def _leading_values(mode_forms, l: int, size: int) -> np.ndarray:
+    """Radial values of mode l at basis size `size`, from the leading
+    size-by-size blocks of the mode's refined forms (A, B)."""
+    a_form, b_form = mode_forms
+    return _radial_values(a_form.entries[:size, :size], b_form.entries[:size, :size], l)
 
 
 @dataclass(frozen=True)
@@ -456,12 +452,13 @@ class ConvergenceStudy:
 
 
 def convergence_study(cfg: SolverConfig, basis_sizes) -> ConvergenceStudy:
-    """Re-solve cfg over ascending basis sizes and tabulate the first K
-    eigenvalues per size.
+    """First K eigenvalues of cfg at each of the ascending basis sizes.
 
-    The mode cap is resolved once at the largest size and reused, so every
-    column compares identical mode sets over nested trial spaces; values must
-    be non-increasing per index within 1e-10 absolute slack, else
+    The modes are solved once, at the largest size and with its sufficiency
+    rule; every smaller size merges the radial values of the same modes from
+    the leading blocks of their refined forms. The trial spaces are nested,
+    so by Cauchy interlacing the values cannot increase with the size; a
+    rise beyond 1e-10 absolute slack (eigensolver roundoff) raises
     MonotonicityViolation. Estimates are |last - previous| / last per index.
     """
     sizes = [int(b) for b in basis_sizes]
@@ -471,18 +468,16 @@ def convergence_study(cfg: SolverConfig, basis_sizes) -> ConvergenceStudy:
         sizes[i] > sizes[i + 1] for i in range(len(sizes) - 1)
     ):
         raise ValidationError(f"basis sizes must be positive and ascending, got {sizes}")
-
-    top = replace(cfg, basis_size=sizes[-1])
-    _, l_last, _, _ = _merge_modes(top, enforce_sufficiency=True)
-
+    replace(cfg, basis_size=sizes[0])  # every size must be >= requested_count
+    want = cfg.requested_count
+    mode_values, forms, _ = _solve_modes(replace(cfg, basis_size=sizes[-1]))
     rows = []
     for size in sizes:
-        sub = replace(cfg, basis_size=size, mode_cap=l_last)
-        records, _, _, _ = _merge_modes(sub, enforce_sufficiency=False)
-        expanded = []
-        for v, l, _ in records:
-            expanded.extend([v] * multiplicity(l, cfg.n))
-        rows.append(expanded[: cfg.requested_count])
+        per_mode = mode_values if size == sizes[-1] else [
+            _leading_values(f, l, size) for l, f in enumerate(forms)
+        ]
+        records = _merge(per_mode, cfg.n, want)
+        rows.append([v for v, l, _ in records for _ in range(multiplicity(l, cfg.n))][:want])
 
     values = np.array(rows)
     for t in range(1, len(sizes)):

@@ -185,6 +185,15 @@ class TestImpliedBounds:
         with pytest.raises(BracketFailure):
             implied_bound(family("sphere-buckling-delta", delta=1e6), ONE, 1)
 
+    @pytest.mark.parametrize("name", ["sphere-buckling-sqrt", "sphere-buckling-sqrt-p2"])
+    def test_bracket_failure_when_sqrt_coefficients_overflow(self, name):
+        # the quartic's coefficients of (1e300,) pass the float range; they
+        # are refused before np.roots, which raises LinAlgError on inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(BracketFailure, match="overflow"):
+                implied_bound(family(name), buck((1e300,)), 1)
+
     def test_bound_never_below_largest(self):
         rng = np.random.RandomState(5)
         for _ in range(8):

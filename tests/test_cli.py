@@ -161,6 +161,15 @@ class TestBoundsCommand:
         assert code == 3
         assert "BracketFailure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [
+        ("bounds", "--family", "sphere-buckling-sqrt"), ("verify",)])
+    def test_overflowing_sqrt_coefficients_exit_3(self, tmp_path, capsys, command):
+        spec_path = write_synthetic(tmp_path, [1e300, 2e300])
+        code = run(*command, "--in", spec_path, "--out", tmp_path / "x.csv")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "BracketFailure" in err, err
+
     def test_summary_json_written(self, tmp_path):
         spec_path = solve_hemi_buckling(tmp_path)
         out = tmp_path / "r.csv"

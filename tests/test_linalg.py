@@ -200,7 +200,7 @@ def test_generalized_posts():
 
 
 def test_generalized_rejects_indefinite_b():
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(NotPositiveDefinite, match="pivot 1"):
         generalized_sym_eigen(np.eye(2), [[0.0, 1.0], [1.0, 0.0]])
 
 

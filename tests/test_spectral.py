@@ -7,6 +7,7 @@ the series oracle in oracles.py.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -366,6 +367,42 @@ class TestConvergenceStudy:
                 study = convergence_study(cfg, (8, 16, 32))
                 assert np.diff(study.values, axis=0).max() <= 1e-10, (n, p)
 
+    def test_one_assembly_per_mode(self, monkeypatch):
+        # the README study: every size is a leading block of the top size's
+        # forms, so it assembles exactly the modes one top-size solve does
+        calls = []
+        unwrapped = spectral.assemble_mode
+
+        def counted(cfg, l):
+            calls.append(l)
+            return unwrapped(cfg, l)
+
+        monkeypatch.setattr(spectral, "assemble_mode", counted)
+        cfg = hemi(2, 2, Problem.BUCKLING, N=32, K=8)
+        spec = solve_spectrum(cfg)
+        solve_calls = list(calls)
+        calls.clear()
+        study = convergence_study(cfg, (8, 16, 32))
+        assert solve_calls == calls == [0, 1, 2, 3, 4]
+        assert np.array_equal(study.values[-1], spec.expanded_values())
+
+    @pytest.mark.parametrize("theta0", [math.pi / 3, math.pi / 2, 2 * math.pi / 3])
+    def test_rows_match_independent_solves(self, theta0):
+        # referee: each smaller row against its own assembly at that size,
+        # over the modes the top-size solve needed
+        for n in (2, 3, 4):
+            for p in (2, 3):
+                cfg = SolverConfig(n=n, p=p, theta0=theta0, problem=Problem.BUCKLING,
+                                   basis_size=32, requested_count=8)
+                study = convergence_study(cfg, (8, 16, 32))
+                top = solve_spectrum(cfg)
+                assert np.array_equal(study.values[-1], top.expanded_values()), (n, p)
+                for size, row in zip((8, 16), study.values):
+                    ref = solve_spectrum(replace(
+                        cfg, basis_size=size, mode_cap=top.diagnostics["l_max"]))
+                    want = ref.expanded_values()
+                    assert np.max(np.abs(row - want) / want) <= 1e-12, (n, p, size)
+
     def test_repeated_sizes_identical(self):
         cfg = SolverConfig(n=3, p=2, theta0=1.0, problem=Problem.CLAMPED,
                            basis_size=16, requested_count=4)
@@ -380,6 +417,8 @@ class TestConvergenceStudy:
             convergence_study(cfg, (16,))
         with pytest.raises(ValidationError):
             convergence_study(cfg, (16, 8))
+        with pytest.raises(ValidationError, match="requested count"):
+            convergence_study(cfg, (2, 16))
 
 
 class TestValidation:
