@@ -61,19 +61,20 @@ EUCLIDEAN_CLAMPED = "euclidean-clamped"
 EUCLIDEAN_BUCKLING_P2 = "euclidean-buckling-p2"
 EUCLIDEAN_BUCKLING = "euclidean-buckling"
 
-# name -> (problem, exact_p, min_p, sphere guard required)
+# name -> (problem, exact_p, sphere guard required); EigenSequence already
+# demands p >= 2 for buckling and p >= 1 for clamped
 _REGISTRY = {
-    SQRT: (Problem.BUCKLING, None, 2, True),
-    QUADRATIC: (Problem.BUCKLING, None, 2, True),
-    GAP: (Problem.BUCKLING, None, 2, True),
-    DELTA: (Problem.BUCKLING, 2, 2, True),
-    DELTA_OPT: (Problem.BUCKLING, 2, 2, True),
-    SQRT_P2: (Problem.BUCKLING, 2, 2, True),
-    SPHERE_CLAMPED: (Problem.CLAMPED, None, 1, False),
-    EUCLIDEAN_MEMBRANE: (Problem.CLAMPED, 1, 1, False),
-    EUCLIDEAN_CLAMPED: (Problem.CLAMPED, None, 1, False),
-    EUCLIDEAN_BUCKLING_P2: (Problem.BUCKLING, 2, 2, False),
-    EUCLIDEAN_BUCKLING: (Problem.BUCKLING, None, 2, False),
+    SQRT: (Problem.BUCKLING, None, True),
+    QUADRATIC: (Problem.BUCKLING, None, True),
+    GAP: (Problem.BUCKLING, None, True),
+    DELTA: (Problem.BUCKLING, 2, True),
+    DELTA_OPT: (Problem.BUCKLING, 2, True),
+    SQRT_P2: (Problem.BUCKLING, 2, True),
+    SPHERE_CLAMPED: (Problem.CLAMPED, None, False),
+    EUCLIDEAN_MEMBRANE: (Problem.CLAMPED, 1, False),
+    EUCLIDEAN_CLAMPED: (Problem.CLAMPED, None, False),
+    EUCLIDEAN_BUCKLING_P2: (Problem.BUCKLING, 2, False),
+    EUCLIDEAN_BUCKLING: (Problem.BUCKLING, None, False),
 }
 
 FAMILY_NAMES = tuple(_REGISTRY)
@@ -128,7 +129,6 @@ class BoundFamily:
     name: str
     problem: Problem
     exact_p: int | None
-    min_p: int
     needs_guard: bool
     delta: float | None = None
     use_lambda_i: bool = False
@@ -145,7 +145,7 @@ def family(name: str, delta: float | None = None,
     if name not in _REGISTRY:
         known = ", ".join(FAMILY_NAMES)
         raise ValidationError(f"unknown bound family {name!r}; known: {known}")
-    problem, exact_p, min_p, needs_guard = _REGISTRY[name]
+    problem, exact_p, needs_guard = _REGISTRY[name]
     if name == DELTA:
         if delta is None:
             raise ValidationError(f"{DELTA} requires a positive delta parameter")
@@ -158,9 +158,17 @@ def family(name: str, delta: float | None = None,
         raise ValidationError(
             f"sphere_clamped_use_lambda_i does not apply to family {name!r}"
         )
-    return BoundFamily(name=name, problem=problem, exact_p=exact_p, min_p=min_p,
+    return BoundFamily(name=name, problem=problem, exact_p=exact_p,
                        needs_guard=needs_guard, delta=delta,
                        use_lambda_i=bool(sphere_clamped_use_lambda_i))
+
+
+def default_families(seq: EigenSequence) -> list[BoundFamily]:
+    """Every sphere family that applies to the sequence, in registry order,
+    except the delta family, whose free parameter has no default."""
+    return [family(name) for name, (problem, exact_p, _) in _REGISTRY.items()
+            if name.startswith("sphere-") and name != DELTA
+            and problem is seq.problem and exact_p in (None, seq.p)]
 
 
 @dataclass(frozen=True)
@@ -260,10 +268,6 @@ def _check_compat(fam: BoundFamily, seq: EigenSequence):
     if fam.exact_p is not None and seq.p != fam.exact_p:
         raise FamilyMismatch(
             f"family {fam.name} requires order p = {fam.exact_p}, got p = {seq.p}"
-        )
-    if seq.p < fam.min_p:
-        raise FamilyMismatch(
-            f"family {fam.name} requires order p >= {fam.min_p}, got p = {seq.p}"
         )
 
 

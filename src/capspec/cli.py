@@ -16,10 +16,10 @@ import re
 import sys
 
 from . import io as formats
-from .bounds import DELTA, EigenSequence, family
+from .bounds import DELTA, SPHERE_CLAMPED, default_families, family
 from .errors import NumericalError, ValidationError
 from .spectral import Problem, SolverConfig, convergence_study, solve_spectrum
-from .verify import check_spectrum, compare_sharpness
+from .verify import MAX_DELTA_GRID, check_spectrum, compare_sharpness
 
 _PI_FORM = re.compile(r"^\s*(\d+(?:\.\d+)?)?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$",
                       re.IGNORECASE)
@@ -33,7 +33,10 @@ def parse_theta0(text: str) -> float:
         if match.group(1):
             value *= float(match.group(1))
         if match.group(2):
-            value /= float(match.group(2))
+            denominator = float(match.group(2))
+            if denominator == 0.0:
+                raise ValidationError(f"cap radius {text!r} divides by zero")
+            value /= denominator
         return value
     try:
         return float(text)
@@ -84,9 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--family", required=True,
                         help="comma-separated family names")
     bounds.add_argument("--delta", type=float, default=None,
-                        help="delta for the sphere-buckling-delta family")
+                        help=f"delta for the {DELTA} family")
     bounds.add_argument("--sphere-clamped-use-lambda-i", action="store_true",
-                        help="variant of sphere-clamped with the running "
+                        help=f"variant of {SPHERE_CLAMPED} with the running "
                              "eigenvalue in the trailing factor")
     bounds.add_argument("--out", required=True, help="report CSV path")
     bounds.set_defaults(func=_cmd_bounds)
@@ -105,7 +108,8 @@ def build_parser() -> argparse.ArgumentParser:
                                              "sphere buckling families")
     compare.add_argument("--in", dest="infile", required=True)
     compare.add_argument("--delta-grid", default="1e-3:1e3:32",
-                         help="LO:HI:COUNT log grid (default 1e-3:1e3:32)")
+                         help="LO:HI:COUNT log grid, COUNT at most "
+                              f"{MAX_DELTA_GRID} (default 1e-3:1e3:32)")
     compare.add_argument("--out", required=True, help="report CSV path")
     compare.set_defaults(func=_cmd_compare)
 
@@ -157,20 +161,10 @@ def _families_from_arg(text, delta, use_lambda_i):
                 raise ValidationError(
                     f"{DELTA} requires --delta")
             kwargs["delta"] = delta
-        if name == "sphere-clamped" and use_lambda_i:
+        if name == SPHERE_CLAMPED and use_lambda_i:
             kwargs["sphere_clamped_use_lambda_i"] = True
         out.append(family(name, **kwargs))
     return out
-
-
-def _default_families(seq: EigenSequence):
-    if seq.problem is Problem.CLAMPED:
-        return [family("sphere-clamped")]
-    names = ["sphere-buckling-sqrt", "sphere-buckling-quadratic",
-             "sphere-buckling-gap"]
-    if seq.p == 2:
-        names += ["sphere-buckling-delta-opt", "sphere-buckling-sqrt-p2"]
-    return [family(name) for name in names]
 
 
 def _cmd_bounds(args) -> int:
@@ -193,7 +187,7 @@ def _cmd_verify(args) -> int:
         fams = _families_from_arg(args.families, args.delta,
                                   args.sphere_clamped_use_lambda_i)
     else:
-        fams = _default_families(seq)
+        fams = default_families(seq)
     report = check_spectrum(seq, fams)
     formats.write_report_csv(formats.verification_rows(report), args.out)
     formats.write_summary_json(report.summary, formats.summary_path(args.out))
@@ -217,7 +211,7 @@ def _parse_grid(text: str):
 def _cmd_compare(args) -> int:
     doc = formats.read_spectrum(args.infile)
     report = compare_sharpness(doc.sequence(), delta_grid=_parse_grid(args.delta_grid))
-    formats.write_report_csv(formats.sharpness_rows(report), args.out)
+    formats.write_report_csv(formats.verification_rows(report.verification), args.out)
     formats.write_summary_json(report.summary, formats.summary_path(args.out))
     twin = report.summary["twin_violations"]
     dom = report.summary["dominance_violations"]

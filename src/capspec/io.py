@@ -234,31 +234,6 @@ def verification_rows(report) -> list[str]:
     return lines
 
 
-def sharpness_rows(report) -> list[str]:
-    """CSV rows for a SharpnessReport in the shared report shape: per k, the
-    two sqrt twins and the optimized delta family."""
-    lines = []
-    for row in report.rows:
-        actual = report.sequence.values[row.k]
-        for name, bound, delta in (
-            ("sphere-buckling-sqrt", row.sqrt_bound, ""),
-            ("sphere-buckling-delta-opt", row.delta_opt_bound,
-             format_real(row.delta_star)),
-            ("sphere-buckling-sqrt-p2", row.p2_bound, ""),
-        ):
-            margin = bound - actual
-            lines.append(",".join([
-                str(row.k),
-                format_real(actual),
-                name,
-                format_real(bound),
-                format_real(margin),
-                "true" if actual <= bound + 1e-8 * actual else "false",
-                "", "", delta,
-            ]))
-    return lines
-
-
 def write_report_csv(rows, path) -> None:
     _write_text(path, "\n".join([REPORT_HEADER] + list(rows)) + "\n")
 

@@ -366,13 +366,19 @@ def _solve_modes(cfg: SolverConfig):
 
 def _merge(mode_values, n: int, want: int):
     """(value, l, radial_index) records of the radial values of modes
-    0, 1, ... in `_merge_key` order, each level ascending, cut once they
-    cover `want` expanded eigenvalues."""
-    records = sorted(
-        ((float(v), l, j) for l, values in enumerate(mode_values) for j, v in enumerate(values)),
-        key=_merge_key,
-    )
-    return _covering_prefix(_ascending_within_levels(records), n, want)
+    0, 1, ... in `_merge_key` order, cut once they cover `want` expanded
+    eigenvalues.
+
+    The labels keep their `_merge_key` order and take the values in
+    ascending order, so the merged values ascend even when roundoff leaves a
+    later label of a tie level 1 ulp below an earlier one. Rounding is
+    monotone, so each level is a contiguous run of the sorted values.
+    """
+    records = [(float(v), l, j) for l, values in enumerate(mode_values)
+               for j, v in enumerate(values)]
+    labels = [(l, j) for _, l, j in sorted(records, key=_merge_key)]
+    values = sorted(v for v, _, _ in records)
+    return _covering_prefix([(v, l, j) for v, (l, j) in zip(values, labels)], n, want)
 
 
 def _merge_key(record):
@@ -384,22 +390,6 @@ def _merge_key(record):
     """
     v, l, j = record
     return (float(f"{v:.12g}"), j, l)
-
-
-def _ascending_within_levels(sorted_records):
-    """Records in `_merge_key` order with each level's values ascending.
-
-    Within a level the labels keep their (radial_index, l) order and take
-    the level's values in ascending order, so the merged values ascend even
-    when roundoff leaves a later label 1 ulp below an earlier one. Rounding
-    is monotone, so values in different levels are already ascending.
-    """
-    out = []
-    for _, level in itertools.groupby(sorted_records, key=lambda r: _merge_key(r)[0]):
-        level = list(level)
-        values = sorted(v for v, _, _ in level)
-        out.extend((v, l, j) for v, (_, l, j) in zip(values, level))
-    return out
 
 
 def _covering_prefix(sorted_records, n, k):

@@ -15,16 +15,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bounds import (
+    DELTA_OPT,
     SQRT,
     SQRT_P2,
     BoundFamily,
     BoundResult,
     EigenSequence,
-    best_delta_bound,
     delta_bounds,
     evaluate_bound,
     family,
-    implied_bound,
 )
 from .errors import GuardViolation, OracleMismatch, ValidationError
 from .spectral import Problem, SolverConfig, Spectrum, solve_spectrum
@@ -34,6 +33,9 @@ TWIN_REL_TOL = 1e-10
 DOMINANCE_SLACK = 1e-10
 FLAT_THETA_MAX = 0.2
 FLAT_ORACLE_RTOL = 0.01
+# the order-two estimates compare_sharpness reports, in their CSV row order
+ORDER_TWO_FAMILIES = (SQRT, DELTA_OPT, SQRT_P2)
+MAX_DELTA_GRID = 10_000
 
 
 def _as_sequence(spec) -> EigenSequence:
@@ -108,14 +110,9 @@ def check_spectrum(spec, families) -> VerificationReport:
 @dataclass(frozen=True)
 class SharpnessRow:
     k: int
-    sqrt_bound: float
-    p2_bound: float
     twins_agree: bool
-    delta_opt_bound: float
-    delta_star: float
     grid_min_bound: float
     dominated_count: int  # grid points the sqrt family does not beat
-    grid_size: int
 
     @property
     def dominance_ok(self) -> bool:
@@ -124,16 +121,18 @@ class SharpnessRow:
 
 @dataclass(frozen=True)
 class SharpnessReport:
-    sequence: EigenSequence
     delta_grid: tuple
+    verification: VerificationReport  # the ORDER_TWO_FAMILIES check
     rows: tuple[SharpnessRow, ...]
     summary: dict = field(compare=False)
 
 
 def compare_sharpness(spec, delta_grid=(1e-3, 1e3, 32)) -> SharpnessReport:
-    """Order-two sharpness audit: the sqrt family must agree with its p = 2
-    twin to 1e-10 relative and must not exceed the delta family at any grid
-    delta (grid points with no finite implied bound count as +inf).
+    """Order-two sharpness audit: check_spectrum on ORDER_TWO_FAMILIES, and
+    on top of it the sqrt family must agree with its p = 2 twin to 1e-10
+    relative and must not exceed the delta family at any grid delta (grid
+    points with no finite implied bound count as +inf). The grid has at
+    most MAX_DELTA_GRID points.
 
     Violations are recorded in the summary, not raised; evaluator errors
     (domain guards etc.) propagate.
@@ -148,33 +147,28 @@ def compare_sharpness(spec, delta_grid=(1e-3, 1e3, 32)) -> SharpnessReport:
     lo, hi, count = float(lo), float(hi), int(count)
     if not (0.0 < lo < hi and count >= 2):
         raise ValidationError(f"bad delta grid {delta_grid!r}")
+    if count > MAX_DELTA_GRID:
+        raise ValidationError(
+            f"delta grid COUNT must be at most {MAX_DELTA_GRID}, got {count}")
     deltas = np.logspace(math.log10(lo), math.log10(hi), count)
+    verification = check_spectrum(seq, map(family, ORDER_TWO_FAMILIES))
+    per_k = np.array([r.result.bound for r in verification.rows]).reshape(-1, 3)
     rows = []
-    for k in range(1, len(seq)):
-        sqrt_bound = implied_bound(family(SQRT), seq, k).bound
-        p2_bound = implied_bound(family(SQRT_P2), seq, k).bound
-        twins_agree = abs(sqrt_bound - p2_bound) <= TWIN_REL_TOL * sqrt_bound
+    for k, (sqrt_bound, _, p2_bound) in enumerate(per_k.tolist(), start=1):
         grid_bounds = delta_bounds(seq, k, deltas)
         slack = DOMINANCE_SLACK * max(1.0, sqrt_bound)
-        dominated = int(np.count_nonzero(sqrt_bound > grid_bounds + slack))
-        opt = best_delta_bound(seq, k)
         rows.append(SharpnessRow(
             k=k,
-            sqrt_bound=sqrt_bound,
-            p2_bound=p2_bound,
-            twins_agree=twins_agree,
-            delta_opt_bound=opt.bound,
-            delta_star=opt.aux["delta_star"],
+            twins_agree=abs(sqrt_bound - p2_bound) <= TWIN_REL_TOL * sqrt_bound,
             grid_min_bound=float(grid_bounds.min()),
-            dominated_count=dominated,
-            grid_size=count,
+            dominated_count=int(np.count_nonzero(sqrt_bound > grid_bounds + slack)),
         ))
     summary = {
         "rows": len(rows),
         "twin_violations": sum(1 for r in rows if not r.twins_agree),
         "dominance_violations": sum(1 for r in rows if not r.dominance_ok),
     }
-    return SharpnessReport(sequence=seq, delta_grid=(lo, hi, count),
+    return SharpnessReport(delta_grid=(lo, hi, count), verification=verification,
                            rows=tuple(rows), summary=summary)
 
 

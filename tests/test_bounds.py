@@ -22,6 +22,7 @@ from capspec.bounds import (
     EigenSequence,
     best_delta_bound,
     closed_form_bound,
+    default_families,
     delta_bounds,
     evaluate_bound,
     evaluate_predicate,
@@ -791,6 +792,23 @@ class TestDispatcherAndOrdering:
             "euclidean-buckling-p2",
             "euclidean-buckling",
         )
+
+    @pytest.mark.parametrize("problem,p,names", [
+        (Problem.CLAMPED, 1, ["sphere-clamped"]),
+        (Problem.CLAMPED, 2, ["sphere-clamped"]),
+        (Problem.CLAMPED, 3, ["sphere-clamped"]),
+        (Problem.BUCKLING, 2, ["sphere-buckling-sqrt", "sphere-buckling-quadratic",
+                               "sphere-buckling-gap", "sphere-buckling-delta-opt",
+                               "sphere-buckling-sqrt-p2"]),
+        (Problem.BUCKLING, 3, ["sphere-buckling-sqrt", "sphere-buckling-quadratic",
+                               "sphere-buckling-gap"]),
+        (Problem.BUCKLING, 4, ["sphere-buckling-sqrt", "sphere-buckling-quadratic",
+                               "sphere-buckling-gap"]),
+    ])
+    def test_default_families(self, problem, p, names):
+        # the sphere families verify checks when none are named
+        seq = EigenSequence(n=3, p=p, problem=problem, values=(2.0, 3.0))
+        assert default_families(seq) == [family(name) for name in names]
 
 
 class TestSequencesAndFamilies:

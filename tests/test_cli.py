@@ -5,6 +5,7 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from capspec.bounds import EigenSequence, family
 from capspec.cli import build_parser, main, parse_theta0
 from capspec.errors import ValidationError
 from capspec.spectral import Problem, SolverConfig, solve_spectrum
-from capspec.verify import check_spectrum
+from capspec.verify import MAX_DELTA_GRID, check_spectrum
 
 HEMI = "1.5707963267948966"
 STORED = Path(__file__).resolve().parents[1] / "benchmark" / "data" / "spectra"
@@ -63,6 +64,16 @@ class TestThetaParsing:
         for bad in ("two", "pi/", "pi*2", ""):
             with pytest.raises(ValidationError):
                 parse_theta0(bad)
+
+    @pytest.mark.parametrize("text", ["pi/0", "2pi/0.0"])
+    def test_zero_denominator_exits_2(self, tmp_path, capsys, text):
+        with pytest.raises(ValidationError):
+            parse_theta0(text)
+        code = run("solve", "--n", 2, "--p", 2, "--theta0", text,
+                   "--problem", "buckling", "--out", tmp_path / "s.json")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ValidationError"), err
 
 
 class TestSolveCommand:
@@ -350,6 +361,38 @@ class TestCompareCommand:
                        "--delta-grid", "1e-300:1e300:4", "--out", tmp_path / "x.csv")
         assert code == 0
         assert "0 dominance violations" in capsys.readouterr().out
+
+    def test_oversized_grid_refused_before_allocating(self, tmp_path, capsys):
+        # the COUNT limit is checked before the grid is built
+        with mock.patch("numpy.logspace", side_effect=AssertionError("allocated")):
+            code = run("compare", "--in", STORED / "n2-pi_2.json", "--delta-grid",
+                       f"1e-3:1e3:{10**11}", "--out", tmp_path / "x.csv")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ValidationError"), err
+        assert str(MAX_DELTA_GRID) in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_largest_grid_accepted(self, tmp_path, capsys):
+        assert run("compare", "--in", STORED / "n2-pi_2.json", "--delta-grid",
+                   f"1e-3:1e3:{MAX_DELTA_GRID}", "--out", tmp_path / "x.csv") == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in STORED.glob("*.json")))
+    def test_rows_are_verify_rows(self, tmp_path, capsys, name):
+        # compare writes verify's rows for the three order-2 families
+        compare, verify = tmp_path / "compare.csv", tmp_path / "verify.csv"
+        assert run("compare", "--in", STORED / name, "--out", compare) == 0
+        assert run("verify", "--in", STORED / name, "--families",
+                   "sphere-buckling-sqrt,sphere-buckling-delta-opt,sphere-buckling-sqrt-p2",
+                   "--out", verify) == 0
+        assert compare.read_bytes() == verify.read_bytes()
+        capsys.readouterr()
+
+    def test_guard_violation_exits_2(self, tmp_path, capsys):
+        path = write_synthetic(tmp_path, (0.5, 0.9), n=3)
+        assert run("compare", "--in", path, "--out", tmp_path / "x.csv") == 2
+        assert "GuardViolation" in capsys.readouterr().err
 
     def test_custom_grid_accepted(self, tmp_path):
         spec_path = solve_hemi_buckling(tmp_path, count=4)

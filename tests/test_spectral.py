@@ -28,8 +28,8 @@ from capspec.spectral import (
     Problem,
     SolverConfig,
     Spectrum,
-    _ascending_within_levels,
     _form_factors,
+    _merge,
     _merge_key,
     _radial_values,
     _raw_forms,
@@ -203,10 +203,11 @@ class TestSpectrumStructure:
         # ascending order, so the merged values never descend by an ulp
         up, down = math.nextafter(12.0, 13.0), math.nextafter(12.0, 11.0)
         for v_mode2, v_mode0 in ((up, down), (down, up), (12.0, 12.0)):
-            records = [(v_mode0, 0, 1), (v_mode2, 2, 0), (6.0, 1, 0), (20.0, 3, 0)]
-            merged = _ascending_within_levels(sorted(records, key=_merge_key))
-            assert [(l, j) for _, l, j in merged] == [(1, 0), (2, 0), (0, 1), (3, 0)]
-            assert [v for v, _, _ in merged] == sorted(v for v, _, _ in records)
+            mode_values = [[2.0, v_mode0], [6.0], [v_mode2], [20.0]]
+            merged = _merge(mode_values, 2, 8)
+            assert [(l, j) for _, l, j in merged] == [
+                (0, 0), (1, 0), (2, 0), (0, 1), (3, 0)]
+            assert [v for v, _, _ in merged] == sorted(v for vs in mode_values for v in vs)
 
     def test_guard_flag(self):
         wide = SolverConfig(n=4, p=1, theta0=2.9, problem=Problem.CLAMPED,

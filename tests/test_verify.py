@@ -88,13 +88,14 @@ class TestCompareSharpness:
         report = compare_sharpness(buck((1.0, 1.5)), delta_grid=(1e-3, 1e3, 16))
         assert isinstance(report, SharpnessReport)
         row = report.rows[0]
-        assert abs(row.sqrt_bound - 2.0) < 1e-9
-        assert abs(row.p2_bound - 2.0) < 1e-9
+        sqrt, opt, p2 = (r.result for r in report.verification.rows)
+        assert abs(sqrt.bound - 2.0) < 1e-9
+        assert abs(p2.bound - 2.0) < 1e-9
         assert row.twins_agree
-        assert abs(row.delta_opt_bound - 2.25) < 1e-9
-        assert abs(row.delta_star - 0.8) < 1e-4
+        assert abs(opt.bound - 2.25) < 1e-9
+        assert abs(opt.aux["delta_star"] - 0.8) < 1e-4
         assert row.dominance_ok
-        assert row.grid_min_bound >= row.delta_opt_bound - 1e-9
+        assert row.grid_min_bound >= opt.bound - 1e-9
         assert report.summary["twin_violations"] == 0
         assert report.summary["dominance_violations"] == 0
 
