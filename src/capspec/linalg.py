@@ -3,8 +3,9 @@
 Everything here is sized for spectral-Galerkin systems (order <= a few
 hundred): a pivot-checked Cholesky, LAPACK's symmetric eigensolver
 (`numpy.linalg.eigh`), and the Cholesky reduction of the generalized
-symmetric-definite problem. The triangular solves of the reduction go to
-LAPACK through `numpy.linalg.solve`.
+symmetric-definite problem. The factor is LAPACK's (`numpy.linalg.cholesky`),
+checked afterwards against the pivot threshold below; the triangular solves
+of the reduction go to LAPACK through `numpy.linalg.solve`.
 
 `eigh` is backward stable, so each eigenvalue of the reduced matrix comes
 with an absolute error of a few ulps of its largest eigenvalue. The cap
@@ -18,7 +19,8 @@ definite stiffness form A. The wanted values are then the largest mu, which
 `eigh` resolves to full relative accuracy (about 1e-13 at N=32, p=3).
 
 Tolerances:
-  - Cholesky pivot failure: pivot <= order * 1e-14 * max(diag).
+  - Cholesky pivot failure: pivot diag(L)^2 <= order * 1e-14 * max(diag),
+    reported with the index of the first such pivot.
   - A LAPACK convergence failure is reported as NoConvergence.
   - Reported eigenvectors are orthonormal (B-orthonormal in the generalized
     case) to 1e-10.
@@ -26,7 +28,6 @@ Tolerances:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,7 +95,7 @@ def cholesky(mat) -> np.ndarray:
     """Lower Cholesky factor L with L L^T = mat.
 
     Raises NotPositiveDefinite when any pivot falls at or below
-    order * 1e-14 * max(diag); the message names the failing pivot.
+    order * 1e-14 * max(diag); the message names the first failing pivot.
     """
     return _checked_cholesky(_as_sym(mat).entries)
 
@@ -148,33 +149,34 @@ def _eigh(c):
 
 
 def _checked_cholesky(b):
-    """Lower Cholesky factor of exactly symmetric b, pivot-checked."""
+    """Lower Cholesky factor of exactly symmetric b, pivot-checked.
+
+    LAPACK factors b; the factor is accepted only if every pivot diag(L)^2
+    exceeds order * 1e-14 * max(diag), a test LAPACK itself applies only
+    against 0. On failure the first bad pivot is found by bisection over
+    leading blocks, whose pivots are the leading pivots of b.
+    """
     n = b.shape[0]
     maxdiag = float(np.max(b.diagonal())) if n else 0.0
     threshold = n * PIVOT_RELATIVE * maxdiag
-    low, bad = _cholesky_lower(b, threshold)
-    if bad >= 0:
-        raise NotPositiveDefinite(
-            f"pivot {bad + 1} of {n} at or below threshold {threshold:.3e}"
-        )
+    low = _factor_above(b, threshold)
+    if low is None:
+        good, bad = 0, n  # leading blocks of order `good` pass, of order `bad` fail
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            if _factor_above(b[:mid, :mid], threshold) is None:
+                bad = mid
+            else:
+                good = mid
+        raise NotPositiveDefinite(f"pivot {bad} of {n} at or below threshold {threshold:.3e}")
     return low
 
 
-def _cholesky_lower(b, threshold):
-    """Row-by-row Cholesky of symmetric b.
-
-    Returns (L, i) where i == -1 on success; otherwise i is the index of the
-    first pivot that fell at or below threshold (L is then partial garbage).
-    """
-    n = b.shape[0]
-    low = np.zeros_like(b)
-    for i in range(n):
-        row = low[i, :i]
-        pivot = b[i, i] - row @ row
-        if pivot <= threshold:
-            return low, i
-        d = math.sqrt(pivot)
-        low[i, i] = d
-        if i + 1 < n:
-            low[i + 1 :, i] = (b[i + 1 :, i] - low[i + 1 :, :i] @ row) / d
-    return low, -1
+def _factor_above(b, threshold):
+    """LAPACK's lower Cholesky factor of b, or None if a pivot is at or
+    below threshold (LAPACK stops at the first one at or below 0)."""
+    try:
+        low = np.linalg.cholesky(b)
+    except np.linalg.LinAlgError:
+        return None
+    return low if np.all(low.diagonal() ** 2 > threshold) else None

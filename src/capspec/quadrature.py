@@ -5,8 +5,18 @@ Nodes are the roots of the degree-m Jacobi polynomial for parameters
 23, 1969): they are the eigenvalues of the symmetric tridiagonal Jacobi
 matrix of the three-term recurrence, with diagonal
 -gamma^2 / ((2k+gamma)(2k+gamma+2)) (0 when gamma = 0) and off-diagonal
-2k(k+gamma) / ((2k+gamma) sqrt((2k+gamma)^2 - 1)). Two Newton steps on the
-recurrence-evaluated polynomial then polish each node to full precision.
+2k(k+gamma) / ((2k+gamma) sqrt((2k+gamma)^2 - 1)). One pass of the
+three-term recurrence at those nodes gives P_m and P_{m-1}; the derivative
+follows from the Jacobi identity
+
+    (2m+gamma) (1 - x^2) P_m' = m (gamma - (2m+gamma) x) P_m + 2m (m+gamma) P_{m-1},
+
+and one Newton step polishes each node to full precision. The derivative is
+carried to the polished node by a first-order step with P_m'', which the
+Jacobi differential equation gives from P_m and P_m':
+
+    (1 - x^2) P_m'' = (gamma + (gamma+2) x) P_m' - m (m+gamma+1) P_m.
+
 With the second parameter fixed at 0 the classical weight normalization
 collapses to 2^(gamma+1), so no Gamma functions appear:
 
@@ -27,14 +37,12 @@ import numpy as np
 
 from .errors import NoConvergence, ValidationError
 
-_NEWTON_STEPS = 2
-
 
 def gauss_jacobi_rule(gamma: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (ascending, inside (-1, 1)) and positive weights.
 
     gamma >= 0 is the weight exponent; m >= 1 the node count. Raises
-    NoConvergence only if the eigenvalue nodes after Newton polishing are
+    NoConvergence only if the eigenvalue nodes after the Newton step are
     not strictly ascending or a weight is not positive, which signals an
     implementation bug for any m <= 512.
     """
@@ -50,10 +58,14 @@ def gauss_jacobi_rule(gamma: float, m: int) -> tuple[np.ndarray, np.ndarray]:
 @functools.lru_cache(maxsize=512)
 def _cached_rule(gamma: float, m: int):
     x = np.linalg.eigvalsh(_jacobi_matrix(gamma, m))
-    for _ in range(_NEWTON_STEPS):
-        val, deriv = _jacobi_eval(gamma, m, x)
-        x = x - val / deriv
-    _, deriv = _jacobi_eval(gamma, m, x)
+    p_m, p_prev = _jacobi_recurrence(gamma, m, x)
+    t = 2.0 * m + gamma
+    one_minus_x2 = 1.0 - x * x
+    deriv = (m * (gamma - t * x) * p_m + 2.0 * m * (m + gamma) * p_prev) / (t * one_minus_x2)
+    second = ((gamma + (gamma + 2.0) * x) * deriv - m * (m + gamma + 1.0) * p_m) / one_minus_x2
+    step = -p_m / deriv
+    x = x + step
+    deriv = deriv + second * step
     weights = 2.0 ** (gamma + 1.0) / ((1.0 - x * x) * deriv * deriv)
     if not (np.all(np.diff(x) > 0.0) and np.all(weights > 0.0)):
         raise NoConvergence("polished nodes not strictly ascending with positive weights")
@@ -74,24 +86,17 @@ def _jacobi_matrix(gamma: float, m: int) -> np.ndarray:
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
-def _jacobi_eval(gamma: float, m: int, x: np.ndarray):
-    """Value and derivative of the degree-m Jacobi polynomial, parameters
-    (gamma, 0), by the three-term recurrence (differentiated termwise)."""
-    x = np.asarray(x, dtype=float)
+def _jacobi_recurrence(gamma: float, m: int, x: np.ndarray):
+    """P_m and P_{m-1} at x, Jacobi parameters (gamma, 0), by the three-term
+    recurrence P_k = (a_k x + b_k) P_{k-1} - c_k P_{k-2}."""
+    k = np.arange(2.0, m + 1.0)
+    t = 2.0 * k + gamma
+    den = 2.0 * k * (k + gamma) * (t - 2.0)
+    a = (t - 1.0) * t * (t - 2.0) / den
+    b = (t - 1.0) * gamma * gamma / den
+    c = (2.0 * (k + gamma - 1.0) * (k - 1.0) * t / den).tolist()
     p_prev = np.ones_like(x)
-    d_prev = np.zeros_like(x)
-    if m == 0:
-        return p_prev, d_prev
     p = 0.5 * (gamma + 2.0) * x + 0.5 * gamma
-    d = np.full_like(x, 0.5 * (gamma + 2.0))
-    for k in range(2, m + 1):
-        den = 2.0 * k * (k + gamma) * (2.0 * k + gamma - 2.0)
-        ak = (2.0 * k + gamma - 1.0) * (2.0 * k + gamma) * (2.0 * k + gamma - 2.0) / den
-        bk = (2.0 * k + gamma - 1.0) * gamma * gamma / den
-        ck = 2.0 * (k + gamma - 1.0) * (k - 1.0) * (2.0 * k + gamma) / den
-        lin = ak * x + bk
-        p_next = lin * p - ck * p_prev
-        d_next = lin * d + ak * p - ck * d_prev
-        p_prev, p = p, p_next
-        d_prev, d = d, d_next
-    return p, d
+    for lin, ck in zip(np.outer(a, x) + b[:, None], c):
+        p_prev, p = p, lin * p - ck * p_prev
+    return p, p_prev

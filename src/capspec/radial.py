@@ -131,12 +131,7 @@ def _derivative_matrices(x0: float, size: int):
     # d/ds: T_j' = 2j sum over k < j with j - k odd of T_k, the T_0 term halved
     der = np.where((gap > 0) & (gap % 2 == 1), 2.0 * j[None, :], 0.0)
     der[:1] /= 2.0
-    # multiplication by s: s T_j = (T_{j-1} + T_{j+1}) / 2, s T_0 = T_1
-    mul_s = np.zeros((size, size))
-    mul_s[j[1:], j[:-1]] = 0.5
-    mul_s[j[:-1], j[1:]] = 0.5
-    if size > 1:
-        mul_s[1, 0] = 1.0
+    mul_s = multiply_by_s_matrix(size)
     der2 = der @ der
     s_der2 = mul_s @ der2
     # x d/dx = (b + a s) d/ds / a; (1 - x^2) = (1 - b^2) - 2ab s - a^2 s^2
@@ -145,3 +140,16 @@ def _derivative_matrices(x0: float, size: int):
     scaled_m1.flags.writeable = False
     scaled_m2.flags.writeable = False
     return scaled_m1, scaled_m2
+
+
+def multiply_by_s_matrix(size: int) -> np.ndarray:
+    """Multiplication by s as a (size, size) matrix on Chebyshev-in-s
+    coefficients, from s T_j = (T_{j-1} + T_{j+1}) / 2 and s T_0 = T_1; the
+    image of T_{size-1} loses its T_size term."""
+    j = np.arange(size)
+    mul_s = np.zeros((size, size))
+    mul_s[j[1:], j[:-1]] = 0.5
+    mul_s[j[:-1], j[1:]] = 0.5
+    if size > 1:
+        mul_s[1, 0] = 1.0
+    return mul_s

@@ -53,7 +53,7 @@ from .errors import (
 )
 from .linalg import SymMatrix, generalized_sym_eigen
 from .quadrature import gauss_jacobi_rule
-from .radial import multiplicity, operator_matrix
+from .radial import multiplicity, multiply_by_s_matrix, operator_matrix
 
 QUAD_DOUBLING_REL = 1e-11
 ASYMMETRY_WARN = 1e-8
@@ -225,15 +225,15 @@ def _form_factors(cfg: SolverConfig, l: int):
 
 @functools.lru_cache(maxsize=32)
 def _trial_coeffs(p: int, basis_size: int, x0: float) -> np.ndarray:
-    """Coefficients of q_j = (x - x0)^p T_j(s), one row per j."""
-    size = p + basis_size  # coefficient length, degree p + N - 1
-    coeffs0 = np.zeros((basis_size, size))
-    factor = ((1.0 - x0) / 2.0) ** p * cheb.chebpow(np.array([1.0, 1.0]), p)
-    for j in range(basis_size):
-        unit = np.zeros(j + 1)
-        unit[j] = 1.0
-        prod = cheb.chebmul(factor, unit)
-        coeffs0[j, : len(prod)] = prod
+    """Coefficients of q_j = (x - x0)^p T_j(s), one row per j.
+
+    x - x0 = (1 - x0)/2 * (1 + s), so row j is column j of (I + S)^p scaled
+    by ((1 - x0)/2)^p, S being multiplication by s; the p + N columns hold
+    degree p + N - 1 without truncation.
+    """
+    size = p + basis_size
+    shift = np.linalg.matrix_power(np.eye(size) + multiply_by_s_matrix(size), p)
+    coeffs0 = ((1.0 - x0) / 2.0) ** p * shift.T[:basis_size]
     coeffs0.flags.writeable = False
     return coeffs0
 

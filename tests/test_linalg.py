@@ -62,11 +62,69 @@ def test_cholesky_reconstructs():
         m = rng.standard_normal((order, order))
         b = m @ m.T + order * np.eye(order)
         maxdiag = float(np.max(b.diagonal()))
-        low, bad = linalg._cholesky_lower(
-            np.ascontiguousarray(b), order * 1e-14 * maxdiag
-        )
-        assert bad == -1
+        low = cholesky(b)
+        assert np.array_equal(low, np.tril(low))
         assert np.max(np.abs(low @ low.T - b)) <= 1e-12 * maxdiag
+
+
+def cholesky_rows(b, threshold):
+    """Referee: row-by-row Cholesky of symmetric b.
+
+    Returns (L, i) where i == -1 on success; otherwise i is the index of the
+    first pivot that fell at or below threshold (L is then partial garbage).
+    """
+    n = b.shape[0]
+    low = np.zeros_like(b)
+    for i in range(n):
+        row = low[i, :i]
+        pivot = b[i, i] - row @ row
+        if pivot <= threshold:
+            return low, i
+        d = math.sqrt(pivot)
+        low[i, i] = d
+        if i + 1 < n:
+            low[i + 1 :, i] = (b[i + 1 :, i] - low[i + 1 :, :i] @ row) / d
+    return low, -1
+
+
+def test_cholesky_matches_row_referee():
+    rng = np.random.RandomState(19)
+    for order in (1, 2, 5, 16, 33):
+        m = rng.standard_normal((order, order))
+        b = m @ m.T + order * np.eye(order)
+        threshold = order * linalg.PIVOT_RELATIVE * float(np.max(b.diagonal()))
+        expected, bad = cholesky_rows(b, threshold)
+        assert bad == -1
+        assert np.max(np.abs(cholesky(b) - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("kind", ["negative", "tiny"])
+def test_cholesky_names_first_bad_pivot(kind):
+    # B = L D L^T with unit lower L has pivots D; one of them is made bad:
+    # negative, or positive but at or below the threshold, which LAPACK
+    # accepts and only the diag(L)^2 check rejects
+    order = 33
+    rng = np.random.RandomState(23)
+    unit = np.eye(order) + 0.1 * np.tril(rng.standard_normal((order, order)), -1)
+    base = rng.uniform(1.0, 2.0, order)
+    for index in range(order):
+        pivots = base.copy()
+        if kind == "negative":
+            pivots[index] = -0.5
+        else:
+            maxdiag = float(np.max(((unit**2) @ base)))
+            pivots[index] = 0.25 * order * linalg.PIVOT_RELATIVE * maxdiag
+        b = (unit * pivots) @ unit.T
+        b = (b + b.T) / 2.0
+        threshold = order * linalg.PIVOT_RELATIVE * float(np.max(b.diagonal()))
+        _, bad = cholesky_rows(b, threshold)
+        assert bad == index
+        if kind == "tiny":
+            np.linalg.cholesky(b[: index + 1, : index + 1])  # LAPACK accepts it
+        message = f"pivot {bad + 1} of {order} at or below threshold {threshold:.3e}"
+        with pytest.raises(NotPositiveDefinite) as err:
+            cholesky(b)
+        assert str(err.value) == message
 
 
 # ---------------------------------------------------------------- sym_eigen

@@ -72,33 +72,53 @@ def test_large_rule_smoke():
     assert float(w @ x**j) == pytest.approx(exact, rel=1e-10)
 
 
-@pytest.mark.parametrize("gamma", [0.0, 0.5, 3.0, 8.5])
-def test_against_mpmath_rule(gamma):
-    """Nodes are the roots of mpmath's Jacobi polynomial at 50 digits, and
-    weights follow from the same formula there, with
+def mpmath_rule(mpmath, gamma, m, starts):
+    """Nodes found by mpmath as the roots of its Jacobi polynomial at 50
+    digits, by secant steps from each float node and a point 1e-12 below it
+    (one wider default step can leave [-1, 1] near the ends at m = 164),
+    and weights from the same formula there, with
     P_m' = (m + gamma + 1)/2 * P_{m-1}^(gamma+1, 1)."""
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(50):
         g = mpmath.mpf(gamma)
-        for m in (5, 20, 41):
-            x, w = gauss_jacobi_rule(gamma, m)
-            roots = [
-                mpmath.findroot(
-                    lambda t: mpmath.jacobi(m, g, 0, t, zeroprec=400), mpmath.mpf(float(xi))
-                )
-                for xi in x
-            ]
-            weights = [
-                2 ** (g + 1)
-                / ((1 - r * r) * ((m + g + 1) / 2 * mpmath.jacobi(m - 1, g + 1, 1, r)) ** 2)
-                for r in roots
-            ]
-            exact_x = np.array([float(r) for r in roots])
-            exact_w = np.array([float(v) for v in weights])
-            # each root found once: the float nodes start Newton in distinct basins
-            assert np.all(np.diff(exact_x) > 0.0), (gamma, m)
-            assert np.max(np.abs(x - exact_x)) <= 1e-15, (gamma, m)
-            assert np.max(np.abs(w - exact_w) / exact_w) <= 1e-13, (gamma, m)
+        roots = [
+            mpmath.findroot(
+                lambda t: mpmath.jacobi(m, g, 0, t, zeroprec=400),
+                (mpmath.mpf(float(xi)), mpmath.mpf(float(xi) - 1e-12)),
+            )
+            for xi in starts
+        ]
+        weights = [
+            2 ** (g + 1)
+            / ((1 - r * r) * ((m + g + 1) / 2 * mpmath.jacobi(m - 1, g + 1, 1, r)) ** 2)
+            for r in roots
+        ]
+        return np.array([float(r) for r in roots]), np.array([float(v) for v in weights])
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 3.0, 8.5])
+def test_against_mpmath_rule(gamma):
+    mpmath = pytest.importorskip("mpmath")
+    for m in (5, 20, 41):
+        x, w = gauss_jacobi_rule(gamma, m)
+        exact_x, exact_w = mpmath_rule(mpmath, gamma, m, x)
+        # each root found once: the float nodes start Newton in distinct basins
+        assert np.all(np.diff(exact_x) > 0.0), (gamma, m)
+        assert np.max(np.abs(x - exact_x)) <= 1e-15, (gamma, m)
+        assert np.max(np.abs(w - exact_w) / exact_w) <= 1e-13, (gamma, m)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+@pytest.mark.parametrize("m", [82, 164])
+def test_against_mpmath_rule_at_solver_sizes(gamma, m):
+    """The rules a solve builds at N = 32, p = 2 (82 nodes and the doubled
+    164), on every 8th node and both end nodes."""
+    mpmath = pytest.importorskip("mpmath")
+    x, w = gauss_jacobi_rule(gamma, m)
+    spots = np.unique(np.r_[np.arange(0, m, 8), m - 1])
+    exact_x, exact_w = mpmath_rule(mpmath, gamma, m, x[spots])
+    assert np.all(np.diff(exact_x) > 0.0)
+    assert np.max(np.abs(x[spots] - exact_x)) <= 1e-15
+    assert np.max(np.abs(w[spots] - exact_w) / exact_w) <= 1e-12
 
 
 def test_determinism():

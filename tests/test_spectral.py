@@ -8,6 +8,7 @@ the series oracle in oracles.py.
 
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from capspec.errors import (
     QuadratureNotConverged,
     ValidationError,
 )
-from capspec.io import spectrum_to_doc
+from capspec.io import read_spectrum, spectrum_to_doc
 from capspec.linalg import generalized_sym_eigen
 from capspec.quadrature import gauss_jacobi_rule
 from capspec.radial import operator_coeffs
@@ -110,6 +111,20 @@ class TestAssembly:
                            basis_size=16, quad_size=4, requested_count=8)
         with pytest.raises(QuadratureNotConverged):
             assemble_mode(cfg, 0)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5])
+    def test_trial_coeffs_match_chebmul_rows(self, p):
+        # referee: row j is chebmul of ((1 - x0)/2)^p (1 + s)^p with T_j
+        for basis_size in (1, 8, 33):
+            for theta0 in (0.6, math.pi / 2, 2.6):
+                x0 = math.cos(theta0)
+                factor = ((1.0 - x0) / 2.0) ** p * np.polynomial.chebyshev.chebpow([1.0, 1.0], p)
+                expected = np.zeros((basis_size, p + basis_size))
+                for j in range(basis_size):
+                    row = np.polynomial.chebyshev.chebmul(factor, np.eye(j + 1)[j])
+                    expected[j, : len(row)] = row
+                coeffs = spectral._trial_coeffs(p, basis_size, x0)
+                assert np.max(np.abs(coeffs - expected)) <= 1e-15 * np.max(np.abs(expected))
 
     def test_operator_self_adjoint_under_weight(self):
         # integral (Dq1) q2 w == integral q1 (Dq2) w once both factors vanish
@@ -254,6 +269,28 @@ class TestSpectrumStructure:
         spec = solve_spectrum(hemi(n, 2, Problem.BUCKLING, N=32, K=8))
         assert spec.diagnostics["l_max"] == l_max
         assert quadrature._cached_rule.cache_info().misses == 2
+
+    def test_cold_solve_recurrence_passes_and_eigensolves(self, monkeypatch):
+        # each rule build runs one recurrence pass (P_m and P_{m-1} give the
+        # Newton step and, through the derivative identity, the weights);
+        # modes 0..4 and the companions of the modes l = 0..3 that hold the
+        # 8 requested values take 9 eigensolves
+        counts = {"recurrence": 0, "eigensolve": 0}
+
+        def counted(key, wrapped):
+            def call(*args):
+                counts[key] += 1
+                return wrapped(*args)
+            return call
+
+        monkeypatch.setattr(quadrature, "_jacobi_recurrence",
+                            counted("recurrence", quadrature._jacobi_recurrence))
+        monkeypatch.setattr(spectral, "generalized_sym_eigen",
+                            counted("eigensolve", spectral.generalized_sym_eigen))
+        spectral._shared_rule.cache_clear()
+        quadrature._cached_rule.cache_clear()
+        solve_spectrum(hemi(2, 2, Problem.BUCKLING, N=32, K=8))
+        assert counts == {"recurrence": 2, "eigensolve": 9}
 
     def test_asymmetry_diagnostic_tracked(self):
         spec = solve_spectrum(hemi(3, 3, Problem.BUCKLING, N=20, K=4))
@@ -456,3 +493,20 @@ class TestValidation:
         scratch = spec.expanded_values()
         scratch[0] = -1.0
         assert spec.expanded_values()[0] > 0.0
+
+
+STORED = Path(__file__).resolve().parents[1] / "benchmark" / "data" / "spectra"
+
+
+@pytest.mark.parametrize("path", sorted(STORED.glob("*.json")), ids=lambda p: p.stem)
+def test_stored_spectra_resolve(path):
+    """Drift guard: re-solving each stored spectrum from its header gives
+    its expanded values to 1e-12 relative."""
+    doc = read_spectrum(path)
+    cfg = SolverConfig(n=doc.n, p=doc.p, theta0=doc.theta0, problem=doc.problem,
+                       basis_size=doc.meta["basis_size"],
+                       requested_count=doc.meta["requested_count"])
+    stored = np.array(doc.sequence().values)
+    values = solve_spectrum(cfg).expanded_values()
+    assert len(values) == len(stored)
+    assert np.max(np.abs(values - stored) / stored) <= 1e-12
