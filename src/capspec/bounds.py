@@ -40,7 +40,7 @@ from .errors import (
     FamilyMismatch,
     ValidationError,
 )
-from .spectral import Problem, Spectrum
+from .spectral import Problem, Spectrum, _checked_problem
 
 INEQ_SLACK = 1e-12
 DISC_SLACK = 1e-12
@@ -90,14 +90,7 @@ class EigenSequence:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "problem", Problem(self.problem))
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
-            raise ValidationError(f"dimension must be an integer >= 2, got {self.n!r}")
-        min_p = 2 if self.problem is Problem.BUCKLING else 1
-        if not (isinstance(self.p, (int, np.integer)) and self.p >= min_p):
-            raise ValidationError(
-                f"order must be an integer >= {min_p} for {self.problem.value}, got {self.p!r}"
-            )
+        object.__setattr__(self, "problem", _checked_problem(self.problem, self.n, self.p))
         vals = tuple(float(v) for v in self.values)
         if not vals:
             raise ValidationError("eigenvalue sequence is empty")

@@ -60,7 +60,3 @@ class MonotonicityViolation(NumericalError):
 
 class DiscriminantNegative(NumericalError):
     """Closed-form discriminant negative: not a genuine eigenvalue prefix."""
-
-
-class OracleMismatch(NumericalError):
-    """Computed limit deviates from the supplied oracle constant."""

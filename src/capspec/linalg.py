@@ -64,13 +64,6 @@ class SymMatrix:
     def entries(self) -> np.ndarray:
         return self._entries
 
-    @property
-    def order(self) -> int:
-        return self._entries.shape[0]
-
-    def __repr__(self):
-        return f"SymMatrix(order={self.order}, asymmetry_defect={self.asymmetry_defect:.3e})"
-
 
 @dataclass(frozen=True)
 class EigenPairs:
@@ -82,9 +75,6 @@ class EigenPairs:
     def __post_init__(self):
         self.values.flags.writeable = False
         self.vectors.flags.writeable = False
-
-    def __len__(self):
-        return len(self.values)
 
 
 def _as_sym(mat) -> SymMatrix:

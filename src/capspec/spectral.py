@@ -67,6 +67,20 @@ class Problem(str, enum.Enum):
     BUCKLING = "buckling"
 
 
+def _checked_problem(problem, n, p) -> Problem:
+    """Problem(problem), once n is an integer >= 2 and p an integer at or
+    above the problem's least order (2 for buckling, 1 for clamped)."""
+    problem = Problem(problem)
+    if not (isinstance(n, (int, np.integer)) and n >= 2):
+        raise ValidationError(f"dimension must be an integer >= 2, got {n!r}")
+    min_p = 2 if problem is Problem.BUCKLING else 1
+    if not (isinstance(p, (int, np.integer)) and p >= min_p):
+        raise ValidationError(
+            f"order must be an integer >= {min_p} for {problem.value}, got {p!r}"
+        )
+    return problem
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Frozen description of one cap eigenproblem and its discretization.
@@ -87,14 +101,7 @@ class SolverConfig:
     requested_count: int = 8
 
     def __post_init__(self):
-        object.__setattr__(self, "problem", Problem(self.problem))
-        if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
-            raise ValidationError(f"dimension must be an integer >= 2, got {self.n!r}")
-        min_p = 2 if self.problem is Problem.BUCKLING else 1
-        if not (isinstance(self.p, (int, np.integer)) and self.p >= min_p):
-            raise ValidationError(
-                f"order must be an integer >= {min_p} for {self.problem.value}, got {self.p!r}"
-            )
+        object.__setattr__(self, "problem", _checked_problem(self.problem, self.n, self.p))
         if not (
             isinstance(self.theta0, (int, float)) and 0.0 < float(self.theta0) < math.pi
         ):
@@ -129,18 +136,6 @@ class SolverConfig:
         if self.quad_size is not None:
             return int(self.quad_size)
         return 2 * (self.p + self.basis_size - 1) + 16
-
-
-@dataclass(frozen=True)
-class ModeResult:
-    """Radial eigenvalues of one angular mode, ascending, all positive."""
-
-    l: int
-    radial_values: np.ndarray
-    multiplicity: int
-
-    def __post_init__(self):
-        self.radial_values.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -261,16 +256,10 @@ def _shared_rule(gamma0: float, quad_m: int, degree: int):
     return s, w, vander_t
 
 
-def solve_mode(cfg: SolverConfig, l: int) -> ModeResult:
-    """Radial eigenvalues of mode l (all of them, ascending)."""
-    result, _, _ = _solve_mode_full(cfg, l)
-    return result
-
-
-def _solve_mode_full(cfg: SolverConfig, l: int):
-    """ModeResult of mode l, its refined forms (A, B), and its health
-    numbers: the worst form asymmetry and the worst relative node-doubling
-    gap."""
+def _solve_mode(cfg: SolverConfig, l: int):
+    """All radial eigenvalues of mode l (ascending), its refined forms
+    (A, B), and its health numbers: the worst form asymmetry and the worst
+    relative node-doubling gap."""
     a_form, b_form, doubling_gap = assemble_mode(cfg, l)
     defect = max(a_form.asymmetry_defect, b_form.asymmetry_defect)
     if defect > ASYMMETRY_WARN:
@@ -281,7 +270,7 @@ def _solve_mode_full(cfg: SolverConfig, l: int):
         )
     values = _radial_values(a_form, b_form, l)
     health = {"max_form_asymmetry": defect, "quad_doubling_gap": doubling_gap}
-    return ModeResult(l, values, multiplicity(l, cfg.n)), (a_form, b_form), health
+    return values, (a_form, b_form), health
 
 
 def _radial_values(a_form, b_form, l: int) -> np.ndarray:
@@ -336,25 +325,19 @@ def _solve_modes(cfg: SolverConfig):
     want = cfg.requested_count
     hard_cap = cfg.mode_cap if cfg.mode_cap is not None else max(64, 2 * want + 8)
     values, forms, worst = [], [], {}
-    # (value, l, radial_index) in plain tuple order: that may reorder a tie
-    # level against `_merge_key`, but its values agree to 12 digits, which
-    # the K-th value's 5% test cannot tell apart
-    records = []
     for l in itertools.count():
-        mode, mode_forms, health = _solve_mode_full(cfg, l)
+        radial_values, mode_forms, health = _solve_mode(cfg, l)
         for key, value in health.items():
             worst[key] = max(worst.get(key, 0.0), value)
-        ground = float(mode.radial_values[0])
+        ground = float(radial_values[0])
         if values and ground < float(values[-1][0]) * (1.0 - 1e-12):
             raise ModeCapTooSmall(
                 f"per-mode ground value dropped from {values[-1][0]:.6e} to {ground:.6e} "
                 f"at mode {l}; the sufficiency rule does not apply"
             )
-        values.append(mode.radial_values)
+        values.append(radial_values)
         forms.append(mode_forms)
-        records.extend((float(v), l, j) for j, v in enumerate(mode.radial_values))
-        records.sort()
-        covering = _covering_prefix(records, cfg.n, want)
+        covering = _merge(values, cfg.n, want)
         if covering and ground > MODE_SAFETY * covering[-1][0]:
             return values, forms, worst
         if l >= hard_cap:
@@ -372,10 +355,12 @@ def _merge(mode_values, n: int, want: int):
     The labels keep their `_merge_key` order and take the values in
     ascending order, so the merged values ascend even when roundoff leaves a
     later label of a tie level 1 ulp below an earlier one. Rounding is
-    monotone, so each level is a contiguous run of the sorted values.
+    monotone, so each level is a contiguous run of the sorted values. Only
+    radial indices below `want` are read: a later one has `want` records of
+    its own mode before it in both orders, so no cut reaches it.
     """
     records = [(float(v), l, j) for l, values in enumerate(mode_values)
-               for j, v in enumerate(values)]
+               for j, v in enumerate(values[:want])]
     labels = [(l, j) for _, l, j in sorted(records, key=_merge_key)]
     values = sorted(v for v, _, _ in records)
     return _covering_prefix([(v, l, j) for v, (l, j) in zip(values, labels)], n, want)

@@ -1,5 +1,5 @@
-"""End-to-end checks: bounds against computed spectra, sharpness
-comparisons between families, and the flat-limit solver oracle.
+"""End-to-end checks: bounds against computed spectra, and sharpness
+comparisons between families.
 
 Computed eigenvalues are Rayleigh-Ritz values, hence upper approximations
 of the true ones, while every bound family is stated for exact eigenvalues;
@@ -25,14 +25,12 @@ from .bounds import (
     evaluate_bound,
     family,
 )
-from .errors import GuardViolation, OracleMismatch, ValidationError
-from .spectral import Problem, SolverConfig, Spectrum, solve_spectrum
+from .errors import GuardViolation, ValidationError
+from .spectral import Problem, Spectrum
 
 HOLDS_SLACK = 1e-8
 TWIN_REL_TOL = 1e-10
 DOMINANCE_SLACK = 1e-10
-FLAT_THETA_MAX = 0.2
-FLAT_ORACLE_RTOL = 0.01
 # the order-two estimates compare_sharpness reports, in their CSV row order
 ORDER_TWO_FAMILIES = (SQRT, DELTA_OPT, SQRT_P2)
 MAX_DELTA_GRID = 10_000
@@ -170,54 +168,3 @@ def compare_sharpness(spec, delta_grid=(1e-3, 1e3, 32)) -> SharpnessReport:
     }
     return SharpnessReport(delta_grid=(lo, hi, count), verification=verification,
                            rows=tuple(rows), summary=summary)
-
-
-@dataclass(frozen=True)
-class FlatLimitReport:
-    n: int
-    p: int
-    problem: Problem
-    theta0s: tuple
-    scaled: tuple  # ground value times theta0^2, per theta0
-    oracle: float
-    deviations: tuple  # |scaled - oracle| / oracle
-    trend_improving: tuple  # deviation[i+1] < deviation[i] along descending theta0
-
-
-def flat_limit_check(n, p, problem, theta0s, oracle, basis_size=24) -> FlatLimitReport:
-    """Scaled ground values Lambda_1 * theta0^2 along shrinking caps against
-    an externally supplied flat-disk constant.
-
-    theta0s must be descending and <= 0.2; the smallest cap's scaled value
-    must agree with the oracle to 1%, else OracleMismatch.
-    """
-    problem = Problem(problem)
-    theta0s = tuple(float(t) for t in theta0s)
-    if not theta0s:
-        raise ValidationError("need at least one cap radius")
-    if any(t > FLAT_THETA_MAX for t in theta0s):
-        raise ValidationError(
-            f"flat-limit caps must have theta0 <= {FLAT_THETA_MAX}, got {theta0s}"
-        )
-    if any(theta0s[i] <= theta0s[i + 1] for i in range(len(theta0s) - 1)):
-        raise ValidationError(f"cap radii must be strictly descending, got {theta0s}")
-    oracle = float(oracle)
-    if not (math.isfinite(oracle) and oracle > 0.0):
-        raise ValidationError(f"oracle constant must be positive, got {oracle!r}")
-    scaled = []
-    for t0 in theta0s:
-        cfg = SolverConfig(n=n, p=p, theta0=t0, problem=problem,
-                           basis_size=basis_size, requested_count=1)
-        scaled.append(float(solve_spectrum(cfg).expanded_values()[0]) * t0 * t0)
-    deviations = tuple(abs(s - oracle) / oracle for s in scaled)
-    trend = tuple(deviations[i + 1] < deviations[i]
-                  for i in range(len(deviations) - 1))
-    if deviations[-1] > FLAT_ORACLE_RTOL:
-        raise OracleMismatch(
-            f"scaled ground value {scaled[-1]:.10g} at theta0 = {theta0s[-1]:g} "
-            f"deviates from the flat-disk constant {oracle:.10g} by "
-            f"{deviations[-1]:.3%} (tolerance 1%)"
-        )
-    return FlatLimitReport(n=n, p=p, problem=problem, theta0s=theta0s,
-                           scaled=tuple(scaled), oracle=oracle,
-                           deviations=deviations, trend_improving=trend)

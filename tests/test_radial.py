@@ -1,5 +1,6 @@
 """Radial operator and harmonic multiplicities."""
 
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +9,62 @@ from numpy.polynomial import chebyshev as cheb
 from numpy.polynomial import polynomial as poly
 
 from capspec.errors import ValidationError
-from capspec.radial import RadialPoly, apply_radial_operator, multiplicity, operator_matrix
+from capspec.radial import multiplicity, operator_coeffs, operator_matrix
 
 THETAS = [np.pi / 2, 1.0, 2.0 * np.pi / 3.0]
+
+
+# ------------------------------------------------ referee polynomial class
+# A polynomial in x = cos(theta) held by its Chebyshev-in-s coefficients and
+# the map anchor x0, with the operator applied through the coefficient-level
+# D_{l,n}; the examples below pin that operator, and the matrix tests check
+# operator_matrix against it column by column.
+
+
+@dataclass(frozen=True)
+class RadialPoly:
+    """Chebyshev coefficients in the mapped variable, plus the map anchor."""
+
+    coeffs: np.ndarray
+    x0: float
+
+    def __post_init__(self):
+        arr = np.atleast_1d(np.array(self.coeffs, dtype=float))
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValidationError("coefficients must be a nonempty 1-d array")
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError("coefficients must be finite")
+        if not -1.0 < self.x0 < 1.0:
+            raise ValidationError(f"map anchor must lie in (-1, 1), got {self.x0}")
+        arr.flags.writeable = False
+        object.__setattr__(self, "coeffs", arr)
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    @classmethod
+    def from_x_coeffs(cls, x_coeffs, x0: float) -> "RadialPoly":
+        """Build from monomial coefficients in x (constant first)."""
+        a = (1.0 - x0) / 2.0
+        b = (1.0 + x0) / 2.0
+        # compose with x = a s + b, then convert the s-monomial to Chebyshev
+        s_poly = np.polynomial.polynomial.Polynomial([b, a])
+        composed = np.polynomial.polynomial.Polynomial(np.atleast_1d(x_coeffs))(s_poly)
+        return cls(cheb.poly2cheb(composed.coef), x0)
+
+    def eval_x(self, x):
+        """Evaluate at x = cos(theta) points."""
+        a = (1.0 - self.x0) / 2.0
+        s = (np.asarray(x, dtype=float) - self.x0) / a - 1.0
+        return cheb.chebval(s, self.coeffs)
+
+
+def apply_radial_operator(q: RadialPoly, l: int, n: int) -> RadialPoly:
+    """D_{l,n} q, exactly, with the degree preserved."""
+    multiplicity(l, n)  # reuses its argument validation
+    out = operator_coeffs(q.coeffs, l, n, q.x0)
+    return RadialPoly(out, q.x0)
 
 
 # ------------------------------------------------------------- multiplicity

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from capspec import quadrature, spectral
+from capspec.bounds import EigenSequence
 from capspec.errors import (
     ModeCapTooSmall,
     MonotonicityViolation,
@@ -34,9 +35,9 @@ from capspec.spectral import (
     _merge_key,
     _radial_values,
     _raw_forms,
+    _solve_mode,
     assemble_mode,
     convergence_study,
-    solve_mode,
     solve_spectrum,
 )
 
@@ -67,8 +68,8 @@ class TestHemisphereClosedForms:
 
     def test_mode0_n2_radial_values(self):
         # l = 0 keeps the odd-degree values d(d+1), d = 1, 3, 5.
-        mode = solve_mode(hemi(2, 1, Problem.CLAMPED), 0)
-        assert np.allclose(mode.radial_values[:3], [2, 12, 30], rtol=0, atol=1e-9)
+        radial_values, _, _ = _solve_mode(hemi(2, 1, Problem.CLAMPED), 0)
+        assert np.allclose(radial_values[:3], [2, 12, 30], rtol=0, atol=1e-9)
 
     def test_assembled_forms_ground_value(self):
         a_form, b_form, _ = assemble_mode(hemi(2, 1, Problem.CLAMPED), 0)
@@ -213,6 +214,18 @@ class TestSpectrumStructure:
             ordered = sorted(records, key=_merge_key)
             assert [(l, j) for _, l, j in ordered] == [(1, 0), (2, 0), (0, 1)]
 
+    @pytest.mark.parametrize("count", [4, 5])
+    def test_count_cutting_tie_level(self, count):
+        # K = 4 and K = 5 both end inside the level at 12, where (l=2, j=0)
+        # and (l=0, j=1) agree to the last bits; the mode loop stops on the
+        # same merge as the spectrum it returns
+        spec = solve_spectrum(hemi(2, 1, Problem.CLAMPED, K=count))
+        assert spec.diagnostics["l_max"] == 3
+        assert [(e.l, e.radial_index) for e in spec.entries] == [(0, 0), (1, 0), (2, 0)]
+        expected = [2.0, 5.999999999999999, 5.999999999999999,
+                    12.000000000000004, 12.000000000000004][:count]
+        assert np.allclose(spec.expanded_values(), expected, rtol=0, atol=1e-12)
+
     def test_level_values_ascend(self):
         # the labels keep their tie order and take the level's values in
         # ascending order, so the merged values never descend by an ulp
@@ -223,6 +236,11 @@ class TestSpectrumStructure:
             assert [(l, j) for _, l, j in merged] == [
                 (0, 0), (1, 0), (2, 0), (0, 1), (3, 0)]
             assert [v for v, _, _ in merged] == sorted(v for vs in mode_values for v in vs)
+
+    def test_merge_reads_radial_indices_below_count(self):
+        # a cover of 3 eigenvalues may need radial index 2, never index 3
+        assert _merge([[1.0, 2.0, 3.0, 4.0]], 2, 3) == [(1.0, 0, 0), (2.0, 0, 1), (3.0, 0, 2)]
+        assert _merge([[1.0, 2.0, 3.0, 4.0]], 2, 5) is None
 
     def test_guard_flag(self):
         wide = SolverConfig(n=4, p=1, theta0=2.9, problem=Problem.CLAMPED,
@@ -354,19 +372,27 @@ class TestPencilAccuracy:
                 c = low_inv * mpmath.matrix(b_form.entries.tolist()) * low_inv.T
                 mu = mpmath.eigsy((c + c.T) / 2, eigvals_only=True)
                 ref = np.array(sorted(float(1 / m) for m in mu)[:8])
-            got = solve_mode(cfg, l).radial_values[:8]
+            got = _solve_mode(cfg, l)[0][:8]
             assert np.max(np.abs(got - ref) / ref) <= 1e-12, l
+
+
+def _scaled_ground(n, p, problem, theta0):
+    """Ground value times theta0^2 at basis 24."""
+    cfg = SolverConfig(n=n, p=p, theta0=theta0, problem=problem,
+                       basis_size=24, requested_count=1)
+    return solve_spectrum(cfg).expanded_values()[0] * theta0**2
 
 
 class TestFlatLimit:
     # on a cap of radius theta0 -> 0 the scaled values lambda * theta0^2
     # approach the flat-disk constants: squares of Bessel zeros
     def test_membrane_ground(self):
+        # within 1% at theta0 = 0.05 and 0.02, and closer at 0.05 than at 0.1
         j01 = bessel_first_zero(0)
-        cfg = SolverConfig(n=2, p=1, theta0=0.02, problem=Problem.CLAMPED,
-                           basis_size=24, requested_count=1)
-        got = solve_spectrum(cfg).expanded_values()[0] * 0.02**2
-        assert abs(got - j01**2) / j01**2 < 0.01
+        deviations = [abs(_scaled_ground(2, 1, Problem.CLAMPED, t0) - j01**2) / j01**2
+                      for t0 in (0.1, 0.05, 0.02)]
+        assert deviations[1] < 0.01 and deviations[2] < 0.01
+        assert deviations[1] < deviations[0]
 
     def test_membrane_second(self):
         j11 = bessel_first_zero(1)
@@ -376,12 +402,12 @@ class TestFlatLimit:
         assert abs(got - j11**2) / j11**2 < 0.01
 
     def test_buckling_ground(self):
-        # the plate buckling ground value on the flat disk is also j_{1,1}^2
+        # the plate buckling ground value on the flat disk is also j_{1,1}^2,
+        # within 1% at theta0 = 0.05 and 0.02
         j11 = bessel_first_zero(1)
-        cfg = SolverConfig(n=2, p=2, theta0=0.02, problem=Problem.BUCKLING,
-                           basis_size=24, requested_count=1)
-        got = solve_spectrum(cfg).expanded_values()[0] * 0.02**2
-        assert abs(got - j11**2) / j11**2 < 0.01
+        for t0 in (0.05, 0.02):
+            got = _scaled_ground(2, 2, Problem.BUCKLING, t0)
+            assert abs(got - j11**2) / j11**2 < 0.01, t0
 
 
 class TestConvergenceStudy:
@@ -470,6 +496,21 @@ class TestValidation:
             SolverConfig(n=2, p=0, theta0=1.0, problem=Problem.CLAMPED)
         with pytest.raises(ValidationError):
             SolverConfig(n=2, p=1, theta0=1.0, problem=Problem.BUCKLING)
+
+    @pytest.mark.parametrize("problem,n,p,message", [
+        ("clamped", 1, 2, "dimension must be an integer >= 2, got 1"),
+        ("clamped", 2.5, 2, "dimension must be an integer >= 2, got 2.5"),
+        ("clamped", 2, 0, "order must be an integer >= 1 for clamped, got 0"),
+        ("buckling", 2, 1, "order must be an integer >= 2 for buckling, got 1"),
+    ])
+    def test_config_and_sequence_share_messages(self, problem, n, p, message):
+        # SolverConfig and EigenSequence check (problem, n, p) through one
+        # helper, so both raise the same message, word for word
+        with pytest.raises(ValidationError) as config_err:
+            SolverConfig(n=n, p=p, theta0=1.0, problem=problem)
+        with pytest.raises(ValidationError) as sequence_err:
+            EigenSequence(n=n, p=p, problem=problem, values=(1.0, 2.0))
+        assert str(config_err.value) == str(sequence_err.value) == message
 
     def test_rejects_bad_radius(self):
         for theta0 in (0.0, math.pi, -0.3, 4.0):

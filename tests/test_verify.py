@@ -1,27 +1,18 @@
-"""Verification orchestration: bound checks, sharpness audit, flat limit."""
+"""Verification orchestration: bound checks and sharpness audit."""
 
 import math
 
-import numpy as np
 import pytest
 
 from capspec.bounds import EigenSequence, family
-from capspec.errors import (
-    GuardViolation,
-    OracleMismatch,
-    ValidationError,
-)
+from capspec.errors import GuardViolation, ValidationError
 from capspec.spectral import Problem, SolverConfig, solve_spectrum
 from capspec.verify import (
-    FlatLimitReport,
     SharpnessReport,
     VerificationReport,
     check_spectrum,
     compare_sharpness,
-    flat_limit_check,
 )
-
-from oracles import bessel_first_zero
 
 
 def buck(values, n=2, p=2):
@@ -74,6 +65,10 @@ class TestCheckSpectrum:
         with pytest.raises(ValidationError):
             check_spectrum(buck((1.0, 1.5)), [])
 
+    def test_rejects_non_spectrum_input(self):
+        with pytest.raises(ValidationError):
+            check_spectrum([1.0, 2.0], [SQRT_FAM])
+
     def test_summary_sharpest_counts(self):
         fams = [family("sphere-buckling-sqrt"),
                 family("sphere-buckling-delta-opt")]
@@ -120,34 +115,3 @@ class TestCompareSharpness:
         with pytest.raises(ValidationError):
             compare_sharpness(buck((1.0, 1.5)), delta_grid=(1e-3, 1e3, 1))
 
-
-class TestFlatLimit:
-    def test_membrane_oracle(self):
-        oracle = bessel_first_zero(0) ** 2
-        report = flat_limit_check(2, 1, Problem.CLAMPED, (0.1, 0.05), oracle)
-        assert isinstance(report, FlatLimitReport)
-        assert report.deviations[-1] < 0.01
-        assert all(report.trend_improving)
-
-    def test_buckling_oracle(self):
-        oracle = bessel_first_zero(1) ** 2
-        report = flat_limit_check(2, 2, Problem.BUCKLING, (0.05,), oracle)
-        assert report.deviations[-1] < 0.01
-
-    def test_wrong_oracle_rejected(self):
-        with pytest.raises(OracleMismatch):
-            flat_limit_check(2, 1, Problem.CLAMPED, (0.05,), 10.0)
-
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            flat_limit_check(2, 1, Problem.CLAMPED, (0.5,), 5.0)  # too wide
-        with pytest.raises(ValidationError):
-            flat_limit_check(2, 1, Problem.CLAMPED, (0.05, 0.1), 5.0)  # ascending
-        with pytest.raises(ValidationError):
-            flat_limit_check(2, 1, Problem.CLAMPED, (), 5.0)
-        with pytest.raises(ValidationError):
-            flat_limit_check(2, 1, Problem.CLAMPED, (0.05,), -1.0)
-
-    def test_rejects_non_spectrum_input(self):
-        with pytest.raises(ValidationError):
-            check_spectrum([1.0, 2.0], [SQRT_FAM])
