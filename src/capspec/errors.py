@@ -11,7 +11,7 @@ class CapspecError(Exception):
 
 
 class ValidationError(CapspecError):
-    """Input rejected before any numerics ran."""
+    """Input rejected as malformed or incompatible with the request."""
 
 
 class SchemaError(ValidationError):

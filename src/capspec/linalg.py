@@ -1,22 +1,34 @@
 """Dense symmetric linear algebra on small matrices.
 
 Everything here is sized for spectral-Galerkin systems (order <= a few
-hundred): a pivot-checked Cholesky, LAPACK's symmetric eigensolver
-(`numpy.linalg.eigh`), and the Cholesky reduction of the generalized
-symmetric-definite problem. The factor is LAPACK's (`numpy.linalg.cholesky`),
-checked afterwards against the pivot threshold below; the triangular solves
-of the reduction go to LAPACK through `numpy.linalg.solve`.
+hundred): a pivot-checked Cholesky, and the Cholesky reduction of the
+generalized symmetric-definite problem followed by LAPACK's symmetric
+eigensolver. The factor is LAPACK's (`numpy.linalg.cholesky`), checked
+afterwards against the pivot threshold below; the triangular solves of the
+reduction go to LAPACK through `numpy.linalg.solve`.
 
-`eigh` is backward stable, so each eigenvalue of the reduced matrix comes
-with an absolute error of a few ulps of its largest eigenvalue. The cap
-pencils are strongly graded (at N=32, p=3 their eigenvalues span 75 to 4e9),
-so that error is large relative to the smallest eigenvalues, which are the
-wanted ones: reducing A x = lambda B x by the Cholesky of B loses up to
-2e-10 relative in them, and Rayleigh-Ritz monotonicity across nested bases
-then fails its 1e-10 slack. The solver therefore passes the pencil inverted,
-B x = mu A x with lambda = 1/mu, reduced by the Cholesky of the positive
-definite stiffness form A. The wanted values are then the largest mu, which
-`eigh` resolves to full relative accuracy (about 1e-13 at N=32, p=3).
+LAPACK's symmetric eigensolver is backward stable, so each eigenvalue of the
+reduced matrix comes with an absolute error of a few ulps of its largest
+eigenvalue. The cap pencils are strongly graded (at N=32, p=3 their
+eigenvalues span 75 to 4e9), so that error is large relative to the smallest
+eigenvalues, which are the wanted ones: reducing A x = lambda B x by the
+Cholesky of B loses up to 2e-10 relative in them, and Rayleigh-Ritz
+monotonicity across nested bases then fails its 1e-10 slack. The solver
+therefore passes the pencil inverted, B x = mu A x with lambda = 1/mu,
+reduced by the Cholesky of the positive definite stiffness form A. The
+wanted values are then the largest mu, which the eigensolver resolves to
+full relative accuracy (about 1e-13 at N=32, p=3).
+
+Two entries share one reduction (`_reduce`: unit-diagonal scaling, checked
+Cholesky, C = L^{-1} A L^{-T} by two LU solves). The public
+`generalized_sym_eigen` ends in `eigh` and maps the vectors back. The
+solver reads only eigenvalues, so it calls the private `_generalized_values`,
+which ends in `eigvalsh`, computes no vectors, and also takes a stack of
+equal-order pencils (LAPACK still runs once per pencil, so each row equals
+its pencil's values solved alone). Both keep the two solves against L: on
+the inverted clamped n=5, p=3, theta0=2.6, l=7 pencil at N=32 they agree to
+~1e-15 relative in the first 8 lambda, while forming inv(L) explicitly and
+then C = inv(L) A inv(L)^T moves those values by up to 1.5e-5.
 
 Tolerances:
   - Cholesky pivot failure: pivot diag(L)^2 <= order * 1e-14 * max(diag),
@@ -90,16 +102,6 @@ def cholesky(mat) -> np.ndarray:
     return _checked_cholesky(_as_sym(mat).entries)
 
 
-def sym_eigen(mat) -> EigenPairs:
-    """Full eigendecomposition of a symmetric matrix by LAPACK `eigh`.
-
-    Values come back ascending, vectors orthonormal in the columns. Raises
-    NoConvergence if LAPACK reports that its iteration failed.
-    """
-    values, vectors = _eigh(_as_sym(mat).entries)
-    return EigenPairs(values=values, vectors=vectors)
-
-
 def generalized_sym_eigen(a_mat, b_mat) -> EigenPairs:
     """Solve A x = lambda B x for symmetric A and positive definite B.
 
@@ -110,32 +112,54 @@ def generalized_sym_eigen(a_mat, b_mat) -> EigenPairs:
     relative to the largest |lambda|, so callers after the smallest values
     of a graded pencil pass it inverted (see the module docstring).
     """
-    a = _as_sym(a_mat).entries
-    b = _as_sym(b_mat).entries
-    if a.shape != b.shape:
-        raise ValidationError(f"operand orders differ: {a.shape[0]} vs {b.shape[0]}")
-    diag = b.diagonal()
-    if np.all(diag > 0.0):
-        d = 1.0 / np.sqrt(diag)
-    else:
-        d = np.ones_like(diag)  # not positive definite; let the pivot check say so
-    scale = np.outer(d, d)
-    a_s = a * scale
-    b_s = b * scale
-    low = _checked_cholesky(b_s)
-    half = np.linalg.solve(low, a_s)
-    c = np.linalg.solve(low, half.T)
-    values, vec = _eigh((c + c.T) / 2.0)
+    c, low, d = _reduce(_as_sym(a_mat).entries, _as_sym(b_mat).entries)
+    values, vec = _eigen(c, vectors=True)
     x = np.linalg.solve(low.T, vec) * d[:, None]
     return EigenPairs(values=values, vectors=np.ascontiguousarray(x))
 
 
-def _eigh(c):
-    """Ascending eigenvalues and orthonormal eigenvectors of symmetric c."""
+def _generalized_values(a, b) -> np.ndarray:
+    """Ascending eigenvalues of A x = lambda B x, with no vectors.
+
+    a and b are exactly symmetric arrays: one pencil (order, order) or a
+    stack (count, order, order) of equal-order pencils, whose values come
+    back as rows. The reduction and its checks are those of
+    `generalized_sym_eigen`, pencil by pencil; a stack raises the
+    NotPositiveDefinite message of its first failing pencil.
+    """
+    c, _, _ = _reduce(a, b)
+    return _eigen(c, vectors=False)
+
+
+def _reduce(a, b):
+    """(C, L, d) of the scaled Cholesky reduction of A x = lambda B x.
+
+    d = diag(B)^{-1/2} scales both operands to unit diagonal of B, the
+    scaled B is L L^T (pivot-checked), and C = L^{-1} A L^{-T} is
+    symmetrized. Works on one pencil or on a stack of them.
+    """
+    if a.shape != b.shape:
+        raise ValidationError(f"operand orders differ: {a.shape[-1]} vs {b.shape[-1]}")
+    diag = np.diagonal(b, axis1=-2, axis2=-1)
+    # a pencil that is not positive definite keeps unit scaling; the pivot
+    # check then says so
+    positive = np.all(diag > 0.0, axis=-1, keepdims=True)
+    d = 1.0 / np.sqrt(np.where(positive, diag, 1.0))
+    scale = d[..., :, None] * d[..., None, :]
+    low = _checked_cholesky(b * scale)
+    half = np.linalg.solve(low, a * scale)
+    c = np.linalg.solve(low, np.swapaxes(half, -1, -2))
+    return (c + np.swapaxes(c, -1, -2)) / 2.0, low, d
+
+
+def _eigen(c, vectors: bool):
+    """LAPACK's ascending eigenvalues of symmetric c (or a stack), with
+    orthonormal eigenvectors if `vectors`."""
     try:
-        return np.linalg.eigh(c)
+        return np.linalg.eigh(c) if vectors else np.linalg.eigvalsh(c)
     except np.linalg.LinAlgError as err:
-        raise NoConvergence(f"LAPACK eigh did not converge: {err}") from None
+        name = "eigh" if vectors else "eigvalsh"
+        raise NoConvergence(f"LAPACK {name} did not converge: {err}") from None
 
 
 def _checked_cholesky(b):
@@ -144,8 +168,14 @@ def _checked_cholesky(b):
     LAPACK factors b; the factor is accepted only if every pivot diag(L)^2
     exceeds order * 1e-14 * max(diag), a test LAPACK itself applies only
     against 0. On failure the first bad pivot is found by bisection over
-    leading blocks, whose pivots are the leading pivots of b.
+    leading blocks, whose pivots are the leading pivots of b. A stack is
+    factored in one call, with the same test per matrix; if any fails, the
+    matrices are factored one by one, so the first failing one raises.
     """
+    if b.ndim > 2:
+        maxdiag = np.max(np.diagonal(b, axis1=-2, axis2=-1), axis=-1, keepdims=True)
+        low = _factor_above(b, b.shape[-1] * PIVOT_RELATIVE * maxdiag)
+        return low if low is not None else np.array([_checked_cholesky(m) for m in b])
     n = b.shape[0]
     maxdiag = float(np.max(b.diagonal())) if n else 0.0
     threshold = n * PIVOT_RELATIVE * maxdiag
@@ -169,4 +199,4 @@ def _factor_above(b, threshold):
         low = np.linalg.cholesky(b)
     except np.linalg.LinAlgError:
         return None
-    return low if np.all(low.diagonal() ** 2 > threshold) else None
+    return low if np.all(np.diagonal(low, axis1=-2, axis2=-1) ** 2 > threshold) else None

@@ -83,7 +83,12 @@ def _jacobi_matrix(gamma: float, m: int) -> np.ndarray:
     k = k[1:]
     t = t[1:]
     off = 2.0 * k * (k + gamma) / (t * np.sqrt(t * t - 1.0))
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    mat = np.zeros((m, m))
+    flat = mat.reshape(-1)  # row-major view: a step of m + 1 walks a diagonal
+    flat[:: m + 1] = diag
+    flat[1 :: m + 1] = off
+    flat[m :: m + 1] = off
+    return mat
 
 
 def _jacobi_recurrence(gamma: float, m: int, x: np.ndarray):

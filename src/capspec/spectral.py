@@ -22,14 +22,15 @@ mode of a solve; the polynomial factor (1 - s)^j and the smooth factor
 (1 + x)^gamma are folded into the effective weight. Every assembly is
 validated by node doubling, mode by mode.
 
-Eigenvalues of one mode come from the generalized symmetric-definite solve
-of the inverted pencil B x = mu A x, lambda = 1/mu (see capspec.linalg); the
-spectrum merges modes by value (ties broken by (radial_index, l)) and expands
-each by the harmonic multiplicity of its mode. Since q_j does not depend on
-N, the forms of a smaller basis are leading blocks of the forms of a larger
-one. One assembly at the largest size thus serves every size a run needs:
-the companion at basis N - 4 and each row of a convergence study are solved
-from those blocks.
+Eigenvalues of one mode come from the values-only generalized
+symmetric-definite solve of the inverted pencil B x = mu A x, lambda = 1/mu
+(see capspec.linalg); the spectrum merges modes by value (ties broken by
+(radial_index, l)) and expands each by the harmonic multiplicity of its
+mode. Since q_j does not depend on N, the forms of a smaller basis are
+leading blocks of the forms of a larger one. One assembly at the largest
+size thus serves every size a run needs: the companion at basis N - 4 and
+each row of a convergence study are solved from those blocks, the pencils
+of all their modes in one stacked call.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .errors import (
     QuadratureNotConverged,
     ValidationError,
 )
-from .linalg import SymMatrix, generalized_sym_eigen
+from .linalg import SymMatrix, _generalized_values
 from .quadrature import gauss_jacobi_rule
 from .radial import multiplicity, multiply_by_s_matrix, operator_matrix
 
@@ -193,29 +194,26 @@ def assemble_mode(cfg: SolverConfig, l: int) -> tuple[SymMatrix, SymMatrix, floa
 
 
 def _form_factors(cfg: SolverConfig, l: int):
-    """Coefficient rows (left, right) of the two factors of each form.
+    """(rows, forms): the factors of both forms, each computed once.
 
-    Row j of every matrix is a Chebyshev-in-s coefficient vector of length
-    p + N, built from the trial coefficients by the operator matrix.
+    rows[k] holds the coefficients of D^k q_j, one row per j: a
+    Chebyshev-in-s vector of length p + N, built from the trial coefficients
+    by the operator matrix. forms holds (sign, i, k) for the stiffness and
+    then the mass form, which is sign * integral (D^i q) (D^k q) w; forms
+    that share a factor name the same row.
     """
     p = cfg.p
     x0 = math.cos(cfg.theta0)
     coeffs0 = _trial_coeffs(p, cfg.basis_size, x0)
     op_t = operator_matrix(l, cfg.n, x0, coeffs0.shape[1]).T
 
-    half_order = p // 2
-    coeffs_m = coeffs0
-    for _ in range(half_order):
-        coeffs_m = coeffs_m @ op_t
-    if p % 2 == 0:
-        stiffness = (coeffs_m, coeffs_m)
-    else:
-        stiffness = (-coeffs_m, coeffs_m @ op_t)
-    if cfg.problem is Problem.CLAMPED:
-        mass = (coeffs0, coeffs0)
-    else:
-        mass = (-coeffs0, coeffs0 @ op_t)
-    return stiffness, mass
+    m = p // 2
+    stiffness = (1.0, m, m) if p % 2 == 0 else (-1.0, m, m + 1)
+    mass = (1.0, 0, 0) if cfg.problem is Problem.CLAMPED else (-1.0, 0, 1)
+    rows = [coeffs0]
+    for _ in range(max(stiffness[2], mass[2])):
+        rows.append(rows[-1] @ op_t)
+    return rows, (stiffness, mass)
 
 
 @functools.lru_cache(maxsize=32)
@@ -242,7 +240,10 @@ def _raw_forms(cfg: SolverConfig, l: int, factors, quad_m: int):
     s, w, vander_t = _shared_rule(gamma0, quad_m, cfg.p + cfg.basis_size - 1)
     x = x0 + half_width * (s + 1.0)
     eff_w = w * half_width ** (gamma + 1.0) * (1.0 - s) ** shift * (1.0 + x) ** gamma
-    return [((left @ vander_t) * eff_w) @ (right @ vander_t).T for left, right in factors]
+    rows, forms = factors
+    used = {i for _, i, _ in forms} | {k for _, _, k in forms}
+    sampled = {k: rows[k] @ vander_t for k in used}
+    return [(sampled[i] * (sign * eff_w)) @ sampled[k].T for sign, i, k in forms]
 
 
 @functools.lru_cache(maxsize=32)
@@ -268,18 +269,32 @@ def _solve_mode(cfg: SolverConfig, l: int):
             RuntimeWarning,
             stacklevel=3,
         )
-    values = _radial_values(a_form, b_form, l)
+    values = _radial_values(a_form.entries, b_form.entries, l)
     health = {"max_form_asymmetry": defect, "quad_doubling_gap": doubling_gap}
     return values, (a_form, b_form), health
 
 
-def _radial_values(a_form, b_form, l: int) -> np.ndarray:
+def _radial_values(a, b, l: int) -> np.ndarray:
     """Ascending eigenvalues of A x = lambda B x, solved as B x = mu A x.
 
     The wanted smallest lambda are the largest mu, which the eigensolver
     resolves to full relative accuracy on these graded pencils.
     """
-    mu = generalized_sym_eigen(b_form, a_form).values[::-1]
+    return _inverted(_generalized_values(b, a), l)
+
+
+def _leading_values(forms, modes, size: int) -> list:
+    """Radial values of each listed mode at basis size `size`, from the
+    leading size-by-size blocks of the modes' refined forms (A, B), in one
+    stacked eigensolve."""
+    a = np.array([forms[l][0].entries[:size, :size] for l in modes])
+    b = np.array([forms[l][1].entries[:size, :size] for l in modes])
+    return [_inverted(mu, l) for mu, l in zip(_generalized_values(b, a), modes)]
+
+
+def _inverted(mu, l: int) -> np.ndarray:
+    """Ascending lambda = 1/mu from the ascending mu of mode l."""
+    mu = mu[::-1]
     if float(mu[-1]) <= 0.0:
         raise NumericalError(
             f"nonpositive radial eigenvalue (1/mu with mu = {mu[-1]:.6e}) at mode {l}"
@@ -296,11 +311,13 @@ def solve_spectrum(cfg: SolverConfig) -> Spectrum:
     Diagnostics carry the worst form asymmetry and relative node-doubling
     gap over the solved modes, a per-entry convergence estimate against a
     companion solve on the leading N - 4 blocks of each mode's forms, and
-    the lambda_1 > n - 2 guard outcome.
+    the lambda_1 > n - 2 guard outcome. A basis of 4 or less, or an entry
+    whose radial index the companion does not reach, is refused with
+    ValidationError.
     """
-    mode_values, forms, health = _solve_modes(cfg)
-    records = _merge(mode_values, cfg.n, cfg.requested_count)
-    estimates = _convergence_estimates(cfg, records, forms)
+    companion = _companion_basis(cfg)
+    mode_values, forms, health, records = _solve_modes(cfg)
+    estimates = _convergence_estimates(records, forms, companion)
     entries = tuple(
         SpectrumEntry(value=float(v), l=l, radial_index=j, multiplicity=multiplicity(l, cfg.n))
         for v, l, j in records
@@ -310,7 +327,7 @@ def solve_spectrum(cfg: SolverConfig) -> Spectrum:
         "convergence": estimates,
         "l_max": len(mode_values) - 1,
         "quad_size": cfg.quad_base,
-        "basis_companion": _companion_basis(cfg),
+        "basis_companion": companion,
         "lambda1_guard_ok": bool(entries[0].value > cfg.n - 2),
     }
     return Spectrum(config=cfg, entries=entries, diagnostics=diagnostics)
@@ -318,9 +335,10 @@ def solve_spectrum(cfg: SolverConfig) -> Spectrum:
 
 def _solve_modes(cfg: SolverConfig):
     """Solve modes 0, 1, ... until the last ground value clears the K-th
-    merged value by 5%; returns (values, forms, health), where values[l] and
-    forms[l] are mode l's radial values and refined (A, B), and health holds
-    the worst health numbers. Raises ModeCapTooSmall if a ground value drops
+    merged value by 5%; returns (values, forms, health, records), where
+    values[l] and forms[l] are mode l's radial values and refined (A, B),
+    health holds the worst health numbers and records is the final `_merge`
+    of the values. Raises ModeCapTooSmall if a ground value drops
     or the mode cap comes first."""
     want = cfg.requested_count
     hard_cap = cfg.mode_cap if cfg.mode_cap is not None else max(64, 2 * want + 8)
@@ -339,7 +357,7 @@ def _solve_modes(cfg: SolverConfig):
         forms.append(mode_forms)
         covering = _merge(values, cfg.n, want)
         if covering and ground > MODE_SAFETY * covering[-1][0]:
-            return values, forms, worst
+            return values, forms, worst, covering
         if l >= hard_cap:
             raise ModeCapTooSmall(
                 f"modes 0..{l} cannot certify the first {want} eigenvalues "
@@ -389,28 +407,34 @@ def _covering_prefix(sorted_records, n, k):
 
 
 def _companion_basis(cfg: SolverConfig) -> int:
-    return max(cfg.requested_count, cfg.basis_size - COMPANION_DROP)
+    """N - 4, the basis size of the companion solve; a basis of 4 or less
+    has none and is refused."""
+    companion = cfg.basis_size - COMPANION_DROP
+    if companion < 1:
+        raise ValidationError(
+            f"basis size {cfg.basis_size} leaves no companion basis for the convergence "
+            f"estimates; it must exceed {COMPANION_DROP}"
+        )
+    return companion
 
 
-def _convergence_estimates(cfg: SolverConfig, records, forms):
-    """Per-record |v_N - v_companion| / v_N; zeros when no companion.
+def _convergence_estimates(records, forms, companion: int):
+    """Per-record |v_N - v_companion| / v_N.
 
-    The companion values of mode l are those of the leading
-    companion-by-companion blocks of the mode's refined forms. A record's
-    radial index is below requested_count, so the companion has its value.
+    The companion values of the merged modes are those of the leading
+    companion-by-companion blocks of their refined forms, in one stacked
+    solve. A record whose radial index the companion does not reach has no
+    estimate, and the solve is refused with ValidationError.
     """
-    companion = _companion_basis(cfg)
-    if companion >= cfg.basis_size:
-        return [0.0] * len(records)
-    coarse = {l: _leading_values(forms[l], l, companion) for l in {l for _, l, _ in records}}
+    for _, l, j in records:
+        if j >= companion:
+            raise ValidationError(
+                f"entry (l={l}, radial index {j}) has no convergence estimate: the "
+                f"companion basis {companion} (basis - {COMPANION_DROP}) is too small"
+            )
+    modes = sorted({l for _, l, _ in records})
+    coarse = dict(zip(modes, _leading_values(forms, modes, companion)))
     return [abs(float(coarse[l][j]) - v) / v for v, l, j in records]
-
-
-def _leading_values(mode_forms, l: int, size: int) -> np.ndarray:
-    """Radial values of mode l at basis size `size`, from the leading
-    size-by-size blocks of the mode's refined forms (A, B)."""
-    a_form, b_form = mode_forms
-    return _radial_values(a_form.entries[:size, :size], b_form.entries[:size, :size], l)
 
 
 @dataclass(frozen=True)
@@ -445,13 +469,12 @@ def convergence_study(cfg: SolverConfig, basis_sizes) -> ConvergenceStudy:
         raise ValidationError(f"basis sizes must be positive and ascending, got {sizes}")
     replace(cfg, basis_size=sizes[0])  # every size must be >= requested_count
     want = cfg.requested_count
-    mode_values, forms, _ = _solve_modes(replace(cfg, basis_size=sizes[-1]))
+    _, forms, _, top = _solve_modes(replace(cfg, basis_size=sizes[-1]))
+    modes = range(len(forms))
     rows = []
     for size in sizes:
-        per_mode = mode_values if size == sizes[-1] else [
-            _leading_values(f, l, size) for l, f in enumerate(forms)
-        ]
-        records = _merge(per_mode, cfg.n, want)
+        records = top if size == sizes[-1] else _merge(
+            _leading_values(forms, modes, size), cfg.n, want)
         rows.append([v for v, l, _ in records for _ in range(multiplicity(l, cfg.n))][:want])
 
     values = np.array(rows)

@@ -98,6 +98,39 @@ class TestSolveCommand:
             "--problem", "clamped", "--count", 4, "--out", b)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_basis_equal_to_count_has_estimates(self, tmp_path):
+        # the companion basis is N - 4 = 4 whatever the count, so a basis
+        # equal to the count no longer writes estimates of exactly 0
+        out = tmp_path / "s.json"
+        assert run("solve", "--n", 2, "--p", 2, "--theta0", 2.6,
+                   "--problem", "buckling", "--count", 8, "--basis", 8,
+                   "--out", out) == 0
+        doc = json.loads(out.read_text())
+        assert [(e["l"], e["radial_index"]) for e in doc["entries"]] == [
+            (0, 0), (1, 0), (2, 0), (0, 1), (1, 1)]
+        assert np.allclose(doc["meta"]["convergence"],
+                           [0.014158756439159044, 0.05639975517916305,
+                            0.06086270214786857, 0.016382316581473388,
+                            0.057518231921334255], rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("basis,theta0,reason", [
+        (4, "pi/2", "basis size 4 leaves no companion basis for the convergence "
+                    "estimates; it must exceed 4"),
+        (5, "2.6", "entry (l=0, radial index 1) has no convergence estimate: the "
+                   "companion basis 1 (basis - 4) is too small"),
+    ])
+    def test_basis_without_companion_exits_2(self, tmp_path, capsys, basis, theta0, reason):
+        # a basis of 4 has no companion; at basis 5 the companion holds
+        # radial index 0 only, and the 4th eigenvalue of the 2.6 cap is
+        # (l=0, j=1)
+        out = tmp_path / "s.json"
+        code = run("solve", "--n", 2, "--p", 1, "--theta0", theta0,
+                   "--problem", "clamped", "--count", 4, "--basis", basis,
+                   "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: ValidationError: {reason}\n"
+        assert not out.exists()
+
     def test_invalid_order_exits_2(self, tmp_path, capsys):
         code = run("solve", "--n", 2, "--p", 0, "--theta0", "1.0",
                    "--problem", "clamped", "--out", tmp_path / "x.json")

@@ -7,7 +7,7 @@ import pytest
 
 from capspec import linalg
 from capspec.errors import NoConvergence, NotPositiveDefinite, ValidationError
-from capspec.linalg import SymMatrix, cholesky, generalized_sym_eigen, sym_eigen
+from capspec.linalg import SymMatrix, cholesky, generalized_sym_eigen
 
 from oracles import generalized_eigen_2x2
 
@@ -127,18 +127,24 @@ def test_cholesky_names_first_bad_pivot(kind):
         assert str(err.value) == message
 
 
-# ---------------------------------------------------------------- sym_eigen
+# --------------------------------------------- standard problem, B = I
+# The standard symmetric problem is the generalized one with B = I: the
+# scaling and the Cholesky factor are then exactly the identity.
+
+
+def eigen(c):
+    return generalized_sym_eigen(c, np.eye(len(c)))
 
 
 def test_sym_eigen_diagonal():
-    pairs = sym_eigen(np.diag([3.0, 1.0, 2.0]))
+    pairs = eigen(np.diag([3.0, 1.0, 2.0]))
     assert np.allclose(pairs.values, [1.0, 2.0, 3.0], atol=1e-14)
 
 
 def test_sym_eigen_hand_2x2():
-    pairs = sym_eigen([[2.0, 1.0], [1.0, 2.0]])
+    pairs = eigen([[2.0, 1.0], [1.0, 2.0]])
     assert np.allclose(pairs.values, [1.0, 3.0], atol=1e-13)
-    pairs = sym_eigen([[0.0, 1.0], [1.0, 0.0]])
+    pairs = eigen([[0.0, 1.0], [1.0, 0.0]])
     assert np.allclose(pairs.values, [-1.0, 1.0], atol=1e-14)
 
 
@@ -148,7 +154,7 @@ def test_sym_eigen_posts():
         m = rng.standard_normal((order, order))
         c = np.ascontiguousarray((m + m.T) / 2.0)
         norm = float(np.linalg.norm(c))
-        pairs = sym_eigen(c)
+        pairs = eigen(c)
         diag, vec = pairs.values, pairs.vectors
         # off-diagonal norm of the rotated matrix
         rot = vec.T @ c @ vec
@@ -168,7 +174,7 @@ def test_sym_eigen_trace_and_det_identities():
         order = rng.randint(2, 9)
         m = rng.standard_normal((order, order))
         c = (m + m.T) / 2.0
-        pairs = sym_eigen(c)
+        pairs = eigen(c)
         assert np.trace(c) == pytest.approx(float(np.sum(pairs.values)), rel=1e-10, abs=1e-10)
         # determinant via an SPD shift so the cholesky-product oracle applies
         shift = float(np.max(np.abs(pairs.values))) + 1.0
@@ -188,8 +194,8 @@ def test_sym_eigen_congruence_invariance():
         c = (m + m.T) / 2.0
         q, _ = np.linalg.qr(rng.standard_normal((order, order)))
         rotated = q.T @ c @ q
-        v1 = sym_eigen(c).values
-        v2 = sym_eigen(rotated).values
+        v1 = eigen(c).values
+        v2 = eigen(rotated).values
         assert np.allclose(v1, v2, rtol=1e-10, atol=1e-10)
 
 
@@ -199,13 +205,13 @@ def test_lapack_failure_is_no_convergence(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(NoConvergence, match="did not converge"):
-        sym_eigen([[0.0, 1.0], [1.0, 0.0]])
+        eigen([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(NoConvergence):
         generalized_sym_eigen(np.eye(2), np.eye(2))
 
 
 def test_sym_eigen_zero_matrix():
-    pairs = sym_eigen(np.zeros((4, 4)))
+    pairs = eigen(np.zeros((4, 4)))
     assert np.all(pairs.values == 0.0)
     assert np.allclose(pairs.vectors, np.eye(4))
 
@@ -233,7 +239,7 @@ def test_generalized_identity_matches_sym_eigen():
     for order in (2, 5, 12):
         m = rng.standard_normal((order, order))
         c = (m + m.T) / 2.0
-        v1 = sym_eigen(c).values
+        v1 = np.linalg.eigh(c)[0]
         v2 = generalized_sym_eigen(c, np.eye(order)).values
         assert np.max(np.abs(v1 - v2)) <= 1e-12 * max(1.0, float(np.max(np.abs(v1))))
 
@@ -265,3 +271,63 @@ def test_generalized_rejects_indefinite_b():
 def test_generalized_order_mismatch():
     with pytest.raises(ValidationError):
         generalized_sym_eigen(np.eye(2), np.eye(3))
+
+
+# ------------------------------------------------ values-only, and stacks
+
+
+def spd_pencils(count, order, seed):
+    """A stack of `count` pencils (A, B): A symmetric, B positive definite."""
+    rng = np.random.RandomState(seed)
+    m = rng.standard_normal((count, order, order))
+    g = rng.standard_normal((count, order, order))
+    a = (m + np.swapaxes(m, 1, 2)) / 2.0
+    b = g @ np.swapaxes(g, 1, 2) + order * np.eye(order)
+    return a, (b + np.swapaxes(b, 1, 2)) / 2.0
+
+
+def test_stack_rows_are_single_pencil_values():
+    # LAPACK runs once per matrix of a stack, so each row is bitwise the
+    # values of its pencil solved alone
+    a, b = spd_pencils(4, 9, 31)
+    stacked = linalg._generalized_values(a, b)
+    assert stacked.shape == (4, 9)
+    for row, a_one, b_one in zip(stacked, a, b):
+        assert np.array_equal(row, linalg._generalized_values(a_one, b_one))
+
+
+def test_stack_raises_first_failing_pencil_message():
+    # pencil 2 fails at its 4th pivot (1e-17, far below the threshold) and
+    # pencil 3 at its 3rd (negative); the stack raises pencil 2's message
+    # word for word, though pencil 3 fails earlier in its own order
+    order = 8
+    a, b = spd_pencils(4, order, 37)
+    rng = np.random.RandomState(41)
+    unit = np.eye(order) + 0.1 * np.tril(rng.standard_normal((order, order)), -1)
+    for index, bad_pivot in ((2, 1e-17), (3, -0.5)):
+        pivots = rng.uniform(1.0, 2.0, order)
+        pivots[5 - index] = bad_pivot
+        b_bad = (unit * pivots) @ unit.T
+        b[index] = (b_bad + b_bad.T) / 2.0
+    messages = []
+    for index in (2, 3):
+        with pytest.raises(NotPositiveDefinite) as err:
+            linalg._generalized_values(a[index], b[index])
+        messages.append(str(err.value))
+    assert messages[0] != messages[1]
+    assert messages[0].startswith("pivot 4 of 8 at or below threshold")
+    with pytest.raises(NotPositiveDefinite) as err:
+        linalg._generalized_values(a, b)
+    assert str(err.value) == messages[0]
+
+
+def test_values_only_lapack_failure_is_no_convergence(monkeypatch):
+    def fail(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    a, b = spd_pencils(3, 5, 43)
+    with pytest.raises(NoConvergence, match="did not converge"):
+        linalg._generalized_values(a[0], b[0])
+    with pytest.raises(NoConvergence, match="did not converge"):
+        linalg._generalized_values(a, b)

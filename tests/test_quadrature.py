@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from capspec import quadrature
 from capspec.errors import ValidationError
 from capspec.quadrature import gauss_jacobi_rule
 
@@ -134,3 +135,16 @@ def test_validation():
         gauss_jacobi_rule(1.0, 0)
     with pytest.raises(ValidationError):
         gauss_jacobi_rule(float("nan"), 4)
+
+
+@pytest.mark.parametrize("m", [82, 164])
+@pytest.mark.parametrize("gamma", [0.0, 0.5])
+def test_jacobi_matrix_bitwise_as_diagonal_sum(gamma, m):
+    # the three diagonals filled into one zero matrix give bitwise the sum
+    # of three dense np.diag matrices, at the node counts of a default solve
+    k = np.arange(m, dtype=float)
+    t = 2.0 * k + gamma
+    diag = np.zeros(m) if gamma == 0.0 else -gamma * gamma / (t * (t + 2.0))
+    off = 2.0 * k[1:] * (k[1:] + gamma) / (t[1:] * np.sqrt(t[1:] * t[1:] - 1.0))
+    summed = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    assert quadrature._jacobi_matrix(gamma, m).tobytes() == summed.tobytes()

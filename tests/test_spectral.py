@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from capspec import quadrature, spectral
+from capspec import linalg, quadrature, spectral
 from capspec.bounds import EigenSequence
 from capspec.errors import (
     ModeCapTooSmall,
@@ -24,7 +24,7 @@ from capspec.errors import (
 from capspec.io import read_spectrum, spectrum_to_doc
 from capspec.linalg import generalized_sym_eigen
 from capspec.quadrature import gauss_jacobi_rule
-from capspec.radial import operator_coeffs
+from capspec.radial import operator_coeffs, operator_matrix
 from capspec.spectral import (
     ConvergenceStudy,
     Problem,
@@ -291,9 +291,11 @@ class TestSpectrumStructure:
     def test_cold_solve_recurrence_passes_and_eigensolves(self, monkeypatch):
         # each rule build runs one recurrence pass (P_m and P_{m-1} give the
         # Newton step and, through the derivative identity, the weights);
-        # modes 0..4 and the companions of the modes l = 0..3 that hold the
-        # 8 requested values take 9 eigensolves
-        counts = {"recurrence": 0, "eigensolve": 0}
+        # modes 0..4 take one values-only eigensolve each, and the companions
+        # of the modes l = 0..3 that hold the 8 requested values take one
+        # stacked call of 4 pencils; no solve computes eigenvectors
+        counts = {"recurrence": 0, "vectors": 0}
+        pencils = []
 
         def counted(key, wrapped):
             def call(*args):
@@ -301,14 +303,44 @@ class TestSpectrumStructure:
                 return wrapped(*args)
             return call
 
+        def values_only(a, b):
+            pencils.append(a.shape[:-2])
+            return linalg._generalized_values(a, b)
+
         monkeypatch.setattr(quadrature, "_jacobi_recurrence",
                             counted("recurrence", quadrature._jacobi_recurrence))
-        monkeypatch.setattr(spectral, "generalized_sym_eigen",
-                            counted("eigensolve", spectral.generalized_sym_eigen))
+        monkeypatch.setattr(linalg, "generalized_sym_eigen",
+                            counted("vectors", linalg.generalized_sym_eigen))
+        monkeypatch.setattr(spectral, "_generalized_values", values_only)
         spectral._shared_rule.cache_clear()
         quadrature._cached_rule.cache_clear()
         solve_spectrum(hemi(2, 2, Problem.BUCKLING, N=32, K=8))
-        assert counts == {"recurrence": 2, "eigensolve": 9}
+        assert counts == {"recurrence": 2, "vectors": 0}
+        assert pencils == [()] * 5 + [(4,)]
+
+    def test_spectrum_is_the_mode_loop_merge(self, monkeypatch):
+        # each solved mode merges the records so far once (20 per mode at
+        # K = 20, modes 0..6), and the spectrum takes the loop's last merge
+        # rather than merging again
+        keys = []
+
+        def counted(record):
+            keys.append(record)
+            return _merge_key(record)
+
+        monkeypatch.setattr(spectral, "_merge_key", counted)
+        spec = solve_spectrum(hemi(2, 2, Problem.BUCKLING, N=32, K=20))
+        assert spec.diagnostics["l_max"] == 6
+        assert len(keys) == 20 * sum(range(1, 8)) == 560
+        assert [(e.l, e.radial_index) for e in spec.entries] == [
+            (0, 0), (1, 0), (2, 0), (0, 1), (3, 0), (1, 1), (4, 0), (2, 1), (0, 2),
+            (5, 0), (3, 1), (1, 2)]
+        expected = [6.0, 10.686091807267083, 17.276690818676173, 20.000000000000004,
+                    25.802106151646083, 28.711118574717442, 36.27962603963378,
+                    39.376657036543065, 41.99999999999999, 48.72013018042282,
+                    52.00123640211597, 54.71847407639498]
+        got = [e.value for e in spec.entries]
+        assert np.allclose(got, expected, rtol=1e-13, atol=0.0)
 
     def test_asymmetry_diagnostic_tracked(self):
         spec = solve_spectrum(hemi(3, 3, Problem.BUCKLING, N=20, K=4))
@@ -328,7 +360,7 @@ def per_mode_forms(cfg, l, quad_m):
     """The forms of mode l from a rule for the full exponent
     gamma = l + (n - 2)/2, as the solver built them before every mode shared
     one rule per weight parity."""
-    factors = _form_factors(cfg, l)
+    rows, forms = _form_factors(cfg, l)
     x0 = math.cos(cfg.theta0)
     a = (1.0 - x0) / 2.0
     gamma = l + (cfg.n - 2) / 2.0
@@ -336,7 +368,8 @@ def per_mode_forms(cfg, l, quad_m):
     x = x0 + a * (s + 1.0)
     eff_w = w * a ** (gamma + 1.0) * (1.0 + x) ** gamma
     vander_t = np.polynomial.chebyshev.chebvander(s, cfg.p + cfg.basis_size - 1).T
-    return [((left @ vander_t) * eff_w) @ (right @ vander_t).T for left, right in factors]
+    return [(((sign * rows[i]) @ vander_t) * eff_w) @ (rows[k] @ vander_t).T
+            for sign, i, k in forms]
 
 
 class TestSharedRuleAgainstPerModeRule:
@@ -353,6 +386,71 @@ class TestSharedRuleAgainstPerModeRule:
                 for got, want in zip(shared, per_mode_forms(cfg, l, quad_m)):
                     scale = np.max(np.abs(want))
                     assert np.max(np.abs(got - want)) <= 1e-12 * scale, (l, quad_m)
+
+
+def unshared_forms(cfg, l, quad_m):
+    """The forms with one (left, right) coefficient pair per form, the sign
+    on the left factor and every factor sampled on its own, as the solver
+    built them before its factors were shared."""
+    x0 = math.cos(cfg.theta0)
+    coeffs0 = spectral._trial_coeffs(cfg.p, cfg.basis_size, x0)
+    op_t = operator_matrix(l, cfg.n, x0, coeffs0.shape[1]).T
+    coeffs_m = coeffs0
+    for _ in range(cfg.p // 2):
+        coeffs_m = coeffs_m @ op_t
+    if cfg.p % 2 == 0:
+        stiffness = (coeffs_m, coeffs_m)
+    else:
+        stiffness = (-coeffs_m, coeffs_m @ op_t)
+    if cfg.problem is Problem.CLAMPED:
+        mass = (coeffs0, coeffs0)
+    else:
+        mass = (-coeffs0, coeffs0 @ op_t)
+    a = (1.0 - x0) / 2.0
+    gamma0 = cfg.n % 2 / 2.0
+    shift = l + (cfg.n - 2) // 2
+    gamma = gamma0 + shift
+    s, w, vander_t = spectral._shared_rule(gamma0, quad_m, cfg.p + cfg.basis_size - 1)
+    x = x0 + a * (s + 1.0)
+    eff_w = w * a ** (gamma + 1.0) * (1.0 - s) ** shift * (1.0 + x) ** gamma
+    return [((left @ vander_t) * eff_w) @ (right @ vander_t).T for left, right in (stiffness, mass)]
+
+
+class TestSharedFactors:
+    # (sign, i, k) of the stiffness and the mass form:
+    # sign * integral (D^i q) (D^k q) w
+    FORMS = {
+        (1, Problem.CLAMPED): ((-1.0, 0, 1), (1.0, 0, 0)),
+        (2, Problem.CLAMPED): ((1.0, 1, 1), (1.0, 0, 0)),
+        (3, Problem.CLAMPED): ((-1.0, 1, 2), (1.0, 0, 0)),
+        (4, Problem.CLAMPED): ((1.0, 2, 2), (1.0, 0, 0)),
+        (2, Problem.BUCKLING): ((1.0, 1, 1), (-1.0, 0, 1)),
+        (3, Problem.BUCKLING): ((-1.0, 1, 2), (-1.0, 0, 1)),
+        (4, Problem.BUCKLING): ((1.0, 2, 2), (-1.0, 0, 1)),
+    }
+
+    @pytest.mark.parametrize("p,problem", sorted(FORMS))
+    def test_factors_named_once(self, p, problem):
+        # an even-order stiffness form pairs one factor with itself, and at
+        # p in {2, 3} the buckling mass form's right factor D q is the
+        # stiffness form's left one
+        cfg = SolverConfig(n=3, p=p, theta0=1.2, problem=problem,
+                           basis_size=12, requested_count=4)
+        rows, forms = _form_factors(cfg, 1)
+        assert forms == self.FORMS[p, problem]
+        assert len(rows) == 1 + max(k for _, _, k in forms)
+
+    @pytest.mark.parametrize("p,problem", sorted(FORMS))
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_forms_bitwise_as_unshared(self, p, problem, n):
+        cfg = SolverConfig(n=n, p=p, theta0=2.1, problem=problem,
+                           basis_size=16, requested_count=6)
+        for l in (0, 3):
+            factors = _form_factors(cfg, l)
+            for quad_m in (cfg.quad_base, 2 * cfg.quad_base):
+                shared = _raw_forms(cfg, l, factors, quad_m)
+                for got, want in zip(shared, unshared_forms(cfg, l, quad_m)):
+                    assert got.tobytes() == want.tobytes(), (l, quad_m)
 
 
 class TestPencilAccuracy:
@@ -374,6 +472,19 @@ class TestPencilAccuracy:
                 ref = np.array(sorted(float(1 / m) for m in mu)[:8])
             got = _solve_mode(cfg, l)[0][:8]
             assert np.max(np.abs(got - ref) / ref) <= 1e-12, l
+
+    def test_values_only_matches_vectors_path(self):
+        """The solver's values-only solve of the inverted clamped n=5, p=3,
+        theta0=2.6, l=7 pencil at N=32 gives the first 8 values of
+        generalized_sym_eigen to 1e-13 relative: both reduce by the same two
+        triangular solves. Forming inv(L) explicitly instead moves them by
+        ~1.5e-5 on this pencil."""
+        cfg = SolverConfig(n=5, p=3, theta0=2.6, problem=Problem.CLAMPED,
+                           basis_size=32, requested_count=8)
+        a_form, b_form, _ = assemble_mode(cfg, 7)
+        want = 1.0 / generalized_sym_eigen(b_form, a_form).values[::-1][:8]
+        got = _radial_values(a_form.entries, b_form.entries, 7)[:8]
+        assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
 def _scaled_ground(n, p, problem, theta0):
