@@ -18,6 +18,12 @@ problem by the first k eigenvalues. Two mechanisms appear:
   whose larger root is the bound, or to the averaged pair (S, T) with
   bound S + sqrt(S^2 - T).
 
+Every evaluator takes all requested prefixes k at once: each prefix is a
+row over the whole sequence, zeroed past k, so one array pass (stacked
+eigvals calls for the roots, one evaluate_predicate call for the interval
+probes, one closed-form call per delta-opt search round) serves them all.
+The per-k entry points are the one-row case of the same passes.
+
 Sphere buckling families share the coefficient functions
 
     g(L) = factor(L) - L / (L - (n-2)),   h(L) = L + (n-2)^2 / 4,
@@ -30,11 +36,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import (
     BracketFailure,
+    CapspecError,
     DiscriminantNegative,
     DomainError,
     FamilyMismatch,
@@ -108,13 +116,6 @@ class EigenSequence:
 
     def __len__(self):
         return len(self.values)
-
-    def prefix(self, k: int) -> np.ndarray:
-        if not (isinstance(k, (int, np.integer)) and 1 <= k <= len(self.values)):
-            raise ValidationError(
-                f"prefix length must be in 1..{len(self.values)}, got {k!r}"
-            )
-        return np.array(self.values[:k])
 
 
 @dataclass(frozen=True)
@@ -210,45 +211,111 @@ def sphere_buckling_factor(lam: float, n: int, p: int) -> float:
     return total
 
 
-def _guard_prefix(prefix: np.ndarray, n: int):
-    floor = n - 2
-    if float(prefix[0]) <= floor:
+class _Prefixes(NamedTuple):
+    """Prefixes of one sequence, one row each. Every per-prefix quantity is
+    a row over the whole sequence, zeroed past its prefix and summed with
+    _rowsum along the row, so a row's value never depends on which other
+    rows are stacked with it: a single prefix and every prefix at once give
+    bitwise-equal bounds."""
+
+    n: int
+    lengths: np.ndarray  # (R,) prefix lengths k
+    values: np.ndarray  # (K,) the whole sequence
+    mask: np.ndarray  # (R, K), True on each row's prefix
+    last: np.ndarray  # (R,) Lambda_k
+
+    def take(self, rows) -> _Prefixes:
+        return self._replace(lengths=self.lengths[rows], mask=self.mask[rows],
+                             last=self.last[rows])
+
+    def masked(self, w) -> np.ndarray:
+        """w (per eigenvalue, or per row and eigenvalue) zeroed past each
+        row's prefix."""
+        return np.where(self.mask, w, 0.0)
+
+    def shifts(self, unit=False) -> np.ndarray:
+        """e_i = Lambda_k - lambda_i on each row's prefix, divided by
+        Lambda_k when unit is set."""
+        last = self.last[:, None]
+        e = last - self.values
+        return self.masked(e / last if unit else e)
+
+
+def _prefixes(seq: EigenSequence, ks) -> _Prefixes:
+    """The prefixes of the lengths ks, an integer or a 1-D array of them."""
+    lengths = np.atleast_1d(np.asarray(ks))
+    if not (lengths.ndim == 1 and lengths.dtype.kind in "biu"
+            and np.all((1 <= lengths) & (lengths <= len(seq)))):
+        raise ValidationError(f"prefix length must be in 1..{len(seq)}, got {ks!r}")
+    lengths = lengths.astype(int)
+    values = np.array(seq.values)
+    return _Prefixes(n=seq.n, lengths=lengths, values=values,
+                     mask=np.arange(len(values)) < lengths[:, None],
+                     last=values[lengths - 1])
+
+
+def _one_prefix(seq: EigenSequence, k):
+    """k, refused unless it is a single prefix length (the per-k entry
+    points take one; the all-prefix passes take arrays)."""
+    if np.ndim(k):
+        raise ValidationError(f"prefix length must be in 1..{len(seq)}, got {k!r}")
+    return k
+
+
+def _rowsum(x: np.ndarray) -> np.ndarray:
+    """The sum along each row (the last axis), np.sum's pairwise sum."""
+    return np.add.reduce(x, axis=-1)
+
+
+def _guard(seq: EigenSequence):
+    floor = seq.n - 2
+    if seq.values[0] <= floor:
         raise DomainError(
             f"sphere buckling families require every eigenvalue > n - 2 = {floor}; "
-            f"smallest is {prefix[0]:.6g}"
+            f"smallest is {seq.values[0]:.6g}"
         )
 
 
-def _coeff_g(prefix: np.ndarray, n: int, p: int) -> np.ndarray:
-    factors = np.array([sphere_buckling_factor(v, n, p) for v in prefix])
-    return factors - prefix / (prefix - (n - 2))
+def _coeff_g(values: np.ndarray, n: int, p: int) -> np.ndarray:
+    factors = np.array([sphere_buckling_factor(v, n, p) for v in values.tolist()])
+    return factors - values / (values - (n - 2))
 
 
-def _coeff_g_p2(prefix: np.ndarray, n: int) -> np.ndarray:
-    return prefix - (n - 2) / (prefix - (n - 2))
+def _coeff_g_p2(values: np.ndarray, n: int) -> np.ndarray:
+    return values - (n - 2) / (values - (n - 2))
 
 
-def _coeff_h(prefix: np.ndarray, n: int) -> np.ndarray:
-    return prefix + (n - 2) ** 2 / 4.0
+def _coeff_h(values: np.ndarray, n: int) -> np.ndarray:
+    return values + (n - 2) ** 2 / 4.0
 
 
-def _delta_weight(prefix: np.ndarray, n: int, d):
+def _sqrt_lhs_weight(values: np.ndarray, n: int) -> np.ndarray:
+    return 2.0 + (n - 2) / (values - (n - 2))
+
+
+def _delta_weight(values: np.ndarray, n: int, d):
     """The delta family's weight on (c - lambda_i)^2, divided by d:
     lambda + d (lambda - (n-2)) / (4 (d lambda + n - 2)), written so that
     no d^2 is formed and the n = 2 denominator cannot cancel to zero. For
     subnormal d, (n-2)/d overflows to inf, the right limit."""
     with np.errstate(over="ignore"):
-        return prefix + (prefix - (n - 2)) / (4.0 * (prefix + (n - 2) / d))
+        return values + (values - (n - 2)) / (4.0 * (values + (n - 2) / d))
 
 
 def quadratic_terms(seq: EigenSequence, k: int) -> tuple[float, float]:
     """Averaged pair (S, T) of the closed-form sphere buckling bound."""
     _check_compat(family(QUADRATIC), seq)
-    prefix = seq.prefix(k)
-    _guard_prefix(prefix, seq.n)
-    gh = _coeff_g(prefix, seq.n, seq.p) * _coeff_h(prefix, seq.n)
-    s = float(np.mean(prefix) + np.sum(gh) / (2 * k))
-    t = float(np.mean(prefix**2) + np.sum(prefix * gh) / k)
+    s, t = _quadratic_terms(seq, _prefixes(seq, _one_prefix(seq, k)))
+    return float(s[0]), float(t[0])
+
+
+def _quadratic_terms(seq: EigenSequence, pre: _Prefixes):
+    _guard(seq)
+    vals, k = pre.values, pre.lengths
+    gh = _coeff_g(vals, seq.n, seq.p) * _coeff_h(vals, seq.n)
+    s = _rowsum(pre.masked(vals)) / k + _rowsum(pre.masked(gh)) / (2 * k)
+    t = (_rowsum(pre.masked(vals**2)) / k
+         + _rowsum(pre.masked(vals * gh)) / k)
     return s, t
 
 
@@ -268,138 +335,198 @@ _PREDICATE_FAMILIES = (SQRT, QUADRATIC, DELTA, SQRT_P2)
 _IMPLIED_FAMILIES = (SQRT, DELTA, SQRT_P2)
 
 
-def evaluate_predicate(fam: BoundFamily, seq: EigenSequence, k: int,
-                       candidate: float) -> PredicateResult:
+def evaluate_predicate(fam: BoundFamily, seq: EigenSequence, k,
+                       candidate) -> PredicateResult:
     """Both sides of a predicate family's inequality with the (k+1)-th
     eigenvalue replaced by the candidate; holds is tested with relative
-    slack 1e-12."""
+    slack 1e-12. k (a prefix length) and candidate may be arrays that
+    broadcast together; lhs, rhs and holds then have their shape, and each
+    entry is the scalar call's value."""
     if fam.name not in _PREDICATE_FAMILIES:
         raise FamilyMismatch(f"family {fam.name} has no candidate predicate")
     _check_compat(fam, seq)
-    prefix = seq.prefix(k)
-    _guard_prefix(prefix, seq.n)
-    candidate = float(candidate)
-    if not (math.isfinite(candidate) and candidate >= float(prefix[-1])):
+    lengths, candidates = np.broadcast_arrays(k, np.asarray(candidate, dtype=float))
+    pre = _prefixes(seq, lengths.ravel())
+    _guard(seq)
+    candidates = candidates.ravel()
+    bad = ~(np.isfinite(candidates) & (candidates >= pre.last))
+    if bad.any():
+        at = int(np.argmax(bad))
         raise ValidationError(
-            f"candidate must be >= the k-th eigenvalue {prefix[-1]:.6g}, "
-            f"got {candidate!r}"
+            f"candidate must be >= the k-th eigenvalue {pre.last[at]:.6g}, "
+            f"got {float(candidates[at])!r}"
         )
-    n = seq.n
-    diffs = candidate - prefix
-    h = _coeff_h(prefix, n)
+    n, vals = seq.n, pre.values
+    diffs = pre.masked(candidates[:, None] - vals)
+    h = _coeff_h(vals, n)
     if fam.name in (SQRT, SQRT_P2):
-        if fam.name == SQRT:
-            g = _coeff_g(prefix, n, seq.p)
-        else:
-            g = _coeff_g_p2(prefix, n)
-        lhs = float(np.sum(diffs**2 * (2.0 + (n - 2) / (prefix - (n - 2)))))
-        rhs = 2.0 * math.sqrt(max(float(np.sum(diffs**2 * g)), 0.0)) * math.sqrt(
-            max(float(np.sum(diffs * h)), 0.0)
-        )
+        g = _coeff_g(vals, n, seq.p) if fam.name == SQRT else _coeff_g_p2(vals, n)
+        lhs = _rowsum(diffs**2 * _sqrt_lhs_weight(vals, n))
+        rhs = (2.0 * np.sqrt(np.maximum(_rowsum(diffs**2 * g), 0.0))
+               * np.sqrt(np.maximum(_rowsum(diffs * h), 0.0)))
     elif fam.name == QUADRATIC:
-        g = _coeff_g(prefix, n, seq.p)
-        lhs = float(np.sum(diffs**2))
-        rhs = float(np.sum(diffs * g * h))
+        g = _coeff_g(vals, n, seq.p)
+        lhs = _rowsum(diffs**2)
+        rhs = _rowsum(diffs * g * h)
     else:  # DELTA
         d = fam.delta
-        mult = d * _delta_weight(prefix, n, d)
-        lhs = 2.0 * float(np.sum(diffs**2))
-        rhs = float(np.sum(diffs**2 * mult)) + float(np.sum(diffs * h)) / d
-    holds = lhs <= rhs + INEQ_SLACK * (abs(lhs) + abs(rhs))
-    return PredicateResult(lhs=lhs, rhs=rhs, holds=holds)
+        mult = d * _delta_weight(vals, n, d)
+        lhs = 2.0 * _rowsum(diffs**2)
+        rhs = _rowsum(diffs**2 * mult) + _rowsum(diffs * h) / d
+    holds = lhs <= rhs + INEQ_SLACK * (np.abs(lhs) + np.abs(rhs))
+    if lengths.ndim == 0:
+        return PredicateResult(lhs=float(lhs[0]), rhs=float(rhs[0]), holds=bool(holds[0]))
+    shape = lengths.shape
+    return PredicateResult(lhs=lhs.reshape(shape), rhs=rhs.reshape(shape),
+                           holds=holds.reshape(shape))
+
+
+def _implied_rows(fam: BoundFamily, seq: EigenSequence, ks) -> list:
+    """implied_bound's (bound, aux) or error for every prefix length of ks.
+
+    With x = c - Lambda_k the delta family fails where a quadratic is
+    positive (closed form, see _delta_closed_form). For the sqrt families
+    both sides are non-negative, so (1-eps) L <= 2 (1+eps) sqrt(G) sqrt(H),
+    with eps = INEQ_SLACK, fails exactly where the quartic
+    (1-eps)^2 L^2 - 4 (1+eps)^2 G H is positive; its real roots and those
+    of G (the max(., 0) clamp) cut [0, inf) into intervals, the interior
+    points of all of them are tested in one evaluate_predicate call, and
+    the bound is Lambda_k plus the left end of the first failing one.
+    BracketFailure when no failure lies at or below Lambda_k 2^64, or when
+    either polynomial's coefficients overflow the float range."""
+    if fam.name not in _IMPLIED_FAMILIES:
+        raise FamilyMismatch(f"family {fam.name} has no implied bound")
+    _check_compat(fam, seq)
+    pre = _prefixes(seq, ks)
+    _guard(seq)
+    with np.errstate(over="ignore"):  # an infinite limit is no limit
+        limits = pre.last * 2.0**LIMIT_LOG2
+    if fam.name == DELTA:
+        bounds = _delta_closed_form(_delta_terms(pre), np.array([[fam.delta]]))[:, 0]
+        aux = {"delta": fam.delta}
+    else:
+        bounds = _sqrt_bounds(fam, seq, pre, limits)
+        aux = {}
+    out = []
+    for bound, limit in zip(bounds.tolist(), limits.tolist()):
+        if math.isnan(bound):
+            out.append(BracketFailure(f"the coefficients of the {fam} predicate "
+                                      f"overflow; no finite implied bound"))
+        elif math.isinf(bound):
+            out.append(BracketFailure(f"predicate of {fam} holds at every candidate "
+                                      f"up to {limit:.6g}; no finite implied bound"))
+        else:
+            out.append((bound, aux))
+    return out
+
+
+def _sqrt_bounds(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes,
+                 limits: np.ndarray) -> np.ndarray:
+    """The sqrt families' implied bounds: inf where the predicate holds up
+    to the limit, NaN where the coefficients overflow."""
+    n, vals = seq.n, pre.values
+    e = pre.shifts()
+    g = _coeff_g(vals, n, seq.p) if fam.name == SQRT else _coeff_g_p2(vals, n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        gsum = _shifted_sum(pre.masked(g), e, 2)
+        quartic = _slack_quartic(_shifted_sum(pre.masked(_sqrt_lhs_weight(vals, n)), e, 2),
+                                 gsum, _shifted_sum(pre.masked(_coeff_h(vals, n)), e, 1))
+    finite = np.isfinite(quartic).all(axis=1) & np.isfinite(gsum).all(axis=1)
+    lefts, probes = _intervals(
+        np.concatenate([_positive_real_roots(quartic[finite]),
+                        _positive_real_roots(gsum[finite])], axis=1),
+        pre.last[finite])
+    last = pre.last[finite, None]
+    live = last + lefts <= limits[finite, None]  # NaN ends compare False
+    rows, cols = np.nonzero(live)
+    fails = np.zeros(live.shape, dtype=bool)
+    fails[rows, cols] = ~evaluate_predicate(fam, seq, pre.lengths[finite][rows],
+                                            (last + probes)[rows, cols]).holds
+    first = np.argmax(fails, axis=1)
+    bounds = np.full(len(finite), math.nan)
+    bounds[finite] = np.where(fails.any(axis=1),
+                              last[:, 0] + lefts[np.arange(len(first)), first], math.inf)
+    return bounds
 
 
 def implied_bound(fam: BoundFamily, seq: EigenSequence, k: int,
                   actual: float | None = None) -> BoundResult:
-    """First candidate at which the predicate fails, from polynomial roots.
-
-    With x = c - Lambda_k the delta family fails where a quadratic is
-    positive (closed form, see delta_bounds). For the sqrt families both
-    sides are non-negative, so (1-eps) L <= 2 (1+eps) sqrt(G) sqrt(H), with
-    eps = INEQ_SLACK, fails exactly where the quartic
-    (1-eps)^2 L^2 - 4 (1+eps)^2 G H is positive; its real roots and those
-    of G (the max(., 0) clamp) cut [0, inf) into intervals, each is tested
-    once at an interior point with evaluate_predicate, and the bound is
-    Lambda_k plus the left end of the first failing one. BracketFailure
-    when no failure lies at or below Lambda_k 2^64."""
-    if fam.name not in _IMPLIED_FAMILIES:
-        raise FamilyMismatch(f"family {fam.name} has no implied bound")
-    _check_compat(fam, seq)
-    prefix = seq.prefix(k)
-    _guard_prefix(prefix, seq.n)
-    lam_k = float(prefix[-1])
-    limit = lam_k * 2.0**LIMIT_LOG2
-    if fam.name == DELTA:
-        bound = float(_delta_bound_fn(prefix, seq.n)(np.array([fam.delta]))[0])
-        aux = {"delta": fam.delta}
-    else:
-        bound = math.inf
-        for left, probe in _intervals(_sqrt_breakpoints(fam, seq, prefix), lam_k):
-            if lam_k + left > limit:
-                break
-            if not evaluate_predicate(fam, seq, k, lam_k + probe).holds:
-                bound = lam_k + left
-                break
-        aux = {}
-    if not math.isfinite(bound):
-        raise BracketFailure(
-            f"predicate of {fam} holds at every candidate up to {limit:.6g}; "
-            f"no finite implied bound"
-        )
-    return BoundResult(family=fam, k=k, bound=bound, aux=aux, actual=actual)
+    """First candidate at which the predicate fails, from polynomial roots
+    (see _implied_rows): the one-prefix case of the all-prefix pass."""
+    return _one_result(_implied_rows, fam, seq, k, actual)
 
 
 def _shifted_sum(w: np.ndarray, e: np.ndarray, power: int) -> np.ndarray:
-    """Coefficients in x, highest power first, of sum_i w_i (x + e_i)^power
-    for power 1 or 2."""
+    """Coefficients in x, highest power first, of each row's
+    sum_i w_i (x + e_i)^power for power 1 or 2, as an (R, power + 1) array;
+    w and e are zero past each row's prefix."""
+    we = w * e
     if power == 1:
-        return np.array([np.sum(w), np.sum(w * e)])
-    return np.array([np.sum(w), 2.0 * np.sum(w * e), np.sum(w * e * e)])
+        return np.stack([_rowsum(w), _rowsum(we)], axis=1)
+    return np.stack([_rowsum(w), 2.0 * _rowsum(we),
+                     _rowsum(we * e)], axis=1)
 
 
-def _sqrt_breakpoints(fam: BoundFamily, seq: EigenSequence,
-                      prefix: np.ndarray) -> np.ndarray:
-    """Positive real roots, in x = c - Lambda_k, of the squared sqrt-family
-    predicate and of the g-sum under its root. BracketFailure when either
-    polynomial's coefficients overflow the float range."""
-    n = seq.n
-    e = prefix[-1] - prefix
-    g = _coeff_g(prefix, n, seq.p) if fam.name == SQRT else _coeff_g_p2(prefix, n)
-    gsum = _shifted_sum(g, e, 2)
-    quartic = _slack_quartic(_shifted_sum(2.0 + (n - 2) / (prefix - (n - 2)), e, 2),
-                             gsum, _shifted_sum(_coeff_h(prefix, n), e, 1))
-    if not all(map(math.isfinite, quartic.tolist() + gsum.tolist())):
-        raise BracketFailure(
-            f"the coefficients of the {fam} predicate overflow; no finite implied bound"
-        )
-    return np.concatenate([_positive_real_roots(quartic), _positive_real_roots(gsum)])
+def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise product of polynomials given highest power first."""
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1))
+    for i in range(a.shape[1]):
+        out[:, i:i + b.shape[1]] += a[:, i, None] * b
+    return out
 
 
 def _slack_quartic(lsum: np.ndarray, gsum: np.ndarray,
                    hsum: np.ndarray) -> np.ndarray:
-    """(1-eps)^2 L^2 - 4 (1+eps)^2 G H, eps = INEQ_SLACK, from the
-    coefficients of L, G and H in x (highest power first, L and G of degree
-    2, H of degree 1). For L >= 0 it is positive exactly where
+    """(1-eps)^2 L^2 - 4 (1+eps)^2 G H, eps = INEQ_SLACK, row by row from
+    the coefficients of L, G and H in x (highest power first, L and G of
+    degree 2, H of degree 1). For L >= 0 it is positive exactly where
     (1-eps) L > 2 (1+eps) sqrt(G H)."""
-    quartic = (1.0 - INEQ_SLACK) ** 2 * np.convolve(lsum, lsum)
-    quartic[1:] -= 4.0 * (1.0 + INEQ_SLACK) ** 2 * np.convolve(gsum, hsum)
+    quartic = (1.0 - INEQ_SLACK) ** 2 * _poly_mul(lsum, lsum)
+    quartic[:, 1:] -= 4.0 * (1.0 + INEQ_SLACK) ** 2 * _poly_mul(gsum, hsum)
     return quartic
 
 
 def _positive_real_roots(coeffs: np.ndarray) -> np.ndarray:
-    roots = np.roots(coeffs)
-    real = roots[np.abs(roots.imag) <= 1e-8 * np.abs(roots)].real
-    return real[real > 0.0]
+    """Positive real roots of each row's polynomial (highest power first),
+    NaN-padded to the degree. As in np.roots, leading and trailing zero
+    coefficients are stripped first (a trailing zero is an exact root at
+    0, never positive) and the roots are the eigenvalues of the companion
+    matrix; rows that strip alike share one stacked eigvals call."""
+    rows, width = coeffs.shape
+    out = np.full((rows, width - 1), np.nan)
+    nonzero = coeffs != 0.0
+    lead = np.argmax(nonzero, axis=1)
+    tail = width - np.argmax(nonzero[:, ::-1], axis=1)
+    live = nonzero.any(axis=1) & (tail - lead > 1)
+    for first, end in set(zip(lead[live].tolist(), tail[live].tolist())):
+        pick = live & (lead == first) & (tail == end)
+        poly = coeffs[pick, first:end]
+        degree = end - first - 1
+        companion = np.zeros((len(poly), degree, degree))
+        companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
+        below = np.arange(degree - 1)
+        companion[:, below + 1, below] = 1.0
+        # a linear factor's root is its companion's one entry, -c1 / c0
+        roots = companion[:, :, 0] if degree == 1 else np.linalg.eigvals(companion)
+        real = np.where(np.abs(roots.imag) <= 1e-8 * np.abs(roots), roots.real, np.nan)
+        out[pick, :degree] = np.where(real > 0.0, real, np.nan)
+    return out
 
 
-def _intervals(breakpoints: np.ndarray, lam_k: float):
-    """(left end, interior point) of each interval into which the sorted
-    positive breakpoints cut [0, inf)."""
-    edges = [0.0] + sorted(set(breakpoints.tolist()))
-    for left, right in zip(edges, edges[1:]):
-        yield left, 0.5 * (left + right)
-    last = edges[-1]
-    yield last, last + max(last, lam_k, 1.0)
+def _intervals(breakpoints: np.ndarray, scale: np.ndarray):
+    """(left ends, interior points) of the intervals into which each row's
+    distinct positive breakpoints (NaN-padded) cut [0, inf), as two
+    (R, m + 1) arrays, NaN past a row's last interval. That last interval
+    is probed at last + max(last, scale, 1)."""
+    edges = np.sort(breakpoints, axis=1)  # NaN sorts last
+    edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = np.nan
+    edges = np.sort(edges, axis=1)
+    lefts = np.concatenate([np.zeros((len(edges), 1)), edges], axis=1)
+    rights = np.concatenate([edges, np.full((len(edges), 1), np.nan)], axis=1)
+    probes = np.where(np.isnan(rights),
+                      lefts + np.maximum(np.maximum(lefts, scale[:, None]), 1.0),
+                      0.5 * (lefts + rights))
+    return lefts, probes
 
 
 def _first_positive(a, b, c):
@@ -419,128 +546,176 @@ def _first_positive(a, b, c):
     return np.where(c > 0.0, 0.0, x)
 
 
-def _delta_bound_fn(prefix: np.ndarray, n: int):
-    """The delta family's implied bound for this prefix as a function of an
-    array of deltas (inf where the predicate holds up to Lambda_k 2^64).
-    The predicate fails where (1-eps) lhs - (1+eps) rhs > 0, a quadratic in
-    x = c - Lambda_k whose delta-free sums are formed once here."""
-    lam_k = float(prefix[-1])
-    limit = lam_k * 2.0**LIMIT_LOG2
-    e = lam_k - prefix
-    powers = np.stack([np.ones_like(e), e, e * e], axis=1)  # rows 1, e_i, e_i^2
-    lhs = 2.0 * np.sum(powers, axis=0) * [1.0, 2.0, 1.0]
-    h_sums = _coeff_h(prefix, n) @ powers[:, :2]
-    lo, hi = 1.0 - INEQ_SLACK, 1.0 + INEQ_SLACK
+_BLOCK = 1 << 16  # elements of one (rows, deltas, eigenvalues) temporary
 
-    def bounds(deltas: np.ndarray) -> np.ndarray:
-        d = deltas[:, None]
+
+class _DeltaTerms(NamedTuple):
+    """The delta-free sums of the delta family's quadratic for some
+    prefixes, with x and e_i in units of Lambda_k and h_i in units of
+    Lambda_k^2, so neither tiny nor huge eigenvalues under- or overflow
+    them."""
+
+    pre: _Prefixes
+    powers: np.ndarray  # (R, 3, K): 1, e_i and e_i^2 on each prefix
+    lhs: np.ndarray  # (R, 3): coefficients in x of 2 sum_i (x + e_i)^2
+    h_sums: np.ndarray  # (R, 2): sum_i h_i and sum_i h_i e_i
+
+    def take(self, rows) -> _DeltaTerms:
+        return _DeltaTerms(self.pre.take(rows), self.powers[rows], self.lhs[rows],
+                           self.h_sums[rows])
+
+
+def _delta_terms(pre: _Prefixes) -> _DeltaTerms:
+    e = pre.shifts(unit=True)
+    powers = np.stack([pre.mask.astype(float), e, e * e], axis=1)
+    h = pre.masked(_coeff_h(pre.values, pre.n) / pre.last[:, None])
+    return _DeltaTerms(pre, powers, 2.0 * _rowsum(powers) * [1.0, 2.0, 1.0],
+                       np.array([_rowsum(h), _rowsum(h * e)]).T)
+
+
+def _delta_closed_form(terms: _DeltaTerms, deltas: np.ndarray) -> np.ndarray:
+    """The delta family's implied bound for each prefix (row) at each delta
+    of its row of deltas, an (R, D) or (1, D) array; inf where the
+    predicate holds up to Lambda_k 2^64. The predicate fails where
+    (1-eps) lhs - (1+eps) rhs > 0, a quadratic in x = c - Lambda_k. Rows
+    are evaluated in blocks of at most _BLOCK elements per temporary, which
+    a row's value does not depend on."""
+    n, vals, last = terms.pre.n, terms.pre.values, terms.pre.last[:, None]
+    deltas = np.broadcast_to(deltas, (len(last), deltas.shape[1]))
+    lo, hi = 1.0 - INEQ_SLACK, 1.0 + INEQ_SLACK
+    out = np.empty(deltas.shape)
+    step = max(1, _BLOCK // max(1, deltas.shape[1] * len(vals)))
+    for rows in (slice(i, i + step) for i in range(0, len(last), step)):
+        d = deltas[rows]
+        weight = _delta_weight(vals, n, d[:, :, None])  # (r, D, K)
+        m_sums = [_rowsum(weight * terms.powers[rows, None, j]) for j in range(3)]
         # the quadratic is divided by max(d, 1/d) so that no coefficient can
         # overflow: with r = min(d, 1/d) the lhs, d-weighted and h / d sums
         # carry the factors r, d r and r / d, each at most 1
         large = d >= 1.0
         r = np.where(large, 1.0 / np.maximum(d, 1.0), d)
-        l_part = r * lhs
-        m_part = np.where(large, 1.0, r * r) * (_delta_weight(prefix, n, d) @ powers)
-        h_part = np.where(large, r * r, 1.0) * h_sums
-        a = lo * l_part[:, 0] - hi * m_part[:, 0]
-        b = lo * l_part[:, 1] - hi * (2.0 * m_part[:, 1] + h_part[:, 0])
-        c = lo * l_part[:, 2] - hi * (m_part[:, 2] + h_part[:, 1])
-        x = lam_k + _first_positive(a, b, c)
-        return np.where(x <= limit, x, math.inf)
+        m_scale = np.where(large, 1.0, r * r)
+        h_scale = np.where(large, r * r, 1.0)
+        l_part, h_part = terms.lhs[rows, None, :], terms.h_sums[rows, None, :]
+        a = lo * (r * l_part[..., 0]) - hi * (m_scale * m_sums[0])
+        b = (lo * (r * l_part[..., 1])
+             - hi * (2.0 * (m_scale * m_sums[1]) + h_scale * h_part[..., 0]))
+        c = (lo * (r * l_part[..., 2])
+             - hi * (m_scale * m_sums[2] + h_scale * h_part[..., 1]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[rows] = last[rows] + last[rows] * _first_positive(a, b, c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(out <= last * 2.0**LIMIT_LOG2, out, math.inf)
 
-    return bounds
 
-
-def delta_bounds(seq: EigenSequence, k: int, deltas) -> np.ndarray:
+def delta_bounds(seq: EigenSequence, k, deltas) -> np.ndarray:
     """The delta family's implied bound at every delta of an array, in
     closed form; +inf where the predicate has no failure at or below
-    Lambda_k 2^64 (where implied_bound raises BracketFailure)."""
+    Lambda_k 2^64 (where implied_bound raises BracketFailure). k is a
+    prefix length, or a 1-D array of them for one row of bounds each."""
     _check_compat(family(DELTA_OPT), seq)
     deltas = np.asarray(deltas, dtype=float).ravel()
     if not np.all(np.isfinite(deltas) & (deltas > 0.0)):
         raise ValidationError("every delta must be a positive finite real")
-    prefix = seq.prefix(k)
-    _guard_prefix(prefix, seq.n)
-    return _delta_bound_fn(prefix, seq.n)(deltas)
+    pre = _prefixes(seq, k)
+    _guard(seq)
+    bounds = _delta_closed_form(_delta_terms(pre), deltas[None, :])
+    return bounds if np.ndim(k) else bounds[0]
+
+
+def _disc_roots(s: np.ndarray, t: np.ndarray):
+    """S^2 - T, sqrt(max(S^2 - T, 0)) and where S^2 - T lies below
+    -DISC_SLACK S^2, which no genuine eigenvalue prefix gives."""
+    disc = s * s - t
+    return disc, np.sqrt(np.maximum(disc, 0.0)), disc < -DISC_SLACK * s * s
+
+
+_CLOSED_FORM_FAMILIES = (QUADRATIC, GAP, SPHERE_CLAMPED, EUCLIDEAN_MEMBRANE,
+                         EUCLIDEAN_CLAMPED, EUCLIDEAN_BUCKLING_P2, EUCLIDEAN_BUCKLING)
+
+
+def _closed_form_rows(fam: BoundFamily, seq: EigenSequence, ks) -> list:
+    """closed_form_bound's (bound, aux) or error for every prefix length of
+    ks: the averaged (S, T) bounds and the quadratic larger-root families.
+    Every family's coefficients are per eigenvalue, so they are formed once
+    for the whole sequence."""
+    _check_compat(fam, seq)
+    pre = _prefixes(seq, ks)
+    if fam.name not in _CLOSED_FORM_FAMILIES:
+        raise FamilyMismatch(f"family {fam.name} has no closed-form bound")
+    k = pre.lengths
+    # huge eigenvalues overflow the sums to inf and the bound to NaN, as one
+    # prefix at a time did, and a prefix its caller never reaches must not
+    # warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        if fam.name in (QUADRATIC, GAP):
+            s, t = _quadratic_terms(seq, pre)
+            auxes = [{"S": s_k, "T": t_k} for s_k, t_k in zip(s.tolist(), t.tolist())]
+        else:
+            vals, coeffs = pre.values, _root_coeffs(fam, pre.values, seq.n, seq.p)
+            s = (2.0 * _rowsum(pre.masked(vals))
+                 + _rowsum(pre.masked(coeffs))) / (2 * k)
+            t = (_rowsum(pre.masked(vals**2))
+                 + _rowsum(pre.masked(coeffs * vals))) / k
+            auxes = [{}] * len(k)
+        disc, root, negative = _disc_roots(s, t)
+        bounds = pre.last + 2.0 * root if fam.name == GAP else s + root
+        low = bounds < pre.last * (1.0 - 1e-12)
+    out = []
+    for row, aux in enumerate(auxes):
+        if negative[row]:
+            out.append(DiscriminantNegative(
+                f"S^2 - T = {disc[row]:.6g} < 0 (S = {s[row]:.6g}, T = {t[row]:.6g}); "
+                f"the inputs cannot be a genuine eigenvalue prefix"))
+        elif low[row]:
+            out.append(DomainError(
+                f"bound {bounds[row]:.6g} fell below the k-th eigenvalue "
+                f"{pre.last[row]:.6g}; the inputs are not a genuine spectrum prefix"))
+        else:
+            out.append((float(bounds[row]), aux))
+    return out
+
+
+def _root_coeffs(fam: BoundFamily, vals: np.ndarray, n: int, p: int) -> np.ndarray:
+    """Per-eigenvalue coefficients c_i of the larger-root families."""
+    if fam.name == SPHERE_CLAMPED:
+        roots = vals ** (1.0 / p)
+        bracket = (roots + n) ** p - vals
+        c_extra = 2**p - (p + 1)
+        if c_extra:
+            bracket = bracket + 4.0 * c_extra * roots * (roots + n) ** (p - 2)
+        tail = (roots if fam.use_lambda_i else roots[0]) + n * n / 4.0
+        return 4.0 / (n * n) * bracket * tail
+    if fam.name == EUCLIDEAN_MEMBRANE:
+        return 4.0 / n * vals
+    if fam.name == EUCLIDEAN_CLAMPED:
+        return 4.0 * p * (2 * p + n - 2) / (n * n) * vals
+    if fam.name == EUCLIDEAN_BUCKLING_P2:
+        return 4.0 * (n + 2) / (n * n) * vals
+    # EUCLIDEAN_BUCKLING
+    return 4.0 * (p - 1) * (n + 2 * p - 2) / (n * n) * vals ** ((2 * p - 3) / (p - 1))
 
 
 def closed_form_bound(fam: BoundFamily, seq: EigenSequence, k: int,
                       actual: float | None = None) -> BoundResult:
     """Closed-form families: the averaged (S, T) bounds and the quadratic
-    larger-root families."""
-    _check_compat(fam, seq)
-    prefix = seq.prefix(k)
-    n, p = seq.n, seq.p
-    if fam.name in (QUADRATIC, GAP):
-        s, t = quadratic_terms(seq, k)
-        root = _disc_root(s, t)
-        if fam.name == QUADRATIC:
-            bound = s + root
-        else:
-            bound = float(prefix[-1]) + 2.0 * root
-        result = BoundResult(family=fam, k=k, bound=bound,
-                             aux={"S": s, "T": t}, actual=actual)
-    elif fam.name == SPHERE_CLAMPED:
-        roots = prefix ** (1.0 / p)
-        bracket = (roots + n) ** p - prefix
-        c_extra = 2**p - (p + 1)
-        if c_extra:
-            bracket = bracket + 4.0 * c_extra * roots * (roots + n) ** (p - 2)
-        tail = (roots if fam.use_lambda_i else roots[0]) + n * n / 4.0
-        coeffs = 4.0 / (n * n) * bracket * tail
-        result = _quadratic_root_result(fam, k, prefix, coeffs, actual)
-    elif fam.name == EUCLIDEAN_MEMBRANE:
-        result = _quadratic_root_result(fam, k, prefix, 4.0 / n * prefix, actual)
-    elif fam.name == EUCLIDEAN_CLAMPED:
-        coeff = 4.0 * p * (2 * p + n - 2) / (n * n)
-        result = _quadratic_root_result(fam, k, prefix, coeff * prefix, actual)
-    elif fam.name == EUCLIDEAN_BUCKLING_P2:
-        coeff = 4.0 * (n + 2) / (n * n)
-        result = _quadratic_root_result(fam, k, prefix, coeff * prefix, actual)
-    elif fam.name == EUCLIDEAN_BUCKLING:
-        coeff = 4.0 * (p - 1) * (n + 2 * p - 2) / (n * n)
-        powers = prefix ** ((2 * p - 3) / (p - 1))
-        result = _quadratic_root_result(fam, k, prefix, coeff * powers, actual)
-    else:
-        raise FamilyMismatch(f"family {fam.name} has no closed-form bound")
-    if result.bound < float(prefix[-1]) * (1.0 - 1e-12):
-        raise DomainError(
-            f"bound {result.bound:.6g} fell below the k-th eigenvalue "
-            f"{prefix[-1]:.6g}; the inputs are not a genuine spectrum prefix"
-        )
-    return result
+    larger-root families; the one-prefix case of the all-prefix pass."""
+    return _one_result(_closed_form_rows, fam, seq, k, actual)
 
 
-def _disc_root(s: float, t: float) -> float:
-    disc = s * s - t
-    if disc < -DISC_SLACK * s * s:
-        raise DiscriminantNegative(
-            f"S^2 - T = {disc:.6g} < 0 (S = {s:.6g}, T = {t:.6g}); "
-            f"the inputs cannot be a genuine eigenvalue prefix"
-        )
-    return math.sqrt(max(disc, 0.0))
-
-
-def _quadratic_root_result(fam, k, prefix, coeffs, actual):
-    s = float((2.0 * np.sum(prefix) + np.sum(coeffs)) / (2 * k))
-    t = float((np.sum(prefix**2) + np.sum(coeffs * prefix)) / k)
-    return BoundResult(family=fam, k=k, bound=s + _disc_root(s, t),
-                       aux={}, actual=actual)
-
-
-def _delta_weight_slope(prefix: np.ndarray, n: int, d: float) -> np.ndarray:
+def _delta_weight_slope(values: np.ndarray, n: int, d) -> np.ndarray:
     """d/d delta of delta * _delta_weight: with c = n - 2,
     lambda + (1 - c/lambda) (1 - (c / (delta lambda + c))^2) / 4. It rises
     from lambda as delta -> 0 to lambda + (1 - c/lambda) / 4 as delta -> inf,
     and is lambda + 1/4 at every delta when n = 2."""
     c = n - 2
-    return prefix + (1.0 - c / prefix) * (1.0 - (c / (d * prefix + c)) ** 2) / 4.0
+    return values + (1.0 - c / values) * (1.0 - (c / (d * values + c)) ** 2) / 4.0
 
 
-def _delta_seed(prefix: np.ndarray, n: int) -> float | None:
-    """log10 of the best delta with the delta weights frozen at their
-    large-delta limit W_i = lambda_i + (1 - (n-2)/lambda_i) / 4, or None if
-    that frozen family has no failure at or below Lambda_k 2^64.
+def _delta_seeds(pre: _Prefixes) -> np.ndarray:
+    """Per prefix, log10 of the best delta with the delta weights frozen at
+    their large-delta limit W_i = lambda_i + (1 - (n-2)/lambda_i) / 4, or
+    NaN if that frozen family has no failure at or below Lambda_k 2^64.
 
     Frozen, the predicate fails where (1-eps) L > (1+eps) (delta M + H/delta)
     with L = 2 sum d_i^2, M = sum W_i d_i^2, H = sum h_i d_i, d_i = x + e_i.
@@ -550,89 +725,70 @@ def _delta_seed(prefix: np.ndarray, n: int) -> float | None:
     seed is the optimum itself. x, e_i and H are taken in units of Lambda_k
     (H in units of Lambda_k^2), so neither tiny nor huge eigenvalues under-
     or overflow the coefficients."""
-    lam_k = float(prefix[-1])
-    e = (lam_k - prefix) / lam_k
-    rows = np.stack([np.full_like(prefix, 2.0),
-                     prefix + (1.0 - (n - 2) / prefix) / 4.0,
-                     _coeff_h(prefix, n) / lam_k])  # L, M and H weights
-    sums = rows @ np.stack([np.ones_like(e), e, e * e], axis=1)
-    lsum, msum = sums[:2] * [1.0, 2.0, 1.0]
-    quartic = _slack_quartic(lsum, msum, sums[2, :2])
-    if not np.all(np.isfinite(quartic)):
-        return None
-    # x = 0 is probed on its own: a prefix that fails there needs no root,
-    # and np.roots can lose small roots when the coefficients span decades
-    lefts, probes = np.array(
-        [(0.0, 0.0)] + list(_intervals(_positive_real_roots(quartic), 1.0))).T
-    keep = 1.0 + lefts <= 2.0**LIMIT_LOG2
-    # rows of d: the kept left ends, then their probes; sums in d-form
-    d = np.concatenate([lefts[keep], probes[keep]])[:, None] + e
+    n, vals = pre.n, pre.values
+    e = pre.shifts(unit=True)
+    weights = [pre.masked(2.0), pre.masked(vals + (1.0 - (n - 2) / vals) / 4.0),
+               pre.masked(_coeff_h(vals, n) / pre.last[:, None])]  # L, M and H
     with np.errstate(over="ignore", invalid="ignore"):
-        lm = (d * d) @ rows[:2].T
-        hs = d @ rows[2]
-        fails = ((1.0 - INEQ_SLACK) * lm[:, 0]
-                 > 2.0 * (1.0 + INEQ_SLACK) * np.sqrt(lm[:, 1] * hs))
-    fails = fails[len(d) // 2:]
-    if not fails.any():
-        return None
-    at = np.argmax(fails)
-    return 0.5 * math.log10(hs[at] / lm[at, 1])
+        quartic = _slack_quartic(_shifted_sum(weights[0], e, 2),
+                                 _shifted_sum(weights[1], e, 2),
+                                 _shifted_sum(weights[2], e, 1))
+    finite = np.isfinite(quartic).all(axis=1)
+    roots = np.full((len(e), quartic.shape[1] - 1), np.nan)
+    roots[finite] = _positive_real_roots(quartic[finite])
+    lefts, probes = _intervals(roots, np.ones(len(e)))
+    # x = 0 is probed on its own: a prefix that fails there needs no root,
+    # and the roots can lose small ones when the coefficients span decades
+    lefts = np.concatenate([np.zeros((len(e), 1)), lefts], axis=1)
+    probes = np.concatenate([np.zeros((len(e), 1)), probes], axis=1)
+    keep = finite[:, None] & (1.0 + lefts <= 2.0**LIMIT_LOG2)
+
+    def sums(x):
+        """The L, M and H sums at the points x, an (R, m) array, in d-form."""
+        d = np.where(pre.mask[:, None, :], x[:, :, None] + e[:, None, :], 0.0)
+        dd = d * d
+        return (_rowsum(dd * weights[0][:, None, :]), _rowsum(dd * weights[1][:, None, :]),
+                _rowsum(d * weights[2][:, None, :]))
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        lsum, msum, hsum = sums(probes)
+        fails = keep & ((1.0 - INEQ_SLACK) * lsum
+                        > 2.0 * (1.0 + INEQ_SLACK) * np.sqrt(msum * hsum))
+        # the seed is taken at the left end of the first failing interval
+        _, msum, hsum = sums(lefts[np.arange(len(e)), np.argmax(fails, axis=1), None])
+        seeds = 0.5 * np.log10(hsum[:, 0] / msum[:, 0])
+    return np.where(fails.any(axis=1), seeds, np.nan)
 
 
-def best_delta_bound(seq: EigenSequence, k: int,
-                     actual: float | None = None) -> BoundResult:
-    """Minimize the delta family's implied bound over delta in [1e-6, 1e6].
+def _delta_points(terms: _DeltaTerms, ts: np.ndarray) -> list:
+    """(t, bound, residual, delta) of the delta-opt search at log10 delta
+    ts[i] for prefix i, the residual None where there is no bound; d_i are
+    taken in units of the bound, so no square under- or overflows."""
+    pre, deltas = terms.pre, 10.0**ts
+    bounds = _delta_closed_form(terms, deltas[:, None])[:, 0]
+    finite = np.isfinite(bounds)
+    at = np.where(finite, bounds, 1.0)[:, None]
+    d = pre.masked((at - pre.values) / at)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        slope = _rowsum(d * d * _delta_weight_slope(pre.values, pre.n, deltas[:, None]))
+        ratio = slope / _rowsum(pre.masked(_coeff_h(pre.values, pre.n)) * d)
+        residuals = 2.0 * LN10 * ts + np.log(ratio) + np.log(at[:, 0])
+    return [(t, bound, residual if ok else None, delta) for t, bound, residual, delta, ok
+            in zip(ts.tolist(), bounds.tolist(), residuals.tolist(), deltas.tolist(),
+                   finite.tolist())]
 
-    The bound Lambda_k + x(delta) is the first failure of
-    (1-eps) L(x) > (1+eps) R(x, delta), R = sum_i d_i^2 delta w_i(delta)
-    + H(x)/delta (see _delta_bound_fn). By the envelope theorem x(delta)
-    moves with the sign of dR/d delta at (x(delta), delta), and each term of
-    R is convex in delta, so where x(delta) has one minimum (on every
-    stored spectrum) it lies at the root of that derivative. The root is
-    found in t = log10 delta on the sign-equivalent residual
-    log(delta^2 sum_i d_i^2 w_i'(delta) / H), whose slope is about 2 ln 10:
-    a chord step from _delta_seed (already the optimum at n = 2), secant
-    steps until the sign changes, then Illinois regula falsi, to
-    DELTA_ROOT_TOL. Every point is the closed form at one delta, so the
-    bound is the delta family's own bound at delta_star. A root past an end
-    of the range is clamped to that end. BracketFailure when the seed's
-    frozen-weight family has no finite bound, or the closed form has none
-    at the (clamped) seed."""
-    _check_compat(family(DELTA_OPT), seq)
-    prefix = seq.prefix(k)
-    n = seq.n
-    _guard_prefix(prefix, n)
-    bounds = _delta_bound_fn(prefix, n)
-    h = _coeff_h(prefix, n)
+
+def _delta_search(seed: float):
+    """The delta-opt root search for one prefix, as a generator: it yields
+    each log10 delta to evaluate, is sent back its point (t, bound,
+    residual, delta), and returns the chosen point or raises
+    BracketFailure (see best_delta_bound)."""
     lo_t, hi_t = DELTA_LOG_RANGE
-
-    def point(t):
-        """(t, bound, residual), the residual None where there is no bound;
-        d_i are taken in units of the bound, so no square under- or
-        overflows."""
-        delta = 10.0**t
-        bound = float(bounds(np.array([delta]))[0])
-        if not math.isfinite(bound):
-            return t, bound, None
-        d = (bound - prefix) / bound
-        ratio = np.dot(d * d, _delta_weight_slope(prefix, n, delta)) / np.dot(h, d)
-        return t, bound, 2.0 * LN10 * t + math.log(ratio) + math.log(bound)
-
-    def result(best):
-        return BoundResult(family=family(DELTA_OPT), k=k, bound=best[1],
-                           aux={"delta_star": 10.0**best[0]}, actual=actual)
-
-    seed = _delta_seed(prefix, n)
-    if seed is None:
-        raise BracketFailure(
-            "the delta family has no finite implied bound even with its "
-            "weights at their large-delta limit"
-        )
-    inner = point(min(max(seed, lo_t), hi_t))
+    inner = yield min(max(seed, lo_t), hi_t)
     if inner[2] is None:
         raise BracketFailure(
             f"the delta family has no finite implied bound at delta = "
-            f"{10.0**inner[0]:.6g}, where its large-delta form is least"
+            f"{inner[3]:.6g}, where its large-delta form is least"
         )
     # step from the seed (a chord step, then secant extrapolation) until the
     # residual changes sign or the bound is lost; a root past an end of the
@@ -641,8 +797,8 @@ def best_delta_bound(seq: EigenSequence, k: int,
     while True:
         t = min(max(inner[0] + step, lo_t), hi_t)
         if abs(t - inner[0]) <= DELTA_ROOT_TOL:
-            return result(inner)
-        outer = point(t)
+            return inner
+        outer = yield t
         if outer[2] is None or (outer[2] > 0.0) != (inner[2] > 0.0):
             break
         rise = inner[2] - outer[2]
@@ -658,12 +814,12 @@ def best_delta_bound(seq: EigenSequence, k: int,
         else:
             t = (inner[0] * fb - outer[0] * fa) / (fb - fa)
         if abs(t - last[0]) <= DELTA_ROOT_TOL:
-            return result(last if last[2] is not None else inner)
-        last = point(t)
+            return last if last[2] is not None else inner
+        last = yield t
         if last[2] is None:
             outer, fb, side = last, None, 0
         elif last[2] == 0.0:
-            return result(last)
+            return last
         elif (last[2] > 0.0) == (inner[2] > 0.0):
             inner, fa = last, last[2]
             if side == 1 and fb is not None:
@@ -674,6 +830,99 @@ def best_delta_bound(seq: EigenSequence, k: int,
             if side == -1:
                 fa *= 0.5
             side = -1
+
+
+def _delta_opt_rows(fam: BoundFamily, seq: EigenSequence, ks) -> list:
+    """best_delta_bound's (bound, aux) or error for every prefix length of
+    ks. The searches run in lockstep: each round evaluates the closed form
+    once for every prefix whose search is still open."""
+    _check_compat(fam, seq)
+    pre = _prefixes(seq, ks)
+    _guard(seq)
+    out = [None] * len(pre.lengths)
+    open_rows = {}  # row -> (search, the log10 delta it asks for)
+    for row, seed in enumerate(_delta_seeds(pre).tolist()):
+        if math.isnan(seed):
+            out[row] = BracketFailure(
+                "the delta family has no finite implied bound even with its "
+                "weights at their large-delta limit")
+        else:
+            search = _delta_search(seed)
+            open_rows[row] = search, next(search)
+    terms = _delta_terms(pre)
+    while open_rows:
+        rows = list(open_rows)
+        points = _delta_points(terms.take(rows),
+                               np.array([open_rows[row][1] for row in rows]))
+        for row, point in zip(rows, points):
+            search = open_rows.pop(row)[0]
+            try:
+                open_rows[row] = search, search.send(point)
+            except StopIteration as done:
+                out[row] = done.value[1], {"delta_star": done.value[3]}
+            except BracketFailure as error:
+                out[row] = error
+    return out
+
+
+def best_delta_bound(seq: EigenSequence, k: int,
+                     actual: float | None = None) -> BoundResult:
+    """Minimize the delta family's implied bound over delta in [1e-6, 1e6].
+
+    The bound Lambda_k + x(delta) is the first failure of
+    (1-eps) L(x) > (1+eps) R(x, delta), R = sum_i d_i^2 delta w_i(delta)
+    + H(x)/delta (see _delta_closed_form). By the envelope theorem x(delta)
+    moves with the sign of dR/d delta at (x(delta), delta), and each term of
+    R is convex in delta, so where x(delta) has one minimum (on every
+    stored spectrum) it lies at the root of that derivative. The root is
+    found in t = log10 delta on the sign-equivalent residual
+    log(delta^2 sum_i d_i^2 w_i'(delta) / H), whose slope is about 2 ln 10:
+    a chord step from _delta_seeds (already the optimum at n = 2), secant
+    steps until the sign changes, then Illinois regula falsi, to
+    DELTA_ROOT_TOL. Every point is the closed form at one delta, so the
+    bound is the delta family's own bound at delta_star. A root past an end
+    of the range is clamped to that end. BracketFailure when the seed's
+    frozen-weight family has no finite bound, or the closed form has none
+    at the (clamped) seed. The one-prefix case of the all-prefix pass."""
+    return _one_result(_delta_opt_rows, family(DELTA_OPT), seq, k, actual)
+
+
+def _one_result(rows, fam: BoundFamily, seq: EigenSequence, k: int,
+                actual) -> BoundResult:
+    """A per-k entry point: the one-prefix case of the all-prefix pass
+    rows."""
+    outcome = rows(fam, seq, _one_prefix(seq, k))[0]
+    if isinstance(outcome, CapspecError):
+        raise outcome
+    bound, aux = outcome
+    return BoundResult(family=fam, k=k, bound=bound, aux=aux, actual=actual)
+
+
+def _rows_kernel(fam: BoundFamily):
+    if fam.name in _IMPLIED_FAMILIES:
+        return _implied_rows
+    if fam.name == DELTA_OPT:
+        return _delta_opt_rows
+    return _closed_form_rows
+
+
+def evaluate_bounds(fam: BoundFamily, seq: EigenSequence, ks,
+                    actuals=None) -> list:
+    """evaluate_bound at every prefix length of ks (with the matching entry
+    of actuals), in array passes over all of them. One entry per k: its
+    BoundResult, or the error evaluate_bound raises at that k; an error of
+    the whole family, such as a problem mismatch, fills every entry. So a
+    caller can raise errors in its own order."""
+    lengths = np.atleast_1d(ks).tolist()
+    actuals = [None] * len(lengths) if actuals is None else list(actuals)
+    try:
+        outcomes = _rows_kernel(fam)(fam, seq, ks)
+    except CapspecError as error:
+        return [error] * len(lengths)
+    return [outcome if isinstance(outcome, CapspecError)
+            else BoundResult(family=fam, k=k, bound=outcome[0], aux=outcome[1],
+                             actual=actual)
+            for outcome, k, actual in zip(outcomes, lengths, actuals)]
 
 
 def evaluate_bound(fam: BoundFamily, seq: EigenSequence, k: int,

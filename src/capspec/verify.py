@@ -22,7 +22,7 @@ from .bounds import (
     BoundResult,
     EigenSequence,
     delta_bounds,
-    evaluate_bound,
+    evaluate_bounds,
     family,
 )
 from .errors import GuardViolation, ValidationError
@@ -80,11 +80,16 @@ def check_spectrum(spec, families) -> VerificationReport:
                 f"family {fam.name} requires the smallest eigenvalue to exceed "
                 f"n - 2 = {seq.n - 2}; got {seq.values[0]:.6g}"
             )
+    ks = range(1, len(seq))
+    # one all-prefix pass per family; an error surfaces at its (k, family)
+    # in row order, as a per-row evaluation would raise it
+    per_family = [evaluate_bounds(fam, seq, ks, seq.values[1:]) for fam in families]
     rows = []
-    for k in range(1, len(seq)):
+    for k, results in zip(ks, zip(*per_family)):
         actual = seq.values[k]
-        for fam in families:
-            result = evaluate_bound(fam, seq, k, actual=actual)
+        for result in results:
+            if isinstance(result, Exception):
+                raise result
             holds = actual <= result.bound + HOLDS_SLACK * actual
             rows.append(ReportRow(k=k, actual=actual, result=result, holds=holds))
     margins = [r.result.margin for r in rows]
@@ -151,9 +156,10 @@ def compare_sharpness(spec, delta_grid=(1e-3, 1e3, 32)) -> SharpnessReport:
     deltas = np.logspace(math.log10(lo), math.log10(hi), count)
     verification = check_spectrum(seq, map(family, ORDER_TWO_FAMILIES))
     per_k = np.array([r.result.bound for r in verification.rows]).reshape(-1, 3)
+    grid = delta_bounds(seq, np.arange(1, len(seq)), deltas)  # one row per k
     rows = []
-    for k, (sqrt_bound, _, p2_bound) in enumerate(per_k.tolist(), start=1):
-        grid_bounds = delta_bounds(seq, k, deltas)
+    for k, (sqrt_bound, _, p2_bound), grid_bounds in zip(
+            range(1, len(seq)), per_k.tolist(), grid):
         slack = DOMINANCE_SLACK * max(1.0, sqrt_bound)
         rows.append(SharpnessRow(
             k=k,

@@ -8,6 +8,7 @@ integer evaluation of the five terms).
 import contextlib
 import math
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
@@ -25,6 +26,7 @@ from capspec.bounds import (
     default_families,
     delta_bounds,
     evaluate_bound,
+    evaluate_bounds,
     evaluate_predicate,
     family,
     implied_bound,
@@ -32,9 +34,10 @@ from capspec.bounds import (
     sphere_buckling_factor,
 )
 from capspec import bounds as bounds_module
-from capspec.bounds import _disc_root, _first_positive
+from capspec.bounds import _disc_roots, _first_positive
 from capspec.errors import (
     BracketFailure,
+    CapspecError,
     DiscriminantNegative,
     DomainError,
     FamilyMismatch,
@@ -254,6 +257,21 @@ def bound_or_inf(fam, seq, k):
         return math.inf
 
 
+def exact_delta_excess(values, n, delta, candidate):
+    """(1-eps) lhs - (1+eps) rhs of the delta family's predicate at the
+    candidate, eps = INEQ_SLACK, in exact rational arithmetic on the given
+    floats; positive exactly where the predicate fails."""
+    c, d = Fraction(candidate), Fraction(delta)
+    eps = Fraction(bounds_module.INEQ_SLACK)
+    lhs = rhs = Fraction(0)
+    for lam in map(Fraction, values):
+        diff = c - lam
+        weight = lam + (lam - (n - 2)) / (4 * (lam + (n - 2) / d))
+        lhs += 2 * diff * diff
+        rhs += diff * diff * d * weight + diff * (lam + Fraction((n - 2) ** 2, 4)) / d
+    return (1 - eps) * lhs - (1 + eps) * rhs
+
+
 class TestRootsAgainstBisection:
     def test_random_prefixes(self):
         rng = np.random.RandomState(21)
@@ -328,6 +346,24 @@ class TestRootsAgainstBisection:
         coeffs = np.array([c for c, _ in cases]).T
         got = _first_positive(*coeffs)
         assert got.tolist() == pytest.approx([want for _, want in cases], rel=1e-15)
+
+    @pytest.mark.parametrize("values,n,delta", [
+        ((1e-300,), 2, 4.0),  # its coefficients once underflowed to 1.125e-300
+        ((1e-300,), 2, 0.25),
+        ((1e-200, 2e-200, 3e-200), 2, 0.25),
+        ((1.0,), 2, 0.8),
+        ((6.0, 10.7, 10.7), 2, 0.1),
+        ((1.5, 2.0, 2.5), 3, 0.5),
+        ((2.5, 3.0, 3.2), 4, 0.25),
+    ])
+    def test_delta_closed_form_against_exact_predicate(self, values, n, delta):
+        # the predicate, in exact rational arithmetic, holds just below the
+        # closed-form bound and fails just above it
+        seq = buck(values, n=n)
+        bound = float(delta_bounds(seq, len(values), [delta])[0])
+        assert bound > values[-1] * (1.0 + 1e-6)
+        assert exact_delta_excess(values, n, delta, bound * (1.0 - 1e-11)) <= 0
+        assert exact_delta_excess(values, n, delta, bound * (1.0 + 1e-11)) > 0
 
     def test_delta_array_validated(self):
         with pytest.raises(ValidationError):
@@ -506,9 +542,9 @@ class TestClosedForms:
                               buck((0.2, 1.0)), 2)
 
     def test_discriminant_clamp_window(self):
-        assert _disc_root(1.0, 1.0 + 5e-13) == 0.0
-        with pytest.raises(DiscriminantNegative):
-            _disc_root(1.0, 1.0 + 5e-12)
+        _, root, negative = _disc_roots(np.ones(2), np.array([1.0 + 5e-13, 1.0 + 5e-12]))
+        assert root[0] == 0.0
+        assert negative.tolist() == [False, True]
 
 
 class TestDeltaOptimizer:
@@ -577,19 +613,16 @@ def golden_section_delta_opt(seq, k):
 
 @contextlib.contextmanager
 def counted_closed_forms():
-    """Yields a list that gets one entry per closed-form delta evaluation."""
+    """Yields a list that gets one entry per closed-form delta evaluation:
+    the prefix lengths that call evaluated, one per row."""
     calls = []
-    real = bounds_module._delta_bound_fn
+    real = bounds_module._delta_closed_form
 
-    def counting(prefix, n):
-        evaluate = real(prefix, n)
+    def counting(terms, deltas):
+        calls.append(terms.pre.lengths.tolist())
+        return real(terms, deltas)
 
-        def counted(deltas):
-            calls.append(len(deltas))
-            return evaluate(deltas)
-        return counted
-
-    with mock.patch.object(bounds_module, "_delta_bound_fn", counting):
+    with mock.patch.object(bounds_module, "_delta_closed_form", counting):
         yield calls
 
 
@@ -835,10 +868,11 @@ class TestSequencesAndFamilies:
         assert EigenSequence.from_spectrum(spec, 2).values == seq.values[:2]
 
     def test_prefix_bounds_checked(self):
-        with pytest.raises(ValidationError):
-            ONE.prefix(2)
-        with pytest.raises(ValidationError):
-            ONE.prefix(0)
+        for k in (2, 0, 1.0, [1], np.array([[1]])):
+            for fam in (family("sphere-buckling-sqrt"), family("sphere-buckling-gap"),
+                        family("sphere-buckling-delta-opt")):
+                with pytest.raises(ValidationError, match="prefix length"):
+                    evaluate_bound(fam, ONE, k)
 
     def test_family_construction_errors(self):
         with pytest.raises(ValidationError):
@@ -857,3 +891,77 @@ class TestSequencesAndFamilies:
             evaluate_bound(family("sphere-buckling-sqrt"), clamp((1.0,)), 1)
         with pytest.raises(FamilyMismatch):
             evaluate_bound(family("sphere-clamped"), ONE, 1)
+
+
+def per_k_outcome(fam, seq, k):
+    try:
+        return evaluate_bound(fam, seq, k)
+    except CapspecError as error:
+        return error
+
+
+def buckling_families(delta):
+    """Every family that applies to an order-2 buckling sequence."""
+    return [family(name, delta=delta if name == "sphere-buckling-delta" else None)
+            for name in FAMILY_NAMES if "buckling" in name]
+
+
+def assert_rows_are_per_k_calls(seq, delta):
+    """Every family's all-prefix pass against one call per prefix, bitwise:
+    the same bound and aux, or an error of the same class and message."""
+    ks = range(1, len(seq) + 1)
+    for fam in buckling_families(delta):
+        rows = evaluate_bounds(fam, seq, ks)
+        assert len(rows) == len(ks)
+        for k, row in zip(ks, rows):
+            one = per_k_outcome(fam, seq, k)
+            if isinstance(one, CapspecError):
+                assert type(row) is type(one) and str(row) == str(one), (fam, k)
+            else:
+                assert (row.k, row.bound, row.aux) == (k, one.bound, one.aux), (fam, k)
+    grid = np.logspace(-3.0, 3.0, 32)
+    every_k = delta_bounds(seq, np.arange(1, len(seq) + 1), grid)
+    for k in ks:
+        assert np.array_equal(every_k[k - 1], delta_bounds(seq, k, grid)), k
+
+
+class TestAllPrefixPass:
+    def test_stored_spectra(self):
+        for path in sorted(STORED.glob("*.json")):
+            assert_rows_are_per_k_calls(read_spectrum(path).sequence(), 0.01)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=any_prefixes(), delta=st.floats(1e-3, 1e3))
+    def test_random_prefixes(self, case, delta):
+        assert_rows_are_per_k_calls(case[0], delta)
+
+    def test_positive_roots_strip_zeros_as_np_roots(self):
+        # a stack of polynomials with leading and trailing zero coefficients
+        # (the k = 1 quartic ends in three) gives each row np.roots' positive
+        # real roots, with no spurious breakpoints near 0
+        rng = np.random.RandomState(4)
+        stack = np.concatenate([
+            [[1.0, -3.0, 2.0, 0.0, 0.0], [2.0, -5.0, 0.0, 0.0, 0.0],
+             [0.0, 1.0, -6.0, 11.0, -6.0], [0.0, 0.0, 0.0, 1.0, 4.0],
+             [0.0, 0.0, 0.0, 0.0, 0.0], [3.0, 0.0, 0.0, 0.0, 0.0]],
+            rng.standard_normal((20, 5))])
+        got = bounds_module._positive_real_roots(stack)
+        for row, coeffs in zip(got, stack):
+            roots = np.roots(coeffs)
+            real = roots[np.abs(roots.imag) <= 1e-8 * np.abs(roots)].real
+            assert np.array_equal(np.sort(row[~np.isnan(row)]), np.sort(real[real > 0.0]))
+
+    def test_whole_family_errors_fill_every_row(self):
+        rows = evaluate_bounds(family("sphere-clamped"), buck((1.0, 2.0, 3.0)), [1, 2])
+        assert len(rows) == 2 and all(isinstance(r, FamilyMismatch) for r in rows)
+
+    def test_delta_opt_budget_holds_per_prefix(self):
+        # the lockstep searches evaluate each open prefix once per round, so
+        # every prefix still makes at most MAX_CLOSED_FORMS evaluations
+        for path in sorted(STORED.glob("*.json")):
+            seq = read_spectrum(path).sequence()
+            with counted_closed_forms() as calls:
+                evaluate_bounds(family("sphere-buckling-delta-opt"), seq,
+                                range(1, len(seq)))
+            for k in range(1, len(seq)):
+                assert 1 <= sum(row.count(k) for row in calls) <= MAX_CLOSED_FORMS

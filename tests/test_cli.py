@@ -234,6 +234,16 @@ class TestVerifyCommand:
         # 5 default families for p = 2 buckling, k = 1..5
         assert len(rows) == 1 + 5 * 5
 
+    def test_first_error_in_row_order_sets_exit_code(self, tmp_path, capsys):
+        # the quadratic family's DomainError (exit 2) comes at k = 2, the
+        # delta family's BracketFailure (exit 3) at k = 1, which is reported
+        path = write_synthetic(tmp_path, (2.001, 21.0, 22.0), n=4)
+        code = run("verify", "--in", path, "--families",
+                   "sphere-buckling-quadratic,sphere-buckling-delta", "--delta", "1e6",
+                   "--out", tmp_path / "v.csv")
+        assert code == 3
+        assert "BracketFailure" in capsys.readouterr().err
+
     def test_synthetic_violation_exits_1(self, tmp_path, capsys):
         path = write_synthetic(tmp_path, (1.0, 10.0))
         code = run("verify", "--in", path, "--families",

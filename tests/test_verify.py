@@ -4,8 +4,8 @@ import math
 
 import pytest
 
-from capspec.bounds import EigenSequence, family
-from capspec.errors import GuardViolation, ValidationError
+from capspec.bounds import EigenSequence, evaluate_bound, family
+from capspec.errors import BracketFailure, DomainError, GuardViolation, ValidationError
 from capspec.spectral import Problem, SolverConfig, solve_spectrum
 from capspec.verify import (
     SharpnessReport,
@@ -68,6 +68,23 @@ class TestCheckSpectrum:
     def test_rejects_non_spectrum_input(self):
         with pytest.raises(ValidationError):
             check_spectrum([1.0, 2.0], [SQRT_FAM])
+
+    def test_errors_surface_in_row_order(self):
+        # the quadratic family first fails at k = 2 (DomainError, exit 2), the
+        # delta family at delta = 1e6 already at k = 1 (BracketFailure, exit
+        # 3); rows run k ascending, so k = 1's error wins over family order
+        seq = buck((2.001, 21.0, 22.0), n=4)
+        quadratic = family("sphere-buckling-quadratic")
+        delta = family("sphere-buckling-delta", delta=1e6)
+        assert evaluate_bound(quadratic, seq, 1).bound > 2.0
+        with pytest.raises(DomainError):
+            evaluate_bound(quadratic, seq, 2)
+        with pytest.raises(BracketFailure, match=r"delta\(1e\+06\)"):
+            check_spectrum(seq, [quadratic, delta])
+        with pytest.raises(BracketFailure):
+            check_spectrum(seq, [delta, quadratic])
+        with pytest.raises(DomainError):
+            check_spectrum(buck((2.001, 21.0, 22.0), n=4), [quadratic])
 
     def test_summary_sharpest_counts(self):
         fams = [family("sphere-buckling-sqrt"),
