@@ -644,9 +644,8 @@ def _closed_form_rows(fam: BoundFamily, seq: EigenSequence, ks) -> list:
     if fam.name not in _CLOSED_FORM_FAMILIES:
         raise FamilyMismatch(f"family {fam.name} has no closed-form bound")
     k = pre.lengths
-    # huge eigenvalues overflow the sums to inf and the bound to NaN, as one
-    # prefix at a time did, and a prefix its caller never reaches must not
-    # warn
+    # huge eigenvalues overflow the sums to inf and the bound to NaN, which
+    # is refused below, and a prefix its caller never reaches must not warn
     with np.errstate(over="ignore", invalid="ignore"):
         if fam.name in (QUADRATIC, GAP):
             s, t = _quadratic_terms(seq, pre)
@@ -661,9 +660,14 @@ def _closed_form_rows(fam: BoundFamily, seq: EigenSequence, ks) -> list:
         disc, root, negative = _disc_roots(s, t)
         bounds = pre.last + 2.0 * root if fam.name == GAP else s + root
         low = bounds < pre.last * (1.0 - 1e-12)
+    finite = np.isfinite(s) & np.isfinite(t) & np.isfinite(bounds)
     out = []
     for row, aux in enumerate(auxes):
-        if negative[row]:
+        if not finite[row]:
+            out.append(BracketFailure(
+                f"{fam} overflows the float range (S = {s[row]:.6g}, T = {t[row]:.6g}); "
+                f"no finite closed-form bound"))
+        elif negative[row]:
             out.append(DiscriminantNegative(
                 f"S^2 - T = {disc[row]:.6g} < 0 (S = {s[row]:.6g}, T = {t[row]:.6g}); "
                 f"the inputs cannot be a genuine eigenvalue prefix"))

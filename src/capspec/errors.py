@@ -51,7 +51,8 @@ class ModeCapTooSmall(NumericalError):
 
 
 class BracketFailure(NumericalError):
-    """No predicate failure at or below Lambda_k 2^64: no finite implied bound."""
+    """No finite bound: no predicate failure at or below Lambda_k 2^64, or
+    the coefficients or sums of the bound overflow the float range."""
 
 
 class MonotonicityViolation(NumericalError):

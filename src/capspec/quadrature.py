@@ -5,9 +5,20 @@ Nodes are the roots of the degree-m Jacobi polynomial for parameters
 23, 1969): they are the eigenvalues of the symmetric tridiagonal Jacobi
 matrix of the three-term recurrence, with diagonal
 -gamma^2 / ((2k+gamma)(2k+gamma+2)) (0 when gamma = 0) and off-diagonal
-2k(k+gamma) / ((2k+gamma) sqrt((2k+gamma)^2 - 1)). One pass of the
-three-term recurrence at those nodes gives P_m and P_{m-1}; the derivative
-follows from the Jacobi identity
+2k(k+gamma) / ((2k+gamma) sqrt((2k+gamma)^2 - 1)).
+
+For gamma = 0 (Legendre) the eigenproblem is solved at half size. The
+quadratic transformation (Szego, Orthogonal Polynomials, Section 4.1)
+
+    P_2k(x) ~ P_k^(-1/2, 0)(1 - 2x^2),    P_2k+1(x) ~ x P_k^(1/2, 0)(1 - 2x^2)
+
+puts the nodes at x = +-sqrt((1 - v)/2), with v the k nodes for the weight
+(1 - v)^(-1/2) (m = 2k) or (1 - v)^(1/2) (m = 2k + 1, plus the node 0).
+Both are Jacobi matrices of the same form, of order floor(m/2), and the
+start nodes come out exactly symmetric.
+
+One pass of the three-term recurrence at those nodes gives P_m and P_{m-1};
+the derivative follows from the Jacobi identity
 
     (2m+gamma) (1 - x^2) P_m' = m (gamma - (2m+gamma) x) P_m + 2m (m+gamma) P_{m-1},
 
@@ -23,10 +34,10 @@ collapses to 2^(gamma+1), so no Gamma functions appear:
     w_i = 2^(gamma+1) / ((1 - x_i^2) * P_m'(x_i)^2)
 
 The resulting rule integrates polynomials of degree <= 2m - 1 against the
-weight to relative 1e-13 (relative to the weight mass). Any gamma >= 0 is
-accepted, but the solver asks only for gamma in {0, 1/2}: the integer part
-of its weight exponent is folded into the integrand (see capspec.spectral),
-so a solve builds one rule per node count.
+weight to relative 1e-13 (relative to the weight mass). Any gamma >= 0 and
+any m <= MAX_NODES are accepted, but the solver asks only for gamma in
+{0, 1/2}: the integer part of its weight exponent is folded into the
+integrand (see capspec.spectral), so a solve builds one rule per node count.
 """
 
 from __future__ import annotations
@@ -37,17 +48,22 @@ import numpy as np
 
 from .errors import NoConvergence, ValidationError
 
+# the largest rule built; a solve at basis 512 and order 64 needs 2332
+# nodes after doubling, and a dense Jacobi matrix at this size is 128 MB
+MAX_NODES = 4096
+
 
 def gauss_jacobi_rule(gamma: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (ascending, inside (-1, 1)) and positive weights.
 
-    gamma >= 0 is the weight exponent; m >= 1 the node count. Raises
-    NoConvergence only if the eigenvalue nodes after the Newton step are
-    not strictly ascending or a weight is not positive, which signals an
-    implementation bug for any m <= 512.
+    gamma >= 0 is the weight exponent; 1 <= m <= MAX_NODES the node count.
+    Raises NoConvergence only if the eigenvalue nodes after the Newton step
+    are not strictly ascending or a weight is not positive, which signals
+    an implementation bug for any m <= 512.
     """
-    if not (isinstance(m, (int, np.integer)) and m >= 1):
-        raise ValidationError(f"node count must be a positive integer, got {m!r}")
+    if not (isinstance(m, (int, np.integer)) and 1 <= m <= MAX_NODES):
+        raise ValidationError(
+            f"node count must be an integer in 1..{MAX_NODES}, got {m!r}")
     gamma = float(gamma)
     if not (gamma >= 0.0 and np.isfinite(gamma)):
         raise ValidationError(f"weight exponent must be finite and >= 0, got {gamma}")
@@ -57,7 +73,7 @@ def gauss_jacobi_rule(gamma: float, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.lru_cache(maxsize=512)
 def _cached_rule(gamma: float, m: int):
-    x = np.linalg.eigvalsh(_jacobi_matrix(gamma, m))
+    x = _start_nodes(gamma, m)
     p_m, p_prev = _jacobi_recurrence(gamma, m, x)
     t = 2.0 * m + gamma
     one_minus_x2 = 1.0 - x * x
@@ -72,6 +88,18 @@ def _cached_rule(gamma: float, m: int):
     x.flags.writeable = False
     weights.flags.writeable = False
     return x, weights
+
+
+def _start_nodes(gamma: float, m: int) -> np.ndarray:
+    """The m Golub-Welsch nodes, ascending, before the Newton step; for
+    gamma = 0 from the half-size eigenproblem of the quadratic
+    transformation (see the module docstring)."""
+    if gamma != 0.0:
+        return np.linalg.eigvalsh(_jacobi_matrix(gamma, m))
+    k, odd = divmod(m, 2)
+    v = np.linalg.eigvalsh(_jacobi_matrix(0.5 if odd else -0.5, k))
+    half = np.sqrt(0.5 * (1.0 - v))  # descending in (0, 1)
+    return np.concatenate((-half, np.zeros(odd), half[::-1]))
 
 
 def _jacobi_matrix(gamma: float, m: int) -> np.ndarray:

@@ -53,7 +53,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import SymMatrix, _generalized_values
-from .quadrature import gauss_jacobi_rule
+from .quadrature import MAX_NODES, gauss_jacobi_rule
 from .radial import multiplicity, multiply_by_s_matrix, operator_matrix
 
 QUAD_DOUBLING_REL = 1e-11
@@ -61,6 +61,11 @@ ASYMMETRY_WARN = 1e-8
 MODE_SAFETY = 1.05
 MONOTONE_SLACK = 1e-10
 COMPANION_DROP = 4
+# size limits, checked before anything is allocated: the forms of a basis of
+# size N at order p are dense in p + N, and the doubled rule has
+# 2 * quad_base <= MAX_NODES nodes (the automatic base always fits)
+MAX_BASIS_SIZE = 512
+MAX_ORDER = 64
 
 
 class Problem(str, enum.Enum):
@@ -103,6 +108,8 @@ class SolverConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "problem", _checked_problem(self.problem, self.n, self.p))
+        if self.p > MAX_ORDER:
+            raise ValidationError(f"order must be at most {MAX_ORDER} for a solve, got {self.p}")
         if not (
             isinstance(self.theta0, (int, float)) and 0.0 < float(self.theta0) < math.pi
         ):
@@ -120,15 +127,20 @@ class SolverConfig:
                 f"basis size must be an integer >= requested count "
                 f"({self.requested_count}), got {self.basis_size!r}"
             )
+        if self.basis_size > MAX_BASIS_SIZE:
+            raise ValidationError(
+                f"basis size must be at most {MAX_BASIS_SIZE}, got {self.basis_size}")
         if self.mode_cap is not None and not (
             isinstance(self.mode_cap, (int, np.integer)) and self.mode_cap >= 0
         ):
             raise ValidationError(f"mode cap must be None or an integer >= 0, got {self.mode_cap!r}")
         if self.quad_size is not None and not (
-            isinstance(self.quad_size, (int, np.integer)) and self.quad_size >= 2
+            isinstance(self.quad_size, (int, np.integer))
+            and 2 <= self.quad_size <= MAX_NODES // 2
         ):
             raise ValidationError(
-                f"quadrature size must be None or an integer >= 2, got {self.quad_size!r}"
+                f"quadrature size must be None or an integer in 2..{MAX_NODES // 2} "
+                f"(doubled to at most {MAX_NODES} nodes), got {self.quad_size!r}"
             )
 
     @property

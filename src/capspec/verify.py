@@ -31,6 +31,7 @@ from .spectral import Problem, Spectrum
 HOLDS_SLACK = 1e-8
 TWIN_REL_TOL = 1e-10
 DOMINANCE_SLACK = 1e-10
+SHARPEST_TIE_REL = 1e-12
 # the order-two estimates compare_sharpness reports, in their CSV row order
 ORDER_TWO_FAMILIES = (SQRT, DELTA_OPT, SQRT_P2)
 MAX_DELTA_GRID = 10_000
@@ -67,8 +68,11 @@ def check_spectrum(spec, families) -> VerificationReport:
     the next computed eigenvalue.
 
     A row holds when actual <= bound + 1e-8 * actual. Rows are ordered k
-    ascending, then families in the given order. Sphere buckling families
-    refuse sequences failing the ground-value guard (GuardViolation).
+    ascending, then families in the given order. The summary counts, per
+    family, the k where its bound is least; bounds within 1e-12 relative of
+    the least tie, and a tie goes to the earliest family. Sphere buckling
+    families refuse sequences failing the ground-value guard
+    (GuardViolation).
     """
     seq = _as_sequence(spec)
     families = tuple(families)
@@ -94,9 +98,13 @@ def check_spectrum(spec, families) -> VerificationReport:
             rows.append(ReportRow(k=k, actual=actual, result=result, holds=holds))
     margins = [r.result.margin for r in rows]
     sharpest = {}
-    for k in range(1, len(seq)):
-        group = [r for r in rows if r.k == k]
-        best = min(group, key=lambda r: r.result.bound)
+    for start in range(0, len(rows), len(families)):
+        group = rows[start:start + len(families)]
+        least = min(r.result.bound for r in group)
+        # a bound within SHARPEST_TIE_REL of the least is a tie, which goes to
+        # the earliest family, so rounding (the p = 2 sqrt twins) cannot flip it
+        best = next(r for r in group
+                    if r.result.bound <= least + SHARPEST_TIE_REL * abs(least))
         name = best.result.family.name
         sharpest[name] = sharpest.get(name, 0) + 1
     summary = {

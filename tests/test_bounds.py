@@ -541,6 +541,21 @@ class TestClosedForms:
             closed_form_bound(family("sphere-buckling-quadratic"),
                               buck((0.2, 1.0)), 2)
 
+    @pytest.mark.parametrize("name", ["sphere-buckling-quadratic", "sphere-buckling-gap",
+                                      "euclidean-buckling", "euclidean-buckling-p2"])
+    def test_overflowing_sums_refused(self, name):
+        # S and T of (1e300, 2e300) overflow to inf and S^2 - T to NaN,
+        # which neither the discriminant test nor the below-Lambda_k test
+        # sees; the non-finite sums are refused, without a warning, at
+        # every prefix
+        seq = buck((1e300, 2e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(BracketFailure, match="overflow"):
+                closed_form_bound(family(name), seq, 2)
+            results = evaluate_bounds(family(name), seq, [1, 2])
+        assert all(isinstance(r, BracketFailure) for r in results)
+
     def test_discriminant_clamp_window(self):
         _, root, negative = _disc_roots(np.ones(2), np.array([1.0 + 5e-13, 1.0 + 5e-12]))
         assert root[0] == 0.0

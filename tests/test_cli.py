@@ -131,6 +131,27 @@ class TestSolveCommand:
         assert capsys.readouterr().err == f"error: ValidationError: {reason}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,message", [
+        ("--basis", "basis size must be at most 512, got 100000"),
+        ("--p", "order must be at most 64 for a solve, got 100000"),
+        ("--quad", "quadrature size must be None or an integer in 2..2048 "
+                   "(doubled to at most 4096 nodes), got 100000"),
+    ])
+    def test_oversized_sizes_refused_before_allocation(self, tmp_path, capsys,
+                                                       monkeypatch, flag, message):
+        # each size asks for a dense 100000 x 100000 array (74.5 GiB); it is
+        # refused with one line before numpy allocates anything
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated")
+
+        for name in ("eye", "zeros", "empty", "ones"):
+            monkeypatch.setattr(np, name, refuse)
+        out = tmp_path / "s.json"
+        assert run("solve", "--n", 2, "--p", 2, "--theta0", "pi/2",
+                   "--problem", "buckling", flag, 100000, "--out", out) == 2
+        assert capsys.readouterr().err == f"error: ValidationError: {message}\n"
+        assert not out.exists()
+
     def test_invalid_order_exits_2(self, tmp_path, capsys):
         code = run("solve", "--n", 2, "--p", 0, "--theta0", "1.0",
                    "--problem", "clamped", "--out", tmp_path / "x.json")
@@ -213,6 +234,22 @@ class TestBoundsCommand:
         assert code == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "BracketFailure" in err, err
+
+    @pytest.mark.parametrize("command", [
+        ("bounds", "--family", "sphere-buckling-quadratic"),
+        ("bounds", "--family", "sphere-buckling-gap"),
+        ("bounds", "--family", "euclidean-buckling"),
+        ("verify", "--families", "sphere-buckling-quadratic,euclidean-buckling")])
+    def test_overflowing_closed_form_sums_exit_3(self, tmp_path, capsys, command):
+        # S and T overflow; the closed form would be NaN, which once wrote
+        # nan,nan,false and exit 0 (bounds) or two false violations (verify)
+        spec_path = write_synthetic(tmp_path, [1e300, 2e300])
+        out = tmp_path / "x.csv"
+        code = run(*command, "--in", spec_path, "--out", out)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "BracketFailure" in err and "overflow" in err, err
+        assert not out.exists()
 
     def test_summary_json_written(self, tmp_path):
         spec_path = solve_hemi_buckling(tmp_path)

@@ -122,6 +122,56 @@ def test_against_mpmath_rule_at_solver_sizes(gamma, m):
     assert np.max(np.abs(w[spots] - exact_w) / exact_w) <= 1e-12
 
 
+@pytest.mark.parametrize("m", [83, 512])
+def test_against_mpmath_legendre_rule(m):
+    """The half-size start nodes at an odd solver-like size and at the
+    largest size the module promises, on every 8th node and both ends.
+
+    A weight's relative sensitivity to its node is 2|x| / (1 - x^2), so
+    the last bit of an end node at m = 512 (1.1e-5 from 1) alone moves
+    its weight by ~1e-11. The weight tolerance is the larger of 1e-12 and
+    two bits' worth of that sensitivity, 4 eps |x| / (1 - x^2); the dense
+    full-size eigensolve misses the m = 512 end weights by 3.4e-12, the
+    half-size one by 2.6e-12."""
+    mpmath = pytest.importorskip("mpmath")
+    x, w = gauss_jacobi_rule(0.0, m)
+    spots = np.unique(np.r_[np.arange(0, m, 8), m - 1])
+    exact_x, exact_w = mpmath_rule(mpmath, 0.0, m, x[spots])
+    assert np.all(np.diff(exact_x) > 0.0)
+    assert np.max(np.abs(x[spots] - exact_x)) <= 1e-15
+    xs = x[spots]
+    tol = np.maximum(1e-12, 4.0 * np.finfo(float).eps * np.abs(xs) / (1.0 - xs * xs))
+    assert np.all(np.abs(w[spots] - exact_w) / exact_w <= tol)
+
+
+def test_half_size_start_nodes_match_dense_eigensolve():
+    # gamma = 0 takes its nodes from the order floor(m/2) eigenproblem of
+    # the quadratic transformation; the full Legendre Jacobi matrix is the
+    # referee, odd m (with the node 0) included
+    for m in range(1, 201):
+        referee = np.linalg.eigvalsh(quadrature._jacobi_matrix(0.0, m))
+        start = quadrature._start_nodes(0.0, m)
+        assert start.shape == (m,)
+        assert np.max(np.abs(start - referee)) <= 1e-13, m
+        assert np.array_equal(start, -start[::-1]), m
+
+
+def test_half_size_only_for_legendre(monkeypatch):
+    orders = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recorded(a):
+        orders.append(a.shape[-1])
+        return eigvalsh(a)
+
+    monkeypatch.setattr(quadrature.np.linalg, "eigvalsh", recorded)
+    quadrature._start_nodes(0.0, 164)
+    quadrature._start_nodes(0.0, 83)
+    quadrature._start_nodes(0.5, 82)
+    quadrature._start_nodes(2.0, 9)
+    assert orders == [82, 41, 82, 9]
+
+
 def test_determinism():
     x1, w1 = gauss_jacobi_rule(1.5, 40)
     x2, w2 = gauss_jacobi_rule(1.5, 40)
@@ -135,6 +185,18 @@ def test_validation():
         gauss_jacobi_rule(1.0, 0)
     with pytest.raises(ValidationError):
         gauss_jacobi_rule(float("nan"), 4)
+
+
+def test_oversized_rule_refused_before_allocation(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated")
+
+    for name in ("zeros", "eye", "empty", "ones", "arange"):
+        monkeypatch.setattr(np, name, refuse)
+    with pytest.raises(ValidationError, match="node count"):
+        gauss_jacobi_rule(0.0, quadrature.MAX_NODES + 1)
+    with pytest.raises(ValidationError, match="node count"):
+        gauss_jacobi_rule(0.5, 100_000)
 
 
 @pytest.mark.parametrize("m", [82, 164])

@@ -7,6 +7,7 @@ the series oracle in oracles.py.
 """
 
 import math
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -287,6 +288,23 @@ class TestSpectrumStructure:
         spec = solve_spectrum(hemi(n, 2, Problem.BUCKLING, N=32, K=8))
         assert spec.diagnostics["l_max"] == l_max
         assert quadrature._cached_rule.cache_info().misses == 2
+
+    def test_cold_solve_rule_eigensolves_half_size(self, monkeypatch):
+        # n = 2 rules carry gamma0 = 0, so the 82- and 164-node rules take
+        # their nodes from eigensolves of order 41 and 82
+        orders = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recorded(a):
+            if sys._getframe(1).f_globals["__name__"] == quadrature.__name__:
+                orders.append(a.shape[-1])
+            return eigvalsh(a)
+
+        monkeypatch.setattr(quadrature.np.linalg, "eigvalsh", recorded)
+        spectral._shared_rule.cache_clear()
+        quadrature._cached_rule.cache_clear()
+        solve_spectrum(hemi(2, 2, Problem.BUCKLING, N=32, K=8))
+        assert sorted(orders) == [41, 82]
 
     def test_cold_solve_recurrence_passes_and_eigensolves(self, monkeypatch):
         # each rule build runs one recurrence pass (P_m and P_{m-1} give the
@@ -632,6 +650,24 @@ class TestValidation:
         with pytest.raises(ValidationError):
             SolverConfig(n=2, p=2, theta0=1.0, problem=Problem.CLAMPED,
                          basis_size=4, requested_count=8)
+
+    def test_size_limits(self):
+        # the largest accepted sizes, with the automatic quadrature, fit the
+        # rule limit after doubling; one more is refused
+        def config(**sizes):
+            return SolverConfig(n=2, p=sizes.pop("p", 2), theta0=1.0,
+                                problem=Problem.BUCKLING, **sizes)
+
+        largest = config(p=spectral.MAX_ORDER, basis_size=spectral.MAX_BASIS_SIZE)
+        assert 2 * largest.quad_base <= quadrature.MAX_NODES
+        assert config(quad_size=quadrature.MAX_NODES // 2).quad_base == 2048
+        for sizes, match in (({"p": spectral.MAX_ORDER + 1}, "order"),
+                             ({"basis_size": spectral.MAX_BASIS_SIZE + 1}, "basis size"),
+                             ({"quad_size": quadrature.MAX_NODES // 2 + 1}, "quadrature size")):
+            with pytest.raises(ValidationError, match=match):
+                config(**sizes)
+        # the order limit is the solver's: a spectrum file of any order is read
+        assert EigenSequence(n=2, p=100, problem=Problem.BUCKLING, values=(1.0,)).p == 100
 
     def test_problem_accepts_string(self):
         cfg = SolverConfig(n=2, p=2, theta0=1.0, problem="buckling")

@@ -1,11 +1,13 @@
 """Verification orchestration: bound checks and sharpness audit."""
 
 import math
+from pathlib import Path
 
 import pytest
 
 from capspec.bounds import EigenSequence, evaluate_bound, family
 from capspec.errors import BracketFailure, DomainError, GuardViolation, ValidationError
+from capspec.io import read_spectrum
 from capspec.spectral import Problem, SolverConfig, solve_spectrum
 from capspec.verify import (
     SharpnessReport,
@@ -13,6 +15,9 @@ from capspec.verify import (
     check_spectrum,
     compare_sharpness,
 )
+
+
+STORED = Path(__file__).resolve().parents[1] / "benchmark" / "data" / "spectra"
 
 
 def buck(values, n=2, p=2):
@@ -93,6 +98,25 @@ class TestCheckSpectrum:
         # on this input the sqrt family is strictly sharper (2.0 vs 2.25)
         assert report.summary["sharpest_family_counts"] == {
             "sphere-buckling-sqrt": 1}
+
+    def test_sharpest_ties_go_to_the_earliest_family(self):
+        # at p = 2 the sqrt family and its p2 twin are one formula, so their
+        # bounds differ by rounding only (within 1e-12 relative; here each
+        # twin is the least at 3 of the 6 k where they differ); every k
+        # goes to whichever twin is listed first
+        seq = read_spectrum(STORED / "n3-4pi_9.json").sequence()
+        twins = [family("sphere-buckling-sqrt"), family("sphere-buckling-sqrt-p2")]
+        rows = check_spectrum(seq, twins).rows
+        pairs = [(a.result.bound, b.result.bound) for a, b in zip(rows[::2], rows[1::2])]
+        assert any(a < b for a, b in pairs) and any(b < a for a, b in pairs)
+        for order in (twins, twins[::-1]):
+            report = check_spectrum(seq, order)
+            assert report.summary["sharpest_family_counts"] == {
+                order[0].name: len(seq) - 1}
+        # a strictly sharper later family still wins
+        report = check_spectrum(buck((1.0, 1.5)), [family("sphere-buckling-delta-opt"),
+                                                   SQRT_FAM])
+        assert report.summary["sharpest_family_counts"] == {"sphere-buckling-sqrt": 1}
 
 
 class TestCompareSharpness:
