@@ -1,28 +1,35 @@
 """Universal eigenvalue bound families.
 
 Every family bounds the (k+1)-th eigenvalue of a clamped or buckling
-problem by the first k eigenvalues. Two mechanisms appear:
+problem by the first k eigenvalues. A family's kind, a column of the
+registry, names the one kernel that evaluates it (_KERNELS):
 
-* predicate families state an inequality between both sides evaluated at a
+* implied families state an inequality between both sides evaluated at a
   candidate value c >= Lambda_k; the implied bound is the first c at which
   the predicate fails. With x = c - Lambda_k and e_i = Lambda_k - lambda_i,
   every side is a sum  sum_i w_i (x + e_i)^m  with exact coefficients in x,
   so the failure points are polynomial roots: a quadratic for the delta
   family and, after squaring both (non-negative) sides, a quartic for the
-  two sqrt families. The delta-opt bound is the delta family's bound at
-  the delta where its right side is stationary in delta (an envelope
-  condition): at n = 2 the same quartic gives it, and for n >= 3 that
-  quartic seeds a one-dimensional root search in log10 delta;
-* closed-form families reduce to a quadratic
-  k X^2 - X (2 sum v_i + sum c_i) + (sum v_i^2 + sum c_i v_i) <= 0
-  whose larger root is the bound, or to the averaged pair (S, T) with
-  bound S + sqrt(S^2 - T).
+  two sqrt families, whose roots alone cut [0, inf) into the intervals
+  that _first_failures probes;
+* the delta-opt family is the delta family's bound at the delta where its
+  right side is stationary in delta (an envelope condition). With the
+  delta weights frozen at their large-delta limit, the same
+  _first_failures search gives that delta: exactly at n = 2, and as the
+  seed of a one-dimensional root search in log10 delta for n >= 3;
+* closed-form families reduce to the averaged pair
+  S = sum lambda_i / k + sum c_i / (2k),  T = sum lambda_i^2 / k + sum lambda_i c_i / k
+  with per-eigenvalue coefficients c_i (_root_coeffs; c_i = g_i h_i for
+  the quadratic and gap families), and the bound S + sqrt(S^2 - T), the
+  larger root of k X^2 - X (2 sum lambda_i + sum c_i)
+  + (sum lambda_i^2 + sum c_i lambda_i) <= 0; the gap family's bound is
+  Lambda_k + 2 sqrt(S^2 - T).
 
 Every evaluator takes all requested prefixes k at once: each prefix is a
 row over the whole sequence, zeroed past k, so one array pass (stacked
-eigvals calls for the roots, one evaluate_predicate call for the interval
-probes, one closed-form call per delta-opt search round) serves them all.
-The per-k entry points are the one-row case of the same passes.
+eigvals calls for the roots, one probe classification for the intervals,
+one closed-form call per delta-opt search round) serves them all. The
+per-k entry points are the one-row case of the same passes.
 
 Sphere buckling families share the coefficient functions
 
@@ -69,20 +76,21 @@ EUCLIDEAN_CLAMPED = "euclidean-clamped"
 EUCLIDEAN_BUCKLING_P2 = "euclidean-buckling-p2"
 EUCLIDEAN_BUCKLING = "euclidean-buckling"
 
-# name -> (problem, exact_p, sphere guard required); EigenSequence already
-# demands p >= 2 for buckling and p >= 1 for clamped
+# name -> (problem, exact_p, sphere guard required, kind); EigenSequence
+# already demands p >= 2 for buckling and p >= 1 for clamped, and the kind
+# names the family's kernel in _KERNELS
 _REGISTRY = {
-    SQRT: (Problem.BUCKLING, None, True),
-    QUADRATIC: (Problem.BUCKLING, None, True),
-    GAP: (Problem.BUCKLING, None, True),
-    DELTA: (Problem.BUCKLING, 2, True),
-    DELTA_OPT: (Problem.BUCKLING, 2, True),
-    SQRT_P2: (Problem.BUCKLING, 2, True),
-    SPHERE_CLAMPED: (Problem.CLAMPED, None, False),
-    EUCLIDEAN_MEMBRANE: (Problem.CLAMPED, 1, False),
-    EUCLIDEAN_CLAMPED: (Problem.CLAMPED, None, False),
-    EUCLIDEAN_BUCKLING_P2: (Problem.BUCKLING, 2, False),
-    EUCLIDEAN_BUCKLING: (Problem.BUCKLING, None, False),
+    SQRT: (Problem.BUCKLING, None, True, "implied"),
+    QUADRATIC: (Problem.BUCKLING, None, True, "closed-form"),
+    GAP: (Problem.BUCKLING, None, True, "closed-form"),
+    DELTA: (Problem.BUCKLING, 2, True, "implied"),
+    DELTA_OPT: (Problem.BUCKLING, 2, True, "delta-opt"),
+    SQRT_P2: (Problem.BUCKLING, 2, True, "implied"),
+    SPHERE_CLAMPED: (Problem.CLAMPED, None, False, "closed-form"),
+    EUCLIDEAN_MEMBRANE: (Problem.CLAMPED, 1, False, "closed-form"),
+    EUCLIDEAN_CLAMPED: (Problem.CLAMPED, None, False, "closed-form"),
+    EUCLIDEAN_BUCKLING_P2: (Problem.BUCKLING, 2, False, "closed-form"),
+    EUCLIDEAN_BUCKLING: (Problem.BUCKLING, None, False, "closed-form"),
 }
 
 FAMILY_NAMES = tuple(_REGISTRY)
@@ -139,7 +147,7 @@ def family(name: str, delta: float | None = None,
     if name not in _REGISTRY:
         known = ", ".join(FAMILY_NAMES)
         raise ValidationError(f"unknown bound family {name!r}; known: {known}")
-    problem, exact_p, needs_guard = _REGISTRY[name]
+    problem, exact_p, needs_guard, _ = _REGISTRY[name]
     if name == DELTA:
         if delta is None:
             raise ValidationError(f"{DELTA} requires a positive delta parameter")
@@ -160,7 +168,7 @@ def family(name: str, delta: float | None = None,
 def default_families(seq: EigenSequence) -> list[BoundFamily]:
     """Every sphere family that applies to the sequence, in registry order,
     except the delta family, whose free parameter has no default."""
-    return [family(name) for name, (problem, exact_p, _) in _REGISTRY.items()
+    return [family(name) for name, (problem, exact_p, _, _) in _REGISTRY.items()
             if name.startswith("sphere-") and name != DELTA
             and problem is seq.problem and exact_p in (None, seq.p)]
 
@@ -267,13 +275,19 @@ def _rowsum(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x, axis=-1)
 
 
-def _guard(seq: EigenSequence):
+def _checked_prefixes(fam: BoundFamily, seq: EigenSequence, ks) -> _Prefixes:
+    """The prefixes of the lengths ks, once the family applies to the
+    sequence and, if the family needs the sphere guard, every eigenvalue
+    exceeds n - 2."""
+    _check_compat(fam, seq)
+    pre = _prefixes(seq, ks)
     floor = seq.n - 2
-    if seq.values[0] <= floor:
+    if fam.needs_guard and seq.values[0] <= floor:
         raise DomainError(
             f"sphere buckling families require every eigenvalue > n - 2 = {floor}; "
             f"smallest is {seq.values[0]:.6g}"
         )
+    return pre
 
 
 def _coeff_g(values: np.ndarray, n: int, p: int) -> np.ndarray:
@@ -304,19 +318,9 @@ def _delta_weight(values: np.ndarray, n: int, d):
 
 def quadratic_terms(seq: EigenSequence, k: int) -> tuple[float, float]:
     """Averaged pair (S, T) of the closed-form sphere buckling bound."""
-    _check_compat(family(QUADRATIC), seq)
-    s, t = _quadratic_terms(seq, _prefixes(seq, _one_prefix(seq, k)))
+    fam = family(QUADRATIC)
+    s, t = _st_terms(fam, seq, _checked_prefixes(fam, seq, _one_prefix(seq, k)))
     return float(s[0]), float(t[0])
-
-
-def _quadratic_terms(seq: EigenSequence, pre: _Prefixes):
-    _guard(seq)
-    vals, k = pre.values, pre.lengths
-    gh = _coeff_g(vals, seq.n, seq.p) * _coeff_h(vals, seq.n)
-    s = _rowsum(pre.masked(vals)) / k + _rowsum(pre.masked(gh)) / (2 * k)
-    t = (_rowsum(pre.masked(vals**2)) / k
-         + _rowsum(pre.masked(vals * gh)) / k)
-    return s, t
 
 
 def _check_compat(fam: BoundFamily, seq: EigenSequence):
@@ -332,7 +336,6 @@ def _check_compat(fam: BoundFamily, seq: EigenSequence):
 
 
 _PREDICATE_FAMILIES = (SQRT, QUADRATIC, DELTA, SQRT_P2)
-_IMPLIED_FAMILIES = (SQRT, DELTA, SQRT_P2)
 
 
 def evaluate_predicate(fam: BoundFamily, seq: EigenSequence, k,
@@ -344,10 +347,8 @@ def evaluate_predicate(fam: BoundFamily, seq: EigenSequence, k,
     entry is the scalar call's value."""
     if fam.name not in _PREDICATE_FAMILIES:
         raise FamilyMismatch(f"family {fam.name} has no candidate predicate")
-    _check_compat(fam, seq)
     lengths, candidates = np.broadcast_arrays(k, np.asarray(candidate, dtype=float))
-    pre = _prefixes(seq, lengths.ravel())
-    _guard(seq)
+    pre = _checked_prefixes(fam, seq, lengths.ravel())
     candidates = candidates.ravel()
     bad = ~(np.isfinite(candidates) & (candidates >= pre.last))
     if bad.any():
@@ -381,31 +382,19 @@ def evaluate_predicate(fam: BoundFamily, seq: EigenSequence, k,
                            holds=holds.reshape(shape))
 
 
-def _implied_rows(fam: BoundFamily, seq: EigenSequence, ks) -> list:
-    """implied_bound's (bound, aux) or error for every prefix length of ks.
-
-    With x = c - Lambda_k the delta family fails where a quadratic is
-    positive (closed form, see _delta_closed_form). For the sqrt families
-    both sides are non-negative, so (1-eps) L <= 2 (1+eps) sqrt(G) sqrt(H),
-    with eps = INEQ_SLACK, fails exactly where the quartic
-    (1-eps)^2 L^2 - 4 (1+eps)^2 G H is positive; its real roots and those
-    of G (the max(., 0) clamp) cut [0, inf) into intervals, the interior
-    points of all of them are tested in one evaluate_predicate call, and
-    the bound is Lambda_k plus the left end of the first failing one.
-    BracketFailure when no failure lies at or below Lambda_k 2^64, or when
-    either polynomial's coefficients overflow the float range."""
-    if fam.name not in _IMPLIED_FAMILIES:
-        raise FamilyMismatch(f"family {fam.name} has no implied bound")
-    _check_compat(fam, seq)
-    pre = _prefixes(seq, ks)
-    _guard(seq)
+def _implied_rows(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes) -> list:
+    """implied_bound's (bound, aux) or error for every prefix: the delta
+    family's closed form (see _delta_closed_form), or the sqrt families'
+    first failure (see _sqrt_bounds). BracketFailure when no failure lies
+    at or below Lambda_k 2^64, or when the polynomial's coefficients
+    overflow the float range."""
     with np.errstate(over="ignore"):  # an infinite limit is no limit
         limits = pre.last * 2.0**LIMIT_LOG2
     if fam.name == DELTA:
         bounds = _delta_closed_form(_delta_terms(pre), np.array([[fam.delta]]))[:, 0]
         aux = {"delta": fam.delta}
     else:
-        bounds = _sqrt_bounds(fam, seq, pre, limits)
+        bounds = _sqrt_bounds(fam, seq, pre)
         aux = {}
     out = []
     for bound, limit in zip(bounds.tolist(), limits.tolist()):
@@ -420,40 +409,26 @@ def _implied_rows(fam: BoundFamily, seq: EigenSequence, ks) -> list:
     return out
 
 
-def _sqrt_bounds(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes,
-                 limits: np.ndarray) -> np.ndarray:
-    """The sqrt families' implied bounds: inf where the predicate holds up
-    to the limit, NaN where the coefficients overflow."""
+def _sqrt_bounds(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes) -> np.ndarray:
+    """The sqrt families' implied bounds, Lambda_k plus the first failure
+    of (1-eps) L <= 2 (1+eps) sqrt(G) sqrt(H), eps = INEQ_SLACK, whose
+    probes evaluate_predicate classifies: inf where the predicate holds up
+    to Lambda_k 2^64, NaN where the coefficients overflow."""
     n, vals = seq.n, pre.values
-    e = pre.shifts()
     g = _coeff_g(vals, n, seq.p) if fam.name == SQRT else _coeff_g_p2(vals, n)
-    with np.errstate(over="ignore", invalid="ignore"):
-        gsum = _shifted_sum(pre.masked(g), e, 2)
-        quartic = _slack_quartic(_shifted_sum(pre.masked(_sqrt_lhs_weight(vals, n)), e, 2),
-                                 gsum, _shifted_sum(pre.masked(_coeff_h(vals, n)), e, 1))
-    finite = np.isfinite(quartic).all(axis=1) & np.isfinite(gsum).all(axis=1)
-    lefts, probes = _intervals(
-        np.concatenate([_positive_real_roots(quartic[finite]),
-                        _positive_real_roots(gsum[finite])], axis=1),
-        pre.last[finite])
-    last = pre.last[finite, None]
-    live = last + lefts <= limits[finite, None]  # NaN ends compare False
-    rows, cols = np.nonzero(live)
-    fails = np.zeros(live.shape, dtype=bool)
-    fails[rows, cols] = ~evaluate_predicate(fam, seq, pre.lengths[finite][rows],
-                                            (last + probes)[rows, cols]).holds
-    first = np.argmax(fails, axis=1)
-    bounds = np.full(len(finite), math.nan)
-    bounds[finite] = np.where(fails.any(axis=1),
-                              last[:, 0] + lefts[np.arange(len(first)), first], math.inf)
-    return bounds
+    weights = [pre.masked(w) for w in (_sqrt_lhs_weight(vals, n), g, _coeff_h(vals, n))]
+
+    def fails(rows, x):
+        return ~evaluate_predicate(fam, seq, pre.lengths[rows], pre.last[rows] + x).holds
+
+    return pre.last + _first_failures(weights, pre.shifts(), pre.last, fails)
 
 
 def implied_bound(fam: BoundFamily, seq: EigenSequence, k: int,
                   actual: float | None = None) -> BoundResult:
     """First candidate at which the predicate fails, from polynomial roots
     (see _implied_rows): the one-prefix case of the all-prefix pass."""
-    return _one_result(_implied_rows, fam, seq, k, actual)
+    return _one_result("implied", fam, seq, k, actual)
 
 
 def _shifted_sum(w: np.ndarray, e: np.ndarray, power: int) -> np.ndarray:
@@ -513,20 +488,48 @@ def _positive_real_roots(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _intervals(breakpoints: np.ndarray, scale: np.ndarray):
-    """(left ends, interior points) of the intervals into which each row's
-    distinct positive breakpoints (NaN-padded) cut [0, inf), as two
-    (R, m + 1) arrays, NaN past a row's last interval. That last interval
-    is probed at last + max(last, scale, 1)."""
-    edges = np.sort(breakpoints, axis=1)  # NaN sorts last
+def _first_failures(weights, e: np.ndarray, unit: np.ndarray, fails) -> np.ndarray:
+    """Per prefix (row), the least x >= 0 at which
+    (1-eps) L(x) <= 2 (1+eps) sqrt(G(x) H(x)), eps = INEQ_SLACK, fails,
+    where L, G and H are sum_i w_i (x + e_i)^m for the weight rows
+    weights = (L, G, H) and m = 2, 2, 1; inf where it holds at every
+    x <= unit (2^64 - 1), NaN where the quartic's coefficients overflow.
+    unit is Lambda_k in the units of x and e.
+
+    For x >= 0, L and H are non-negative, so the predicate fails exactly
+    where the quartic (1-eps)^2 L^2 - 4 (1+eps)^2 G H is positive: where
+    G < 0 it is at least (1-eps)^2 L^2. A root of G therefore never begins
+    a failing interval, and the quartic's positive real roots alone cut
+    [0, inf) into intervals of one verdict each. fails(rows, x) classifies
+    the points x of the given rows (True where the predicate fails); it is
+    asked once, for x = 0 and an interior point of every interval that
+    starts below the limit, with overflow ignored. x = 0 is probed on its
+    own: a prefix that fails there needs no root, and the roots can lose
+    small ones when the coefficients span decades. The last interval is
+    probed at left + max(left, unit, 1)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        quartic = _slack_quartic(_shifted_sum(weights[0], e, 2),
+                                 _shifted_sum(weights[1], e, 2),
+                                 _shifted_sum(weights[2], e, 1))
+    finite = np.isfinite(quartic).all(axis=1)
+    edges = np.sort(_positive_real_roots(quartic[finite]), axis=1)  # NaN sorts last
     edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = np.nan
     edges = np.sort(edges, axis=1)
-    lefts = np.concatenate([np.zeros((len(edges), 1)), edges], axis=1)
-    rights = np.concatenate([edges, np.full((len(edges), 1), np.nan)], axis=1)
-    probes = np.where(np.isnan(rights),
-                      lefts + np.maximum(np.maximum(lefts, scale[:, None]), 1.0),
-                      0.5 * (lefts + rights))
-    return lefts, probes
+    zero = np.zeros((len(edges), 1))
+    lefts = np.concatenate([zero, zero, edges], axis=1)
+    rights = np.concatenate([zero, edges, zero + np.nan], axis=1)
+    scale = unit[finite, None]
+    failing = np.zeros(lefts.shape, dtype=bool)
+    # an overflowed probe compares inf with inf, and the predicate holds
+    with np.errstate(over="ignore"):
+        probes = np.where(np.isnan(rights), lefts + np.maximum(np.maximum(lefts, scale), 1.0),
+                          0.5 * (lefts + rights))
+        rows, cols = np.nonzero(scale + lefts <= scale * 2.0**LIMIT_LOG2)  # NaN is False
+        failing[rows, cols] = fails(np.flatnonzero(finite)[rows], probes[rows, cols])
+    out = np.full(len(finite), math.nan)
+    out[finite] = np.where(failing.any(axis=1),
+                           lefts[np.arange(len(lefts)), np.argmax(failing, axis=1)], math.inf)
+    return out
 
 
 def _first_positive(a, b, c):
@@ -613,56 +616,49 @@ def delta_bounds(seq: EigenSequence, k, deltas) -> np.ndarray:
     closed form; +inf where the predicate has no failure at or below
     Lambda_k 2^64 (where implied_bound raises BracketFailure). k is a
     prefix length, or a 1-D array of them for one row of bounds each."""
-    _check_compat(family(DELTA_OPT), seq)
+    pre = _checked_prefixes(family(DELTA_OPT), seq, k)
     deltas = np.asarray(deltas, dtype=float).ravel()
     if not np.all(np.isfinite(deltas) & (deltas > 0.0)):
         raise ValidationError("every delta must be a positive finite real")
-    pre = _prefixes(seq, k)
-    _guard(seq)
     bounds = _delta_closed_form(_delta_terms(pre), deltas[None, :])
     return bounds if np.ndim(k) else bounds[0]
 
 
 def _disc_roots(s: np.ndarray, t: np.ndarray):
     """S^2 - T, sqrt(max(S^2 - T, 0)) and where S^2 - T lies below
-    -DISC_SLACK S^2, which no genuine eigenvalue prefix gives."""
+    -DISC_SLACK S^2, which no genuine eigenvalue prefix gives. Where S^2
+    alone overflows, S^2 - T is taken in units of S^2, so the root is
+    |S| sqrt(1 - T/S^2)."""
     disc = s * s - t
-    return disc, np.sqrt(np.maximum(disc, 0.0)), disc < -DISC_SLACK * s * s
+    root = np.sqrt(np.maximum(disc, 0.0))
+    huge = np.isinf(s * s) & np.isfinite(s)
+    root[huge] = np.abs(s[huge]) * np.sqrt(np.maximum(1.0 - t[huge] / s[huge] / s[huge], 0.0))
+    return disc, root, disc < -DISC_SLACK * s * s
 
 
-_CLOSED_FORM_FAMILIES = (QUADRATIC, GAP, SPHERE_CLAMPED, EUCLIDEAN_MEMBRANE,
-                         EUCLIDEAN_CLAMPED, EUCLIDEAN_BUCKLING_P2, EUCLIDEAN_BUCKLING)
+def _st_terms(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes):
+    """The averaged pair (S, T) of a closed-form family for every prefix."""
+    vals, k = pre.values, pre.lengths
+    c = _root_coeffs(fam, vals, seq.n, seq.p)
+    s = _rowsum(pre.masked(vals)) / k + _rowsum(pre.masked(c)) / (2 * k)
+    t = _rowsum(pre.masked(vals**2)) / k + _rowsum(pre.masked(vals * c)) / k
+    return s, t
 
 
-def _closed_form_rows(fam: BoundFamily, seq: EigenSequence, ks) -> list:
-    """closed_form_bound's (bound, aux) or error for every prefix length of
-    ks: the averaged (S, T) bounds and the quadratic larger-root families.
-    Every family's coefficients are per eigenvalue, so they are formed once
-    for the whole sequence."""
-    _check_compat(fam, seq)
-    pre = _prefixes(seq, ks)
-    if fam.name not in _CLOSED_FORM_FAMILIES:
-        raise FamilyMismatch(f"family {fam.name} has no closed-form bound")
-    k = pre.lengths
+def _closed_form_rows(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes) -> list:
+    """closed_form_bound's (bound, aux) or error for every prefix. Every
+    family's coefficients are per eigenvalue, so they are formed once for
+    the whole sequence; the sphere buckling families report S and T."""
     # huge eigenvalues overflow the sums to inf and the bound to NaN, which
     # is refused below, and a prefix its caller never reaches must not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        if fam.name in (QUADRATIC, GAP):
-            s, t = _quadratic_terms(seq, pre)
-            auxes = [{"S": s_k, "T": t_k} for s_k, t_k in zip(s.tolist(), t.tolist())]
-        else:
-            vals, coeffs = pre.values, _root_coeffs(fam, pre.values, seq.n, seq.p)
-            s = (2.0 * _rowsum(pre.masked(vals))
-                 + _rowsum(pre.masked(coeffs))) / (2 * k)
-            t = (_rowsum(pre.masked(vals**2))
-                 + _rowsum(pre.masked(coeffs * vals))) / k
-            auxes = [{}] * len(k)
+        s, t = _st_terms(fam, seq, pre)
         disc, root, negative = _disc_roots(s, t)
         bounds = pre.last + 2.0 * root if fam.name == GAP else s + root
         low = bounds < pre.last * (1.0 - 1e-12)
     finite = np.isfinite(s) & np.isfinite(t) & np.isfinite(bounds)
     out = []
-    for row, aux in enumerate(auxes):
+    for row in range(len(pre.lengths)):
         if not finite[row]:
             out.append(BracketFailure(
                 f"{fam} overflows the float range (S = {s[row]:.6g}, T = {t[row]:.6g}); "
@@ -676,12 +672,15 @@ def _closed_form_rows(fam: BoundFamily, seq: EigenSequence, ks) -> list:
                 f"bound {bounds[row]:.6g} fell below the k-th eigenvalue "
                 f"{pre.last[row]:.6g}; the inputs are not a genuine spectrum prefix"))
         else:
+            aux = {"S": float(s[row]), "T": float(t[row])} if fam.name in (QUADRATIC, GAP) else {}
             out.append((float(bounds[row]), aux))
     return out
 
 
 def _root_coeffs(fam: BoundFamily, vals: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Per-eigenvalue coefficients c_i of the larger-root families."""
+    """Per-eigenvalue coefficients c_i of the closed-form families."""
+    if fam.name in (QUADRATIC, GAP):
+        return _coeff_g(vals, n, p) * _coeff_h(vals, n)
     if fam.name == SPHERE_CLAMPED:
         roots = vals ** (1.0 / p)
         bracket = (roots + n) ** p - vals
@@ -702,9 +701,9 @@ def _root_coeffs(fam: BoundFamily, vals: np.ndarray, n: int, p: int) -> np.ndarr
 
 def closed_form_bound(fam: BoundFamily, seq: EigenSequence, k: int,
                       actual: float | None = None) -> BoundResult:
-    """Closed-form families: the averaged (S, T) bounds and the quadratic
-    larger-root families; the one-prefix case of the all-prefix pass."""
-    return _one_result(_closed_form_rows, fam, seq, k, actual)
+    """Closed-form families: the bound from the averaged pair (S, T); the
+    one-prefix case of the all-prefix pass."""
+    return _one_result("closed-form", fam, seq, k, actual)
 
 
 def _delta_weight_slope(values: np.ndarray, n: int, d) -> np.ndarray:
@@ -724,44 +723,35 @@ def _delta_seeds(pre: _Prefixes) -> np.ndarray:
     Frozen, the predicate fails where (1-eps) L > (1+eps) (delta M + H/delta)
     with L = 2 sum d_i^2, M = sum W_i d_i^2, H = sum h_i d_i, d_i = x + e_i.
     Its right side is least, 2 (1+eps) sqrt(M H), at delta = sqrt(H/M), so
-    the best frozen bound is the first failing point of the quartic the
-    sqrt families solve. At n = 2 the weights do not depend on delta and the
-    seed is the optimum itself. x, e_i and H are taken in units of Lambda_k
-    (H in units of Lambda_k^2), so neither tiny nor huge eigenvalues under-
-    or overflow the coefficients."""
+    the best frozen bound is the first failure _first_failures finds with
+    the weights (L, M, H), and the seed is sqrt(H/M) there. At n = 2 the
+    weights do not depend on delta and the seed is the optimum itself. x,
+    e_i and H are taken in units of Lambda_k (H in units of Lambda_k^2), so
+    neither tiny nor huge eigenvalues under- or overflow the coefficients."""
     n, vals = pre.n, pre.values
     e = pre.shifts(unit=True)
     weights = [pre.masked(2.0), pre.masked(vals + (1.0 - (n - 2) / vals) / 4.0),
                pre.masked(_coeff_h(vals, n) / pre.last[:, None])]  # L, M and H
-    with np.errstate(over="ignore", invalid="ignore"):
-        quartic = _slack_quartic(_shifted_sum(weights[0], e, 2),
-                                 _shifted_sum(weights[1], e, 2),
-                                 _shifted_sum(weights[2], e, 1))
-    finite = np.isfinite(quartic).all(axis=1)
-    roots = np.full((len(e), quartic.shape[1] - 1), np.nan)
-    roots[finite] = _positive_real_roots(quartic[finite])
-    lefts, probes = _intervals(roots, np.ones(len(e)))
-    # x = 0 is probed on its own: a prefix that fails there needs no root,
-    # and the roots can lose small ones when the coefficients span decades
-    lefts = np.concatenate([np.zeros((len(e), 1)), lefts], axis=1)
-    probes = np.concatenate([np.zeros((len(e), 1)), probes], axis=1)
-    keep = finite[:, None] & (1.0 + lefts <= 2.0**LIMIT_LOG2)
 
-    def sums(x):
-        """The L, M and H sums at the points x, an (R, m) array, in d-form."""
-        d = np.where(pre.mask[:, None, :], x[:, :, None] + e[:, None, :], 0.0)
+    def sums(rows, x):
+        """The L, M and H sums of the given rows at the points x, in d-form."""
+        d = np.where(pre.mask[rows], x[:, None] + e[rows], 0.0)
         dd = d * d
-        return (_rowsum(dd * weights[0][:, None, :]), _rowsum(dd * weights[1][:, None, :]),
-                _rowsum(d * weights[2][:, None, :]))
+        return (_rowsum(dd * weights[0][rows]), _rowsum(dd * weights[1][rows]),
+                _rowsum(d * weights[2][rows]))
 
+    def fails(rows, x):
+        lsum, msum, hsum = sums(rows, x)
+        with np.errstate(invalid="ignore"):
+            return (1.0 - INEQ_SLACK) * lsum > 2.0 * (1.0 + INEQ_SLACK) * np.sqrt(msum * hsum)
+
+    x = _first_failures(weights, e, np.ones(len(e)), fails)
+    found = np.isfinite(x)
+    seeds = np.full(len(x), math.nan)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        lsum, msum, hsum = sums(probes)
-        fails = keep & ((1.0 - INEQ_SLACK) * lsum
-                        > 2.0 * (1.0 + INEQ_SLACK) * np.sqrt(msum * hsum))
-        # the seed is taken at the left end of the first failing interval
-        _, msum, hsum = sums(lefts[np.arange(len(e)), np.argmax(fails, axis=1), None])
-        seeds = 0.5 * np.log10(hsum[:, 0] / msum[:, 0])
-    return np.where(fails.any(axis=1), seeds, np.nan)
+        _, msum, hsum = sums(np.flatnonzero(found), x[found])
+        seeds[found] = 0.5 * np.log10(hsum / msum)
+    return seeds
 
 
 def _delta_points(terms: _DeltaTerms, ts: np.ndarray) -> list:
@@ -836,13 +826,10 @@ def _delta_search(seed: float):
             side = -1
 
 
-def _delta_opt_rows(fam: BoundFamily, seq: EigenSequence, ks) -> list:
-    """best_delta_bound's (bound, aux) or error for every prefix length of
-    ks. The searches run in lockstep: each round evaluates the closed form
-    once for every prefix whose search is still open."""
-    _check_compat(fam, seq)
-    pre = _prefixes(seq, ks)
-    _guard(seq)
+def _delta_opt_rows(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes) -> list:
+    """best_delta_bound's (bound, aux) or error for every prefix. The
+    searches run in lockstep: each round evaluates the closed form once for
+    every prefix whose search is still open."""
     out = [None] * len(pre.lengths)
     open_rows = {}  # row -> (search, the log10 delta it asks for)
     for row, seed in enumerate(_delta_seeds(pre).tolist()):
@@ -888,26 +875,11 @@ def best_delta_bound(seq: EigenSequence, k: int,
     of the range is clamped to that end. BracketFailure when the seed's
     frozen-weight family has no finite bound, or the closed form has none
     at the (clamped) seed. The one-prefix case of the all-prefix pass."""
-    return _one_result(_delta_opt_rows, family(DELTA_OPT), seq, k, actual)
+    return _one_result("delta-opt", family(DELTA_OPT), seq, k, actual)
 
 
-def _one_result(rows, fam: BoundFamily, seq: EigenSequence, k: int,
-                actual) -> BoundResult:
-    """A per-k entry point: the one-prefix case of the all-prefix pass
-    rows."""
-    outcome = rows(fam, seq, _one_prefix(seq, k))[0]
-    if isinstance(outcome, CapspecError):
-        raise outcome
-    bound, aux = outcome
-    return BoundResult(family=fam, k=k, bound=bound, aux=aux, actual=actual)
-
-
-def _rows_kernel(fam: BoundFamily):
-    if fam.name in _IMPLIED_FAMILIES:
-        return _implied_rows
-    if fam.name == DELTA_OPT:
-        return _delta_opt_rows
-    return _closed_form_rows
+_KERNELS = {"implied": _implied_rows, "closed-form": _closed_form_rows,
+            "delta-opt": _delta_opt_rows}
 
 
 def evaluate_bounds(fam: BoundFamily, seq: EigenSequence, ks,
@@ -920,7 +892,7 @@ def evaluate_bounds(fam: BoundFamily, seq: EigenSequence, ks,
     lengths = np.atleast_1d(ks).tolist()
     actuals = [None] * len(lengths) if actuals is None else list(actuals)
     try:
-        outcomes = _rows_kernel(fam)(fam, seq, ks)
+        outcomes = _KERNELS[_REGISTRY[fam.name][3]](fam, seq, _checked_prefixes(fam, seq, ks))
     except CapspecError as error:
         return [error] * len(lengths)
     return [outcome if isinstance(outcome, CapspecError)
@@ -929,12 +901,20 @@ def evaluate_bounds(fam: BoundFamily, seq: EigenSequence, ks,
             for outcome, k, actual in zip(outcomes, lengths, actuals)]
 
 
+def _one_result(kind: str, fam: BoundFamily, seq: EigenSequence, k: int,
+                actual) -> BoundResult:
+    """A per-k entry point for families of the given kind: the one-prefix
+    case of evaluate_bounds."""
+    if _REGISTRY[fam.name][3] != kind:
+        raise FamilyMismatch(f"family {fam.name} has no {kind} bound")
+    outcome = evaluate_bounds(fam, seq, _one_prefix(seq, k), [actual])[0]
+    if isinstance(outcome, CapspecError):
+        raise outcome
+    return outcome
+
+
 def evaluate_bound(fam: BoundFamily, seq: EigenSequence, k: int,
                    actual: float | None = None) -> BoundResult:
-    """Single entry point: dispatches to the implied-bound roots, the
-    closed forms, or the delta optimizer according to the family."""
-    if fam.name in _IMPLIED_FAMILIES:
-        return implied_bound(fam, seq, k, actual=actual)
-    if fam.name == DELTA_OPT:
-        return best_delta_bound(seq, k, actual=actual)
-    return closed_form_bound(fam, seq, k, actual=actual)
+    """Single entry point: the one-prefix case of evaluate_bounds, with the
+    kernel of the family's kind."""
+    return _one_result(_REGISTRY[fam.name][3], fam, seq, k, actual)

@@ -167,35 +167,31 @@ def _families_from_arg(text, delta, use_lambda_i):
     return out
 
 
-def _cmd_bounds(args) -> int:
-    doc = formats.read_spectrum(args.infile)
-    seq = doc.sequence()
-    fams = _families_from_arg(args.family, args.delta,
-                              args.sphere_clamped_use_lambda_i)
+def _checked_report(args, names):
+    """Read the spectrum file, check the families named in names (verify's
+    defaults when names is None) and write the report CSV and summary."""
+    seq = formats.read_spectrum(args.infile).sequence()
+    fams = (default_families(seq) if names is None else
+            _families_from_arg(names, args.delta, args.sphere_clamped_use_lambda_i))
     report = check_spectrum(seq, fams)
     formats.write_report_csv(formats.verification_rows(report), args.out)
     formats.write_summary_json(report.summary, formats.summary_path(args.out))
-    print(f"evaluated {report.summary['rows']} bounds on {len(seq)} eigenvalues")
+    return report
+
+
+def _cmd_bounds(args) -> int:
+    report = _checked_report(args, args.family)
+    print(f"evaluated {report.summary['rows']} bounds on {len(report.sequence)} eigenvalues")
     print(f"wrote {args.out}")
     return 0
 
 
 def _cmd_verify(args) -> int:
-    doc = formats.read_spectrum(args.infile)
-    seq = doc.sequence()
-    if args.families:
-        fams = _families_from_arg(args.families, args.delta,
-                                  args.sphere_clamped_use_lambda_i)
-    else:
-        fams = default_families(seq)
-    report = check_spectrum(seq, fams)
-    formats.write_report_csv(formats.verification_rows(report), args.out)
-    formats.write_summary_json(report.summary, formats.summary_path(args.out))
-    violations = report.summary["violations"]
-    print(f"{report.summary['rows']} rows, {violations} violations, "
-          f"min margin {formats.format_real(report.summary['min_margin'])}")
+    summary = _checked_report(args, args.families or None).summary
+    print(f"{summary['rows']} rows, {summary['violations']} violations, "
+          f"min margin {formats.format_real(summary['min_margin'])}")
     print(f"wrote {args.out}")
-    return 1 if violations else 0
+    return 1 if summary["violations"] else 0
 
 
 def _parse_grid(text: str):

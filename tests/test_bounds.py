@@ -34,7 +34,13 @@ from capspec.bounds import (
     sphere_buckling_factor,
 )
 from capspec import bounds as bounds_module
-from capspec.bounds import _disc_roots, _first_positive
+from capspec.bounds import (
+    _disc_roots,
+    _first_positive,
+    _positive_real_roots,
+    _rowsum,
+    _shifted_sum,
+)
 from capspec.errors import (
     BracketFailure,
     CapspecError,
@@ -188,6 +194,15 @@ class TestImpliedBounds:
     def test_bracket_failure_for_huge_delta(self):
         with pytest.raises(BracketFailure):
             implied_bound(family("sphere-buckling-delta", delta=1e6), ONE, 1)
+
+    def test_failure_at_lambda_k_needs_no_root(self):
+        # (1, 1e30) at p = 3 fails the sqrt predicate at Lambda_k itself;
+        # its quartic spans 60 decades and loses the small roots, so only
+        # the probe at x = 0 sees the failure
+        seq = buck((1.0, 1e30), p=3)
+        fam = family("sphere-buckling-sqrt")
+        assert not evaluate_predicate(fam, seq, 2, 1e30).holds
+        assert implied_bound(fam, seq, 2).bound == 1e30
 
     @pytest.mark.parametrize("name", ["sphere-buckling-sqrt", "sphere-buckling-sqrt-p2"])
     def test_bracket_failure_when_sqrt_coefficients_overflow(self, name):
@@ -555,6 +570,16 @@ class TestClosedForms:
                 closed_form_bound(family(name), seq, 2)
             results = evaluate_bounds(family(name), seq, [1, 2])
         assert all(isinstance(r, BracketFailure) for r in results)
+
+    @pytest.mark.parametrize("name", ["sphere-buckling-quadratic", "sphere-buckling-gap"])
+    def test_bound_finite_where_only_s_squared_overflows(self, name):
+        # S = 5e199 and T = 1e300 are finite, S^2 is not; the root is taken
+        # as |S| sqrt(1 - T/S^2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            got = closed_form_bound(family(name), buck((1e100, 2e100)), 1)
+        assert got.bound == 1e200
+        assert got.aux == {"S": 5e199, "T": 1e300}
 
     def test_discriminant_clamp_window(self):
         _, root, negative = _disc_roots(np.ones(2), np.array([1.0 + 5e-13, 1.0 + 5e-12]))
@@ -980,3 +1005,99 @@ class TestAllPrefixPass:
                                 range(1, len(seq)))
             for k in range(1, len(seq)):
                 assert 1 <= sum(row.count(k) for row in calls) <= MAX_CLOSED_FORMS
+
+
+def referee_quadratic_terms(seq, pre):
+    """The (S, T) sums of the quadratic and gap families as they were formed
+    apart from the other closed-form families."""
+    vals, k = pre.values, pre.lengths
+    gh = bounds_module._coeff_g(vals, seq.n, seq.p) * bounds_module._coeff_h(vals, seq.n)
+    s = _rowsum(pre.masked(vals)) / k + _rowsum(pre.masked(gh)) / (2 * k)
+    t = _rowsum(pre.masked(vals**2)) / k + _rowsum(pre.masked(vals * gh)) / k
+    return s, t
+
+
+def referee_sqrt_bounds(fam, seq, pre):
+    """The sqrt families' bounds as they were searched: the intervals are
+    cut at the positive real roots of the quartic and of G (where the
+    max(G, 0) clamp of the predicate's right side sets in), with no probe
+    at x = 0 of its own.
+
+    G's roots are not needed. For x >= 0, L and H are non-negative, so
+    (1-eps) L <= 2 (1+eps) sqrt(max(G, 0)) sqrt(H) fails exactly where the
+    quartic (1-eps)^2 L^2 - 4 (1+eps)^2 G H is positive: where G < 0 the
+    quartic is at least (1-eps)^2 L^2. The verdict can change only at a
+    root of the quartic, and a root of G never begins a failing interval."""
+    n, vals = seq.n, pre.values
+    e = pre.shifts()
+    g = (bounds_module._coeff_g(vals, n, seq.p) if fam.name == "sphere-buckling-sqrt"
+         else bounds_module._coeff_g_p2(vals, n))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gsum = _shifted_sum(pre.masked(g), e, 2)
+        quartic = bounds_module._slack_quartic(
+            _shifted_sum(pre.masked(bounds_module._sqrt_lhs_weight(vals, n)), e, 2), gsum,
+            _shifted_sum(pre.masked(bounds_module._coeff_h(vals, n)), e, 1))
+    finite = np.isfinite(quartic).all(axis=1) & np.isfinite(gsum).all(axis=1)
+    edges = np.sort(np.concatenate([_positive_real_roots(quartic[finite]),
+                                    _positive_real_roots(gsum[finite])], axis=1), axis=1)
+    edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = np.nan
+    edges = np.sort(edges, axis=1)
+    lefts = np.concatenate([np.zeros((len(edges), 1)), edges], axis=1)
+    rights = np.concatenate([edges, np.full((len(edges), 1), np.nan)], axis=1)
+    last = pre.last[finite, None]
+    probes = np.where(np.isnan(rights), lefts + np.maximum(np.maximum(lefts, last), 1.0),
+                      0.5 * (lefts + rights))
+    with np.errstate(over="ignore"):
+        live = last + lefts <= last * 2.0**bounds_module.LIMIT_LOG2
+        rows, cols = np.nonzero(live)
+        fails = np.zeros(live.shape, dtype=bool)
+        fails[rows, cols] = ~evaluate_predicate(fam, seq, pre.lengths[finite][rows],
+                                                (last + probes)[rows, cols]).holds
+    first = np.argmax(fails, axis=1)
+    bounds = np.full(len(finite), math.nan)
+    bounds[finite] = np.where(fails.any(axis=1),
+                              last[:, 0] + lefts[np.arange(len(first)), first], math.inf)
+    return bounds
+
+
+def outcome_keys(fam, seq):
+    """Every prefix's (k, bound, aux), or its error's class and message."""
+    return [(type(row).__name__, str(row)) if isinstance(row, CapspecError)
+            else (row.k, row.bound, row.aux)
+            for row in evaluate_bounds(fam, seq, range(1, len(seq) + 1))]
+
+
+def assert_referees_agree(seq):
+    """The sqrt, quadratic and gap families, bitwise, against the same
+    evaluation with the referees in place of the shared search and sums."""
+    names = ["sphere-buckling-sqrt", "sphere-buckling-quadratic", "sphere-buckling-gap"]
+    if seq.p == 2:
+        names.append("sphere-buckling-sqrt-p2")
+    for fam in map(family, names):
+        with mock.patch.object(bounds_module, "_sqrt_bounds", referee_sqrt_bounds), \
+                mock.patch.object(bounds_module, "_st_terms",
+                                  lambda fam, seq, pre: referee_quadratic_terms(seq, pre)):
+            want = outcome_keys(fam, seq)
+        assert outcome_keys(fam, seq) == want, (fam, seq.values)
+
+
+@st.composite
+def wide_prefixes(draw):
+    """A buckling sequence of 2 to 5 values for n = 2..5 and p = 2, 3 that
+    passes the sphere guard, its distances above n - 2 scaled by 1e-3..1e8."""
+    n = draw(st.integers(2, 5))
+    steps = [draw(st.floats(0.05, 3.0))] + draw(st.lists(st.floats(0.0, 8.0),
+                                                         min_size=1, max_size=4))
+    scale = 10.0 ** draw(st.floats(-3.0, 8.0))
+    return buck(tuple(n - 2 + scale * np.cumsum(steps)), n=n, p=draw(st.sampled_from([2, 3])))
+
+
+class TestRefereesForFoldedPaths:
+    def test_stored_spectra(self):
+        for path in sorted(STORED.glob("*.json")):
+            assert_referees_agree(read_spectrum(path).sequence())
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seq=wide_prefixes())
+    def test_wide_prefixes(self, seq):
+        assert_referees_agree(seq)

@@ -235,6 +235,19 @@ class TestBoundsCommand:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "BracketFailure" in err, err
 
+    @pytest.mark.parametrize("action", ["always", "error"])
+    def test_overflowing_sqrt_probes_exit_3_without_warnings(self, tmp_path, capsys, action):
+        # the sqrt quartic of (1e150, 2e150) is finite, but an interval probe
+        # near 5e299 overflows when squared; it holds (inf <= inf) and the
+        # family has no finite bound below Lambda_k 2^64
+        spec_path = write_synthetic(tmp_path, [1e150, 2e150])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(action, RuntimeWarning)
+            code = run("verify", "--in", spec_path, "--out", tmp_path / "x.csv")
+        err = capsys.readouterr().err
+        assert code == 3 and not caught
+        assert err.count("\n") == 1 and "BracketFailure" in err and "Traceback" not in err, err
+
     @pytest.mark.parametrize("command", [
         ("bounds", "--family", "sphere-buckling-quadratic"),
         ("bounds", "--family", "sphere-buckling-gap"),
