@@ -165,10 +165,14 @@ def family(name: str, delta: float | None = None,
                        use_lambda_i=bool(sphere_clamped_use_lambda_i))
 
 
-def default_families(seq: EigenSequence) -> list[BoundFamily]:
+def default_families(seq: EigenSequence,
+                     sphere_clamped_use_lambda_i: bool = False) -> list[BoundFamily]:
     """Every sphere family that applies to the sequence, in registry order,
-    except the delta family, whose free parameter has no default."""
-    return [family(name) for name, (problem, exact_p, _, _) in _REGISTRY.items()
+    except the delta family, whose free parameter has no default;
+    sphere_clamped_use_lambda_i picks the variant of the clamped family."""
+    return [family(name, sphere_clamped_use_lambda_i=sphere_clamped_use_lambda_i
+                   and name == SPHERE_CLAMPED)
+            for name, (problem, exact_p, _, _) in _REGISTRY.items()
             if name.startswith("sphere-") and name != DELTA
             and problem is seq.problem and exact_p in (None, seq.p)]
 

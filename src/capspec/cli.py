@@ -5,6 +5,12 @@ Subcommands: solve, bounds, verify, compare, convergence. Exit codes:
 validation errors (including malformed input files), 3 numerical failures.
 Human-readable tables go to stdout, diagnostics to stderr, machine formats
 to the --out files.
+
+Each subcommand's options are written once, in the _COMMANDS table. A
+canonical argv (exact long flags, each once, each value a separate token
+that does not start with '-') is read straight from the table; the argparse
+parser built from the same table takes everything else, so help, usage and
+error texts and all of argparse's syntax stay as argparse gives them.
 """
 
 from __future__ import annotations
@@ -59,78 +65,6 @@ def _auto_or_int(text: str):
     return _positive_int(text)
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The capspec argument parser. parse_args leaves it unchanged, so it
-    is built once and every main call in a process shares it."""
-    parser = argparse.ArgumentParser(
-        prog="capspec",
-        description="Eigenvalues of clamped and buckling problems on "
-                    "spherical caps, and universal bounds on them.")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    solve = sub.add_parser("solve", help="compute a cap spectrum")
-    _add_problem_args(solve)
-    solve.add_argument("--count", type=_positive_int, default=8,
-                       help="eigenvalues to report (default 8)")
-    solve.add_argument("--basis", type=_positive_int, default=32,
-                       help="radial basis size per mode (default 32)")
-    solve.add_argument("--modes", type=_auto_or_int, default=None,
-                       help="angular mode cap, or 'auto' (default)")
-    solve.add_argument("--quad", type=_auto_or_int, default=None,
-                       help="quadrature size, or 'auto' (default)")
-    solve.add_argument("--out", required=True, help="spectrum JSON path")
-    solve.set_defaults(func=_cmd_solve)
-
-    bounds = sub.add_parser("bounds", help="evaluate bound families on a spectrum file")
-    bounds.add_argument("--in", dest="infile", required=True)
-    bounds.add_argument("--family", required=True,
-                        help="comma-separated family names")
-    bounds.add_argument("--delta", type=float, default=None,
-                        help=f"delta for the {DELTA} family")
-    bounds.add_argument("--sphere-clamped-use-lambda-i", action="store_true",
-                        help=f"variant of {SPHERE_CLAMPED} with the running "
-                             "eigenvalue in the trailing factor")
-    bounds.add_argument("--out", required=True, help="report CSV path")
-    bounds.set_defaults(func=_cmd_bounds)
-
-    verify = sub.add_parser("verify", help="check bounds against a computed spectrum")
-    verify.add_argument("--in", dest="infile", required=True)
-    verify.add_argument("--families", default=None,
-                        help="comma-separated family names (default: the "
-                             "sphere families matching the file)")
-    verify.add_argument("--delta", type=float, default=None)
-    verify.add_argument("--sphere-clamped-use-lambda-i", action="store_true")
-    verify.add_argument("--out", required=True, help="report CSV path")
-    verify.set_defaults(func=_cmd_verify)
-
-    compare = sub.add_parser("compare", help="sharpness audit of the order-2 "
-                                             "sphere buckling families")
-    compare.add_argument("--in", dest="infile", required=True)
-    compare.add_argument("--delta-grid", default="1e-3:1e3:32",
-                         help="LO:HI:COUNT log grid, COUNT at most "
-                              f"{MAX_DELTA_GRID} (default 1e-3:1e3:32)")
-    compare.add_argument("--out", required=True, help="report CSV path")
-    compare.set_defaults(func=_cmd_compare)
-
-    conv = sub.add_parser("convergence", help="eigenvalues over nested basis sizes")
-    _add_problem_args(conv)
-    conv.add_argument("--basis-list", required=True,
-                      help="comma-separated ascending basis sizes")
-    conv.add_argument("--count", type=_positive_int, default=8)
-    conv.add_argument("--out", required=True, help="study JSON path")
-    conv.set_defaults(func=_cmd_convergence)
-    return parser
-
-
-def _add_problem_args(sub):
-    sub.add_argument("--n", type=int, required=True, help="sphere dimension")
-    sub.add_argument("--p", type=int, required=True, help="operator order")
-    sub.add_argument("--theta0", required=True,
-                     help="cap radius in radians; pi forms accepted (pi/2)")
-    sub.add_argument("--problem", required=True, choices=["clamped", "buckling"])
-
-
 def _cmd_solve(args) -> int:
     cfg = SolverConfig(n=args.n, p=args.p, theta0=parse_theta0(args.theta0),
                        problem=Problem(args.problem), basis_size=args.basis,
@@ -171,8 +105,9 @@ def _checked_report(args, names):
     """Read the spectrum file, check the families named in names (verify's
     defaults when names is None) and write the report CSV and summary."""
     seq = formats.read_spectrum(args.infile).sequence()
-    fams = (default_families(seq) if names is None else
-            _families_from_arg(names, args.delta, args.sphere_clamped_use_lambda_i))
+    use_lambda_i = args.sphere_clamped_use_lambda_i
+    fams = (default_families(seq, use_lambda_i) if names is None else
+            _families_from_arg(names, args.delta, use_lambda_i))
     report = check_spectrum(seq, fams)
     formats.write_report_csv(formats.verification_rows(report), args.out)
     formats.write_summary_json(report.summary, formats.summary_path(args.out))
@@ -236,9 +171,131 @@ def _cmd_convergence(args) -> int:
     return 0
 
 
+_PROBLEM_OPTIONS = (
+    ("--n", dict(type=int, required=True, help="sphere dimension")),
+    ("--p", dict(type=int, required=True, help="operator order")),
+    ("--theta0", dict(required=True,
+                      help="cap radius in radians; pi forms accepted (pi/2)")),
+    ("--problem", dict(required=True, choices=("clamped", "buckling"))),
+)
+
+# Every subcommand's help, handler and options, in help order. An option is
+# its flag and the keyword arguments of its add_argument call: build_parser
+# passes them to argparse, and _read_canonical reads them itself, so each
+# default is spelled out (store_true's too) wherever it is not None.
+_COMMANDS = {
+    "solve": ("compute a cap spectrum", _cmd_solve, (
+        *_PROBLEM_OPTIONS,
+        ("--count", dict(type=_positive_int, default=8,
+                         help="eigenvalues to report (default 8)")),
+        ("--basis", dict(type=_positive_int, default=32,
+                         help="radial basis size per mode (default 32)")),
+        ("--modes", dict(type=_auto_or_int,
+                         help="angular mode cap, or 'auto' (default)")),
+        ("--quad", dict(type=_auto_or_int,
+                        help="quadrature size, or 'auto' (default)")),
+        ("--out", dict(required=True, help="spectrum JSON path")),
+    )),
+    "bounds": ("evaluate bound families on a spectrum file", _cmd_bounds, (
+        ("--in", dict(dest="infile", required=True)),
+        ("--family", dict(required=True, help="comma-separated family names")),
+        ("--delta", dict(type=float, help=f"delta for the {DELTA} family")),
+        ("--sphere-clamped-use-lambda-i", dict(
+            action="store_true", default=False,
+            help=f"variant of {SPHERE_CLAMPED} with the running eigenvalue "
+                 "in the trailing factor")),
+        ("--out", dict(required=True, help="report CSV path")),
+    )),
+    "verify": ("check bounds against a computed spectrum", _cmd_verify, (
+        ("--in", dict(dest="infile", required=True)),
+        ("--families", dict(help="comma-separated family names (default: the "
+                                 "sphere families matching the file)")),
+        ("--delta", dict(type=float)),
+        ("--sphere-clamped-use-lambda-i", dict(action="store_true", default=False)),
+        ("--out", dict(required=True, help="report CSV path")),
+    )),
+    "compare": ("sharpness audit of the order-2 sphere buckling families",
+                _cmd_compare, (
+        ("--in", dict(dest="infile", required=True)),
+        ("--delta-grid", dict(default="1e-3:1e3:32",
+                              help="LO:HI:COUNT log grid, COUNT at most "
+                                   f"{MAX_DELTA_GRID} (default 1e-3:1e3:32)")),
+        ("--out", dict(required=True, help="report CSV path")),
+    )),
+    "convergence": ("eigenvalues over nested basis sizes", _cmd_convergence, (
+        *_PROBLEM_OPTIONS,
+        ("--basis-list", dict(required=True,
+                              help="comma-separated ascending basis sizes")),
+        ("--count", dict(type=_positive_int, default=8)),
+        ("--out", dict(required=True, help="study JSON path")),
+    )),
+}
+
+
+@functools.cache
+def build_parser() -> argparse.ArgumentParser:
+    """The capspec argument parser, built from _COMMANDS. main needs it only
+    for argv that _read_canonical declines; parse_args leaves it unchanged,
+    so it is built once and every main call in a process shares it."""
+    parser = argparse.ArgumentParser(
+        prog="capspec",
+        description="Eigenvalues of clamped and buckling problems on "
+                    "spherical caps, and universal bounds on them.")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for flag, kwargs in options:
+            command.add_argument(flag, **kwargs)
+        command.set_defaults(func=func)
+    return parser
+
+
+def _read_canonical(argv):
+    """The Namespace build_parser().parse_args(argv) returns, read straight
+    from _COMMANDS when argv has the canonical form: a subcommand, then
+    exact flags, each at most once, each value the next token and not
+    starting with '-', converted and checked as argparse would, and every
+    required flag present. Anything else gives None and is left to argparse,
+    which writes every help, usage and error text."""
+    if not (argv and all(isinstance(token, str) for token in argv)
+            and argv[0] in _COMMANDS):
+        return None
+    _, func, options = _COMMANDS[argv[0]]
+    spec = dict(options)
+    values = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        if flag not in spec or flag in values:
+            return None
+        kwargs = spec[flag]
+        if kwargs.get("action") == "store_true":
+            values[flag] = True
+            continue
+        text = next(tokens, "-")
+        if text.startswith("-"):
+            return None
+        try:
+            value = kwargs.get("type", str)(text)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):
+            return None
+        if "choices" in kwargs and value not in kwargs["choices"]:
+            return None
+        values[flag] = value
+    if any(kwargs.get("required") and flag not in values for flag, kwargs in options):
+        return None
+    # no string default has a type, so defaults are taken as they stand
+    args = argparse.Namespace(command=argv[0], func=func)
+    for flag, kwargs in options:
+        setattr(args, kwargs.get("dest", flag[2:].replace("-", "_")),
+                values.get(flag, kwargs.get("default")))
+    return args
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _read_canonical(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ValidationError as err:

@@ -342,6 +342,24 @@ class TestVerifyCommand:
         assert (tmp_path / "a.summary.json").read_bytes() == \
                (tmp_path / "b.summary.json").read_bytes()
 
+    def test_lambda_i_variant_reaches_default_families(self, tmp_path, capsys):
+        # with the default trailing factor sphere-clamped fails on this
+        # genuine spectrum (DiscriminantNegative, exit 3); the flag must pick
+        # the lambda_i variant with or without --families
+        clamped = tmp_path / "c.json"
+        assert run("solve", "--n", 2, "--p", 1, "--theta0", "pi/2",
+                   "--problem", "clamped", "--count", 8, "--out", clamped) == 0
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run("verify", "--in", clamped, "--sphere-clamped-use-lambda-i",
+                   "--out", a) == 0
+        assert run("verify", "--in", clamped, "--sphere-clamped-use-lambda-i",
+                   "--families", "sphere-clamped", "--out", b) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert (tmp_path / "a.summary.json").read_bytes() == \
+               (tmp_path / "b.summary.json").read_bytes()
+        assert len(a.read_text().splitlines()) == 1 + 7
+        capsys.readouterr()
+
 
 def mutated_copy(tmp_path, mutate, name="n2-pi_2.json"):
     doc = json.loads((STORED / name).read_text())
@@ -498,8 +516,8 @@ class TestCompareCommand:
 
 class TestParserBuiltOnce:
     def test_repeated_calls_share_one_parser(self, tmp_path, capsys):
-        # main builds its argument parser once per process; a call rejected
-        # by argument parsing in between must leave later calls unchanged
+        # main builds its argparse parser at most once per process; a call
+        # rejected by argparse in between must leave later calls unchanged
         assert build_parser() is build_parser()
         spec_path = STORED / "n3-pi_3.json"
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
