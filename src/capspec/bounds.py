@@ -133,7 +133,6 @@ class BoundFamily:
     exact_p: int | None
     needs_guard: bool
     delta: float | None = None
-    use_lambda_i: bool = False
 
     def __str__(self):
         if self.name == DELTA and self.delta is not None:
@@ -141,8 +140,7 @@ class BoundFamily:
         return self.name
 
 
-def family(name: str, delta: float | None = None,
-           sphere_clamped_use_lambda_i: bool = False) -> BoundFamily:
+def family(name: str, delta: float | None = None) -> BoundFamily:
     """Construct a bound family by name, validating its parameters."""
     if name not in _REGISTRY:
         known = ", ".join(FAMILY_NAMES)
@@ -156,22 +154,14 @@ def family(name: str, delta: float | None = None,
             raise ValidationError(f"delta must be a positive finite real, got {delta!r}")
     elif delta is not None:
         raise ValidationError(f"delta does not apply to family {name!r}")
-    if sphere_clamped_use_lambda_i and name != SPHERE_CLAMPED:
-        raise ValidationError(
-            f"sphere_clamped_use_lambda_i does not apply to family {name!r}"
-        )
     return BoundFamily(name=name, problem=problem, exact_p=exact_p,
-                       needs_guard=needs_guard, delta=delta,
-                       use_lambda_i=bool(sphere_clamped_use_lambda_i))
+                       needs_guard=needs_guard, delta=delta)
 
 
-def default_families(seq: EigenSequence,
-                     sphere_clamped_use_lambda_i: bool = False) -> list[BoundFamily]:
+def default_families(seq: EigenSequence) -> list[BoundFamily]:
     """Every sphere family that applies to the sequence, in registry order,
-    except the delta family, whose free parameter has no default;
-    sphere_clamped_use_lambda_i picks the variant of the clamped family."""
-    return [family(name, sphere_clamped_use_lambda_i=sphere_clamped_use_lambda_i
-                   and name == SPHERE_CLAMPED)
+    except the delta family, whose free parameter has no default."""
+    return [family(name)
             for name, (problem, exact_p, _, _) in _REGISTRY.items()
             if name.startswith("sphere-") and name != DELTA
             and problem is seq.problem and exact_p in (None, seq.p)]
@@ -691,8 +681,9 @@ def _root_coeffs(fam: BoundFamily, vals: np.ndarray, n: int, p: int) -> np.ndarr
         c_extra = 2**p - (p + 1)
         if c_extra:
             bracket = bracket + 4.0 * c_extra * roots * (roots + n) ** (p - 2)
-        tail = (roots if fam.use_lambda_i else roots[0]) + n * n / 4.0
-        return 4.0 / (n * n) * bracket * tail
+        # trailing factor lambda_i^(1/p) + n^2/4; at p = 1 this is the
+        # Yang-type inequality for the Dirichlet Laplacian on a sphere domain
+        return 4.0 / (n * n) * bracket * (roots + n * n / 4.0)
     if fam.name == EUCLIDEAN_MEMBRANE:
         return 4.0 / n * vals
     if fam.name == EUCLIDEAN_CLAMPED:

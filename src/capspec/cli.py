@@ -83,21 +83,15 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _families_from_arg(text, delta, use_lambda_i):
+def _families_from_arg(text, delta):
     names = [part.strip() for part in text.split(",") if part.strip()]
     if not names:
         raise ValidationError("no family names given")
     out = []
     for name in names:
-        kwargs = {}
-        if name == DELTA:
-            if delta is None:
-                raise ValidationError(
-                    f"{DELTA} requires --delta")
-            kwargs["delta"] = delta
-        if name == SPHERE_CLAMPED and use_lambda_i:
-            kwargs["sphere_clamped_use_lambda_i"] = True
-        out.append(family(name, **kwargs))
+        if name == DELTA and delta is None:
+            raise ValidationError(f"{DELTA} requires --delta")
+        out.append(family(name, delta if name == DELTA else None))
     return out
 
 
@@ -105,9 +99,8 @@ def _checked_report(args, names):
     """Read the spectrum file, check the families named in names (verify's
     defaults when names is None) and write the report CSV and summary."""
     seq = formats.read_spectrum(args.infile).sequence()
-    use_lambda_i = args.sphere_clamped_use_lambda_i
-    fams = (default_families(seq, use_lambda_i) if names is None else
-            _families_from_arg(names, args.delta, use_lambda_i))
+    fams = (default_families(seq) if names is None else
+            _families_from_arg(names, args.delta))
     report = check_spectrum(seq, fams)
     formats.write_report_csv(formats.verification_rows(report), args.out)
     formats.write_summary_json(report.summary, formats.summary_path(args.out))
@@ -200,6 +193,8 @@ _COMMANDS = {
         ("--in", dict(dest="infile", required=True)),
         ("--family", dict(required=True, help="comma-separated family names")),
         ("--delta", dict(type=float, help=f"delta for the {DELTA} family")),
+        # accepted and without effect: sphere-clamped always has the running
+        # eigenvalue in its trailing factor
         ("--sphere-clamped-use-lambda-i", dict(
             action="store_true", default=False,
             help=f"variant of {SPHERE_CLAMPED} with the running eigenvalue "

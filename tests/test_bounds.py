@@ -469,6 +469,21 @@ class TestBoundProperties:
         assert implied_bound(fam, high, 4).bound < implied_bound(fam, low, 4).bound - 0.1
 
 
+def lambda_one_tail_bound(values, n=2, p=2):
+    """Referee: the sphere-clamped bound at k = len(values) with the first
+    eigenvalue's lambda_1^(1/p) + n^2/4 in every trailing factor."""
+    k = len(values)
+    tail = values[0] ** (1.0 / p) + n * n / 4.0
+    coeffs = []
+    for lam in values:
+        root = lam ** (1.0 / p)
+        bracket = (root + n) ** p - lam + 4.0 * (2**p - p - 1) * root * (root + n) ** (p - 2)
+        coeffs.append(4.0 / (n * n) * bracket * tail)
+    s = sum(values) / k + sum(coeffs) / (2 * k)
+    t = sum(v * v for v in values) / k + sum(v * c for v, c in zip(values, coeffs)) / k
+    return s + math.sqrt(s * s - t)
+
+
 class TestClosedForms:
     def test_quadratic_family(self):
         got = closed_form_bound(family("sphere-buckling-quadratic"), ONE, 1)
@@ -528,14 +543,14 @@ class TestClosedForms:
         assert got.bound == 25.0
 
     def test_sphere_clamped_variant_switch(self):
-        default = family("sphere-clamped")
-        variant = family("sphere-clamped", sphere_clamped_use_lambda_i=True)
-        one = clamp((1.0,))
-        assert closed_form_bound(variant, one, 1).bound == 25.0
-        two = clamp((1.0, 2.0))
-        a = closed_form_bound(default, two, 2).bound
-        b = closed_form_bound(variant, two, 2).bound
-        assert b > a > 2.0
+        # the family's trailing factor is lambda_i^(1/p) + n^2/4; the
+        # lambda_1 form agrees at k = 1 and claims strictly more after it
+        fam = family("sphere-clamped")
+        assert closed_form_bound(fam, clamp((1.0,)), 1).bound == 25.0
+        assert lambda_one_tail_bound((1.0,)) == 25.0
+        got = closed_form_bound(fam, clamp((1.0, 2.0)), 2).bound
+        assert got == 31.870279446340927
+        assert got > lambda_one_tail_bound((1.0, 2.0))
 
     def test_monotone_in_each_eigenvalue(self):
         rng = np.random.RandomState(13)
@@ -923,8 +938,6 @@ class TestSequencesAndFamilies:
             family("sphere-buckling-delta", delta=-1.0)
         with pytest.raises(ValidationError):
             family("sphere-buckling-sqrt", delta=0.5)
-        with pytest.raises(ValidationError):
-            family("euclidean-membrane", sphere_clamped_use_lambda_i=True)
 
     def test_problem_mismatch_is_typed(self):
         with pytest.raises(FamilyMismatch):

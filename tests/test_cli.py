@@ -343,21 +343,26 @@ class TestVerifyCommand:
                (tmp_path / "b.summary.json").read_bytes()
 
     def test_lambda_i_variant_reaches_default_families(self, tmp_path, capsys):
-        # with the default trailing factor sphere-clamped fails on this
-        # genuine spectrum (DiscriminantNegative, exit 3); the flag must pick
-        # the lambda_i variant with or without --families
+        # with lambda_1 in the trailing factor sphere-clamped fails on this
+        # genuine spectrum (DiscriminantNegative, exit 3); the family always
+        # has lambda_i, and the flag is accepted and changes nothing, with or
+        # without --families
         clamped = tmp_path / "c.json"
         assert run("solve", "--n", 2, "--p", 1, "--theta0", "pi/2",
                    "--problem", "clamped", "--count", 8, "--out", clamped) == 0
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        outs = {name: tmp_path / f"{name}.csv" for name in "abcd"}
         assert run("verify", "--in", clamped, "--sphere-clamped-use-lambda-i",
-                   "--out", a) == 0
+                   "--out", outs["a"]) == 0
         assert run("verify", "--in", clamped, "--sphere-clamped-use-lambda-i",
-                   "--families", "sphere-clamped", "--out", b) == 0
-        assert a.read_bytes() == b.read_bytes()
-        assert (tmp_path / "a.summary.json").read_bytes() == \
-               (tmp_path / "b.summary.json").read_bytes()
-        assert len(a.read_text().splitlines()) == 1 + 7
+                   "--families", "sphere-clamped", "--out", outs["b"]) == 0
+        assert run("verify", "--in", clamped, "--out", outs["c"]) == 0
+        assert run("verify", "--in", clamped, "--families", "sphere-clamped",
+                   "--out", outs["d"]) == 0
+        for name in "bcd":
+            assert outs[name].read_bytes() == outs["a"].read_bytes()
+            assert (tmp_path / f"{name}.summary.json").read_bytes() == \
+                   (tmp_path / "a.summary.json").read_bytes()
+        assert len(outs["a"].read_text().splitlines()) == 1 + 7
         capsys.readouterr()
 
 
@@ -381,6 +386,19 @@ class TestMalformedStoredSpectrum:
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "SchemaError" in err and reason in err
+
+    def test_order_the_values_cannot_have_exits_3(self, tmp_path, capsys):
+        # p = 27 over a p = 2 spectrum is schema-valid, and the reader cannot
+        # tell it from a genuine header; the sqrt family then has no finite
+        # bound, which is BracketFailure, exit 3, for any input
+        stored = (STORED / "n2-pi_2.json").read_bytes()
+        code = run("verify", "--in", mutated_copy(tmp_path, lambda d: d.update(p=27)),
+                   "--out", tmp_path / "v.csv")
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: BracketFailure: predicate of sphere-buckling-sqrt holds at every "
+            "candidate up to 1.1068e+20; no finite implied bound\n")
+        assert (STORED / "n2-pi_2.json").read_bytes() == stored
 
 
 FIELD_VALUES = st.one_of(
