@@ -651,6 +651,10 @@ def _closed_form_rows(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes) -> l
         bounds = pre.last + 2.0 * root if fam.name == GAP else s + root
         low = bounds < pre.last * (1.0 - 1e-12)
     finite = np.isfinite(s) & np.isfinite(t) & np.isfinite(bounds)
+    # a genuine cap spectrum can fail a flat-space inequality; a sphere
+    # family's failure blames the input
+    flat = (fam.name.startswith("euclidean-")
+            and f"{fam} is a flat-space inequality and need not hold on a cap")
     out = []
     for row in range(len(pre.lengths)):
         if not finite[row]:
@@ -660,11 +664,11 @@ def _closed_form_rows(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes) -> l
         elif negative[row]:
             out.append(DiscriminantNegative(
                 f"S^2 - T = {disc[row]:.6g} < 0 (S = {s[row]:.6g}, T = {t[row]:.6g}); "
-                f"the inputs cannot be a genuine eigenvalue prefix"))
+                f"{flat or 'the inputs cannot be a genuine eigenvalue prefix'}"))
         elif low[row]:
             out.append(DomainError(
                 f"bound {bounds[row]:.6g} fell below the k-th eigenvalue "
-                f"{pre.last[row]:.6g}; the inputs are not a genuine spectrum prefix"))
+                f"{pre.last[row]:.6g}; {flat or 'the inputs are not a genuine spectrum prefix'}"))
         else:
             aux = {"S": float(s[row]), "T": float(t[row])} if fam.name in (QUADRATIC, GAP) else {}
             out.append((float(bounds[row]), aux))

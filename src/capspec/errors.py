@@ -60,4 +60,4 @@ class MonotonicityViolation(NumericalError):
 
 
 class DiscriminantNegative(NumericalError):
-    """Closed-form discriminant negative: not a genuine eigenvalue prefix."""
+    """Closed-form discriminant negative: the family gives no real bound."""

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .bounds import DELTA, DELTA_OPT, EigenSequence
 from .errors import SchemaError, ValidationError
-from .radial import multiplicity
-from .spectral import Problem, Spectrum, SpectrumEntry
+from .radial import MAX_DIMENSION, multiplicity, shown
+from .spectral import Problem, Spectrum, SpectrumEntry, expanded
 
 SPECTRUM_SCHEMA = "spectrum/1"
 CONVERGENCE_SCHEMA = "convergence/1"
@@ -120,13 +120,8 @@ class SpectrumDocument:
     def sequence(self, count=None) -> EigenSequence:
         if count is None:
             count = self.meta.get("requested_count")
-        values = []
-        for e in self.entries:
-            values.extend([e.value] * e.multiplicity)
-        if count is not None:
-            values = values[:count]
         return EigenSequence(n=self.n, p=self.p, problem=self.problem,
-                             values=tuple(values))
+                             values=tuple(expanded(self.entries, count)))
 
 
 def _need(doc, key, kinds, where):
@@ -145,8 +140,12 @@ def read_spectrum(path) -> SpectrumDocument:
             doc = json.load(handle)
     except OSError as err:
         raise SchemaError(f"cannot read {path}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise SchemaError(f"{path} is not UTF-8 text: {err}") from err
     except json.JSONDecodeError as err:
         raise SchemaError(f"{path} is not valid JSON: {err}") from err
+    except (ValueError, RecursionError) as err:  # an over-long integer, deep nesting
+        raise SchemaError(f"{path} cannot be read as JSON: {err}") from err
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: top level must be an object")
     schema = _need(doc, "schema", str, "spectrum file")
@@ -162,6 +161,8 @@ def read_spectrum(path) -> SpectrumDocument:
         raise SchemaError(f"problem must be 'clamped' or 'buckling', got {problem_raw!r}")
     if n < 2:
         raise SchemaError(f"n must be >= 2, got {n}")
+    if n > MAX_DIMENSION:
+        raise SchemaError(f"n must be at most {MAX_DIMENSION}, got {shown(n)}")
     raw_entries = _need(doc, "entries", list, "spectrum file")
     if not raw_entries:
         raise SchemaError("spectrum file has no entries")
@@ -179,11 +180,14 @@ def read_spectrum(path) -> SpectrumDocument:
             raise SchemaError(f"{where}: value must be positive finite, got {value!r}")
         if l < 0 or radial_index < 0:
             raise SchemaError(f"{where}: indices must be nonnegative")
-        expected = multiplicity(l, n)
+        try:
+            expected = multiplicity(l, n)
+        except ValidationError as err:
+            raise SchemaError(f"{where}: {err}") from None
         if mult != expected:
             raise SchemaError(
-                f"{where}: multiplicity {mult} does not match mode l={l} "
-                f"in dimension n={n} (expected {expected})"
+                f"{where}: multiplicity {shown(mult)} does not match mode l={l} "
+                f"in dimension n={n} (expected {shown(expected)})"
             )
         if (l, radial_index) in labels:
             raise SchemaError(f"{where}: duplicate label (l={l}, radial_index={radial_index})")

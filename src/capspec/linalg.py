@@ -1,11 +1,10 @@
 """Dense symmetric linear algebra on small matrices.
 
 Everything here is sized for spectral-Galerkin systems (order <= a few
-hundred): a pivot-checked Cholesky, and the Cholesky reduction of the
-generalized symmetric-definite problem followed by LAPACK's symmetric
-eigensolver. The factor is LAPACK's (`numpy.linalg.cholesky`), checked
-afterwards against the pivot threshold below; the triangular solves of the
-reduction go to LAPACK through `numpy.linalg.solve`.
+hundred): the Cholesky reduction of the generalized symmetric-definite
+problem followed by LAPACK's symmetric eigensolver. The factor is LAPACK's,
+checked afterwards against the pivot threshold below; the triangular solves
+of the reduction go to LAPACK through `numpy.linalg.solve`.
 
 LAPACK's symmetric eigensolver is backward stable, so each eigenvalue of the
 reduced matrix comes with an absolute error of a few ulps of its largest
@@ -19,23 +18,23 @@ reduced by the Cholesky of the positive definite stiffness form A. The
 wanted values are then the largest mu, which the eigensolver resolves to
 full relative accuracy (about 1e-13 at N=32, p=3).
 
-Two entries share one reduction (`_reduce`: unit-diagonal scaling, checked
-Cholesky, C = L^{-1} A L^{-T} by two LU solves). The public
-`generalized_sym_eigen` ends in `eigh` and maps the vectors back. The
-solver reads only eigenvalues, so it calls the private `_generalized_values`,
-which ends in `eigvalsh`, computes no vectors, and also takes a stack of
-equal-order pencils (LAPACK still runs once per pencil, so each row equals
-its pencil's values solved alone). Both keep the two solves against L: on
-the inverted clamped n=5, p=3, theta0=2.6, l=7 pencil at N=32 they agree to
-~1e-15 relative in the first 8 lambda, while forming inv(L) explicitly and
-then C = inv(L) A inv(L)^T moves those values by up to 1.5e-5.
+Pencils are plain arrays, and two entries share one reduction (`_reduce`:
+unit-diagonal scaling, checked Cholesky, C = L^{-1} A L^{-T} by two LU
+solves). The solver's one values path, `_generalized_values`, takes exactly
+symmetric arrays, one pencil or a stack of equal-order pencils (LAPACK runs
+once per pencil, so each row equals its pencil solved alone), and ends in
+`eigvalsh`. The vectors path `generalized_sym_eigen`, kept for tests and
+acceptance criterion 7, checks and symmetrizes array-likes, ends in `eigh`
+and maps the vectors back. Both keep the two solves against L: on the
+inverted clamped n=5, p=3, theta0=2.6, l=7 pencil at N=32 they agree to
+~1e-15 relative in the first 8 lambda, while forming inv(L) explicitly
+moves those values by up to 1.5e-5.
 
 Tolerances:
   - Cholesky pivot failure: pivot diag(L)^2 <= order * 1e-14 * max(diag),
     reported with the index of the first such pivot.
   - A LAPACK convergence failure is reported as NoConvergence.
-  - Reported eigenvectors are orthonormal (B-orthonormal in the generalized
-    case) to 1e-10.
+  - Reported eigenvectors are B-orthonormal to 1e-10.
 """
 
 from __future__ import annotations
@@ -47,34 +46,6 @@ import numpy as np
 from .errors import NoConvergence, NotPositiveDefinite, ValidationError
 
 PIVOT_RELATIVE = 1e-14
-
-
-class SymMatrix:
-    """A symmetrized square matrix that remembers how asymmetric it arrived.
-
-    Construction replaces the input with (M + M^T) / 2 and records the
-    relative asymmetry defect max|M - M^T| / max|M| (0 for the zero matrix).
-    Entries are exposed read-only.
-    """
-
-    __slots__ = ("_entries", "asymmetry_defect")
-
-    def __init__(self, entries):
-        arr = np.array(entries, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
-        if arr.size and not np.all(np.isfinite(arr)):
-            raise ValidationError("matrix entries must be finite")
-        scale = float(np.max(np.abs(arr))) if arr.size else 0.0
-        gap = float(np.max(np.abs(arr - arr.T))) if arr.size else 0.0
-        self.asymmetry_defect = gap / scale if scale > 0.0 else 0.0
-        sym = (arr + arr.T) / 2.0
-        sym.flags.writeable = False
-        self._entries = sym
-
-    @property
-    def entries(self) -> np.ndarray:
-        return self._entries
 
 
 @dataclass(frozen=True)
@@ -89,19 +60,6 @@ class EigenPairs:
         self.vectors.flags.writeable = False
 
 
-def _as_sym(mat) -> SymMatrix:
-    return mat if isinstance(mat, SymMatrix) else SymMatrix(mat)
-
-
-def cholesky(mat) -> np.ndarray:
-    """Lower Cholesky factor L with L L^T = mat.
-
-    Raises NotPositiveDefinite when any pivot falls at or below
-    order * 1e-14 * max(diag); the message names the first failing pivot.
-    """
-    return _checked_cholesky(_as_sym(mat).entries)
-
-
 def generalized_sym_eigen(a_mat, b_mat) -> EigenPairs:
     """Solve A x = lambda B x for symmetric A and positive definite B.
 
@@ -112,10 +70,20 @@ def generalized_sym_eigen(a_mat, b_mat) -> EigenPairs:
     relative to the largest |lambda|, so callers after the smallest values
     of a graded pencil pass it inverted (see the module docstring).
     """
-    c, low, d = _reduce(_as_sym(a_mat).entries, _as_sym(b_mat).entries)
+    c, low, d = _reduce(_symmetrized(a_mat), _symmetrized(b_mat))
     values, vec = _eigen(c, vectors=True)
     x = np.linalg.solve(low.T, vec) * d[:, None]
     return EigenPairs(values=values, vectors=np.ascontiguousarray(x))
+
+
+def _symmetrized(mat) -> np.ndarray:
+    """(M + M^T) / 2 of a square array-like M with finite entries."""
+    arr = np.array(mat, dtype=float)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValidationError("matrix entries must be finite")
+    return (arr + arr.T) / 2.0
 
 
 def _generalized_values(a, b) -> np.ndarray:

@@ -32,18 +32,30 @@ import numpy as np
 
 from .errors import ValidationError
 
+# the largest dimension and mode index accepted anywhere: floats formed from
+# them are exact, and the largest multiplicity (l = n = 10000, 19992 bits) takes ~16 ms
+MAX_DIMENSION = 10_000
+MAX_MODE = 10_000
+
+
+def shown(value) -> str:
+    """repr(value), or the bit length of an integer too wide to print."""
+    if isinstance(value, (int, np.integer)) and int(value).bit_length() > 64:
+        return f"an integer of {int(value).bit_length()} bits"
+    return repr(value)
+
 
 def multiplicity(l: int, n: int) -> int:
     """Dimension of the degree-l harmonics on the equatorial (n-1)-sphere.
 
     n = 2: 1 for l = 0, else 2. n >= 3: (2l+n-2) (l+n-3)! / (l! (n-2)!),
     evaluated exactly as (2l+n-2) C(l+n-3, l) / (n-2), whose cost grows with
-    min(l, n-3) rather than with l + n.
+    min(l, n-3) rather than with l + n, and is bounded by the limits above.
     """
-    if not (isinstance(l, (int, np.integer)) and l >= 0):
-        raise ValidationError(f"mode index must be a nonnegative integer, got {l!r}")
-    if not (isinstance(n, (int, np.integer)) and n >= 2):
-        raise ValidationError(f"dimension must be an integer >= 2, got {n!r}")
+    if not (isinstance(l, (int, np.integer)) and 0 <= l <= MAX_MODE):
+        raise ValidationError(f"mode index must be an integer in 0..{MAX_MODE}, got {shown(l)}")
+    if not (isinstance(n, (int, np.integer)) and 2 <= n <= MAX_DIMENSION):
+        raise ValidationError(f"dimension must be an integer in 2..{MAX_DIMENSION}, got {shown(n)}")
     if n == 2:
         return 1 if l == 0 else 2
     return (2 * l + n - 2) * math.comb(l + n - 3, l) // (n - 2)

@@ -52,9 +52,9 @@ from .errors import (
     QuadratureNotConverged,
     ValidationError,
 )
-from .linalg import SymMatrix, _generalized_values
+from .linalg import _generalized_values
 from .quadrature import MAX_NODES, gauss_jacobi_rule
-from .radial import multiplicity, multiply_by_s_matrix, operator_matrix
+from .radial import MAX_DIMENSION, multiplicity, multiply_by_s_matrix, operator_matrix, shown
 
 QUAD_DOUBLING_REL = 1e-11
 ASYMMETRY_WARN = 1e-8
@@ -79,6 +79,8 @@ def _checked_problem(problem, n, p) -> Problem:
     problem = Problem(problem)
     if not (isinstance(n, (int, np.integer)) and n >= 2):
         raise ValidationError(f"dimension must be an integer >= 2, got {n!r}")
+    if n > MAX_DIMENSION:
+        raise ValidationError(f"dimension must be at most {MAX_DIMENSION}, got {shown(n)}")
     min_p = 2 if problem is Problem.BUCKLING else 1
     if not (isinstance(p, (int, np.integer)) and p >= min_p):
         raise ValidationError(
@@ -115,6 +117,9 @@ class SolverConfig:
         ):
             raise ValidationError(f"cap radius must lie in (0, pi), got {self.theta0!r}")
         object.__setattr__(self, "theta0", float(self.theta0))
+        if math.cos(self.theta0) == 1.0:
+            raise ValidationError(
+                f"cap radius {self.theta0!r} is too small: its cosine rounds to 1")
         if not (isinstance(self.requested_count, (int, np.integer)) and self.requested_count >= 1):
             raise ValidationError(
                 f"requested count must be a positive integer, got {self.requested_count!r}"
@@ -169,40 +174,56 @@ class Spectrum:
     diagnostics: dict = field(compare=False)
 
     def expanded_values(self, limit: int | None = None) -> np.ndarray:
-        if limit is None:
-            limit = self.config.requested_count
-        out = []
-        for e in self.entries:
-            out.extend([e.value] * e.multiplicity)
-            if len(out) >= limit:
-                break
-        return np.array(out[:limit])
+        count = self.config.requested_count if limit is None else limit
+        return np.array(expanded(self.entries, count))
 
 
-def assemble_mode(cfg: SolverConfig, l: int) -> tuple[SymMatrix, SymMatrix, float]:
-    """Stiffness-like and mass-like forms for mode l, doubling-validated.
+def expanded(entries, count=None) -> list:
+    """The first count values of the entries, each repeated by its
+    multiplicity, which may be far above count (all of them if count is None)."""
+    values = []
+    for e in entries:
+        room = e.multiplicity if count is None else count - len(values)
+        values.extend([e.value] * min(e.multiplicity, room))
+    return values
 
-    Raises QuadratureNotConverged if doubling the node count moves any entry
-    by more than 1e-11 relative to the larger matrix's scale; otherwise
-    returns the refined forms, symmetrized, with their asymmetry defects
-    recorded on the SymMatrix wrappers, and the worst relative doubling gap
-    of the two forms.
+
+def assemble_mode(cfg: SolverConfig, l: int):
+    """(A, B, health): the stiffness-like and mass-like forms of mode l,
+    doubling-validated, symmetrized and read-only.
+
+    Forms past the float range (a non-finite entry, with no overflow
+    warning, or all zero) raise ValidationError; forms that move by more
+    than 1e-11 of their scale under node doubling raise
+    QuadratureNotConverged. health holds the worst asymmetry defect
+    max|M - M^T| / max|M| and the worst relative doubling gap.
     """
     base = cfg.quad_base
     factors = _form_factors(cfg, l)
-    a1, b1 = _raw_forms(cfg, l, factors, base)
-    a2, b2 = _raw_forms(cfg, l, factors, 2 * base)
-    worst = 0.0
-    for coarse, fine, tag in ((a1, a2, "stiffness"), (b1, b2, "mass")):
-        scale = float(np.max(np.abs(fine)))
-        gap = float(np.max(np.abs(coarse - fine)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coarse = _raw_forms(cfg, l, factors, base)
+        fine = _raw_forms(cfg, l, factors, 2 * base)
+    if not all(np.all(np.isfinite(form)) for form in coarse + fine):
+        raise ValidationError("matrix entries must be finite")
+    health = {"max_form_asymmetry": 0.0, "quad_doubling_gap": 0.0}
+    for c, f, tag in zip(coarse, fine, ("stiffness", "mass")):
+        scale = float(np.max(np.abs(f)))
+        if scale == 0.0:
+            raise ValidationError(
+                f"{tag} form of mode {l} underflows to zero in double precision")
+        gap = float(np.max(np.abs(c - f)))
         if gap > QUAD_DOUBLING_REL * scale:
             raise QuadratureNotConverged(
                 f"{tag} form moved by {gap:.3e} (scale {scale:.3e}) "
                 f"under node doubling {base} -> {2 * base} at mode {l}"
             )
-        worst = max(worst, gap / scale)
-    return SymMatrix(a2), SymMatrix(b2), worst
+        defect = float(np.max(np.abs(f - f.T))) / scale
+        health["quad_doubling_gap"] = max(health["quad_doubling_gap"], gap / scale)
+        health["max_form_asymmetry"] = max(health["max_form_asymmetry"], defect)
+    a, b = ((f + f.T) / 2.0 for f in fine)
+    a.flags.writeable = False
+    b.flags.writeable = False
+    return a, b, health
 
 
 def _form_factors(cfg: SolverConfig, l: int):
@@ -271,36 +292,26 @@ def _shared_rule(gamma0: float, quad_m: int, degree: int):
 
 def _solve_mode(cfg: SolverConfig, l: int):
     """All radial eigenvalues of mode l (ascending), its refined forms
-    (A, B), and its health numbers: the worst form asymmetry and the worst
-    relative node-doubling gap."""
-    a_form, b_form, doubling_gap = assemble_mode(cfg, l)
-    defect = max(a_form.asymmetry_defect, b_form.asymmetry_defect)
+    (A, B), and its health numbers from `assemble_mode`."""
+    a, b, health = assemble_mode(cfg, l)
+    defect = health["max_form_asymmetry"]
     if defect > ASYMMETRY_WARN:
-        warnings.warn(
-            f"form asymmetry defect {defect:.3e} at mode {l} exceeds {ASYMMETRY_WARN:g}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    values = _radial_values(a_form.entries, b_form.entries, l)
-    health = {"max_form_asymmetry": defect, "quad_doubling_gap": doubling_gap}
-    return values, (a_form, b_form), health
-
-
-def _radial_values(a, b, l: int) -> np.ndarray:
-    """Ascending eigenvalues of A x = lambda B x, solved as B x = mu A x.
-
-    The wanted smallest lambda are the largest mu, which the eigensolver
-    resolves to full relative accuracy on these graded pencils.
-    """
-    return _inverted(_generalized_values(b, a), l)
+        warnings.warn(f"form asymmetry defect {defect:.3e} at mode {l} exceeds "
+                      f"{ASYMMETRY_WARN:g}", RuntimeWarning, stacklevel=3)
+    (values,) = _leading_values({l: (a, b)}, [l], cfg.basis_size)
+    return values, (a, b), health
 
 
 def _leading_values(forms, modes, size: int) -> list:
     """Radial values of each listed mode at basis size `size`, from the
     leading size-by-size blocks of the modes' refined forms (A, B), in one
-    stacked eigensolve."""
-    a = np.array([forms[l][0].entries[:size, :size] for l in modes])
-    b = np.array([forms[l][1].entries[:size, :size] for l in modes])
+    stacked eigensolve of the inverted pencils B x = mu A x.
+
+    The wanted smallest lambda are the largest mu, which the eigensolver
+    resolves to full relative accuracy on these graded pencils.
+    """
+    a = np.array([forms[l][0][:size, :size] for l in modes])
+    b = np.array([forms[l][1][:size, :size] for l in modes])
     return [_inverted(mu, l) for mu, l in zip(_generalized_values(b, a), modes)]
 
 

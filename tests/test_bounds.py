@@ -50,7 +50,7 @@ from capspec.errors import (
     ValidationError,
 )
 from capspec.io import read_spectrum
-from capspec.spectral import Problem
+from capspec.spectral import Problem, SolverConfig, solve_spectrum
 
 
 def buck(values, n=2, p=2):
@@ -570,6 +570,25 @@ class TestClosedForms:
         with pytest.raises(DiscriminantNegative):
             closed_form_bound(family("sphere-buckling-quadratic"),
                               buck((0.2, 1.0)), 2)
+
+    def test_euclidean_failures_do_not_blame_the_input(self):
+        # on the genuine n = 5, p = 1 clamped spectrum of the pi/3 cap the
+        # flat-space membrane inequality has no real root at k = 2 and 9 and
+        # bounds below Lambda_k at k = 7 and 8; the texts name the family's
+        # domain, and a sphere family's keep blaming the input
+        cfg = SolverConfig(n=5, p=1, theta0=math.pi / 3, problem=Problem.CLAMPED,
+                           requested_count=10)
+        seq = EigenSequence.from_spectrum(solve_spectrum(cfg))
+        flat = "euclidean-membrane is a flat-space inequality and need not hold on a cap"
+        results = evaluate_bounds(family("euclidean-membrane"), seq, range(1, 11))
+        kinds = {type(r) for r in results if isinstance(r, CapspecError)}
+        assert kinds == {DiscriminantNegative, DomainError}
+        for r in results:
+            if isinstance(r, CapspecError):
+                assert str(r).endswith(flat) and "genuine" not in str(r)
+        assert str(results[6]) == f"bound 44.8347 fell below the k-th eigenvalue 45; {flat}"
+        with pytest.raises(DiscriminantNegative, match="cannot be a genuine eigenvalue prefix"):
+            closed_form_bound(family("sphere-buckling-quadratic"), buck((0.2, 1.0)), 2)
 
     @pytest.mark.parametrize("name", ["sphere-buckling-quadratic", "sphere-buckling-gap",
                                       "euclidean-buckling", "euclidean-buckling-p2"])

@@ -152,6 +152,23 @@ class TestSolveCommand:
         assert capsys.readouterr().err == f"error: ValidationError: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("n,theta0,message", [
+        (1000, "0.1", "stiffness form of mode 0 underflows to zero in double precision"),
+        (5000, "0.1", "matrix entries must be finite"),
+        (2, "1e-200", "cap radius 1e-200 is too small: its cosine rounds to 1"),
+    ])
+    def test_unrepresentable_cap_exits_2(self, tmp_path, capsys, n, theta0, message):
+        # forms past the float range, or a cap with no width, are refused
+        # with one line and warn of nothing first
+        out = tmp_path / "s.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("solve", "--n", n, "--p", 2, "--theta0", theta0,
+                       "--problem", "buckling", "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: ValidationError: {message}\n"
+        assert not out.exists()
+
     def test_invalid_order_exits_2(self, tmp_path, capsys):
         code = run("solve", "--n", 2, "--p", 0, "--theta0", "1.0",
                    "--problem", "clamped", "--out", tmp_path / "x.json")
@@ -167,6 +184,20 @@ class TestSolveCommand:
 
 
 class TestBoundsCommand:
+    def test_euclidean_failure_does_not_blame_a_genuine_spectrum(self, tmp_path, capsys):
+        # the flat-space membrane inequality fails on this genuine large
+        # cap; exit 3 stays, and the text names the family's domain
+        spec = tmp_path / "c.json"
+        assert run("solve", "--n", 2, "--p", 1, "--theta0", 2.6, "--problem", "clamped",
+                   "--count", 10, "--out", spec) == 0
+        capsys.readouterr()
+        assert run("bounds", "--in", spec, "--family", "euclidean-membrane",
+                   "--out", tmp_path / "b.csv") == 3
+        assert capsys.readouterr().err == (
+            "error: DiscriminantNegative: S^2 - T = -0.673608 < 0 (S = 2.86334, "
+            "T = 8.87231); euclidean-membrane is a flat-space inequality and need "
+            "not hold on a cap\n")
+
     def test_round_trip_matches_in_process(self, tmp_path):
         spec_path = solve_hemi_buckling(tmp_path)
         out = tmp_path / "r.csv"
@@ -326,6 +357,31 @@ class TestVerifyCommand:
         code = run("verify", "--in", bad, "--out", tmp_path / "v.csv")
         assert code == 2
         assert "SchemaError" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,reason", [
+        (b"\xff\xfe\x00garbage", "is not UTF-8 text"),
+        (b'{"n": ' + b"1" * 5000 + b"}", "cannot be read as JSON"),
+        (b"[" * 100000 + b"]" * 100000, "cannot be read as JSON"),
+        (json.dumps({"schema": "spectrum/1", "n": 10**200, "p": 2, "theta0": 1.0,
+                     "problem": "buckling", "meta": {}, "entries": [
+                         {"value": v, "l": 0, "radial_index": i, "multiplicity": 1}
+                         for i, v in enumerate((1e300, 2e300))]}).encode(),
+         "n must be at most 10000, got an integer of 665 bits"),
+        (json.dumps({"schema": "spectrum/1", "n": 10**9, "p": 2, "theta0": 1.0,
+                     "problem": "buckling", "meta": {}, "entries": [
+                         {"value": 1.0, "l": 10**4, "radial_index": 0,
+                          "multiplicity": 3}]}).encode(),
+         "n must be at most 10000, got 1000000000"),
+    ], ids=["not-utf8", "long-integer", "deep-nesting", "n-1e200", "n-1e9"])
+    def test_unreadable_file_exits_2(self, tmp_path, capsys, text, reason):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("verify", "--in", bad, "--out", tmp_path / "v.csv")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: SchemaError: ") and reason in err
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         code = run("verify", "--in", tmp_path / "absent.json",

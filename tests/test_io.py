@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from capspec import io as fmt
 from capspec.bounds import EigenSequence, family
 from capspec.errors import SchemaError, ValidationError
+from capspec.radial import multiplicity
 from capspec.spectral import (
     Problem,
     SolverConfig,
@@ -202,12 +203,38 @@ class TestReadSpectrumRejects:
             fmt.read_spectrum(self.write(tmp_path, doc))
 
     def test_huge_dimension_refused_promptly(self, tmp_path):
-        # the multiplicity of l = 1 at n = 1e12 is 1e12; checking it must
-        # not evaluate (n - 2)!
+        # n above the dimension limit is refused before any multiplicity is
+        # checked, so no (n - 2)! or C(l + n - 3, l) is evaluated
         doc = self.base()
         doc["n"] = 10**12
-        with pytest.raises(SchemaError, match="multiplicity 2 .*expected 1000000000000"):
+        with pytest.raises(SchemaError, match="n must be at most 10000, got 1000000000000"):
             fmt.read_spectrum(self.write(tmp_path, doc))
+
+    def test_mode_limit(self, tmp_path):
+        doc = self.base()
+        doc["entries"][1]["l"] = 10**4 + 1
+        with pytest.raises(SchemaError,
+                           match=r"entries\[1\]: mode index must be an integer in 0..10000"):
+            fmt.read_spectrum(self.write(tmp_path, doc))
+
+    def test_wide_expected_multiplicity_not_printed(self, tmp_path):
+        # the multiplicity of l = 10000 at n = 10000 has 19992 bits, more
+        # digits than str() may format; the message gives its bit length
+        doc = self.base()
+        doc["n"] = 10**4
+        doc["entries"][1].update(l=10**4, multiplicity=3)
+        with pytest.raises(SchemaError, match=r"multiplicity 3 .*expected an integer of \d+ bits"):
+            fmt.read_spectrum(self.write(tmp_path, doc))
+
+    def test_sequence_expands_no_further_than_its_count(self, tmp_path):
+        # the l = 3 mode at n = 10000 has ~1.7e11 harmonics; a sequence of
+        # the requested count takes only the values it needs
+        doc = self.base()
+        doc["n"] = 10**4
+        doc["entries"][1].update(l=3, multiplicity=multiplicity(3, 10**4))
+        doc["meta"]["requested_count"] = 4
+        seq = fmt.read_spectrum(self.write(tmp_path, doc)).sequence()
+        assert seq.values == (3.0, 5.0, 5.0, 5.0)
 
     def test_duplicate_label(self, tmp_path):
         doc = self.base()
@@ -228,8 +255,9 @@ class TestRoundTripExact:
     @given(
         values=st.lists(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
                         min_size=1, max_size=6),
-        theta0=st.floats(min_value=0.0, max_value=math.pi, exclude_min=True,
-                         exclude_max=True),
+        # SolverConfig refuses a radius whose cosine rounds to 1 (below about
+        # 1.05e-8)
+        theta0=st.floats(min_value=2e-8, max_value=math.pi, exclude_max=True),
         convergence=st.floats(min_value=0.0, allow_infinity=False),
     )
     def test_write_then_read(self, values, theta0, convergence):

@@ -5,39 +5,64 @@ import math
 import numpy as np
 import pytest
 
-from capspec import linalg
+from capspec import linalg, spectral
 from capspec.errors import NoConvergence, NotPositiveDefinite, ValidationError
-from capspec.linalg import SymMatrix, cholesky, generalized_sym_eigen
+from capspec.linalg import generalized_sym_eigen
+from capspec.spectral import Problem, SolverConfig, assemble_mode
 
 from oracles import generalized_eigen_2x2
 
 
-# ---------------------------------------------------------------- SymMatrix
+# ------------------------------------------------------------ symmetrization
+# Pencils are plain arrays. generalized_sym_eigen checks and symmetrizes its
+# operands; the solver's forms are symmetrized where assemble_mode builds
+# them, and it records their asymmetry defect max|M - M^T| / max|M|.
 
 
-def test_symmetrization_records_defect():
-    m = SymMatrix([[1.0, 2.0], [1.0, 1.0]])
-    assert np.allclose(m.entries, [[1.0, 1.5], [1.5, 1.0]])
-    assert m.asymmetry_defect == pytest.approx(0.5)  # |2-1| / max|entry|
+def assembled(monkeypatch, a_raw, b_raw):
+    """assemble_mode on fixed raw forms, the same at both node counts."""
+    forms = [np.array(a_raw, dtype=float), np.array(b_raw, dtype=float)]
+    monkeypatch.setattr(spectral, "_raw_forms", lambda *args: [f.copy() for f in forms])
+    cfg = SolverConfig(n=2, p=1, theta0=1.0, problem=Problem.CLAMPED,
+                       basis_size=2, requested_count=1)
+    return assemble_mode(cfg, 0)
 
 
-def test_symmetric_input_zero_defect():
-    m = SymMatrix([[2.0, 1.0], [1.0, 2.0]])
-    assert m.asymmetry_defect == 0.0
-    with pytest.raises(ValueError):
-        m.entries[0, 0] = 5.0  # read-only
+def test_symmetrization_records_defect(monkeypatch):
+    pairs = generalized_sym_eigen([[1.0, 2.0], [1.0, 1.0]], np.eye(2))
+    assert np.allclose(pairs.values, [-0.5, 2.5], atol=1e-15)  # of [[1, 1.5], [1.5, 1]]
+    a, b, health = assembled(monkeypatch, [[1.0, 2.0], [1.0, 1.0]], np.eye(2))
+    assert np.allclose(a, [[1.0, 1.5], [1.5, 1.0]])
+    assert health["max_form_asymmetry"] == pytest.approx(0.5)  # |2-1| / max|entry|
+    assert health["quad_doubling_gap"] == 0.0
 
 
-def test_rejects_nonsquare_and_nonfinite():
-    with pytest.raises(ValidationError):
-        SymMatrix([[1.0, 2.0, 3.0]])
-    with pytest.raises(ValidationError):
-        SymMatrix([[np.nan, 0.0], [0.0, 1.0]])
+def test_symmetric_input_zero_defect(monkeypatch):
+    a, b, health = assembled(monkeypatch, [[2.0, 1.0], [1.0, 2.0]], np.eye(2))
+    assert health["max_form_asymmetry"] == 0.0
+    for form in (a, b):
+        with pytest.raises(ValueError):
+            form[0, 0] = 5.0  # read-only
+
+
+def test_rejects_nonsquare_and_nonfinite(monkeypatch):
+    with pytest.raises(ValidationError, match="square"):
+        generalized_sym_eigen([[1.0, 2.0, 3.0]], np.eye(1))
+    with pytest.raises(ValidationError, match="finite"):
+        generalized_sym_eigen(np.eye(2), [[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(ValidationError, match="matrix entries must be finite"):
+        assembled(monkeypatch, [[np.inf, 0.0], [0.0, 1.0]], np.eye(2))
 
 
 # ----------------------------------------------------------------- cholesky
 # Hand oracle for the 2x2: L11 = sqrt(4) = 2, L21 = 2/2 = 1,
 # L22 = sqrt(5 - 1^2) = 2.
+
+
+def cholesky(mat):
+    """The reduction's pivot-checked factor of the symmetric part of mat."""
+    arr = np.array(mat, dtype=float)
+    return linalg._checked_cholesky((arr + arr.T) / 2.0)
 
 
 def test_cholesky_hand_value():

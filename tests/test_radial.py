@@ -1,5 +1,6 @@
 """Radial operator and harmonic multiplicities."""
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -9,7 +10,13 @@ from numpy.polynomial import chebyshev as cheb
 from numpy.polynomial import polynomial as poly
 
 from capspec.errors import ValidationError
-from capspec.radial import multiplicity, operator_coeffs, operator_matrix
+from capspec.radial import (
+    MAX_DIMENSION,
+    MAX_MODE,
+    multiplicity,
+    operator_coeffs,
+    operator_matrix,
+)
 
 THETAS = [np.pi / 2, 1.0, 2.0 * np.pi / 3.0]
 
@@ -92,6 +99,19 @@ def test_multiplicity_validation():
         multiplicity(0, 1)
     with pytest.raises(ValidationError):
         multiplicity(1.5, 3)
+
+
+def test_multiplicity_limits():
+    # the largest mode and dimension cost one C(19997, 10000); one more of
+    # either is refused before any big-integer work, and a message names a
+    # wide integer by its bit length
+    corner = multiplicity(MAX_MODE, MAX_DIMENSION)
+    assert corner == (2 * MAX_MODE + MAX_DIMENSION - 2) * math.comb(
+        MAX_MODE + MAX_DIMENSION - 3, MAX_MODE) // (MAX_DIMENSION - 2)
+    with pytest.raises(ValidationError, match=f"mode index must be an integer in 0..{MAX_MODE}"):
+        multiplicity(MAX_MODE + 1, 3)
+    with pytest.raises(ValidationError, match="got an integer of 665 bits"):
+        multiplicity(1, 10**200)
 
 
 # ------------------------------------------------------- operator, examples

@@ -8,6 +8,7 @@ the series oracle in oracles.py.
 
 import math
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -33,8 +34,8 @@ from capspec.spectral import (
     Spectrum,
     _form_factors,
     _merge,
+    _inverted,
     _merge_key,
-    _radial_values,
     _raw_forms,
     _solve_mode,
     assemble_mode,
@@ -82,16 +83,57 @@ class TestAssembly:
     def test_forms_nearly_symmetric_odd_order(self):
         cfg = SolverConfig(n=3, p=3, theta0=1.0, problem=Problem.CLAMPED,
                            basis_size=24, requested_count=8)
-        a_form, b_form, _ = assemble_mode(cfg, 1)
-        assert a_form.asymmetry_defect < 1e-10
-        assert b_form.asymmetry_defect < 1e-10
+        a_form, b_form, health = assemble_mode(cfg, 1)
+        assert health["max_form_asymmetry"] < 1e-10
+        assert np.array_equal(a_form, a_form.T) and np.array_equal(b_form, b_form.T)
 
     def test_forms_nearly_symmetric_buckling(self):
         cfg = SolverConfig(n=3, p=3, theta0=1.0, problem=Problem.BUCKLING,
                            basis_size=24, requested_count=8)
-        a_form, b_form, _ = assemble_mode(cfg, 1)
-        assert a_form.asymmetry_defect < 1e-10
-        assert b_form.asymmetry_defect < 1e-10
+        a_form, b_form, health = assemble_mode(cfg, 1)
+        assert health["max_form_asymmetry"] < 1e-10
+        assert np.array_equal(a_form, a_form.T) and np.array_equal(b_form, b_form.T)
+
+    def test_health_is_the_worst_of_both_forms(self):
+        # referee: the defect and doubling gap of each raw form, taken by hand
+        cfg = SolverConfig(n=3, p=3, theta0=1.0, problem=Problem.BUCKLING,
+                           basis_size=24, requested_count=8)
+        factors = _form_factors(cfg, 1)
+        coarse = _raw_forms(cfg, 1, factors, cfg.quad_base)
+        fine = _raw_forms(cfg, 1, factors, 2 * cfg.quad_base)
+        scales = [float(np.max(np.abs(f))) for f in fine]
+        defects = [float(np.max(np.abs(f - f.T))) / m for f, m in zip(fine, scales)]
+        gaps = [float(np.max(np.abs(c - f))) / m for c, f, m in zip(coarse, fine, scales)]
+        a_form, b_form, health = assemble_mode(cfg, 1)
+        assert health == {"max_form_asymmetry": max(defects), "quad_doubling_gap": max(gaps)}
+        assert np.array_equal(a_form, (fine[0] + fine[0].T) / 2.0)
+        assert np.array_equal(b_form, (fine[1] + fine[1].T) / 2.0)
+
+    def test_asymmetric_form_warns_and_is_recorded(self, monkeypatch):
+        # a stiffness form pushed 1e-6 (relative) out of symmetry at both
+        # node counts passes the doubling check, warns once per mode past
+        # ASYMMETRY_WARN, and the worst defect is the recorded diagnostic
+        bump = 1e-6
+        assert bump > spectral.ASYMMETRY_WARN
+        unwrapped = spectral._raw_forms
+
+        def skewed(*args):
+            a, b = unwrapped(*args)
+            a = a.copy()
+            a[0, 1] += bump * float(np.max(np.abs(a)))
+            return [a, b]
+
+        monkeypatch.setattr(spectral, "_raw_forms", skewed)
+        cfg = hemi(2, 2, Problem.BUCKLING, N=16, K=4)
+        defects = [assemble_mode(cfg, l)[2]["max_form_asymmetry"] for l in range(3)]
+        assert all(bump * (1 - 1e-6) < d < bump * (1 + 1e-6) for d in defects)
+        with pytest.warns(RuntimeWarning, match="form asymmetry defect") as record:
+            spec = solve_spectrum(cfg)
+        assert len(record) == spec.diagnostics["l_max"] + 1
+        assert spec.diagnostics["max_form_asymmetry"] == max(
+            assemble_mode(cfg, l)[2]["max_form_asymmetry"]
+            for l in range(spec.diagnostics["l_max"] + 1))
+        assert spectrum_to_doc(spec)["meta"]["max_form_asymmetry"] > spectral.ASYMMETRY_WARN
 
     def test_quad_doubling_stability(self):
         # a fixed rule at the automatic base size and one at twice that must
@@ -265,8 +307,8 @@ class TestSpectrumStructure:
         expected = []
         for e in spec.entries:
             a_form, b_form, _ = assemble_mode(cfg, e.l)
-            coarse = _radial_values(a_form.entries[:size, :size],
-                                    b_form.entries[:size, :size], e.l)
+            coarse = _inverted(
+                linalg._generalized_values(b_form[:size, :size], a_form[:size, :size]), e.l)
             expected.append(abs(float(coarse[e.radial_index]) - e.value) / e.value)
         assert spec.diagnostics["convergence"] == expected
         assert 0.0 < max(expected) < 1e-6
@@ -309,9 +351,10 @@ class TestSpectrumStructure:
     def test_cold_solve_recurrence_passes_and_eigensolves(self, monkeypatch):
         # each rule build runs one recurrence pass (P_m and P_{m-1} give the
         # Newton step and, through the derivative identity, the weights);
-        # modes 0..4 take one values-only eigensolve each, and the companions
-        # of the modes l = 0..3 that hold the 8 requested values take one
-        # stacked call of 4 pencils; no solve computes eigenvectors
+        # modes 0..4 take one values-only eigensolve each (a stack of one
+        # pencil), and the companions of the modes l = 0..3 that hold the 8
+        # requested values take one stacked call of 4 pencils; no solve
+        # computes eigenvectors
         counts = {"recurrence": 0, "vectors": 0}
         pencils = []
 
@@ -334,7 +377,7 @@ class TestSpectrumStructure:
         quadrature._cached_rule.cache_clear()
         solve_spectrum(hemi(2, 2, Problem.BUCKLING, N=32, K=8))
         assert counts == {"recurrence": 2, "vectors": 0}
-        assert pencils == [()] * 5 + [(4,)]
+        assert pencils == [(1,)] * 5 + [(4,)]
 
     def test_spectrum_is_the_mode_loop_merge(self, monkeypatch):
         # each solved mode merges the records so far once (20 per mode at
@@ -484,8 +527,8 @@ class TestPencilAccuracy:
             a_form, b_form, _ = assemble_mode(cfg, l)
             with mpmath.workdps(40):
                 low_inv = mpmath.inverse(
-                    mpmath.cholesky(mpmath.matrix(a_form.entries.tolist())))
-                c = low_inv * mpmath.matrix(b_form.entries.tolist()) * low_inv.T
+                    mpmath.cholesky(mpmath.matrix(a_form.tolist())))
+                c = low_inv * mpmath.matrix(b_form.tolist()) * low_inv.T
                 mu = mpmath.eigsy((c + c.T) / 2, eigvals_only=True)
                 ref = np.array(sorted(float(1 / m) for m in mu)[:8])
             got = _solve_mode(cfg, l)[0][:8]
@@ -501,7 +544,7 @@ class TestPencilAccuracy:
                            basis_size=32, requested_count=8)
         a_form, b_form, _ = assemble_mode(cfg, 7)
         want = 1.0 / generalized_sym_eigen(b_form, a_form).values[::-1][:8]
-        got = _radial_values(a_form.entries, b_form.entries, 7)[:8]
+        got = _solve_mode(cfg, 7)[0][:8]
         assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
@@ -645,6 +688,41 @@ class TestValidation:
         for theta0 in (0.0, math.pi, -0.3, 4.0):
             with pytest.raises(ValidationError):
                 SolverConfig(n=2, p=2, theta0=theta0, problem=Problem.CLAMPED)
+
+    @pytest.mark.parametrize("theta0", [5e-324, 1e-200, 1e-8])
+    def test_rejects_radius_whose_cosine_rounds_to_one(self, theta0):
+        # such a cap has x0 = 1 and no width; it never reaches assembly
+        with pytest.raises(ValidationError, match="too small: its cosine rounds to 1"):
+            SolverConfig(n=2, p=2, theta0=theta0, problem=Problem.BUCKLING)
+        assert SolverConfig(n=2, p=2, theta0=2e-8, problem=Problem.BUCKLING).theta0 == 2e-8
+
+    def test_rejects_huge_dimension(self):
+        # one limit for the solver and the bound layer, checked before any
+        # float or big-integer work with n
+        message = f"dimension must be at most {spectral.MAX_DIMENSION}, got an integer of 665 bits"
+        with pytest.raises(ValidationError) as config_err:
+            SolverConfig(n=10**200, p=2, theta0=1.0, problem=Problem.BUCKLING)
+        with pytest.raises(ValidationError) as sequence_err:
+            EigenSequence(n=10**200, p=2, problem=Problem.BUCKLING, values=(1e300, 2e300))
+        assert str(config_err.value) == str(sequence_err.value) == message
+        assert EigenSequence(n=spectral.MAX_DIMENSION, p=2, problem=Problem.BUCKLING,
+                             values=(1e300,)).n == spectral.MAX_DIMENSION
+
+    @pytest.mark.parametrize("n,message", [
+        (1000, "stiffness form of mode 0 underflows to zero in double precision"),
+        (5000, "matrix entries must be finite"),
+    ])
+    def test_unrepresentable_forms_refused_without_warnings(self, n, message):
+        # at theta0 = 0.1 the weight's factor ((1 - x0)/2)^(gamma + 1)
+        # underflows to zero at n = 1000; at n = 5000 (1 + x)^gamma also
+        # overflows, and the overflow warns of nothing before the refusal
+        cfg = SolverConfig(n=n, p=2, theta0=0.1, problem=Problem.BUCKLING)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=message):
+                assemble_mode(cfg, 0)
+            with pytest.raises(ValidationError, match=message):
+                solve_spectrum(cfg)
 
     def test_rejects_basis_below_count(self):
         with pytest.raises(ValidationError):
