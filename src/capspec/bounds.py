@@ -55,6 +55,7 @@ from .errors import (
     FamilyMismatch,
     ValidationError,
 )
+from .radial import shown
 from .spectral import Problem, Spectrum, _checked_problem
 
 INEQ_SLACK = 1e-12
@@ -63,6 +64,9 @@ LIMIT_LOG2 = 64  # an implied bound above Lambda_k 2^64 counts as none
 DELTA_LOG_RANGE = (-6.0, 6.0)
 DELTA_ROOT_TOL = 1e-9  # in log10 delta, for the delta-opt stationarity root
 LN10 = math.log(10.0)
+# every all-prefix pass holds (K, K) arrays for a sequence of K values;
+# 1024 covers the solver's largest count (512) and keeps verify near 140 MB
+MAX_SEQUENCE = 1024
 
 SQRT = "sphere-buckling-sqrt"
 QUADRATIC = "sphere-buckling-quadratic"
@@ -108,6 +112,7 @@ class EigenSequence:
     def __post_init__(self):
         object.__setattr__(self, "problem", _checked_problem(self.problem, self.n, self.p))
         vals = tuple(float(v) for v in self.values)
+        check_sequence_length(len(vals))
         if not vals:
             raise ValidationError("eigenvalue sequence is empty")
         if vals[0] <= 0.0 or not all(math.isfinite(v) for v in vals):
@@ -124,6 +129,15 @@ class EigenSequence:
 
     def __len__(self):
         return len(self.values)
+
+
+def check_sequence_length(length: int) -> None:
+    """Refuse a sequence of more than MAX_SEQUENCE values with ValidationError;
+    spectrum readers call it before they expand the multiplicities."""
+    if length > MAX_SEQUENCE:
+        raise ValidationError(
+            f"eigenvalue sequence has {shown(length)} values; the bound layer takes "
+            f"at most {MAX_SEQUENCE}")
 
 
 @dataclass(frozen=True)
@@ -192,7 +206,8 @@ class BoundResult:
 def sphere_buckling_factor(lam: float, n: int, p: int) -> float:
     """Order-p coefficient entering the sphere buckling families; reduces to
     lam + 1 at p = 2. Terms with a vanishing integer coefficient are exact
-    zeros, so p = 2, 3 never meet a negative exponent."""
+    zeros, so p = 2, 3 never meet a negative exponent. It is formed in
+    floats; a factor past the float range raises BracketFailure."""
     if not (isinstance(n, (int, np.integer)) and n >= 2):
         raise ValidationError(f"dimension must be an integer >= 2, got {n!r}")
     if not (isinstance(p, (int, np.integer)) and p >= 2):
@@ -200,17 +215,39 @@ def sphere_buckling_factor(lam: float, n: int, p: int) -> float:
     lam = float(lam)
     if not (math.isfinite(lam) and lam > 0.0):
         raise DomainError(f"eigenvalue must be positive, got {lam!r}")
-    t = lam ** (1.0 / (p - 1))
-    total = ((t + n) ** (p - 1) - (t - n + 2) ** (p - 1)) / (2 * (n - 1))
-    total += n / (n - 1) * t * (t + n) ** (p - 2)
-    total -= 1 / (n - 1) * t * (t - n + 2) ** (p - 2)
-    c4 = 2 ** (p - 1) - p
-    if c4:
-        total += 2 * c4 * t * (t + n) ** (p - 3)
-    c5 = 2 ** (p - 2) - (p - 1)
-    if c5:
-        total += 4 * c5 * t * t * (t + n) ** (p - 4)
+    q = _float_order(p)
+    try:
+        t = lam ** (1.0 / (q - 1))
+        total = ((t + n) ** (q - 1) - (t - n + 2) ** (q - 1)) / (2 * (n - 1))
+        total += n / (n - 1) * t * (t + n) ** (q - 2)
+        total -= 1 / (n - 1) * t * (t - n + 2) ** (q - 2)
+        c4 = _two_power(q - 1) - q
+        if c4:
+            total += 2 * c4 * t * (t + n) ** (q - 3)
+        c5 = _two_power(q - 2) - (q - 1)
+        if c5:
+            total += 4 * c5 * t * t * (t + n) ** (q - 4)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise BracketFailure(
+            f"sphere buckling factor overflows the float range at order p = {shown(p)} "
+            f"and eigenvalue {lam:.6g}; no finite bound")
     return total
+
+
+def _float_order(p) -> float:
+    """The order p as a float, inf past the float range. Its powers then
+    overflow to inf or NaN, which the bound refuses."""
+    try:
+        return float(p)
+    except OverflowError:
+        return math.inf
+
+
+def _two_power(e: float) -> float:
+    """2^e for an integer-valued float e, exact, and inf past the float range."""
+    return 2.0**e if e < 1024 else math.inf
 
 
 class _Prefixes(NamedTuple):
@@ -679,23 +716,26 @@ def _root_coeffs(fam: BoundFamily, vals: np.ndarray, n: int, p: int) -> np.ndarr
     """Per-eigenvalue coefficients c_i of the closed-form families."""
     if fam.name in (QUADRATIC, GAP):
         return _coeff_g(vals, n, p) * _coeff_h(vals, n)
+    # formed in floats: a large order overflows to inf or NaN, never to an
+    # exact integer power, and the caller refuses the non-finite bound
+    q = _float_order(p)
     if fam.name == SPHERE_CLAMPED:
-        roots = vals ** (1.0 / p)
-        bracket = (roots + n) ** p - vals
-        c_extra = 2**p - (p + 1)
+        roots = vals ** (1.0 / q)
+        bracket = (roots + n) ** q - vals
+        c_extra = _two_power(q) - (q + 1)
         if c_extra:
-            bracket = bracket + 4.0 * c_extra * roots * (roots + n) ** (p - 2)
+            bracket = bracket + 4.0 * c_extra * roots * (roots + n) ** (q - 2)
         # trailing factor lambda_i^(1/p) + n^2/4; at p = 1 this is the
         # Yang-type inequality for the Dirichlet Laplacian on a sphere domain
         return 4.0 / (n * n) * bracket * (roots + n * n / 4.0)
     if fam.name == EUCLIDEAN_MEMBRANE:
         return 4.0 / n * vals
     if fam.name == EUCLIDEAN_CLAMPED:
-        return 4.0 * p * (2 * p + n - 2) / (n * n) * vals
+        return 4.0 * q * (2 * q + n - 2) / (n * n) * vals
     if fam.name == EUCLIDEAN_BUCKLING_P2:
         return 4.0 * (n + 2) / (n * n) * vals
     # EUCLIDEAN_BUCKLING
-    return 4.0 * (p - 1) * (n + 2 * p - 2) / (n * n) * vals ** ((2 * p - 3) / (p - 1))
+    return 4.0 * (q - 1) * (n + 2 * q - 2) / (n * n) * vals ** ((2 * q - 3) / (q - 1))
 
 
 def closed_form_bound(fam: BoundFamily, seq: EigenSequence, k: int,

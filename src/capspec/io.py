@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .bounds import DELTA, DELTA_OPT, EigenSequence
+from .bounds import DELTA, DELTA_OPT, EigenSequence, check_sequence_length
 from .errors import SchemaError, ValidationError
 from .radial import MAX_DIMENSION, multiplicity, shown
 from .spectral import Problem, Spectrum, SpectrumEntry, expanded
@@ -120,6 +120,8 @@ class SpectrumDocument:
     def sequence(self, count=None) -> EigenSequence:
         if count is None:
             count = self.meta.get("requested_count")
+        total = sum(e.multiplicity for e in self.entries)
+        check_sequence_length(total if count is None else min(count, total))
         return EigenSequence(n=self.n, p=self.p, problem=self.problem,
                              values=tuple(expanded(self.entries, count)))
 

@@ -20,10 +20,13 @@ full relative accuracy (about 1e-13 at N=32, p=3).
 
 Pencils are plain arrays, and two entries share one reduction (`_reduce`:
 unit-diagonal scaling, checked Cholesky, C = L^{-1} A L^{-T} by two LU
-solves). The solver's one values path, `_generalized_values`, takes exactly
-symmetric arrays, one pencil or a stack of equal-order pencils (LAPACK runs
-once per pencil, so each row equals its pencil solved alone), and ends in
-`eigvalsh`. The vectors path `generalized_sym_eigen`, kept for tests and
+solves). The solver reduces each mode's pencil once and keeps the reduced
+matrix C; its values are `eigvalsh` of C (`_eigen`). L is lower triangular,
+so the leading blocks of C are the reduced leading blocks of the pencil, and
+the values at every smaller nested basis are `eigvalsh` of those blocks,
+with no second factorization or solve (a stack of equal-order blocks in one
+call; LAPACK runs once per matrix, so each row equals its block solved
+alone). The vectors path `generalized_sym_eigen`, kept for tests and
 acceptance criterion 7, checks and symmetrizes array-likes, ends in `eigh`
 and maps the vectors back. Both keep the two solves against L: on the
 inverted clamped n=5, p=3, theta0=2.6, l=7 pencil at N=32 they agree to
@@ -86,38 +89,26 @@ def _symmetrized(mat) -> np.ndarray:
     return (arr + arr.T) / 2.0
 
 
-def _generalized_values(a, b) -> np.ndarray:
-    """Ascending eigenvalues of A x = lambda B x, with no vectors.
-
-    a and b are exactly symmetric arrays: one pencil (order, order) or a
-    stack (count, order, order) of equal-order pencils, whose values come
-    back as rows. The reduction and its checks are those of
-    `generalized_sym_eigen`, pencil by pencil; a stack raises the
-    NotPositiveDefinite message of its first failing pencil.
-    """
-    c, _, _ = _reduce(a, b)
-    return _eigen(c, vectors=False)
-
-
 def _reduce(a, b):
     """(C, L, d) of the scaled Cholesky reduction of A x = lambda B x.
 
-    d = diag(B)^{-1/2} scales both operands to unit diagonal of B, the
-    scaled B is L L^T (pivot-checked), and C = L^{-1} A L^{-T} is
-    symmetrized. Works on one pencil or on a stack of them.
+    a and b are exactly symmetric arrays of one order. d = diag(B)^{-1/2}
+    scales both operands to unit diagonal of B, the scaled B is L L^T
+    (pivot-checked), and C = L^{-1} A L^{-T} is symmetrized. L is lower
+    triangular, so the leading c-by-c blocks of L and C are the factor and
+    the reduced matrix of the pencil's leading c-by-c blocks.
     """
     if a.shape != b.shape:
         raise ValidationError(f"operand orders differ: {a.shape[-1]} vs {b.shape[-1]}")
-    diag = np.diagonal(b, axis1=-2, axis2=-1)
+    diag = b.diagonal()
     # a pencil that is not positive definite keeps unit scaling; the pivot
     # check then says so
-    positive = np.all(diag > 0.0, axis=-1, keepdims=True)
-    d = 1.0 / np.sqrt(np.where(positive, diag, 1.0))
-    scale = d[..., :, None] * d[..., None, :]
+    d = 1.0 / np.sqrt(diag if np.all(diag > 0.0) else np.ones_like(diag))
+    scale = d[:, None] * d[None, :]
     low = _checked_cholesky(b * scale)
     half = np.linalg.solve(low, a * scale)
-    c = np.linalg.solve(low, np.swapaxes(half, -1, -2))
-    return (c + np.swapaxes(c, -1, -2)) / 2.0, low, d
+    c = np.linalg.solve(low, half.T)
+    return (c + c.T) / 2.0, low, d
 
 
 def _eigen(c, vectors: bool):
@@ -136,14 +127,8 @@ def _checked_cholesky(b):
     LAPACK factors b; the factor is accepted only if every pivot diag(L)^2
     exceeds order * 1e-14 * max(diag), a test LAPACK itself applies only
     against 0. On failure the first bad pivot is found by bisection over
-    leading blocks, whose pivots are the leading pivots of b. A stack is
-    factored in one call, with the same test per matrix; if any fails, the
-    matrices are factored one by one, so the first failing one raises.
+    leading blocks, whose pivots are the leading pivots of b.
     """
-    if b.ndim > 2:
-        maxdiag = np.max(np.diagonal(b, axis1=-2, axis2=-1), axis=-1, keepdims=True)
-        low = _factor_above(b, b.shape[-1] * PIVOT_RELATIVE * maxdiag)
-        return low if low is not None else np.array([_checked_cholesky(m) for m in b])
     n = b.shape[0]
     maxdiag = float(np.max(b.diagonal())) if n else 0.0
     threshold = n * PIVOT_RELATIVE * maxdiag
@@ -167,4 +152,4 @@ def _factor_above(b, threshold):
         low = np.linalg.cholesky(b)
     except np.linalg.LinAlgError:
         return None
-    return low if np.all(np.diagonal(low, axis1=-2, axis2=-1) ** 2 > threshold) else None
+    return low if np.all(low.diagonal() ** 2 > threshold) else None

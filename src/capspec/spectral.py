@@ -22,15 +22,18 @@ mode of a solve; the polynomial factor (1 - s)^j and the smooth factor
 (1 + x)^gamma are folded into the effective weight. Every assembly is
 validated by node doubling, mode by mode.
 
-Eigenvalues of one mode come from the values-only generalized
-symmetric-definite solve of the inverted pencil B x = mu A x, lambda = 1/mu
-(see capspec.linalg); the spectrum merges modes by value (ties broken by
-(radial_index, l)) and expands each by the harmonic multiplicity of its
-mode. Since q_j does not depend on N, the forms of a smaller basis are
-leading blocks of the forms of a larger one. One assembly at the largest
-size thus serves every size a run needs: the companion at basis N - 4 and
-each row of a convergence study are solved from those blocks, the pencils
-of all their modes in one stacked call.
+Each mode's inverted pencil B x = mu A x, lambda = 1/mu, is reduced once
+to the symmetric matrix C = L^{-1} B L^{-T}, A = L L^T (see capspec.linalg),
+and its values are those of C; the spectrum merges modes by value (ties
+broken by (radial_index, l)) and expands each by the harmonic multiplicity
+of its mode. Since q_j does not depend on N, the forms of a smaller basis
+are leading blocks of the forms of a larger one, and since L is lower
+triangular, so are their reduced matrices. One assembly and one reduction
+per mode at the largest size thus serve every size a run needs: the
+companion at basis N - 4 and each row of a convergence study are the
+eigenvalues of leading blocks of C, those of all their modes in one stacked
+call. The trial functions sampled at a rule's nodes do not depend on the
+mode either and are built once per rule.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from .errors import (
     QuadratureNotConverged,
     ValidationError,
 )
-from .linalg import _generalized_values
+from .linalg import _eigen, _reduce
 from .quadrature import MAX_NODES, gauss_jacobi_rule
 from .radial import MAX_DIMENSION, multiplicity, multiply_by_s_matrix, operator_matrix, shown
 
@@ -203,27 +206,27 @@ def assemble_mode(cfg: SolverConfig, l: int):
     with np.errstate(over="ignore", invalid="ignore"):
         coarse = _raw_forms(cfg, l, factors, base)
         fine = _raw_forms(cfg, l, factors, 2 * base)
-    if not all(np.all(np.isfinite(form)) for form in coarse + fine):
+    if not (np.all(np.isfinite(coarse)) and np.all(np.isfinite(fine))):
         raise ValidationError("matrix entries must be finite")
-    health = {"max_form_asymmetry": 0.0, "quad_doubling_gap": 0.0}
-    for c, f, tag in zip(coarse, fine, ("stiffness", "mass")):
-        scale = float(np.max(np.abs(f)))
+    # both forms at once, stacked (stiffness, mass)
+    scales = np.max(np.abs(fine), axis=(1, 2))
+    gaps = np.max(np.abs(coarse - fine), axis=(1, 2))
+    for tag, scale, gap in zip(("stiffness", "mass"), scales.tolist(), gaps.tolist()):
         if scale == 0.0:
             raise ValidationError(
                 f"{tag} form of mode {l} underflows to zero in double precision")
-        gap = float(np.max(np.abs(c - f)))
         if gap > QUAD_DOUBLING_REL * scale:
             raise QuadratureNotConverged(
                 f"{tag} form moved by {gap:.3e} (scale {scale:.3e}) "
                 f"under node doubling {base} -> {2 * base} at mode {l}"
             )
-        defect = float(np.max(np.abs(f - f.T))) / scale
-        health["quad_doubling_gap"] = max(health["quad_doubling_gap"], gap / scale)
-        health["max_form_asymmetry"] = max(health["max_form_asymmetry"], defect)
-    a, b = ((f + f.T) / 2.0 for f in fine)
-    a.flags.writeable = False
-    b.flags.writeable = False
-    return a, b, health
+    fine_t = np.swapaxes(fine, 1, 2)
+    defects = np.max(np.abs(fine - fine_t), axis=(1, 2)) / scales
+    health = {"max_form_asymmetry": float(np.max(defects)),
+              "quad_doubling_gap": float(np.max(gaps / scales))}
+    forms = (fine + fine_t) / 2.0
+    forms.flags.writeable = False
+    return forms[0], forms[1], health
 
 
 def _form_factors(cfg: SolverConfig, l: int):
@@ -264,7 +267,9 @@ def _trial_coeffs(p: int, basis_size: int, x0: float) -> np.ndarray:
     return coeffs0
 
 
-def _raw_forms(cfg: SolverConfig, l: int, factors, quad_m: int):
+def _raw_forms(cfg: SolverConfig, l: int, factors, quad_m: int) -> np.ndarray:
+    """The stiffness and mass forms of mode l under the quad_m-node rule,
+    stacked (2, N, N)."""
     x0 = math.cos(cfg.theta0)
     half_width = (1.0 - x0) / 2.0
     gamma0 = cfg.n % 2 / 2.0
@@ -275,8 +280,9 @@ def _raw_forms(cfg: SolverConfig, l: int, factors, quad_m: int):
     eff_w = w * half_width ** (gamma + 1.0) * (1.0 - s) ** shift * (1.0 + x) ** gamma
     rows, forms = factors
     used = {i for _, i, _ in forms} | {k for _, _, k in forms}
-    sampled = {k: rows[k] @ vander_t for k in used}
-    return [(sampled[i] * (sign * eff_w)) @ sampled[k].T for sign, i, k in forms]
+    sampled = {k: rows[k] @ vander_t for k in used - {0}}
+    sampled[0] = _sampled_trials(cfg.p, cfg.basis_size, x0, gamma0, quad_m)
+    return np.array([(sampled[i] * (sign * eff_w)) @ sampled[k].T for sign, i, k in forms])
 
 
 @functools.lru_cache(maxsize=32)
@@ -290,29 +296,42 @@ def _shared_rule(gamma0: float, quad_m: int, degree: int):
     return s, w, vander_t
 
 
+@functools.lru_cache(maxsize=32)
+def _sampled_trials(p: int, basis_size: int, x0: float, gamma0: float, quad_m: int):
+    """q_j at the nodes of the (gamma0, quad_m) rule, one row per j: the
+    trial coefficients times the rule's Vandermonde, shared by every mode."""
+    _, _, vander_t = _shared_rule(gamma0, quad_m, p + basis_size - 1)
+    sampled = _trial_coeffs(p, basis_size, x0) @ vander_t
+    sampled.flags.writeable = False
+    return sampled
+
+
 def _solve_mode(cfg: SolverConfig, l: int):
-    """All radial eigenvalues of mode l (ascending), its refined forms
-    (A, B), and its health numbers from `assemble_mode`."""
+    """All radial eigenvalues of mode l (ascending), the read-only reduced
+    matrix C of its inverted pencil B x = mu A x, and its health numbers
+    from `assemble_mode`.
+
+    The wanted smallest lambda are the largest mu, which the eigensolver
+    resolves to full relative accuracy on these graded pencils.
+    """
     a, b, health = assemble_mode(cfg, l)
     defect = health["max_form_asymmetry"]
     if defect > ASYMMETRY_WARN:
         warnings.warn(f"form asymmetry defect {defect:.3e} at mode {l} exceeds "
                       f"{ASYMMETRY_WARN:g}", RuntimeWarning, stacklevel=3)
-    (values,) = _leading_values({l: (a, b)}, [l], cfg.basis_size)
-    return values, (a, b), health
+    reduced, _, _ = _reduce(b, a)
+    reduced.flags.writeable = False
+    (values,) = _leading_values({l: reduced}, [l], cfg.basis_size)
+    return values, reduced, health
 
 
-def _leading_values(forms, modes, size: int) -> list:
-    """Radial values of each listed mode at basis size `size`, from the
-    leading size-by-size blocks of the modes' refined forms (A, B), in one
-    stacked eigensolve of the inverted pencils B x = mu A x.
-
-    The wanted smallest lambda are the largest mu, which the eigensolver
-    resolves to full relative accuracy on these graded pencils.
-    """
-    a = np.array([forms[l][0][:size, :size] for l in modes])
-    b = np.array([forms[l][1][:size, :size] for l in modes])
-    return [_inverted(mu, l) for mu, l in zip(_generalized_values(b, a), modes)]
+def _leading_values(reduced, modes, size: int) -> list:
+    """Radial values of each listed mode at basis size `size`: the
+    eigenvalues of the leading size-by-size blocks of the modes' reduced
+    matrices, which are the reduced leading blocks of their pencils, in one
+    stacked values-only call."""
+    mu = _eigen(np.array([reduced[l][:size, :size] for l in modes]), vectors=False)
+    return [_inverted(row, l) for row, l in zip(mu, modes)]
 
 
 def _inverted(mu, l: int) -> np.ndarray:
@@ -332,15 +351,15 @@ def solve_spectrum(cfg: SolverConfig) -> Spectrum:
     multiplicity; the mode loop is extended (or, with a fixed cap, verified)
     until the last mode's smallest value clears the K-th merged value by 5%.
     Diagnostics carry the worst form asymmetry and relative node-doubling
-    gap over the solved modes, a per-entry convergence estimate against a
-    companion solve on the leading N - 4 blocks of each mode's forms, and
-    the lambda_1 > n - 2 guard outcome. A basis of 4 or less, or an entry
-    whose radial index the companion does not reach, is refused with
-    ValidationError.
+    gap over the solved modes, a per-entry convergence estimate against the
+    companion values of the leading N - 4 blocks of each mode's reduced
+    matrix, and the lambda_1 > n - 2 guard outcome. A basis of 4 or less, or
+    an entry whose radial index the companion does not reach, is refused
+    with ValidationError.
     """
     companion = _companion_basis(cfg)
-    mode_values, forms, health, records = _solve_modes(cfg)
-    estimates = _convergence_estimates(records, forms, companion)
+    mode_values, reduced, health, records = _solve_modes(cfg)
+    estimates = _convergence_estimates(records, reduced, companion)
     entries = tuple(
         SpectrumEntry(value=float(v), l=l, radial_index=j, multiplicity=multiplicity(l, cfg.n))
         for v, l, j in records
@@ -358,16 +377,16 @@ def solve_spectrum(cfg: SolverConfig) -> Spectrum:
 
 def _solve_modes(cfg: SolverConfig):
     """Solve modes 0, 1, ... until the last ground value clears the K-th
-    merged value by 5%; returns (values, forms, health, records), where
-    values[l] and forms[l] are mode l's radial values and refined (A, B),
+    merged value by 5%; returns (values, reduced, health, records), where
+    values[l] and reduced[l] are mode l's radial values and reduced matrix,
     health holds the worst health numbers and records is the final `_merge`
     of the values. Raises ModeCapTooSmall if a ground value drops
     or the mode cap comes first."""
     want = cfg.requested_count
     hard_cap = cfg.mode_cap if cfg.mode_cap is not None else max(64, 2 * want + 8)
-    values, forms, worst = [], [], {}
+    values, reduced, worst = [], [], {}
     for l in itertools.count():
-        radial_values, mode_forms, health = _solve_mode(cfg, l)
+        radial_values, mode_reduced, health = _solve_mode(cfg, l)
         for key, value in health.items():
             worst[key] = max(worst.get(key, 0.0), value)
         ground = float(radial_values[0])
@@ -377,10 +396,10 @@ def _solve_modes(cfg: SolverConfig):
                 f"at mode {l}; the sufficiency rule does not apply"
             )
         values.append(radial_values)
-        forms.append(mode_forms)
+        reduced.append(mode_reduced)
         covering = _merge(values, cfg.n, want)
         if covering and ground > MODE_SAFETY * covering[-1][0]:
-            return values, forms, worst, covering
+            return values, reduced, worst, covering
         if l >= hard_cap:
             raise ModeCapTooSmall(
                 f"modes 0..{l} cannot certify the first {want} eigenvalues "
@@ -441,13 +460,13 @@ def _companion_basis(cfg: SolverConfig) -> int:
     return companion
 
 
-def _convergence_estimates(records, forms, companion: int):
+def _convergence_estimates(records, reduced, companion: int):
     """Per-record |v_N - v_companion| / v_N.
 
-    The companion values of the merged modes are those of the leading
-    companion-by-companion blocks of their refined forms, in one stacked
-    solve. A record whose radial index the companion does not reach has no
-    estimate, and the solve is refused with ValidationError.
+    The companion values of the merged modes are the eigenvalues of the
+    leading companion-by-companion blocks of their reduced matrices, in one
+    stacked call. A record whose radial index the companion does not reach
+    has no estimate, and the solve is refused with ValidationError.
     """
     for _, l, j in records:
         if j >= companion:
@@ -456,7 +475,7 @@ def _convergence_estimates(records, forms, companion: int):
                 f"companion basis {companion} (basis - {COMPANION_DROP}) is too small"
             )
     modes = sorted({l for _, l, _ in records})
-    coarse = dict(zip(modes, _leading_values(forms, modes, companion)))
+    coarse = dict(zip(modes, _leading_values(reduced, modes, companion)))
     return [abs(float(coarse[l][j]) - v) / v for v, l, j in records]
 
 
@@ -478,7 +497,7 @@ def convergence_study(cfg: SolverConfig, basis_sizes) -> ConvergenceStudy:
 
     The modes are solved once, at the largest size and with its sufficiency
     rule; every smaller size merges the radial values of the same modes from
-    the leading blocks of their refined forms. The trial spaces are nested,
+    the leading blocks of their reduced matrices. The trial spaces are nested,
     so by Cauchy interlacing the values cannot increase with the size; a
     rise beyond 1e-10 absolute slack (eigensolver roundoff) raises
     MonotonicityViolation. Estimates are |last - previous| / last per index.
@@ -492,12 +511,12 @@ def convergence_study(cfg: SolverConfig, basis_sizes) -> ConvergenceStudy:
         raise ValidationError(f"basis sizes must be positive and ascending, got {sizes}")
     replace(cfg, basis_size=sizes[0])  # every size must be >= requested_count
     want = cfg.requested_count
-    _, forms, _, top = _solve_modes(replace(cfg, basis_size=sizes[-1]))
-    modes = range(len(forms))
+    _, reduced, _, top = _solve_modes(replace(cfg, basis_size=sizes[-1]))
+    modes = range(len(reduced))
     rows = []
     for size in sizes:
         records = top if size == sizes[-1] else _merge(
-            _leading_values(forms, modes, size), cfg.n, want)
+            _leading_values(reduced, modes, size), cfg.n, want)
         rows.append([v for v, l, _ in records for _ in range(multiplicity(l, cfg.n))][:want])
 
     values = np.array(rows)

@@ -85,6 +85,31 @@ class TestFactor:
                 got = sphere_buckling_factor(lam, n, 2)
                 assert abs(got - (lam + 1.0)) < 1e-12 * (lam + 1.0)
 
+    def test_float_coefficients_match_exact_integers(self):
+        # the float form's bits are those of the exact-integer one it
+        # replaced, at every order a solve can have
+        def integer_form(lam, n, p):
+            t = lam ** (1.0 / (p - 1))
+            total = ((t + n) ** (p - 1) - (t - n + 2) ** (p - 1)) / (2 * (n - 1))
+            total += n / (n - 1) * t * (t + n) ** (p - 2)
+            total -= 1 / (n - 1) * t * (t - n + 2) ** (p - 2)
+            c4, c5 = 2 ** (p - 1) - p, 2 ** (p - 2) - (p - 1)
+            total += 2 * c4 * t * (t + n) ** (p - 3) if c4 else 0
+            total += 4 * c5 * t * t * (t + n) ** (p - 4) if c5 else 0
+            return total
+
+        for p in range(2, 65):
+            for n in (2, 3, 7):
+                for lam in (n - 1.5 if n > 2 else 0.5, 12.25, 3.0e4):
+                    assert sphere_buckling_factor(lam, n, p) == integer_form(lam, n, p)
+
+    @pytest.mark.parametrize("p", [600, 1100, 10**9, 10**400])
+    def test_overflow_is_bracket_failure(self, p):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(BracketFailure, match="overflows the float range"):
+                sphere_buckling_factor(5.0, 3, p)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             sphere_buckling_factor(0.0, 2, 2)
@@ -1133,3 +1158,15 @@ class TestRefereesForFoldedPaths:
     @given(seq=wide_prefixes())
     def test_wide_prefixes(self, seq):
         assert_referees_agree(seq)
+
+
+class TestSequenceLength:
+    def test_limit_covers_the_solver_counts(self):
+        from capspec.spectral import MAX_BASIS_SIZE
+        assert bounds_module.MAX_SEQUENCE >= MAX_BASIS_SIZE
+
+    def test_over_long_sequence_refused(self):
+        limit = bounds_module.MAX_SEQUENCE
+        assert len(buck(tuple(1.0 + np.arange(limit)))) == limit
+        with pytest.raises(ValidationError, match=f"has {limit + 1} values.*at most {limit}"):
+            buck(tuple(1.0 + np.arange(limit + 1)))

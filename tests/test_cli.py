@@ -3,6 +3,7 @@ import io
 import json
 import math
 import tempfile
+import time
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -420,6 +421,32 @@ class TestVerifyCommand:
                    (tmp_path / "a.summary.json").read_bytes()
         assert len(outs["a"].read_text().splitlines()) == 1 + 7
         capsys.readouterr()
+
+
+class TestRefusedHeaders:
+    @pytest.mark.parametrize("p,problem", [
+        (600, "buckling"), (10**400, "buckling"), (10**9, "clamped")],
+        ids=["p600", "p1e400", "clamped-p1e9"])
+    def test_large_order_exits_3_quickly(self, tmp_path, capsys, p, problem):
+        # a power of order p past the float range is a BracketFailure line,
+        # not an OverflowError traceback or seconds spent on 2^p as an integer
+        spec_path = write_synthetic(tmp_path, [5.0, 9.0], n=3, p=p, problem=problem)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            start = time.perf_counter()
+            code = run("verify", "--in", spec_path, "--out", tmp_path / "v.csv")
+            elapsed = time.perf_counter() - start
+        err = capsys.readouterr().err
+        assert code == 3 and elapsed < 1.0, (code, elapsed)
+        assert err.count("\n") == 1 and "BracketFailure" in err and "overflow" in err, err
+
+    def test_over_long_sequence_exits_2(self, tmp_path, capsys):
+        spec_path = write_synthetic(tmp_path, [3.0 + i for i in range(1100)])
+        code = run("verify", "--in", spec_path, "--out", tmp_path / "v.csv")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == ("error: ValidationError: eigenvalue sequence has 1100 values; "
+                       "the bound layer takes at most 1024\n")
 
 
 def mutated_copy(tmp_path, mutate, name="n2-pi_2.json"):

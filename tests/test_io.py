@@ -128,6 +128,22 @@ class TestReadSpectrumRejects:
         with pytest.raises(SchemaError, match="cannot read"):
             fmt.read_spectrum(tmp_path / "absent.json")
 
+    def test_over_long_sequence_refused_before_expansion(self, tmp_path, monkeypatch):
+        # one n = 3 entry of mode 10000 stands for 20001 values; without a
+        # requested count the sequence would expand them all, so it is
+        # refused first, while a count within the limit reads
+        doc = self.base()
+        doc.update(n=3, entries=[{"value": 3.0, "l": 10000, "radial_index": 0,
+                                  "multiplicity": 20001}])
+        spec = fmt.read_spectrum(self.write(tmp_path, doc))
+        monkeypatch.setattr(fmt, "expanded", None)
+        with pytest.raises(ValidationError, match="has 20001 values"):
+            spec.sequence()
+        monkeypatch.undo()
+        assert len(spec.sequence(1024)) == 1024
+        with pytest.raises(ValidationError, match="has 1025 values"):
+            spec.sequence(1025)
+
     def test_not_json(self, tmp_path):
         with pytest.raises(SchemaError, match="not valid JSON"):
             fmt.read_spectrum(self.write(tmp_path, "]["))

@@ -21,8 +21,8 @@ from oracles import generalized_eigen_2x2
 
 def assembled(monkeypatch, a_raw, b_raw):
     """assemble_mode on fixed raw forms, the same at both node counts."""
-    forms = [np.array(a_raw, dtype=float), np.array(b_raw, dtype=float)]
-    monkeypatch.setattr(spectral, "_raw_forms", lambda *args: [f.copy() for f in forms])
+    forms = np.array([a_raw, b_raw], dtype=float)
+    monkeypatch.setattr(spectral, "_raw_forms", lambda *args: forms.copy())
     cfg = SolverConfig(n=2, p=1, theta0=1.0, problem=Problem.CLAMPED,
                        basis_size=2, requested_count=1)
     return assemble_mode(cfg, 0)
@@ -298,7 +298,7 @@ def test_generalized_order_mismatch():
         generalized_sym_eigen(np.eye(2), np.eye(3))
 
 
-# ------------------------------------------------ values-only, and stacks
+# ----------------------------------- values-only, stacks and leading blocks
 
 
 def spd_pencils(count, order, seed):
@@ -312,47 +312,38 @@ def spd_pencils(count, order, seed):
 
 
 def test_stack_rows_are_single_pencil_values():
-    # LAPACK runs once per matrix of a stack, so each row is bitwise the
-    # values of its pencil solved alone
+    # LAPACK runs once per matrix of a stack, so each row of a stacked
+    # values call on reduced pencils is bitwise the values of its matrix
+    # alone (the solver reads the companion and every convergence size this
+    # way, one stack of leading blocks per size)
     a, b = spd_pencils(4, 9, 31)
-    stacked = linalg._generalized_values(a, b)
+    reduced = np.array([linalg._reduce(a_one, b_one)[0] for a_one, b_one in zip(a, b)])
+    stacked = linalg._eigen(reduced, vectors=False)
     assert stacked.shape == (4, 9)
-    for row, a_one, b_one in zip(stacked, a, b):
-        assert np.array_equal(row, linalg._generalized_values(a_one, b_one))
-
-
-def test_stack_raises_first_failing_pencil_message():
-    # pencil 2 fails at its 4th pivot (1e-17, far below the threshold) and
-    # pencil 3 at its 3rd (negative); the stack raises pencil 2's message
-    # word for word, though pencil 3 fails earlier in its own order
-    order = 8
-    a, b = spd_pencils(4, order, 37)
-    rng = np.random.RandomState(41)
-    unit = np.eye(order) + 0.1 * np.tril(rng.standard_normal((order, order)), -1)
-    for index, bad_pivot in ((2, 1e-17), (3, -0.5)):
-        pivots = rng.uniform(1.0, 2.0, order)
-        pivots[5 - index] = bad_pivot
-        b_bad = (unit * pivots) @ unit.T
-        b[index] = (b_bad + b_bad.T) / 2.0
-    messages = []
-    for index in (2, 3):
-        with pytest.raises(NotPositiveDefinite) as err:
-            linalg._generalized_values(a[index], b[index])
-        messages.append(str(err.value))
-    assert messages[0] != messages[1]
-    assert messages[0].startswith("pivot 4 of 8 at or below threshold")
-    with pytest.raises(NotPositiveDefinite) as err:
-        linalg._generalized_values(a, b)
-    assert str(err.value) == messages[0]
+    for row, c in zip(stacked, reduced):
+        assert np.array_equal(row, linalg._eigen(c, vectors=False))
 
 
 def test_values_only_lapack_failure_is_no_convergence(monkeypatch):
     def fail(_):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     a, b = spd_pencils(3, 5, 43)
+    reduced = np.array([linalg._reduce(a_one, b_one)[0] for a_one, b_one in zip(a, b)])
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
     with pytest.raises(NoConvergence, match="did not converge"):
-        linalg._generalized_values(a[0], b[0])
+        linalg._eigen(reduced[0], vectors=False)
     with pytest.raises(NoConvergence, match="did not converge"):
-        linalg._generalized_values(a, b)
+        linalg._eigen(reduced, vectors=False)
+
+
+def test_leading_block_of_reduction_is_reduced_leading_block():
+    # L is lower triangular, so the leading c-by-c block of C = L^{-1} A L^{-T}
+    # is the reduction of the pencil's leading blocks, up to roundoff
+    a, b = spd_pencils(1, 12, 47)
+    full, low, d = linalg._reduce(a[0], b[0])
+    for size in (1, 5, 11):
+        block, low_block, d_block = linalg._reduce(a[0][:size, :size], b[0][:size, :size])
+        assert np.array_equal(d[:size], d_block)
+        assert np.allclose(low[:size, :size], low_block, rtol=0.0, atol=1e-13)
+        assert np.allclose(full[:size, :size], block, rtol=0.0, atol=1e-13)

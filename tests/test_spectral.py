@@ -26,7 +26,7 @@ from capspec.errors import (
 from capspec.io import read_spectrum, spectrum_to_doc
 from capspec.linalg import generalized_sym_eigen
 from capspec.quadrature import gauss_jacobi_rule
-from capspec.radial import operator_coeffs, operator_matrix
+from capspec.radial import multiplicity, operator_coeffs, operator_matrix
 from capspec.spectral import (
     ConvergenceStudy,
     Problem,
@@ -118,10 +118,9 @@ class TestAssembly:
         unwrapped = spectral._raw_forms
 
         def skewed(*args):
-            a, b = unwrapped(*args)
-            a = a.copy()
-            a[0, 1] += bump * float(np.max(np.abs(a)))
-            return [a, b]
+            forms = unwrapped(*args)
+            forms[0, 0, 1] += bump * float(np.max(np.abs(forms[0])))
+            return forms
 
         monkeypatch.setattr(spectral, "_raw_forms", skewed)
         cfg = hemi(2, 2, Problem.BUCKLING, N=16, K=4)
@@ -297,8 +296,10 @@ class TestSpectrumStructure:
         assert max(spec.diagnostics["convergence"]) < 1e-10
 
     def test_companion_from_leading_blocks(self):
-        # q_j does not depend on N, so the companion's forms are the leading
-        # blocks of the main assembly; the estimates come from those blocks
+        # q_j does not depend on N and the reduction's factor is lower
+        # triangular, so the companion's reduced pencils are the leading
+        # blocks of each mode's one reduced matrix; the estimates are the
+        # eigenvalues of those blocks, exactly
         cfg = SolverConfig(n=2, p=3, theta0=1.9, problem=Problem.BUCKLING,
                            basis_size=24, requested_count=8)
         spec = solve_spectrum(cfg)
@@ -306,12 +307,33 @@ class TestSpectrumStructure:
         assert size == 20
         expected = []
         for e in spec.entries:
-            a_form, b_form, _ = assemble_mode(cfg, e.l)
-            coarse = _inverted(
-                linalg._generalized_values(b_form[:size, :size], a_form[:size, :size]), e.l)
+            _, reduced, _ = _solve_mode(cfg, e.l)
+            coarse = _inverted(np.linalg.eigvalsh(reduced[:size, :size]), e.l)
             expected.append(abs(float(coarse[e.radial_index]) - e.value) / e.value)
         assert spec.diagnostics["convergence"] == expected
         assert 0.0 < max(expected) < 1e-6
+
+    @pytest.mark.parametrize("n,p,problem,theta0", [
+        (2, 3, Problem.BUCKLING, 2.6), (3, 3, Problem.CLAMPED, 2.6),
+        (5, 3, Problem.CLAMPED, 2.6), (4, 3, Problem.BUCKLING, 2.6),
+        (2, 1, Problem.CLAMPED, 0.6), (3, 2, Problem.BUCKLING, math.pi / 2),
+        (5, 2, Problem.CLAMPED, 1.0)])
+    def test_companion_matches_second_reduction(self, n, p, problem, theta0):
+        # the leading blocks of one reduction give the companion values that
+        # reducing the forms' leading blocks again (a second scaled Cholesky
+        # and two more solves) gives, to roundoff
+        cfg = SolverConfig(n=n, p=p, theta0=theta0, problem=problem,
+                           basis_size=32, requested_count=8)
+        spec = solve_spectrum(cfg)
+        size = spec.diagnostics["basis_companion"]
+        for l in sorted({e.l for e in spec.entries}):
+            wanted = [e.radial_index for e in spec.entries if e.l == l]
+            _, reduced, _ = _solve_mode(cfg, l)
+            one = _inverted(np.linalg.eigvalsh(reduced[:size, :size]), l)[wanted]
+            a_form, b_form, _ = assemble_mode(cfg, l)
+            second, _, _ = linalg._reduce(b_form[:size, :size], a_form[:size, :size])
+            two = _inverted(np.linalg.eigvalsh(second), l)[wanted]
+            assert np.max(np.abs(one - two) / two) <= 1e-11, l
 
     def test_cold_solve_rule_builds(self):
         # one base and one doubled rule serve every solved mode (0..4): the
@@ -351,12 +373,14 @@ class TestSpectrumStructure:
     def test_cold_solve_recurrence_passes_and_eigensolves(self, monkeypatch):
         # each rule build runs one recurrence pass (P_m and P_{m-1} give the
         # Newton step and, through the derivative identity, the weights);
-        # modes 0..4 take one values-only eigensolve each (a stack of one
-        # pencil), and the companions of the modes l = 0..3 that hold the 8
-        # requested values take one stacked call of 4 pencils; no solve
-        # computes eigenvectors
-        counts = {"recurrence": 0, "vectors": 0}
-        pencils = []
+        # modes 0..4 take one reduction each (one Cholesky, two solves) and
+        # one values-only eigensolve of the 32-by-32 reduced matrix (a stack
+        # of one), and the companions of the modes l = 0..3 that hold the 8
+        # requested values take one stacked values call on 4 leading
+        # 28-by-28 blocks, with no reduction of their own; no solve computes
+        # eigenvectors
+        counts = {"recurrence": 0, "vectors": 0, "reduce": 0, "cholesky": 0, "solve": 0}
+        shapes = []
 
         def counted(key, wrapped):
             def call(*args):
@@ -364,20 +388,23 @@ class TestSpectrumStructure:
                 return wrapped(*args)
             return call
 
-        def values_only(a, b):
-            pencils.append(a.shape[:-2])
-            return linalg._generalized_values(a, b)
+        def values_only(c, vectors):
+            shapes.append(c.shape)
+            return linalg._eigen(c, vectors)
 
         monkeypatch.setattr(quadrature, "_jacobi_recurrence",
                             counted("recurrence", quadrature._jacobi_recurrence))
         monkeypatch.setattr(linalg, "generalized_sym_eigen",
                             counted("vectors", linalg.generalized_sym_eigen))
-        monkeypatch.setattr(spectral, "_generalized_values", values_only)
+        monkeypatch.setattr(spectral, "_reduce", counted("reduce", spectral._reduce))
+        monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
+        monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+        monkeypatch.setattr(spectral, "_eigen", values_only)
         spectral._shared_rule.cache_clear()
         quadrature._cached_rule.cache_clear()
         solve_spectrum(hemi(2, 2, Problem.BUCKLING, N=32, K=8))
-        assert counts == {"recurrence": 2, "vectors": 0}
-        assert pencils == [(1,)] * 5 + [(4,)]
+        assert counts == {"recurrence": 2, "vectors": 0, "reduce": 5, "cholesky": 5, "solve": 10}
+        assert shapes == [(1, 32, 32)] * 5 + [(4, 28, 28)]
 
     def test_spectrum_is_the_mode_loop_merge(self, monkeypatch):
         # each solved mode merges the records so far once (20 per mode at
@@ -621,6 +648,35 @@ class TestConvergenceStudy:
         study = convergence_study(cfg, (8, 16, 32))
         assert solve_calls == calls == [0, 1, 2, 3, 4]
         assert np.array_equal(study.values[-1], spec.expanded_values())
+
+    @pytest.mark.parametrize("n,p,problem,theta0", [
+        (2, 2, Problem.BUCKLING, math.pi / 2), (3, 3, Problem.BUCKLING, 2.6),
+        (4, 3, Problem.CLAMPED, 1.0)])
+    def test_rows_are_leading_blocks_of_one_reduction(self, monkeypatch, n, p, problem, theta0):
+        # each mode is reduced once, at the top size; every row is the merge
+        # of the eigenvalues of the leading blocks of those reduced matrices,
+        # exactly, and the rows do not rise beyond the monotone slack
+        sizes = (8, 16, 24, 32)
+        cfg = SolverConfig(n=n, p=p, theta0=theta0, problem=problem,
+                           basis_size=32, requested_count=8)
+        _, reduced, _, _ = spectral._solve_modes(cfg)
+        reductions = []
+        unwrapped = spectral._reduce
+
+        def counted(a, b):
+            reductions.append(a.shape)
+            return unwrapped(a, b)
+
+        monkeypatch.setattr(spectral, "_reduce", counted)
+        study = convergence_study(cfg, sizes)
+        assert reductions == [(32, 32)] * len(reduced)
+        for size, row in zip(sizes, study.values):
+            values = [_inverted(np.linalg.eigvalsh(c[:size, :size]), l)
+                      for l, c in enumerate(reduced)]
+            records = _merge(values, n, 8)
+            want = [v for v, l, _ in records for _ in range(multiplicity(l, n))][:8]
+            assert np.array_equal(row, want), size
+        assert np.diff(study.values, axis=0).max() <= spectral.MONOTONE_SLACK
 
     @pytest.mark.parametrize("theta0", [math.pi / 3, math.pi / 2, 2 * math.pi / 3])
     def test_rows_match_independent_solves(self, theta0):
