@@ -1,8 +1,9 @@
 """Universal eigenvalue bound families.
 
 Every family bounds the (k+1)-th eigenvalue of a clamped or buckling
-problem by the first k eigenvalues. A family's kind, a column of the
-registry, names the one kernel that evaluates it (_KERNELS):
+problem by the first k eigenvalues. Each family has one record, a
+BoundFamily row of the registry, and its kind names the one kernel that
+evaluates it (_KERNELS):
 
 * implied families state an inequality between both sides evaluated at a
   candidate value c >= Lambda_k; the implied bound is the first c at which
@@ -42,7 +43,7 @@ eigenvalue to exceed n - 2 (for n = 2 this is just positivity).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -80,22 +81,39 @@ EUCLIDEAN_CLAMPED = "euclidean-clamped"
 EUCLIDEAN_BUCKLING_P2 = "euclidean-buckling-p2"
 EUCLIDEAN_BUCKLING = "euclidean-buckling"
 
-# name -> (problem, exact_p, sphere guard required, kind); EigenSequence
-# already demands p >= 2 for buckling and p >= 1 for clamped, and the kind
-# names the family's kernel in _KERNELS
-_REGISTRY = {
-    SQRT: (Problem.BUCKLING, None, True, "implied"),
-    QUADRATIC: (Problem.BUCKLING, None, True, "closed-form"),
-    GAP: (Problem.BUCKLING, None, True, "closed-form"),
-    DELTA: (Problem.BUCKLING, 2, True, "implied"),
-    DELTA_OPT: (Problem.BUCKLING, 2, True, "delta-opt"),
-    SQRT_P2: (Problem.BUCKLING, 2, True, "implied"),
-    SPHERE_CLAMPED: (Problem.CLAMPED, None, False, "closed-form"),
-    EUCLIDEAN_MEMBRANE: (Problem.CLAMPED, 1, False, "closed-form"),
-    EUCLIDEAN_CLAMPED: (Problem.CLAMPED, None, False, "closed-form"),
-    EUCLIDEAN_BUCKLING_P2: (Problem.BUCKLING, 2, False, "closed-form"),
-    EUCLIDEAN_BUCKLING: (Problem.BUCKLING, None, False, "closed-form"),
-}
+
+@dataclass(frozen=True)
+class BoundFamily:
+    """One family's record, a row of _REGISTRY: exact_p is the order it
+    requires (None for any), kind names its kernel in _KERNELS, and delta is
+    the delta family's parameter."""
+
+    name: str
+    problem: Problem
+    exact_p: int | None
+    needs_guard: bool
+    kind: str
+    delta: float | None = None
+
+    def __str__(self):
+        if self.name == DELTA and self.delta is not None:
+            return f"{self.name}({self.delta:g})"
+        return self.name
+
+
+_REGISTRY = {row.name: row for row in (
+    BoundFamily(SQRT, Problem.BUCKLING, None, True, "implied"),
+    BoundFamily(QUADRATIC, Problem.BUCKLING, None, True, "closed-form"),
+    BoundFamily(GAP, Problem.BUCKLING, None, True, "closed-form"),
+    BoundFamily(DELTA, Problem.BUCKLING, 2, True, "implied"),
+    BoundFamily(DELTA_OPT, Problem.BUCKLING, 2, True, "delta-opt"),
+    BoundFamily(SQRT_P2, Problem.BUCKLING, 2, True, "implied"),
+    BoundFamily(SPHERE_CLAMPED, Problem.CLAMPED, None, False, "closed-form"),
+    BoundFamily(EUCLIDEAN_MEMBRANE, Problem.CLAMPED, 1, False, "closed-form"),
+    BoundFamily(EUCLIDEAN_CLAMPED, Problem.CLAMPED, None, False, "closed-form"),
+    BoundFamily(EUCLIDEAN_BUCKLING_P2, Problem.BUCKLING, 2, False, "closed-form"),
+    BoundFamily(EUCLIDEAN_BUCKLING, Problem.BUCKLING, None, False, "closed-form"),
+)}
 
 FAMILY_NAMES = tuple(_REGISTRY)
 
@@ -140,26 +158,11 @@ def check_sequence_length(length: int) -> None:
             f"at most {MAX_SEQUENCE}")
 
 
-@dataclass(frozen=True)
-class BoundFamily:
-    name: str
-    problem: Problem
-    exact_p: int | None
-    needs_guard: bool
-    delta: float | None = None
-
-    def __str__(self):
-        if self.name == DELTA and self.delta is not None:
-            return f"{self.name}({self.delta:g})"
-        return self.name
-
-
 def family(name: str, delta: float | None = None) -> BoundFamily:
     """Construct a bound family by name, validating its parameters."""
     if name not in _REGISTRY:
         known = ", ".join(FAMILY_NAMES)
         raise ValidationError(f"unknown bound family {name!r}; known: {known}")
-    problem, exact_p, needs_guard, _ = _REGISTRY[name]
     if name == DELTA:
         if delta is None:
             raise ValidationError(f"{DELTA} requires a positive delta parameter")
@@ -168,17 +171,15 @@ def family(name: str, delta: float | None = None) -> BoundFamily:
             raise ValidationError(f"delta must be a positive finite real, got {delta!r}")
     elif delta is not None:
         raise ValidationError(f"delta does not apply to family {name!r}")
-    return BoundFamily(name=name, problem=problem, exact_p=exact_p,
-                       needs_guard=needs_guard, delta=delta)
+    return replace(_REGISTRY[name], delta=delta)
 
 
 def default_families(seq: EigenSequence) -> list[BoundFamily]:
     """Every sphere family that applies to the sequence, in registry order,
     except the delta family, whose free parameter has no default."""
-    return [family(name)
-            for name, (problem, exact_p, _, _) in _REGISTRY.items()
-            if name.startswith("sphere-") and name != DELTA
-            and problem is seq.problem and exact_p in (None, seq.p)]
+    return [row for row in _REGISTRY.values()
+            if row.name.startswith("sphere-") and row.name != DELTA
+            and row.problem is seq.problem and row.exact_p in (None, seq.p)]
 
 
 @dataclass(frozen=True)
@@ -393,9 +394,7 @@ def evaluate_predicate(fam: BoundFamily, seq: EigenSequence, k,
     h = _coeff_h(vals, n)
     if fam.name in (SQRT, SQRT_P2):
         g = _coeff_g(vals, n, seq.p) if fam.name == SQRT else _coeff_g_p2(vals, n)
-        lhs = _rowsum(diffs**2 * _sqrt_lhs_weight(vals, n))
-        rhs = (2.0 * np.sqrt(np.maximum(_rowsum(diffs**2 * g), 0.0))
-               * np.sqrt(np.maximum(_rowsum(diffs * h), 0.0)))
+        lhs, rhs, _, _ = _sqrt_sides(diffs, (_sqrt_lhs_weight(vals, n), g, h))
     elif fam.name == QUADRATIC:
         g = _coeff_g(vals, n, seq.p)
         lhs = _rowsum(diffs**2)
@@ -405,12 +404,27 @@ def evaluate_predicate(fam: BoundFamily, seq: EigenSequence, k,
         mult = d * _delta_weight(vals, n, d)
         lhs = 2.0 * _rowsum(diffs**2)
         rhs = _rowsum(diffs**2 * mult) + _rowsum(diffs * h) / d
-    holds = lhs <= rhs + INEQ_SLACK * (np.abs(lhs) + np.abs(rhs))
+    holds = _holds(lhs, rhs)
     if lengths.ndim == 0:
         return PredicateResult(lhs=float(lhs[0]), rhs=float(rhs[0]), holds=bool(holds[0]))
     shape = lengths.shape
     return PredicateResult(lhs=lhs.reshape(shape), rhs=rhs.reshape(shape),
                            holds=holds.reshape(shape))
+
+
+def _sqrt_sides(d: np.ndarray, weights):
+    """(L, 2 sqrt(G) sqrt(H), G, H) per row: the sides of L <= 2 sqrt(G H),
+    L = sum w_i d_i^2, G = sum g_i d_i^2 and H = sum h_i d_i for weights
+    (w, g, h), d zero past each row's prefix; a negative G or H counts as 0."""
+    dd = d * d
+    gsum, hsum = _rowsum(dd * weights[1]), _rowsum(d * weights[2])
+    rhs = 2.0 * np.sqrt(np.maximum(gsum, 0.0)) * np.sqrt(np.maximum(hsum, 0.0))
+    return _rowsum(dd * weights[0]), rhs, gsum, hsum
+
+
+def _holds(lhs, rhs):
+    """lhs <= rhs with relative slack INEQ_SLACK."""
+    return lhs <= rhs + INEQ_SLACK * (np.abs(lhs) + np.abs(rhs))
 
 
 def _implied_rows(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes) -> list:
@@ -762,33 +776,26 @@ def _delta_seeds(pre: _Prefixes) -> np.ndarray:
     Frozen, the predicate fails where (1-eps) L > (1+eps) (delta M + H/delta)
     with L = 2 sum d_i^2, M = sum W_i d_i^2, H = sum h_i d_i, d_i = x + e_i.
     Its right side is least, 2 (1+eps) sqrt(M H), at delta = sqrt(H/M), so
-    the best frozen bound is the first failure _first_failures finds with
-    the weights (L, M, H), and the seed is sqrt(H/M) there. At n = 2 the
-    weights do not depend on delta and the seed is the optimum itself. x,
-    e_i and H are taken in units of Lambda_k (H in units of Lambda_k^2), so
-    neither tiny nor huge eigenvalues under- or overflow the coefficients."""
+    the best frozen bound is the first failure of the sqrt shape with the
+    weights (L, M, H) (see _sqrt_sides), and the seed is sqrt(H/M) there. At
+    n = 2 the weights do not depend on delta and the seed is the optimum
+    itself. x, e_i and H are taken in units of Lambda_k (H in units of
+    Lambda_k^2), so no eigenvalue under- or overflows the coefficients."""
     n, vals = pre.n, pre.values
     e = pre.shifts(unit=True)
     weights = [pre.masked(2.0), pre.masked(vals + (1.0 - (n - 2) / vals) / 4.0),
                pre.masked(_coeff_h(vals, n) / pre.last[:, None])]  # L, M and H
 
-    def sums(rows, x):
-        """The L, M and H sums of the given rows at the points x, in d-form."""
+    def sides(rows, x):
         d = np.where(pre.mask[rows], x[:, None] + e[rows], 0.0)
-        dd = d * d
-        return (_rowsum(dd * weights[0][rows]), _rowsum(dd * weights[1][rows]),
-                _rowsum(d * weights[2][rows]))
+        return _sqrt_sides(d, [w[rows] for w in weights])
 
-    def fails(rows, x):
-        lsum, msum, hsum = sums(rows, x)
-        with np.errstate(invalid="ignore"):
-            return (1.0 - INEQ_SLACK) * lsum > 2.0 * (1.0 + INEQ_SLACK) * np.sqrt(msum * hsum)
-
-    x = _first_failures(weights, e, np.ones(len(e)), fails)
+    x = _first_failures(weights, e, np.ones(len(e)),
+                        lambda rows, x: ~_holds(*sides(rows, x)[:2]))
     found = np.isfinite(x)
     seeds = np.full(len(x), math.nan)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        _, msum, hsum = sums(np.flatnonzero(found), x[found])
+        _, _, msum, hsum = sides(np.flatnonzero(found), x[found])
         seeds[found] = 0.5 * np.log10(hsum / msum)
     return seeds
 
@@ -931,7 +938,7 @@ def evaluate_bounds(fam: BoundFamily, seq: EigenSequence, ks,
     lengths = np.atleast_1d(ks).tolist()
     actuals = [None] * len(lengths) if actuals is None else list(actuals)
     try:
-        outcomes = _KERNELS[_REGISTRY[fam.name][3]](fam, seq, _checked_prefixes(fam, seq, ks))
+        outcomes = _KERNELS[fam.kind](fam, seq, _checked_prefixes(fam, seq, ks))
     except CapspecError as error:
         return [error] * len(lengths)
     return [outcome if isinstance(outcome, CapspecError)
@@ -944,7 +951,7 @@ def _one_result(kind: str, fam: BoundFamily, seq: EigenSequence, k: int,
                 actual) -> BoundResult:
     """A per-k entry point for families of the given kind: the one-prefix
     case of evaluate_bounds."""
-    if _REGISTRY[fam.name][3] != kind:
+    if fam.kind != kind:
         raise FamilyMismatch(f"family {fam.name} has no {kind} bound")
     outcome = evaluate_bounds(fam, seq, _one_prefix(seq, k), [actual])[0]
     if isinstance(outcome, CapspecError):
@@ -956,4 +963,4 @@ def evaluate_bound(fam: BoundFamily, seq: EigenSequence, k: int,
                    actual: float | None = None) -> BoundResult:
     """Single entry point: the one-prefix case of evaluate_bounds, with the
     kernel of the family's kind."""
-    return _one_result(_REGISTRY[fam.name][3], fam, seq, k, actual)
+    return _one_result(fam.kind, fam, seq, k, actual)

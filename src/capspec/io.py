@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .bounds import DELTA, DELTA_OPT, EigenSequence, check_sequence_length
+from .bounds import EigenSequence, check_sequence_length
 from .errors import SchemaError, ValidationError
 from .radial import MAX_DIMENSION, multiplicity, shown
 from .spectral import Problem, Spectrum, SpectrumEntry, expanded
@@ -211,15 +211,11 @@ def read_spectrum(path) -> SpectrumDocument:
 
 
 def _aux_columns(result) -> tuple[str, str, str]:
+    """The aux_S, aux_T and aux_delta cells: the result's "S", "T" and
+    "delta_star" or "delta" entries, empty where it has none."""
     aux = result.aux
-    s = format_real(aux["S"]) if "S" in aux else ""
-    t = format_real(aux["T"]) if "T" in aux else ""
-    delta = ""
-    if result.family.name == DELTA_OPT:
-        delta = format_real(aux["delta_star"])
-    elif result.family.name == DELTA:
-        delta = format_real(aux["delta"])
-    return s, t, delta
+    delta = "delta_star" if "delta_star" in aux else "delta"
+    return tuple(format_real(aux[key]) if key in aux else "" for key in ("S", "T", delta))
 
 
 def verification_rows(report) -> list[str]:

@@ -38,11 +38,11 @@ weight to relative 1e-13 (relative to the weight mass). Any gamma >= 0 and
 any m <= MAX_NODES are accepted, but the solver asks only for gamma in
 {0, 1/2}: the integer part of its weight exponent is folded into the
 integrand (see capspec.spectral), so a solve builds one rule per node count.
+Each call builds its rule afresh and returns arrays the caller owns; the
+solver caches the rules it uses, read-only, in capspec.spectral._shared_rule.
 """
 
 from __future__ import annotations
-
-import functools
 
 import numpy as np
 
@@ -67,12 +67,7 @@ def gauss_jacobi_rule(gamma: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     gamma = float(gamma)
     if not (gamma >= 0.0 and np.isfinite(gamma)):
         raise ValidationError(f"weight exponent must be finite and >= 0, got {gamma}")
-    nodes, weights = _cached_rule(gamma, int(m))
-    return nodes.copy(), weights.copy()
-
-
-@functools.lru_cache(maxsize=512)
-def _cached_rule(gamma: float, m: int):
+    m = int(m)
     x = _start_nodes(gamma, m)
     p_m, p_prev = _jacobi_recurrence(gamma, m, x)
     t = 2.0 * m + gamma
@@ -85,8 +80,6 @@ def _cached_rule(gamma: float, m: int):
     weights = 2.0 ** (gamma + 1.0) / ((1.0 - x * x) * deriv * deriv)
     if not (np.all(np.diff(x) > 0.0) and np.all(weights > 0.0)):
         raise NoConvergence("polished nodes not strictly ascending with positive weights")
-    x.flags.writeable = False
-    weights.flags.writeable = False
     return x, weights
 
 

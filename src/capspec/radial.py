@@ -7,9 +7,9 @@ harmonic on the equatorial sphere, has
     (D_{l,n} q)(x) = (1 - x^2) q'' - (2l + n) x q' - l (l + n - 1) q,
 
 so the cap eigenproblems reduce per mode l to polynomial work in
-x = cos(theta) on [x0, 1], x0 = cos(theta0). Polynomials are stored by their
-Chebyshev coefficients in the mapped variable s = 2(x - x0)/(1 - x0) - 1,
-which lives on [-1, 1]; the map anchor x0 travels with the coefficients.
+x = cos(theta) on [cos(theta0), 1]. Polynomials are stored by their
+Chebyshev coefficients in the mapped variable s = 1 - (1 - x)/a on [-1, 1];
+the cap's half-width a = (1 - cos(theta0))/2 travels with the coefficients.
 
 D_{l,n} acts on coefficients as one upper-triangular matrix,
 
@@ -19,7 +19,7 @@ with M2 = (1 - x^2) d^2/dx^2 and M1 = x d/dx written as Chebyshev-in-s
 coefficient matrices. It is exact on polynomials and does not raise the
 degree: the matrices come from the Chebyshev differentiation and
 multiplication-by-s recurrences, never from sampled values. M1 and M2 do not
-depend on the mode, so they are built once per (x0, size), and the size-s
+depend on the mode, so they are built once per (a, size), and the size-s
 matrix is exactly the leading s x s block of every larger one.
 """
 
@@ -61,35 +61,33 @@ def multiplicity(l: int, n: int) -> int:
     return (2 * l + n - 2) * math.comb(l + n - 3, l) // (n - 2)
 
 
-def operator_coeffs(c: np.ndarray, l: int, n: int, x0: float) -> np.ndarray:
-    """Coefficient-level D_{l,n} on Chebyshev-in-s coefficients.
-
-    Returns an array of the same length as c.
+def operator_coeffs(c: np.ndarray, l: int, n: int, half_width: float) -> np.ndarray:
+    """Coefficient-level D_{l,n} on Chebyshev-in-s coefficients of the cap
+    of the given half-width; an array of the same length as c.
     """
     c = np.asarray(c, dtype=float)
-    return operator_matrix(l, n, x0, len(c)) @ c
+    return operator_matrix(l, n, half_width, len(c)) @ c
 
 
-def operator_matrix(l: int, n: int, x0: float, size: int) -> np.ndarray:
+def operator_matrix(l: int, n: int, half_width: float, size: int) -> np.ndarray:
     """D_{l,n} as a (size, size) upper-triangular matrix on Chebyshev-in-s
-    coefficients: column j is the image of T_j(s)."""
-    a = (1.0 - x0) / 2.0
-    scaled_m1, scaled_m2 = _derivative_matrices(float(x0), int(size))
+    coefficients of the cap of the given half-width: column j is the image of T_j(s)."""
+    a = float(half_width)
+    scaled_m1, scaled_m2 = _derivative_matrices(a, int(size))
     return (scaled_m2 / a - float(2 * l + n) * scaled_m1) / a - float(
         l * (l + n - 1)
     ) * np.eye(size)
 
 
 @functools.lru_cache(maxsize=32)
-def _derivative_matrices(x0: float, size: int):
-    """a * M1 and a^2 * M2 for the map x = a s + b, a = (1 - x0)/2.
+def _derivative_matrices(a: float, size: int):
+    """a * M1 and a^2 * M2 for the map x = a s + b, b = 1 - a, a the half-width.
 
     Built from integer and half-integer Chebyshev recurrence matrices whose
     products are exact in floating point, so every entry is independent of
     size and the nesting across sizes holds bit for bit.
     """
-    a = (1.0 - x0) / 2.0
-    b = (1.0 + x0) / 2.0
+    b = 1.0 - a
     j = np.arange(size)
     gap = j[None, :] - j[:, None]
     # d/ds: T_j' = 2j sum over k < j with j - k odd of T_k, the T_0 term halved
@@ -98,9 +96,9 @@ def _derivative_matrices(x0: float, size: int):
     mul_s = multiply_by_s_matrix(size)
     der2 = der @ der
     s_der2 = mul_s @ der2
-    # x d/dx = (b + a s) d/ds / a; (1 - x^2) = (1 - b^2) - 2ab s - a^2 s^2
+    # x d/dx = (b + a s) d/ds / a; (1 - x^2) = a (2 - a) - 2ab s - a^2 s^2
     scaled_m1 = b * der + a * (mul_s @ der)
-    scaled_m2 = (1.0 - b * b) * der2 - 2.0 * a * b * s_der2 - a * a * (mul_s @ s_der2)
+    scaled_m2 = a * (2.0 - a) * der2 - 2.0 * a * b * s_der2 - a * a * (mul_s @ s_der2)
     scaled_m1.flags.writeable = False
     scaled_m2.flags.writeable = False
     return scaled_m1, scaled_m2

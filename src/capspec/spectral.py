@@ -2,25 +2,27 @@
 
 For a cap of radius theta0 and mode l, trial functions are
 
-    q_j(x) = (x - x0)^p * T_j(s),   j = 0 .. N-1,
+    q_j(x) = (x - x0)^p * T_j(s) = a^p (1 + s)^p T_j(s),   j = 0 .. N-1,
 
-with T_j Chebyshev in the mapped variable s and x0 = cos(theta0); the factor
-(x - x0)^p encodes all p Dirichlet boundary conditions at once. Writing
-m = floor(p/2) and D for the mode-reduced Laplacian, the forms are
+with x0 = cos(theta0), T_j Chebyshev in the mapped variable s, x = 1 - a (1 - s),
+and a = (1 - x0)/2 the cap's half-width; the factor (x - x0)^p encodes all p
+Dirichlet boundary conditions at once. Writing m = floor(p/2) and D for the
+mode-reduced Laplacian, the forms are
 
     p even:    A[i][j] =  integral (D^m q_i) (D^m q_j) w dx
     p odd:     A[i][j] = -integral (D^m q_i) D(D^m q_j) w dx
     clamped:   B[i][j] =  integral q_i q_j w dx
     buckling:  B[i][j] = -integral q_i (D q_j) w dx
 
-over [x0, 1] with weight w(x) = (1 - x^2)^gamma, gamma = l + (n-2)/2. On the
-mapped interval 1 - x is proportional to 1 - s, and gamma splits as
+over [x0, 1] with weight w(x) = (1 - x^2)^gamma, gamma = l + (n-2)/2. There
+1 - x = a (1 - s) and 1 + x = 2 - a (1 - s), and gamma splits as
 gamma0 + j with gamma0 = (n-2)/2 mod 1 in {0, 1/2} and j = l + floor((n-2)/2)
 an integer. The Gauss-Jacobi rule carries only (1 - s)^gamma0, so one rule
 (and one Chebyshev Vandermonde at its nodes) per node count serves every
 mode of a solve; the polynomial factor (1 - s)^j and the smooth factor
-(1 + x)^gamma are folded into the effective weight. Every assembly is
-validated by node doubling, mode by mode.
+(1 + x)^gamma are folded into the effective weight. Every factor is formed
+from a = sin(theta0/2)^2, never from the rounded x0, which would cost a small
+cap ~1e-16/theta0^2 relative. Assemblies are validated by node doubling.
 
 Each mode's inverted pencil B x = mu A x, lambda = 1/mu, is reduced once
 to the symmetric matrix C = L^{-1} B L^{-T}, A = L L^T (see capspec.linalg),
@@ -152,6 +154,11 @@ class SolverConfig:
             )
 
     @property
+    def half_width(self) -> float:
+        """(1 - cos(theta0))/2, formed as sin(theta0/2)^2: a few ulps at every radius."""
+        return math.sin(self.theta0 / 2.0) ** 2
+
+    @property
     def quad_base(self) -> int:
         """Quadrature node count before the doubling check."""
         if self.quad_size is not None:
@@ -238,10 +245,9 @@ def _form_factors(cfg: SolverConfig, l: int):
     then the mass form, which is sign * integral (D^i q) (D^k q) w; forms
     that share a factor name the same row.
     """
-    p = cfg.p
-    x0 = math.cos(cfg.theta0)
-    coeffs0 = _trial_coeffs(p, cfg.basis_size, x0)
-    op_t = operator_matrix(l, cfg.n, x0, coeffs0.shape[1]).T
+    p, half_width = cfg.p, cfg.half_width
+    coeffs0 = _trial_coeffs(p, cfg.basis_size, half_width)
+    op_t = operator_matrix(l, cfg.n, half_width, coeffs0.shape[1]).T
 
     m = p // 2
     stiffness = (1.0, m, m) if p % 2 == 0 else (-1.0, m, m + 1)
@@ -253,16 +259,16 @@ def _form_factors(cfg: SolverConfig, l: int):
 
 
 @functools.lru_cache(maxsize=32)
-def _trial_coeffs(p: int, basis_size: int, x0: float) -> np.ndarray:
+def _trial_coeffs(p: int, basis_size: int, half_width: float) -> np.ndarray:
     """Coefficients of q_j = (x - x0)^p T_j(s), one row per j.
 
-    x - x0 = (1 - x0)/2 * (1 + s), so row j is column j of (I + S)^p scaled
-    by ((1 - x0)/2)^p, S being multiplication by s; the p + N columns hold
+    x - x0 = a (1 + s), a the half-width, so row j is column j of (I + S)^p
+    scaled by a^p, S being multiplication by s; the p + N columns hold
     degree p + N - 1 without truncation.
     """
     size = p + basis_size
     shift = np.linalg.matrix_power(np.eye(size) + multiply_by_s_matrix(size), p)
-    coeffs0 = ((1.0 - x0) / 2.0) ** p * shift.T[:basis_size]
+    coeffs0 = half_width ** p * shift.T[:basis_size]
     coeffs0.flags.writeable = False
     return coeffs0
 
@@ -270,18 +276,16 @@ def _trial_coeffs(p: int, basis_size: int, x0: float) -> np.ndarray:
 def _raw_forms(cfg: SolverConfig, l: int, factors, quad_m: int) -> np.ndarray:
     """The stiffness and mass forms of mode l under the quad_m-node rule,
     stacked (2, N, N)."""
-    x0 = math.cos(cfg.theta0)
-    half_width = (1.0 - x0) / 2.0
+    a = cfg.half_width
     gamma0 = cfg.n % 2 / 2.0
     shift = l + (cfg.n - 2) // 2
     gamma = gamma0 + shift
     s, w, vander_t = _shared_rule(gamma0, quad_m, cfg.p + cfg.basis_size - 1)
-    x = x0 + half_width * (s + 1.0)
-    eff_w = w * half_width ** (gamma + 1.0) * (1.0 - s) ** shift * (1.0 + x) ** gamma
+    eff_w = w * a ** (gamma + 1.0) * (1.0 - s) ** shift * (2.0 - a * (1.0 - s)) ** gamma
     rows, forms = factors
     used = {i for _, i, _ in forms} | {k for _, _, k in forms}
     sampled = {k: rows[k] @ vander_t for k in used - {0}}
-    sampled[0] = _sampled_trials(cfg.p, cfg.basis_size, x0, gamma0, quad_m)
+    sampled[0] = _sampled_trials(cfg.p, cfg.basis_size, a, gamma0, quad_m)
     return np.array([(sampled[i] * (sign * eff_w)) @ sampled[k].T for sign, i, k in forms])
 
 
@@ -297,11 +301,11 @@ def _shared_rule(gamma0: float, quad_m: int, degree: int):
 
 
 @functools.lru_cache(maxsize=32)
-def _sampled_trials(p: int, basis_size: int, x0: float, gamma0: float, quad_m: int):
+def _sampled_trials(p: int, basis_size: int, half_width: float, gamma0: float, quad_m: int):
     """q_j at the nodes of the (gamma0, quad_m) rule, one row per j: the
     trial coefficients times the rule's Vandermonde, shared by every mode."""
     _, _, vander_t = _shared_rule(gamma0, quad_m, p + basis_size - 1)
-    sampled = _trial_coeffs(p, basis_size, x0) @ vander_t
+    sampled = _trial_coeffs(p, basis_size, half_width) @ vander_t
     sampled.flags.writeable = False
     return sampled
 

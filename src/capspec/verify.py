@@ -142,8 +142,8 @@ def compare_sharpness(spec, delta_grid=(1e-3, 1e3, 32)) -> SharpnessReport:
     """Order-two sharpness audit: check_spectrum on ORDER_TWO_FAMILIES, and
     on top of it the sqrt family must agree with its p = 2 twin to 1e-10
     relative and must not exceed the delta family at any grid delta (grid
-    points with no finite implied bound count as +inf). The grid has at
-    most MAX_DELTA_GRID points.
+    points with no finite implied bound count as +inf). The grid's ends
+    are finite, 0 < LO < HI, and it has at most MAX_DELTA_GRID points.
 
     Violations are recorded in the summary, not raised; evaluator errors
     (domain guards etc.) propagate.
@@ -156,8 +156,8 @@ def compare_sharpness(spec, delta_grid=(1e-3, 1e3, 32)) -> SharpnessReport:
         )
     lo, hi, count = delta_grid
     lo, hi, count = float(lo), float(hi), int(count)
-    if not (0.0 < lo < hi and count >= 2):
-        raise ValidationError(f"bad delta grid {delta_grid!r}")
+    if not (0.0 < lo < hi < math.inf and count >= 2):
+        raise ValidationError(f"bad delta grid {delta_grid!r}: need finite 0 < LO < HI, COUNT >= 2")
     if count > MAX_DELTA_GRID:
         raise ValidationError(
             f"delta grid COUNT must be at most {MAX_DELTA_GRID}, got {count}")

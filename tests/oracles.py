@@ -2,7 +2,8 @@
 
 Nothing here imports the package under test: Bessel zeros come from the
 ascending series plus bisection, quadrature moments from exact rational
-arithmetic, and tiny eigenproblems from the quadratic formula.
+arithmetic, tiny eigenproblems from the quadratic formula, and the n = 2
+membrane ground value on a cap from a Legendre-function zero (mpmath).
 """
 
 import math
@@ -45,6 +46,26 @@ def bessel_first_zero(nu):
             return (lo + hi) / 2.0
         prev = cur
     raise AssertionError(f"no sign change found for J_{nu} below 30")
+
+
+def legendre_membrane_ground(theta0, dps=40):
+    """lambda_1 = nu (nu + 1) of the clamped p = 1 problem (the Dirichlet
+    Laplacian) on the cap of radius theta0 in S^2.
+
+    The mode-0 solution regular at the pole is P_nu(cos theta)
+    = 2F1(-nu, nu + 1; 1; sin(theta/2)^2), so nu is the least root of
+    that at theta0, found at dps digits from the flat-disk start
+    j_{0,1}/theta0 - 1/2. Writing the argument as sin^2 keeps small caps
+    exact.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        t = mpmath.mpf(theta0)
+        z = mpmath.sin(t / 2) ** 2
+        nu = mpmath.findroot(lambda v: mpmath.hyp2f1(-v, v + 1, 1, z),
+                             mpmath.besseljzero(0, 1) / t - mpmath.mpf(1) / 2)
+        return float(nu * (nu + 1))
 
 
 def jacobi_moment(gamma, j):

@@ -170,6 +170,19 @@ class TestSolveCommand:
         assert capsys.readouterr().err == f"error: ValidationError: {message}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_small_cap_solves_silently(self, tmp_path, capsys, p):
+        # a cap of radius 1e-7, a half-width of 2.5e-15, keeps its precision:
+        # no asymmetry warning and no refusal
+        out = tmp_path / "s.json"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run("solve", "--n", 2, "--p", p, "--theta0", "1e-7",
+                       "--problem", "clamped", "--out", out)
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert fmt.read_spectrum(out).meta["max_form_asymmetry"] <= 1e-8
+
     def test_invalid_order_exits_2(self, tmp_path, capsys):
         code = run("solve", "--n", 2, "--p", 0, "--theta0", "1.0",
                    "--problem", "clamped", "--out", tmp_path / "x.json")
@@ -573,6 +586,17 @@ class TestCompareCommand:
                        "--delta-grid", "1e-300:1e300:4", "--out", tmp_path / "x.csv")
         assert code == 0
         assert "0 dominance violations" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("grid", ["1:inf:5", "1e-3:1e400:5"])
+    def test_non_finite_grid_end_refused_without_warnings(self, tmp_path, capsys, grid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = run("compare", "--in", STORED / "n2-pi_2.json", "--delta-grid", grid,
+                       "--out", tmp_path / "x.csv")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.count("\n") == 1 and err.startswith("error: ValidationError: bad delta grid"), err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_oversized_grid_refused_before_allocating(self, tmp_path, capsys):
         # the COUNT limit is checked before the grid is built

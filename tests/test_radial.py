@@ -23,17 +23,23 @@ THETAS = [np.pi / 2, 1.0, 2.0 * np.pi / 3.0]
 
 # ------------------------------------------------ referee polynomial class
 # A polynomial in x = cos(theta) held by its Chebyshev-in-s coefficients and
-# the map anchor x0, with the operator applied through the coefficient-level
-# D_{l,n}; the examples below pin that operator, and the matrix tests check
-# operator_matrix against it column by column.
+# the cap's half-width a = (1 - x0)/2, x = 1 - a (1 - s), with the operator
+# applied through the coefficient-level D_{l,n}; the examples below pin that
+# operator, and the matrix tests check operator_matrix against it column by
+# column.
+
+
+def half_width(theta0: float) -> float:
+    """(1 - cos(theta0))/2, formed as SolverConfig.half_width forms it."""
+    return math.sin(theta0 / 2.0) ** 2
 
 
 @dataclass(frozen=True)
 class RadialPoly:
-    """Chebyshev coefficients in the mapped variable, plus the map anchor."""
+    """Chebyshev coefficients in the mapped variable, plus the half-width."""
 
     coeffs: np.ndarray
-    x0: float
+    half_width: float
 
     def __post_init__(self):
         arr = np.atleast_1d(np.array(self.coeffs, dtype=float))
@@ -41,8 +47,8 @@ class RadialPoly:
             raise ValidationError("coefficients must be a nonempty 1-d array")
         if not np.all(np.isfinite(arr)):
             raise ValidationError("coefficients must be finite")
-        if not -1.0 < self.x0 < 1.0:
-            raise ValidationError(f"map anchor must lie in (-1, 1), got {self.x0}")
+        if not 0.0 < self.half_width < 1.0:
+            raise ValidationError(f"half-width must lie in (0, 1), got {self.half_width}")
         arr.flags.writeable = False
         object.__setattr__(self, "coeffs", arr)
 
@@ -51,27 +57,26 @@ class RadialPoly:
         return len(self.coeffs) - 1
 
     @classmethod
-    def from_x_coeffs(cls, x_coeffs, x0: float) -> "RadialPoly":
+    def from_x_coeffs(cls, x_coeffs, half_width: float) -> "RadialPoly":
         """Build from monomial coefficients in x (constant first)."""
-        a = (1.0 - x0) / 2.0
-        b = (1.0 + x0) / 2.0
-        # compose with x = a s + b, then convert the s-monomial to Chebyshev
-        s_poly = np.polynomial.polynomial.Polynomial([b, a])
+        a = half_width
+        # compose with x = a s + b, b = 1 - a, then convert the s-monomial
+        # to Chebyshev
+        s_poly = np.polynomial.polynomial.Polynomial([1.0 - a, a])
         composed = np.polynomial.polynomial.Polynomial(np.atleast_1d(x_coeffs))(s_poly)
-        return cls(cheb.poly2cheb(composed.coef), x0)
+        return cls(cheb.poly2cheb(composed.coef), half_width)
 
     def eval_x(self, x):
         """Evaluate at x = cos(theta) points."""
-        a = (1.0 - self.x0) / 2.0
-        s = (np.asarray(x, dtype=float) - self.x0) / a - 1.0
+        s = 1.0 - (1.0 - np.asarray(x, dtype=float)) / self.half_width
         return cheb.chebval(s, self.coeffs)
 
 
 def apply_radial_operator(q: RadialPoly, l: int, n: int) -> RadialPoly:
     """D_{l,n} q, exactly, with the degree preserved."""
     multiplicity(l, n)  # reuses its argument validation
-    out = operator_coeffs(q.coeffs, l, n, q.x0)
-    return RadialPoly(out, q.x0)
+    out = operator_coeffs(q.coeffs, l, n, q.half_width)
+    return RadialPoly(out, q.half_width)
 
 
 # ------------------------------------------------------------- multiplicity
@@ -121,61 +126,61 @@ def test_multiplicity_limits():
 
 @pytest.mark.parametrize("theta0", THETAS)
 def test_linear_q_mode0_n3(theta0):
-    x0 = float(np.cos(theta0))
-    q = RadialPoly.from_x_coeffs([0.0, 1.0], x0)
+    a = half_width(theta0)
+    q = RadialPoly.from_x_coeffs([0.0, 1.0], a)
     out = apply_radial_operator(q, 0, 3)
-    expected = RadialPoly.from_x_coeffs([0.0, -3.0], x0)
+    expected = RadialPoly.from_x_coeffs([0.0, -3.0], a)
     assert np.array_equal(out.coeffs, expected.coeffs)  # exact
 
 
 @pytest.mark.parametrize("theta0", THETAS)
 def test_linear_q_mode1_n2(theta0):
-    x0 = float(np.cos(theta0))
-    q = RadialPoly.from_x_coeffs([0.0, 1.0], x0)
+    a = half_width(theta0)
+    q = RadialPoly.from_x_coeffs([0.0, 1.0], a)
     out = apply_radial_operator(q, 1, 2)
-    expected = RadialPoly.from_x_coeffs([0.0, -6.0], x0)
+    expected = RadialPoly.from_x_coeffs([0.0, -6.0], a)
     assert np.allclose(out.coeffs, expected.coeffs, rtol=0.0, atol=1e-15)
 
 
 def test_constant_q_mode1_n2():
-    q = RadialPoly.from_x_coeffs([1.0], 0.0)
+    q = RadialPoly.from_x_coeffs([1.0], 0.5)
     out = apply_radial_operator(q, 1, 2)
     assert np.array_equal(out.coeffs, [-2.0])
 
 
 def test_constant_q_harmonic():
-    q = RadialPoly.from_x_coeffs([1.0], 0.3)
+    q = RadialPoly.from_x_coeffs([1.0], 0.35)
     out = apply_radial_operator(q, 0, 4)
     assert np.array_equal(out.coeffs, [0.0])
 
 
 def test_degree2_hand_value():
     # q = x^2, l = 0, n = 2: (1-x^2)*2 - 2x*2x = 2 - 6x^2
-    q = RadialPoly.from_x_coeffs([0.0, 0.0, 1.0], 0.0)
+    q = RadialPoly.from_x_coeffs([0.0, 0.0, 1.0], 0.5)
     out = apply_radial_operator(q, 0, 2)
-    expected = RadialPoly.from_x_coeffs([2.0, 0.0, -6.0], 0.0)
+    expected = RadialPoly.from_x_coeffs([2.0, 0.0, -6.0], 0.5)
     assert np.allclose(out.coeffs, expected.coeffs, atol=1e-14)
 
 
 def test_degree_preserved():
     rng = np.random.RandomState(2)
     for deg in (0, 1, 2, 5, 11):
-        q = RadialPoly(rng.standard_normal(deg + 1), -0.2)
+        q = RadialPoly(rng.standard_normal(deg + 1), 0.6)
         out = apply_radial_operator(q, 2, 3)
         assert out.degree == deg
 
 
 def test_linearity_exact_for_dyadic_inputs():
     # exact as long as nothing rounds: dyadic scalars, small-integer
-    # coefficients, dyadic map anchor
+    # coefficients, dyadic half-width
     rng = np.random.RandomState(4)
-    x0 = 0.5
+    a = 0.25
     for alpha in (2.0, 0.5, -4.0):
         c1 = rng.randint(-8, 9, size=7).astype(float)
         c2 = rng.randint(-8, 9, size=7).astype(float)
-        q1 = RadialPoly(c1, x0)
-        q2 = RadialPoly(c2, x0)
-        combo = RadialPoly(alpha * c1 + c2, x0)
+        q1 = RadialPoly(c1, a)
+        q2 = RadialPoly(c2, a)
+        combo = RadialPoly(alpha * c1 + c2, a)
         left = apply_radial_operator(combo, 1, 3).coeffs
         right = alpha * apply_radial_operator(q1, 1, 3).coeffs + apply_radial_operator(
             q2, 1, 3
@@ -185,16 +190,16 @@ def test_linearity_exact_for_dyadic_inputs():
 
 def test_linearity_general_scalars():
     rng = np.random.RandomState(6)
-    x0 = -0.4
+    a = 0.7
     for _ in range(25):
         alpha = float(rng.standard_normal())
         c1 = rng.standard_normal(9)
         c2 = rng.standard_normal(9)
-        combo = RadialPoly(alpha * c1 + c2, x0)
+        combo = RadialPoly(alpha * c1 + c2, a)
         left = apply_radial_operator(combo, 3, 4).coeffs
         right = alpha * apply_radial_operator(
-            RadialPoly(c1, x0), 3, 4
-        ).coeffs + apply_radial_operator(RadialPoly(c2, x0), 3, 4).coeffs
+            RadialPoly(c1, a), 3, 4
+        ).coeffs + apply_radial_operator(RadialPoly(c2, a), 3, 4).coeffs
         scale = float(np.max(np.abs(right))) + 1.0
         assert np.max(np.abs(left - right)) <= 1e-13 * scale
 
@@ -248,10 +253,11 @@ def _monomial_image(x_coeffs, l, n):
 @pytest.mark.parametrize("theta0", THETAS)
 @pytest.mark.parametrize("l,n", MODES)
 def test_operator_matrix_columns_are_unit_images(theta0, l, n):
-    x0 = float(np.cos(theta0))
-    a, b = Fraction((1.0 - x0) / 2.0), Fraction((1.0 + x0) / 2.0)
+    hw = half_width(theta0)
+    a = Fraction(hw)
+    b = 1 - a
     size = 9
-    mat = operator_matrix(l, n, x0, size)
+    mat = operator_matrix(l, n, hw, size)
     assert mat.shape == (size, size)
     for j in range(size):
         unit = np.zeros(size)
@@ -265,39 +271,38 @@ def test_operator_matrix_columns_are_unit_images(theta0, l, n):
         scale = float(np.max(np.abs(expected))) + 1.0
         assert np.max(np.abs(mat[:, j] - expected)) <= 1e-13 * scale, j
         # the coefficient-level operator is this matrix applied to c
-        assert np.array_equal(apply_radial_operator(RadialPoly(unit, x0), l, n).coeffs,
+        assert np.array_equal(apply_radial_operator(RadialPoly(unit, hw), l, n).coeffs,
                               mat @ unit)
 
 
 @pytest.mark.parametrize("theta0", THETAS)
 @pytest.mark.parametrize("l,n", MODES)
 def test_operator_matrix_upper_triangular(theta0, l, n):
-    mat = operator_matrix(l, n, float(np.cos(theta0)), 12)
+    mat = operator_matrix(l, n, half_width(theta0), 12)
     assert np.array_equal(np.tril(mat, -1), np.zeros_like(mat))
 
 
 @pytest.mark.parametrize("theta0", THETAS)
 @pytest.mark.parametrize("l,n", MODES)
 def test_operator_matrix_nests_across_sizes(theta0, l, n):
-    x0 = float(np.cos(theta0))
+    hw = half_width(theta0)
     for size in (1, 2, 5, 16, 33):
-        small = operator_matrix(l, n, x0, size)
-        large = operator_matrix(l, n, x0, size + 4)
+        small = operator_matrix(l, n, hw, size)
+        large = operator_matrix(l, n, hw, size + 4)
         assert np.array_equal(small, large[:size, :size]), size
 
 
 def test_eval_and_roundtrip():
-    x0 = float(np.cos(1.0))
-    q = RadialPoly.from_x_coeffs([1.0, -2.0, 0.5], x0)
-    xs = np.linspace(x0, 1.0, 7)
+    q = RadialPoly.from_x_coeffs([1.0, -2.0, 0.5], half_width(1.0))
+    xs = np.linspace(np.cos(1.0), 1.0, 7)
     direct = 1.0 - 2.0 * xs + 0.5 * xs**2
     assert np.allclose(q.eval_x(xs), direct, atol=1e-14)
 
 
 def test_radial_poly_validation():
     with pytest.raises(ValidationError):
-        RadialPoly(np.array([]), 0.0)
+        RadialPoly(np.array([]), 0.5)
     with pytest.raises(ValidationError):
-        RadialPoly([1.0, np.inf], 0.0)
+        RadialPoly([1.0, np.inf], 0.5)
     with pytest.raises(ValidationError):
         RadialPoly([1.0], 1.0)

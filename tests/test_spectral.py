@@ -43,7 +43,7 @@ from capspec.spectral import (
     solve_spectrum,
 )
 
-from oracles import bessel_first_zero
+from oracles import bessel_first_zero, legendre_membrane_ground
 
 
 def hemi(n, p, problem, N=16, K=6, **kw):
@@ -157,16 +157,17 @@ class TestAssembly:
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
     def test_trial_coeffs_match_chebmul_rows(self, p):
-        # referee: row j is chebmul of ((1 - x0)/2)^p (1 + s)^p with T_j
+        # referee: row j is chebmul of a^p (1 + s)^p with T_j, a the
+        # half-width (1 - x0)/2
         for basis_size in (1, 8, 33):
             for theta0 in (0.6, math.pi / 2, 2.6):
-                x0 = math.cos(theta0)
-                factor = ((1.0 - x0) / 2.0) ** p * np.polynomial.chebyshev.chebpow([1.0, 1.0], p)
+                a = math.sin(theta0 / 2.0) ** 2
+                factor = a ** p * np.polynomial.chebyshev.chebpow([1.0, 1.0], p)
                 expected = np.zeros((basis_size, p + basis_size))
                 for j in range(basis_size):
                     row = np.polynomial.chebyshev.chebmul(factor, np.eye(j + 1)[j])
                     expected[j, : len(row)] = row
-                coeffs = spectral._trial_coeffs(p, basis_size, x0)
+                coeffs = spectral._trial_coeffs(p, basis_size, a)
                 assert np.max(np.abs(coeffs - expected)) <= 1e-15 * np.max(np.abs(expected))
 
     def test_operator_self_adjoint_under_weight(self):
@@ -174,12 +175,11 @@ class TestAssembly:
         # at x0 (the weight kills the x = 1 boundary term)
         rng = np.random.RandomState(7)
         for l, n, theta0 in ((0, 2, 1.1), (1, 3, 0.7), (2, 4, 2.0)):
-            x0 = math.cos(theta0)
             gamma = l + (n - 2) / 2.0
             s, w = gauss_jacobi_rule(gamma, 40)
-            a = (1.0 - x0) / 2.0
-            x = x0 + a * (s + 1.0)
-            eff_w = w * a ** (gamma + 1.0) * (1.0 + x) ** gamma
+            a = math.sin(theta0 / 2.0) ** 2  # the half-width (1 - x0)/2
+            # 1 + x = 2 - a (1 - s)
+            eff_w = w * a ** (gamma + 1.0) * (2.0 - a * (1.0 - s)) ** gamma
             vander = np.polynomial.chebyshev.chebvander(s, 9)
             for _ in range(3):
                 # prefix a simple zero at x0: multiply by (x - x0) = a(s + 1)
@@ -190,8 +190,8 @@ class TestAssembly:
                 p2 = np.polynomial.chebyshev.chebmul(lin, rng.randint(-5, 6, size=6).astype(float))
                 c1[: len(p1)] = p1
                 c2[: len(p2)] = p2
-                d1 = operator_coeffs(c1, l, n, x0)
-                d2 = operator_coeffs(c2, l, n, x0)
+                d1 = operator_coeffs(c1, l, n, a)
+                d2 = operator_coeffs(c2, l, n, a)
                 v1, v2 = vander @ c1, vander @ c2
                 dv1, dv2 = vander @ d1, vander @ d2
                 lhs = float(np.sum(dv1 * v2 * eff_w))
@@ -347,11 +347,11 @@ class TestSpectrumStructure:
 
     @staticmethod
     def _assert_two_rule_builds(n, l_max):
+        # _shared_rule is the only caller of gauss_jacobi_rule
         spectral._shared_rule.cache_clear()
-        quadrature._cached_rule.cache_clear()
         spec = solve_spectrum(hemi(n, 2, Problem.BUCKLING, N=32, K=8))
         assert spec.diagnostics["l_max"] == l_max
-        assert quadrature._cached_rule.cache_info().misses == 2
+        assert spectral._shared_rule.cache_info().misses == 2
 
     def test_cold_solve_rule_eigensolves_half_size(self, monkeypatch):
         # n = 2 rules carry gamma0 = 0, so the 82- and 164-node rules take
@@ -366,7 +366,6 @@ class TestSpectrumStructure:
 
         monkeypatch.setattr(quadrature.np.linalg, "eigvalsh", recorded)
         spectral._shared_rule.cache_clear()
-        quadrature._cached_rule.cache_clear()
         solve_spectrum(hemi(2, 2, Problem.BUCKLING, N=32, K=8))
         assert sorted(orders) == [41, 82]
 
@@ -401,7 +400,6 @@ class TestSpectrumStructure:
         monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
         monkeypatch.setattr(spectral, "_eigen", values_only)
         spectral._shared_rule.cache_clear()
-        quadrature._cached_rule.cache_clear()
         solve_spectrum(hemi(2, 2, Problem.BUCKLING, N=32, K=8))
         assert counts == {"recurrence": 2, "vectors": 0, "reduce": 5, "cholesky": 5, "solve": 10}
         assert shapes == [(1, 32, 32)] * 5 + [(4, 28, 28)]
@@ -449,12 +447,10 @@ def per_mode_forms(cfg, l, quad_m):
     gamma = l + (n - 2)/2, as the solver built them before every mode shared
     one rule per weight parity."""
     rows, forms = _form_factors(cfg, l)
-    x0 = math.cos(cfg.theta0)
-    a = (1.0 - x0) / 2.0
+    a = cfg.half_width
     gamma = l + (cfg.n - 2) / 2.0
     s, w = gauss_jacobi_rule(gamma, quad_m)
-    x = x0 + a * (s + 1.0)
-    eff_w = w * a ** (gamma + 1.0) * (1.0 + x) ** gamma
+    eff_w = w * a ** (gamma + 1.0) * (2.0 - a * (1.0 - s)) ** gamma
     vander_t = np.polynomial.chebyshev.chebvander(s, cfg.p + cfg.basis_size - 1).T
     return [(((sign * rows[i]) @ vander_t) * eff_w) @ (rows[k] @ vander_t).T
             for sign, i, k in forms]
@@ -480,9 +476,9 @@ def unshared_forms(cfg, l, quad_m):
     """The forms with one (left, right) coefficient pair per form, the sign
     on the left factor and every factor sampled on its own, as the solver
     built them before its factors were shared."""
-    x0 = math.cos(cfg.theta0)
-    coeffs0 = spectral._trial_coeffs(cfg.p, cfg.basis_size, x0)
-    op_t = operator_matrix(l, cfg.n, x0, coeffs0.shape[1]).T
+    a = cfg.half_width
+    coeffs0 = spectral._trial_coeffs(cfg.p, cfg.basis_size, a)
+    op_t = operator_matrix(l, cfg.n, a, coeffs0.shape[1]).T
     coeffs_m = coeffs0
     for _ in range(cfg.p // 2):
         coeffs_m = coeffs_m @ op_t
@@ -494,13 +490,11 @@ def unshared_forms(cfg, l, quad_m):
         mass = (coeffs0, coeffs0)
     else:
         mass = (-coeffs0, coeffs0 @ op_t)
-    a = (1.0 - x0) / 2.0
     gamma0 = cfg.n % 2 / 2.0
     shift = l + (cfg.n - 2) // 2
     gamma = gamma0 + shift
     s, w, vander_t = spectral._shared_rule(gamma0, quad_m, cfg.p + cfg.basis_size - 1)
-    x = x0 + a * (s + 1.0)
-    eff_w = w * a ** (gamma + 1.0) * (1.0 - s) ** shift * (1.0 + x) ** gamma
+    eff_w = w * a ** (gamma + 1.0) * (1.0 - s) ** shift * (2.0 - a * (1.0 - s)) ** gamma
     return [((left @ vander_t) * eff_w) @ (right @ vander_t).T for left, right in (stiffness, mass)]
 
 
@@ -607,6 +601,39 @@ class TestFlatLimit:
         for t0 in (0.05, 0.02):
             got = _scaled_ground(2, 2, Problem.BUCKLING, t0)
             assert abs(got - j11**2) / j11**2 < 0.01, t0
+
+
+class TestSmallCaps:
+    # every geometric factor comes from the half-width sin(theta0/2)^2, not
+    # from the rounded cosine, so small caps down to the refusal limit keep
+    # full relative precision
+
+    @pytest.mark.parametrize("theta0", [1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
+    def test_membrane_ground_matches_legendre_oracle(self, theta0):
+        pytest.importorskip("mpmath")
+        want = legendre_membrane_ground(theta0)
+        spec = solve_spectrum(SolverConfig(n=2, p=1, theta0=theta0, problem=Problem.CLAMPED))
+        assert abs(spec.entries[0].value - want) / want <= 1e-14
+
+    @pytest.mark.parametrize("theta0", [1e-5, 1e-6, 1e-7])
+    @pytest.mark.parametrize("p,problem,nu", [(2, Problem.BUCKLING, 1), (1, Problem.CLAMPED, 0)])
+    def test_ground_reaches_flat_limit(self, theta0, p, problem, nu):
+        # lambda_1 theta0^2 -> j^2 with a relative correction of order
+        # theta0^2, at most 1e-10 here
+        j2 = bessel_first_zero(nu) ** 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            spec = solve_spectrum(SolverConfig(n=2, p=p, theta0=theta0, problem=problem))
+        assert abs(spec.entries[0].value * theta0**2 / j2 - 1.0) <= 1e-10
+
+    def test_clamped_plate_reaches_flat_limit(self):
+        # lambda_1 theta0^4 -> k^4, k the least root of J0 I1 + J1 I0 (the
+        # clamped disk plate), at theta0 = 1e-7
+        mpmath = pytest.importorskip("mpmath")
+        k = mpmath.findroot(lambda k: mpmath.besselj(0, k) * mpmath.besseli(1, k)
+                            + mpmath.besselj(1, k) * mpmath.besseli(0, k), 3.2)
+        spec = solve_spectrum(SolverConfig(n=2, p=2, theta0=1e-7, problem=Problem.CLAMPED))
+        assert abs(spec.entries[0].value * 1e-28 / float(k**4) - 1.0) <= 1e-10
 
 
 class TestConvergenceStudy:
@@ -769,8 +796,8 @@ class TestValidation:
         (5000, "matrix entries must be finite"),
     ])
     def test_unrepresentable_forms_refused_without_warnings(self, n, message):
-        # at theta0 = 0.1 the weight's factor ((1 - x0)/2)^(gamma + 1)
-        # underflows to zero at n = 1000; at n = 5000 (1 + x)^gamma also
+        # at theta0 = 0.1 the weight's factor a^(gamma + 1), a the
+        # half-width (1 - x0)/2, underflows to zero at n = 1000; at n = 5000 (1 + x)^gamma also
         # overflows, and the overflow warns of nothing before the refusal
         cfg = SolverConfig(n=n, p=2, theta0=0.1, problem=Problem.BUCKLING)
         with warnings.catch_warnings():
