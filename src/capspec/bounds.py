@@ -735,7 +735,10 @@ def _root_coeffs(fam: BoundFamily, vals: np.ndarray, n: int, p: int) -> np.ndarr
     q = _float_order(p)
     if fam.name == SPHERE_CLAMPED:
         roots = vals ** (1.0 / q)
-        bracket = (roots + n) ** q - vals
+        # (roots + n)^q - lambda cancels once n is far below the root; there
+        # it is formed as lambda expm1(q log1p(n / root)), which does not
+        bracket = np.where(n < roots * 2.0**-20, vals * np.expm1(q * np.log1p(n / roots)),
+                           (roots + n) ** q - vals)
         c_extra = _two_power(q) - (q + 1)
         if c_extra:
             bracket = bracket + 4.0 * c_extra * roots * (roots + n) ** (q - 2)

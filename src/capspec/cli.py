@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import math
 import re
 import sys
@@ -26,6 +27,10 @@ from .bounds import DELTA, SPHERE_CLAMPED, default_families, family
 from .errors import NumericalError, ValidationError
 from .spectral import Problem, SolverConfig, convergence_study, solve_spectrum
 from .verify import MAX_DELTA_GRID, check_spectrum, compare_sharpness
+
+# collector policy: what the imports built lives as long as the process, so
+# it leaves the cyclic collector's generations and no request collects it
+gc.freeze()
 
 _PI_FORM = re.compile(r"^\s*(\d+(?:\.\d+)?)?\s*pi\s*(?:/\s*(\d+(?:\.\d+)?))?\s*$",
                       re.IGNORECASE)

@@ -39,7 +39,7 @@ any m <= MAX_NODES are accepted, but the solver asks only for gamma in
 {0, 1/2}: the integer part of its weight exponent is folded into the
 integrand (see capspec.spectral), so a solve builds one rule per node count.
 Each call builds its rule afresh and returns arrays the caller owns; the
-solver caches the rules it uses, read-only, in capspec.spectral._shared_rule.
+solver caches its two rules, read-only, in capspec.spectral._shared_rule.
 """
 
 from __future__ import annotations
@@ -48,8 +48,8 @@ import numpy as np
 
 from .errors import NoConvergence, ValidationError
 
-# the largest rule built; a solve at basis 512 and order 64 needs 2332
-# nodes after doubling, and a dense Jacobi matrix at this size is 128 MB
+# the largest rule built (--quad 2048, doubled; the largest automatic rule
+# has 2092 nodes), and a dense Jacobi matrix at this size is 128 MB
 MAX_NODES = 4096
 
 

@@ -18,11 +18,16 @@ over [x0, 1] with weight w(x) = (1 - x^2)^gamma, gamma = l + (n-2)/2. There
 1 - x = a (1 - s) and 1 + x = 2 - a (1 - s), and gamma splits as
 gamma0 + j with gamma0 = (n-2)/2 mod 1 in {0, 1/2} and j = l + floor((n-2)/2)
 an integer. The Gauss-Jacobi rule carries only (1 - s)^gamma0, so one rule
-(and one Chebyshev Vandermonde at its nodes) per node count serves every
-mode of a solve; the polynomial factor (1 - s)^j and the smooth factor
-(1 + x)^gamma are folded into the effective weight. Every factor is formed
-from a = sin(theta0/2)^2, never from the rounded x0, which would cost a small
-cap ~1e-16/theta0^2 relative. Assemblies are validated by node doubling.
+per node count serves every mode of a solve; the polynomial factor
+(1 - s)^j and the smooth factor (1 + x)^gamma are folded into the effective
+weight. Every factor is formed from a = sin(theta0/2)^2, never from the
+rounded x0, which would cost a small cap ~1e-16/theta0^2 relative.
+Assemblies are validated by node doubling.
+
+The forms are assembled at the nodes. The jets of the trial functions (their
+s-derivatives to order 2 top, top the most applications of D a form needs)
+are sampled once per solve at both rules' nodes and serve every mode; each
+mode applies D to them point by point (capspec.radial.operator_coeffs).
 
 Each mode's inverted pencil B x = mu A x, lambda = 1/mu, is reduced once
 to the symmetric matrix C = L^{-1} B L^{-T}, A = L L^T (see capspec.linalg),
@@ -34,8 +39,7 @@ triangular, so are their reduced matrices. One assembly and one reduction
 per mode at the largest size thus serve every size a run needs: the
 companion at basis N - 4 and each row of a convergence study are the
 eigenvalues of leading blocks of C, those of all their modes in one stacked
-call. The trial functions sampled at a rule's nodes do not depend on the
-mode either and are built once per rule.
+call.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ import warnings
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
 
 from .errors import (
     ModeCapTooSmall,
@@ -59,18 +62,20 @@ from .errors import (
 )
 from .linalg import _eigen, _reduce
 from .quadrature import MAX_NODES, gauss_jacobi_rule
-from .radial import MAX_DIMENSION, multiplicity, multiply_by_s_matrix, operator_matrix, shown
+from .radial import MAX_DIMENSION, multiplicity, operator_coeffs, shown
 
 QUAD_DOUBLING_REL = 1e-11
 ASYMMETRY_WARN = 1e-8
 MODE_SAFETY = 1.05
 MONOTONE_SLACK = 1e-10
 COMPANION_DROP = 4
-# size limits, checked before anything is allocated: the forms of a basis of
-# size N at order p are dense in p + N, and the doubled rule has
-# 2 * quad_base <= MAX_NODES nodes (the automatic base always fits)
+# size limits, checked before anything is allocated: the doubled rule has
+# 2 * quad_base <= MAX_NODES nodes (the automatic base always fits), and the
+# trial jets hold (2 top + 1) * N * 3 * quad_base floats (see _jet_orders),
+# at most MAX_JET_ENTRIES (64 MB)
 MAX_BASIS_SIZE = 512
 MAX_ORDER = 64
+MAX_JET_ENTRIES = 2**23
 
 
 class Problem(str, enum.Enum):
@@ -152,6 +157,11 @@ class SolverConfig:
                 f"quadrature size must be None or an integer in 2..{MAX_NODES // 2} "
                 f"(doubled to at most {MAX_NODES} nodes), got {self.quad_size!r}"
             )
+        entries = _jet_orders(self) * self.basis_size * 3 * self.quad_base
+        if entries > MAX_JET_ENTRIES:
+            raise ValidationError(
+                f"order {self.p} at basis size {self.basis_size} with {self.quad_base} "
+                f"quadrature nodes needs {entries} jet samples, more than {MAX_JET_ENTRIES}")
 
     @property
     def half_width(self) -> float:
@@ -209,10 +219,8 @@ def assemble_mode(cfg: SolverConfig, l: int):
     max|M - M^T| / max|M| and the worst relative doubling gap.
     """
     base = cfg.quad_base
-    factors = _form_factors(cfg, l)
     with np.errstate(over="ignore", invalid="ignore"):
-        coarse = _raw_forms(cfg, l, factors, base)
-        fine = _raw_forms(cfg, l, factors, 2 * base)
+        coarse, fine = _raw_forms(cfg, l)
     if not (np.all(np.isfinite(coarse)) and np.all(np.isfinite(fine))):
         raise ValidationError("matrix entries must be finite")
     # both forms at once, stacked (stiffness, mass)
@@ -236,78 +244,88 @@ def assemble_mode(cfg: SolverConfig, l: int):
     return forms[0], forms[1], health
 
 
-def _form_factors(cfg: SolverConfig, l: int):
-    """(rows, forms): the factors of both forms, each computed once.
-
-    rows[k] holds the coefficients of D^k q_j, one row per j: a
-    Chebyshev-in-s vector of length p + N, built from the trial coefficients
-    by the operator matrix. forms holds (sign, i, k) for the stiffness and
-    then the mass form, which is sign * integral (D^i q) (D^k q) w; forms
-    that share a factor name the same row.
-    """
-    p, half_width = cfg.p, cfg.half_width
-    coeffs0 = _trial_coeffs(p, cfg.basis_size, half_width)
-    op_t = operator_matrix(l, cfg.n, half_width, coeffs0.shape[1]).T
-
-    m = p // 2
-    stiffness = (1.0, m, m) if p % 2 == 0 else (-1.0, m, m + 1)
+def _form_orders(cfg: SolverConfig):
+    """(sign, i, k) for the stiffness and then the mass form, which is
+    sign * integral (D^i q) (D^k q) w."""
+    m = cfg.p // 2
+    stiffness = (1.0, m, m) if cfg.p % 2 == 0 else (-1.0, m, m + 1)
     mass = (1.0, 0, 0) if cfg.problem is Problem.CLAMPED else (-1.0, 0, 1)
-    rows = [coeffs0]
-    for _ in range(max(stiffness[2], mass[2])):
-        rows.append(rows[-1] @ op_t)
-    return rows, (stiffness, mass)
+    return stiffness, mass
 
 
-@functools.lru_cache(maxsize=32)
-def _trial_coeffs(p: int, basis_size: int, half_width: float) -> np.ndarray:
-    """Coefficients of q_j = (x - x0)^p T_j(s), one row per j.
+def _jet_orders(cfg: SolverConfig) -> int:
+    """Derivative orders 0 .. 2 top of the trial jets, top being the most
+    operator applications a form needs: D^top q takes 2 top derivatives."""
+    return 2 * max(k for _, _, k in _form_orders(cfg)) + 1
 
-    x - x0 = a (1 + s), a the half-width, so row j is column j of (I + S)^p
-    scaled by a^p, S being multiplication by s; the p + N columns hold
-    degree p + N - 1 without truncation.
+
+def _raw_forms(cfg: SolverConfig, l: int):
+    """The stiffness and mass forms of mode l under the base rule and the
+    doubled rule, each stacked (2, N, N).
+
+    D is applied to the trial jets at both rules' nodes at once; only row 0
+    of each image is kept, as a copy, so no image outlives its use.
     """
-    size = p + basis_size
-    shift = np.linalg.matrix_power(np.eye(size) + multiply_by_s_matrix(size), p)
-    coeffs0 = half_width ** p * shift.T[:basis_size]
-    coeffs0.flags.writeable = False
-    return coeffs0
-
-
-def _raw_forms(cfg: SolverConfig, l: int, factors, quad_m: int) -> np.ndarray:
-    """The stiffness and mass forms of mode l under the quad_m-node rule,
-    stacked (2, N, N)."""
     a = cfg.half_width
+    base = cfg.quad_base
     gamma0 = cfg.n % 2 / 2.0
     shift = l + (cfg.n - 2) // 2
     gamma = gamma0 + shift
-    s, w, vander_t = _shared_rule(gamma0, quad_m, cfg.p + cfg.basis_size - 1)
+    s, w = _shared_rule(gamma0, base)
     eff_w = w * a ** (gamma + 1.0) * (1.0 - s) ** shift * (2.0 - a * (1.0 - s)) ** gamma
-    rows, forms = factors
+    jets = _trial_jets(cfg.p, cfg.basis_size, a, gamma0, base, _jet_orders(cfg))
+    forms = _form_orders(cfg)
     used = {i for _, i, _ in forms} | {k for _, _, k in forms}
-    sampled = {k: rows[k] @ vander_t for k in used - {0}}
-    sampled[0] = _sampled_trials(cfg.p, cfg.basis_size, a, gamma0, quad_m)
-    return np.array([(sampled[i] * (sign * eff_w)) @ sampled[k].T for sign, i, k in forms])
+    sampled = {0: jets[:, 0]}
+    image = jets
+    for order in range(1, max(used) + 1):
+        image = operator_coeffs(image, l, cfg.n, a, s)
+        if order in used:
+            sampled[order] = image[:, 0].copy()
+    return tuple(
+        np.array([(sampled[i][:, part] * (sign * eff_w[part])) @ sampled[k][:, part].T
+                  for sign, i, k in forms])
+        for part in (slice(0, base), slice(base, None)))
 
 
 @functools.lru_cache(maxsize=32)
-def _shared_rule(gamma0: float, quad_m: int, degree: int):
-    """Gauss-Jacobi rule for (1 - s)^gamma0 and the transposed Chebyshev
-    Vandermonde (degree + 1, quad_m) at its nodes, shared by every mode."""
-    s, w = gauss_jacobi_rule(gamma0, quad_m)
-    vander_t = cheb.chebvander(s, degree).T
-    for arr in (s, w, vander_t):
+def _shared_rule(gamma0: float, base: int):
+    """Nodes and weights of the Gauss-Jacobi rules for (1 - s)^gamma0 with
+    base and 2 * base nodes, concatenated, shared by every mode."""
+    rules = [gauss_jacobi_rule(gamma0, m) for m in (base, 2 * base)]
+    s, w = (np.concatenate(parts) for parts in zip(*rules))
+    for arr in (s, w):
         arr.flags.writeable = False
-    return s, w, vander_t
+    return s, w
 
 
-@functools.lru_cache(maxsize=32)
-def _sampled_trials(p: int, basis_size: int, half_width: float, gamma0: float, quad_m: int):
-    """q_j at the nodes of the (gamma0, quad_m) rule, one row per j: the
-    trial coefficients times the rule's Vandermonde, shared by every mode."""
-    _, _, vander_t = _shared_rule(gamma0, quad_m, p + basis_size - 1)
-    sampled = _trial_coeffs(p, basis_size, half_width) @ vander_t
-    sampled.flags.writeable = False
-    return sampled
+@functools.lru_cache(maxsize=1)
+def _trial_jets(p: int, basis_size: int, half_width: float, gamma0: float, base: int,
+                orders: int) -> np.ndarray:
+    """The s-derivatives 0 .. orders - 1 of q_j = a^p (1 + s)^p T_j(s) at the
+    nodes of _shared_rule(gamma0, base), stored (N, orders, nodes) so the
+    jet of q_j is one contiguous block.
+
+    The jets follow T_j's recurrence q_{j+1} = 2s q_j - q_{j-1}
+    (q_1 = s q_0), which differentiated k times gains the term
+    2k q_j^(k-1) (k q_0^(k-1) for q_1); q_0^(k) = a^p p!/(p-k)! (1 + s)^(p-k).
+    """
+    s, _ = _shared_rule(gamma0, base)
+    jets = np.zeros((basis_size, orders, len(s)))
+    falling = 1.0
+    for k in range(min(orders, p + 1)):
+        jets[0, k] = half_width ** p * falling * (1.0 + s) ** (p - k)
+        falling *= p - k
+    two_k = 2.0 * np.arange(1, orders, dtype=float)[:, None]
+    for j in range(basis_size - 1):
+        half = 0.5 if j == 0 else 1.0  # q_1 = s q_0 is half of 2s q_0
+        nxt = jets[j + 1]
+        np.multiply(jets[j], 2.0 * half * s, out=nxt)
+        nxt[1:] += half * two_k * jets[j, :-1]
+        if j:
+            nxt -= jets[j - 1]
+    jets.flags.writeable = False
+    return jets
 
 
 def _solve_mode(cfg: SolverConfig, l: int):

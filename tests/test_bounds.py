@@ -577,6 +577,41 @@ class TestClosedForms:
         assert got == 31.870279446340927
         assert got > lambda_one_tail_bound((1.0, 2.0))
 
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_sphere_clamped_coefficient_at_every_scale(self, n, p):
+        # referee: the coefficient 4/n^2 ((r + n)^p - lambda
+        # + 4 (2^p - p - 1) r (r + n)^(p-2)) (r + n^2/4), r = lambda^(1/p), in
+        # 400 digits; the bracket (r + n)^p - lambda, of size ~p n r^(p-1),
+        # must not cancel against lambda once r is large (1e-9 allows the
+        # 2^20 cancellation where the direct form is still used)
+        mpmath = pytest.importorskip("mpmath")
+        lams = [10.0**e for e in (0, 5, 12, 22, 30, 45, 47, 100, 200, 300)]
+        got = bounds_module._root_coeffs(family("sphere-clamped"), np.array(lams), n, p)
+        with mpmath.workdps(400):
+            for lam, value in zip(lams, got):
+                r = mpmath.mpf(lam) ** (mpmath.mpf(1) / p)
+                bracket = (r + n) ** p - lam + 4 * (2**p - p - 1) * r * (r + n) ** (p - 2)
+                want = 4 * bracket * (r + mpmath.mpf(n * n) / 4) / (n * n)
+                assert abs(value - want) <= 1e-9 * want, lam
+
+    def test_sphere_clamped_margins_keep_their_scale(self):
+        # lambda theta0^(2p) tends to a constant as the cap shrinks, so the
+        # relative margins of the n = 2, p = 3 clamped spectrum at
+        # theta0 = 1e-7 (lambda up to 2.5e47) equal those at 1e-2 to 4 digits
+        def margins(theta0):
+            spec = solve_spectrum(SolverConfig(n=2, p=3, theta0=theta0,
+                                               problem=Problem.CLAMPED, requested_count=8))
+            values = spec.expanded_values()
+            rows = evaluate_bounds(family("sphere-clamped"), clamp(tuple(values), p=3),
+                                   range(1, 8))
+            assert not any(isinstance(row, CapspecError) for row in rows), rows
+            return np.array([row.bound for row in rows]) / values[1:] - 1.0
+
+        small, wide = margins(1e-7), margins(1e-2)
+        assert np.all(small > 0.0)
+        assert np.max(np.abs(small - wide) / wide) <= 1e-4
+
     def test_monotone_in_each_eigenvalue(self):
         rng = np.random.RandomState(13)
         for fam_name in ("sphere-buckling-quadratic", "sphere-buckling-gap"):

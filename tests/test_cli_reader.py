@@ -224,3 +224,14 @@ class TestReadmeCommandsWithoutArgparse:
         result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                                 capture_output=True, text=True, check=True)
         assert result.stdout.splitlines()[-1] == "0 False False 0"
+
+
+class TestCollectorPolicy:
+    def test_import_freezes_the_collector(self, tmp_path):
+        # collector policy: what the CLI's imports built leaves the cyclic
+        # collector's generations, so no request collects over it
+        script = "import gc\nimport capspec.cli\nprint(gc.get_freeze_count())\n"
+        env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+        result = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                                capture_output=True, text=True, check=True)
+        assert int(result.stdout.splitlines()[-1]) > 0

@@ -1,32 +1,30 @@
 """Radial operator and harmonic multiplicities."""
 
+import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.polynomial import chebyshev as cheb
 from numpy.polynomial import polynomial as poly
 
 from capspec.errors import ValidationError
-from capspec.radial import (
-    MAX_DIMENSION,
-    MAX_MODE,
-    multiplicity,
-    operator_coeffs,
-    operator_matrix,
-)
+from capspec.radial import MAX_DIMENSION, MAX_MODE, multiplicity, operator_coeffs
 
 THETAS = [np.pi / 2, 1.0, 2.0 * np.pi / 3.0]
+# dyadic nodes: every s and 1 - s is exact
+NODES = np.linspace(-1.0, 1.0, 9)
 
 
-# ------------------------------------------------ referee polynomial class
-# A polynomial in x = cos(theta) held by its Chebyshev-in-s coefficients and
-# the cap's half-width a = (1 - x0)/2, x = 1 - a (1 - s), with the operator
-# applied through the coefficient-level D_{l,n}; the examples below pin that
-# operator, and the matrix tests check operator_matrix against it column by
-# column.
+# ------------------------------------------------------------ referee jets
+# A polynomial F in x = cos(theta), given by monomial coefficients, on the
+# cap of half-width a = (1 - x0)/2: as a function of s, x = 1 - a (1 - s),
+# so its k-th s-derivative is a^k F^(k)(x). The referee forms these jets in
+# exact rationals (numpy.polynomial on Fraction arrays) and rounds once, and
+# takes D_{l,n} F from its closed form on monomials.
 
 
 def half_width(theta0: float) -> float:
@@ -34,49 +32,37 @@ def half_width(theta0: float) -> float:
     return math.sin(theta0 / 2.0) ** 2
 
 
-@dataclass(frozen=True)
-class RadialPoly:
-    """Chebyshev coefficients in the mapped variable, plus the half-width."""
-
-    coeffs: np.ndarray
-    half_width: float
-
-    def __post_init__(self):
-        arr = np.atleast_1d(np.array(self.coeffs, dtype=float))
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValidationError("coefficients must be a nonempty 1-d array")
-        if not np.all(np.isfinite(arr)):
-            raise ValidationError("coefficients must be finite")
-        if not 0.0 < self.half_width < 1.0:
-            raise ValidationError(f"half-width must lie in (0, 1), got {self.half_width}")
-        arr.flags.writeable = False
-        object.__setattr__(self, "coeffs", arr)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @classmethod
-    def from_x_coeffs(cls, x_coeffs, half_width: float) -> "RadialPoly":
-        """Build from monomial coefficients in x (constant first)."""
-        a = half_width
-        # compose with x = a s + b, b = 1 - a, then convert the s-monomial
-        # to Chebyshev
-        s_poly = np.polynomial.polynomial.Polynomial([1.0 - a, a])
-        composed = np.polynomial.polynomial.Polynomial(np.atleast_1d(x_coeffs))(s_poly)
-        return cls(cheb.poly2cheb(composed.coef), half_width)
-
-    def eval_x(self, x):
-        """Evaluate at x = cos(theta) points."""
-        s = 1.0 - (1.0 - np.asarray(x, dtype=float)) / self.half_width
-        return cheb.chebval(s, self.coeffs)
+def rational(values) -> np.ndarray:
+    return np.array([Fraction(v) for v in np.atleast_1d(values).tolist()], dtype=object)
 
 
-def apply_radial_operator(q: RadialPoly, l: int, n: int) -> RadialPoly:
-    """D_{l,n} q, exactly, with the degree preserved."""
-    multiplicity(l, n)  # reuses its argument validation
-    out = operator_coeffs(q.coeffs, l, n, q.half_width)
-    return RadialPoly(out, q.half_width)
+def derivatives(x_coeffs, count: int) -> list:
+    """F, F', ..., F^(count - 1) as exact monomial coefficients."""
+    out = [rational(x_coeffs)]
+    for _ in range(count - 1):
+        out.append(poly.polyder(out[-1]))
+    return out
+
+
+def exact_jet(x_coeffs, a: float, s, orders: int) -> np.ndarray:
+    """Rows a^k F^(k)(x) at x = 1 - a (1 - s), k = 0 .. orders - 1, exact."""
+    a = Fraction(a)
+    xs = [1 - a * (1 - Fraction(v)) for v in np.atleast_1d(s).tolist()]
+    return np.array([[a**k * poly.polyval(x, d) for x in xs]
+                     for k, d in enumerate(derivatives(x_coeffs, orders))], dtype=object)
+
+
+def closed_image(x_coeffs, l: int, n: int) -> np.ndarray:
+    """D_{l,n} F = (1 - x^2) F'' - (2l + n) x F' - l (l + n - 1) F, exact."""
+    f, f1, f2 = derivatives(x_coeffs, 3)
+    out = poly.polysub(poly.polymul([1, 0, -1], f2), poly.polymul([0, 2 * l + n], f1))
+    return poly.polysub(out, l * (l + n - 1) * f)
+
+
+def image_of(x_coeffs, l: int, n: int, a: float, s, orders: int = 3) -> np.ndarray:
+    """operator_coeffs on the rounded exact jet of F."""
+    jet = exact_jet(x_coeffs, a, s, orders).astype(float)
+    return operator_coeffs(jet, l, n, a, np.asarray(s, dtype=float))
 
 
 # ------------------------------------------------------------- multiplicity
@@ -120,96 +106,96 @@ def test_multiplicity_limits():
 
 
 # ------------------------------------------------------- operator, examples
-# Eigenfunction identities pin the operator exactly: with u the restriction
-# of a degree-d solid harmonic, the sphere Laplacian gives -d(d+n-1) u.
+# Eigenfunction identities pin the operator: with u the restriction of a
+# degree-d solid harmonic, the sphere Laplacian gives -d(d+n-1) u.
 
 
 @pytest.mark.parametrize("theta0", THETAS)
 def test_linear_q_mode0_n3(theta0):
+    # D x = -3x; the operator forms x/a and multiplies back by a, one
+    # rounding per factor
     a = half_width(theta0)
-    q = RadialPoly.from_x_coeffs([0.0, 1.0], a)
-    out = apply_radial_operator(q, 0, 3)
-    expected = RadialPoly.from_x_coeffs([0.0, -3.0], a)
-    assert np.array_equal(out.coeffs, expected.coeffs)  # exact
+    out = image_of([0, 1], 0, 3, a, NODES)
+    expected = exact_jet([0, -3], a, NODES, 1).astype(float)
+    assert out.shape == (1, len(NODES))
+    assert np.allclose(out, expected, rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("theta0", THETAS)
 def test_linear_q_mode1_n2(theta0):
     a = half_width(theta0)
-    q = RadialPoly.from_x_coeffs([0.0, 1.0], a)
-    out = apply_radial_operator(q, 1, 2)
-    expected = RadialPoly.from_x_coeffs([0.0, -6.0], a)
-    assert np.allclose(out.coeffs, expected.coeffs, rtol=0.0, atol=1e-15)
+    out = image_of([0, 1], 1, 2, a, NODES)
+    expected = exact_jet([0, -6], a, NODES, 1).astype(float)
+    assert np.allclose(out, expected, rtol=0.0, atol=1e-15)
 
 
 def test_constant_q_mode1_n2():
-    q = RadialPoly.from_x_coeffs([1.0], 0.5)
-    out = apply_radial_operator(q, 1, 2)
-    assert np.array_equal(out.coeffs, [-2.0])
+    out = image_of([1], 1, 2, 0.5, NODES)
+    assert np.array_equal(out, np.full((1, len(NODES)), -2.0))
 
 
 def test_constant_q_harmonic():
-    q = RadialPoly.from_x_coeffs([1.0], 0.35)
-    out = apply_radial_operator(q, 0, 4)
-    assert np.array_equal(out.coeffs, [0.0])
+    out = image_of([1], 0, 4, 0.35, NODES)
+    assert np.array_equal(out, np.zeros((1, len(NODES))))
 
 
 def test_degree2_hand_value():
     # q = x^2, l = 0, n = 2: (1-x^2)*2 - 2x*2x = 2 - 6x^2
-    q = RadialPoly.from_x_coeffs([0.0, 0.0, 1.0], 0.5)
-    out = apply_radial_operator(q, 0, 2)
-    expected = RadialPoly.from_x_coeffs([2.0, 0.0, -6.0], 0.5)
-    assert np.allclose(out.coeffs, expected.coeffs, atol=1e-14)
+    out = image_of([0, 0, 1], 0, 2, 0.5, NODES)
+    expected = exact_jet([2, 0, -6], 0.5, NODES, 1).astype(float)
+    assert np.allclose(out, expected, atol=1e-14)
 
 
 def test_degree_preserved():
+    # the jet of a degree-d polynomial vanishes past order d, and so does
+    # the jet of its image: D does not raise the degree
     rng = np.random.RandomState(2)
     for deg in (0, 1, 2, 5, 11):
-        q = RadialPoly(rng.standard_normal(deg + 1), 0.6)
-        out = apply_radial_operator(q, 2, 3)
-        assert out.degree == deg
+        x_coeffs = rng.randint(-8, 9, size=deg + 1)
+        x_coeffs[-1] = 1
+        out = image_of(x_coeffs, 2, 3, 0.6, NODES, orders=deg + 5)
+        assert out.shape == (deg + 3, len(NODES))
+        assert np.array_equal(out[deg + 1:], np.zeros((2, len(NODES))))
+        assert np.any(out[deg] != 0.0)
 
 
 def test_linearity_exact_for_dyadic_inputs():
-    # exact as long as nothing rounds: dyadic scalars, small-integer
-    # coefficients, dyadic half-width
+    # exact as long as nothing rounds: dyadic scalars, small-integer jets,
+    # dyadic nodes and half-width
     rng = np.random.RandomState(4)
     a = 0.25
     for alpha in (2.0, 0.5, -4.0):
-        c1 = rng.randint(-8, 9, size=7).astype(float)
-        c2 = rng.randint(-8, 9, size=7).astype(float)
-        q1 = RadialPoly(c1, a)
-        q2 = RadialPoly(c2, a)
-        combo = RadialPoly(alpha * c1 + c2, a)
-        left = apply_radial_operator(combo, 1, 3).coeffs
-        right = alpha * apply_radial_operator(q1, 1, 3).coeffs + apply_radial_operator(
-            q2, 1, 3
-        ).coeffs
+        j1 = rng.randint(-8, 9, size=(7, len(NODES))).astype(float)
+        j2 = rng.randint(-8, 9, size=(7, len(NODES))).astype(float)
+        left = operator_coeffs(alpha * j1 + j2, 1, 3, a, NODES)
+        right = (alpha * operator_coeffs(j1, 1, 3, a, NODES)
+                 + operator_coeffs(j2, 1, 3, a, NODES))
         assert np.array_equal(left, right)
 
 
 def test_linearity_general_scalars():
     rng = np.random.RandomState(6)
     a = 0.7
+    s = np.sort(rng.uniform(-1.0, 1.0, size=11))
     for _ in range(25):
         alpha = float(rng.standard_normal())
-        c1 = rng.standard_normal(9)
-        c2 = rng.standard_normal(9)
-        combo = RadialPoly(alpha * c1 + c2, a)
-        left = apply_radial_operator(combo, 3, 4).coeffs
-        right = alpha * apply_radial_operator(
-            RadialPoly(c1, a), 3, 4
-        ).coeffs + apply_radial_operator(RadialPoly(c2, a), 3, 4).coeffs
+        j1 = rng.standard_normal((9, len(s)))
+        j2 = rng.standard_normal((9, len(s)))
+        left = operator_coeffs(alpha * j1 + j2, 3, 4, a, s)
+        right = alpha * operator_coeffs(j1, 3, 4, a, s) + operator_coeffs(j2, 3, 4, a, s)
         scale = float(np.max(np.abs(right))) + 1.0
         assert np.max(np.abs(left - right)) <= 1e-13 * scale
 
 
-# ------------------------------------------------------ operator as a matrix
-# On monomials the operator has the closed form
+# ------------------------------------------------- operator, matrix columns
+# D_{l,n} maps T_j(s) into the span of T_0 .. T_j: on Chebyshev-in-s
+# coefficients it is an upper-triangular matrix whose column j is the image
+# of T_j, and the size-s matrix is the leading block of every larger one.
+# The referee builds the exact columns from the closed form on monomials,
 #   D x^k = k(k-1) x^(k-2) - (k(k-1) + (2l+n) k + l(l+n-1)) x^k,
-# which cross-checks every column without the Chebyshev recurrences. The
-# change of basis T_j(s) -> x^k -> T_i(s) is badly conditioned for small
-# caps, so the oracle runs in exact rational arithmetic.
+# in exact rationals (the change of basis T_j(s) -> x^k -> T_i(s) is badly
+# conditioned for small caps); the pointwise operator on the jet of T_j must
+# give that column's values and derivatives at the nodes.
 
 MODES = [(0, 2), (1, 3), (3, 4), (6, 5)]
 
@@ -250,59 +236,131 @@ def _monomial_image(x_coeffs, l, n):
     return out
 
 
+def chebyshev_monomials(j: int) -> np.ndarray:
+    """T_j(s) as exact s-monomial coefficients."""
+    return rational(cheb.cheb2poly(np.eye(j + 1)[j]))
+
+
+def exact_column(j: int, l: int, n: int, a: float) -> list:
+    """Column j of the exact Chebyshev-in-s matrix of D_{l,n}."""
+    a = Fraction(a)
+    b = 1 - a
+    x_coeffs = _compose(chebyshev_monomials(j), [-b / a, 1 / a])
+    return _monomials_to_chebyshev(_compose(_monomial_image(x_coeffs, l, n), [b, a]))
+
+
+def s_jet(s_coeffs, s, orders: int) -> np.ndarray:
+    """Rows f^(k)(s), k = 0 .. orders - 1, of a polynomial in s, exact."""
+    return np.array([[poly.polyval(Fraction(v), d) for v in np.atleast_1d(s).tolist()]
+                     for d in derivatives(s_coeffs, orders)], dtype=object)
+
+
+@functools.lru_cache(maxsize=1)
+def _chebyshev_jets() -> np.ndarray:
+    jets = np.zeros((40, 40, len(NODES)))
+    for j in range(40):
+        coeffs = np.eye(40)[j]
+        for k in range(j + 1):
+            jets[j, k] = cheb.chebval(NODES, coeffs)
+            coeffs = cheb.chebder(coeffs)
+    jets.flags.writeable = False
+    return jets
+
+
+def chebyshev_jets(count: int, orders: int) -> np.ndarray:
+    """Jets of T_0 .. T_{count-1} at the nodes to order orders - 1, from
+    numpy's Chebyshev derivative (count, orders <= 40)."""
+    return _chebyshev_jets()[:count, :orders]
+
+
 @pytest.mark.parametrize("theta0", THETAS)
 @pytest.mark.parametrize("l,n", MODES)
 def test_operator_matrix_columns_are_unit_images(theta0, l, n):
-    hw = half_width(theta0)
-    a = Fraction(hw)
-    b = 1 - a
-    size = 9
-    mat = operator_matrix(l, n, hw, size)
-    assert mat.shape == (size, size)
-    for j in range(size):
-        unit = np.zeros(size)
-        unit[j] = 1.0
-        # T_j(s) in x-monomials, its image by the closed form, back to T_i(s)
-        t_j = np.array([Fraction(v) for v in unit[: j + 1]], dtype=object)
-        x_coeffs = _compose(cheb.cheb2poly(t_j), [-b / a, 1 / a])
-        image = _compose(_monomial_image(x_coeffs, l, n), [b, a])
-        expected = np.zeros(size)
-        expected[: len(image)] = [float(v) for v in _monomials_to_chebyshev(image)]
-        scale = float(np.max(np.abs(expected))) + 1.0
-        assert np.max(np.abs(mat[:, j] - expected)) <= 1e-13 * scale, j
-        # the coefficient-level operator is this matrix applied to c
-        assert np.array_equal(apply_radial_operator(RadialPoly(unit, hw), l, n).coeffs,
-                              mat @ unit)
+    a = half_width(theta0)
+    for j in range(9):
+        column = exact_column(j, l, n, a)
+        assert all(v == 0 for v in column[j + 1:])
+        image = np.array([Fraction(0)], dtype=object)
+        for i, c in enumerate(column):
+            image = poly.polyadd(image, c * chebyshev_monomials(i))
+        expected = s_jet(image, NODES, 3).astype(float)
+        got = operator_coeffs(s_jet(chebyshev_monomials(j), NODES, 5).astype(float),
+                              l, n, a, NODES)
+        for k in range(3):
+            scale = float(np.max(np.abs(expected[k]))) + 1.0
+            assert np.max(np.abs(got[k] - expected[k])) <= 1e-13 * scale, (j, k)
 
 
 @pytest.mark.parametrize("theta0", THETAS)
 @pytest.mark.parametrize("l,n", MODES)
 def test_operator_matrix_upper_triangular(theta0, l, n):
-    mat = operator_matrix(l, n, half_width(theta0), 12)
-    assert np.array_equal(np.tril(mat, -1), np.zeros_like(mat))
+    # the image of T_j has degree j: its jet vanishes past order j, exactly,
+    # and its top coefficient is -(j + l)(j + l + n - 1) times T_j's
+    size = 12
+    jets = chebyshev_jets(size, size + 4)
+    images = operator_coeffs(jets, l, n, half_width(theta0), NODES)
+    for j in range(size):
+        assert np.array_equal(images[j, j + 1:], np.zeros((size + 1 - j, len(NODES)))), j
+        assert np.all(images[j, j] != 0.0) or j == l == 0, j
 
 
 @pytest.mark.parametrize("theta0", THETAS)
 @pytest.mark.parametrize("l,n", MODES)
 def test_operator_matrix_nests_across_sizes(theta0, l, n):
+    # the images of the first `size` jets to a given order are the leading
+    # block of the images of more jets to a higher order, bit for bit
     hw = half_width(theta0)
     for size in (1, 2, 5, 16, 33):
-        small = operator_matrix(l, n, hw, size)
-        large = operator_matrix(l, n, hw, size + 4)
+        large = operator_coeffs(chebyshev_jets(size + 4, size + 6), l, n, hw, NODES)
+        small = operator_coeffs(chebyshev_jets(size, size + 2), l, n, hw, NODES)
         assert np.array_equal(small, large[:size, :size]), size
 
 
 def test_eval_and_roundtrip():
-    q = RadialPoly.from_x_coeffs([1.0, -2.0, 0.5], half_width(1.0))
-    xs = np.linspace(np.cos(1.0), 1.0, 7)
-    direct = 1.0 - 2.0 * xs + 0.5 * xs**2
-    assert np.allclose(q.eval_x(xs), direct, atol=1e-14)
+    # the referee's jet of 1 - 2x + x^2/2 against direct evaluation
+    a = half_width(1.0)
+    xs = 1.0 - a * (1.0 - NODES)
+    jet = exact_jet([1, -2, 0.5], a, NODES, 4).astype(float)
+    assert np.allclose(jet[0], 1.0 - 2.0 * xs + 0.5 * xs**2, atol=1e-14)
+    assert np.allclose(jet[1], a * (-2.0 + xs), atol=1e-14)
+    assert np.allclose(jet[2], np.full(len(NODES), a * a), atol=1e-16)
+    assert np.array_equal(jet[3], np.zeros(len(NODES)))
 
 
-def test_radial_poly_validation():
-    with pytest.raises(ValidationError):
-        RadialPoly(np.array([]), 0.5)
-    with pytest.raises(ValidationError):
-        RadialPoly([1.0, np.inf], 0.5)
-    with pytest.raises(ValidationError):
-        RadialPoly([1.0], 1.0)
+# ------------------------------------------------------ operator, property
+# On exact jets of random small polynomials the operator matches the closed
+# form's image to 1e-12 of the image's scale (the largest sum of the
+# magnitudes of its three terms), row by row: row k is the k-th derivative
+# of D_{l,n} F, which the shift identity writes as D_{l+k,n} F^(k).
+
+
+def term_scale(x_coeffs, l: int, n: int, a: float, s, k: int) -> float:
+    """max over s of a^k (|(1 - x^2) F^(k+2)| + (2(l+k) + n) |x F^(k+1)|
+    + (l+k)(l+k+n-1) |F^(k)|)."""
+    jet = exact_jet(x_coeffs, a, s, k + 3)
+    xs = [1 - Fraction(a) * (1 - Fraction(v)) for v in np.atleast_1d(s).tolist()]
+    lk = l + k
+    terms = [abs((1 - x * x) * f2) / Fraction(a) ** 2 + (2 * lk + n) * abs(x * f1) / Fraction(a)
+             + lk * (lk + n - 1) * abs(f0)
+             for x, f0, f1, f2 in zip(xs, jet[k], jet[k + 1], jet[k + 2])]
+    return float(max(terms))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(x_coeffs=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=7),
+       l=st.integers(0, 50), n=st.integers(2, 12),
+       a=st.floats(1e-6, 1.0, exclude_max=True),
+       s=st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=6),
+       orders=st.integers(3, 7))
+def test_matches_closed_image_on_exact_jets(x_coeffs, l, n, a, s, orders):
+    got = image_of(x_coeffs, l, n, a, s, orders)
+    assert got.shape == (orders - 2, len(s))
+    image = exact_jet(closed_image(x_coeffs, l, n), a, s, orders - 2)
+    for k in range(orders - 2):
+        # the shift identity, exactly: a^k (D_{l+k,n} F^(k)) at x
+        shifted = exact_jet(closed_image(derivatives(x_coeffs, k + 1)[k], l + k, n),
+                            a, s, 1)[0] * Fraction(a) ** k
+        assert list(shifted) == list(image[k])
+        scale = term_scale(x_coeffs, l, n, a, s, k)
+        err = np.max(np.abs(got[k] - image[k].astype(float)))
+        assert err <= 1e-12 * scale, (k, err, scale)

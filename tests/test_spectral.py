@@ -26,13 +26,13 @@ from capspec.errors import (
 from capspec.io import read_spectrum, spectrum_to_doc
 from capspec.linalg import generalized_sym_eigen
 from capspec.quadrature import gauss_jacobi_rule
-from capspec.radial import multiplicity, operator_coeffs, operator_matrix
+from capspec.radial import multiplicity, operator_coeffs
 from capspec.spectral import (
     ConvergenceStudy,
     Problem,
     SolverConfig,
     Spectrum,
-    _form_factors,
+    _form_orders,
     _merge,
     _inverted,
     _merge_key,
@@ -98,9 +98,7 @@ class TestAssembly:
         # referee: the defect and doubling gap of each raw form, taken by hand
         cfg = SolverConfig(n=3, p=3, theta0=1.0, problem=Problem.BUCKLING,
                            basis_size=24, requested_count=8)
-        factors = _form_factors(cfg, 1)
-        coarse = _raw_forms(cfg, 1, factors, cfg.quad_base)
-        fine = _raw_forms(cfg, 1, factors, 2 * cfg.quad_base)
+        coarse, fine = _raw_forms(cfg, 1)
         scales = [float(np.max(np.abs(f))) for f in fine]
         defects = [float(np.max(np.abs(f - f.T))) / m for f, m in zip(fine, scales)]
         gaps = [float(np.max(np.abs(c - f))) / m for c, f, m in zip(coarse, fine, scales)]
@@ -118,9 +116,10 @@ class TestAssembly:
         unwrapped = spectral._raw_forms
 
         def skewed(*args):
-            forms = unwrapped(*args)
-            forms[0, 0, 1] += bump * float(np.max(np.abs(forms[0])))
-            return forms
+            coarse, fine = unwrapped(*args)
+            for forms in (coarse, fine):
+                forms[0, 0, 1] += bump * float(np.max(np.abs(forms[0])))
+            return coarse, fine
 
         monkeypatch.setattr(spectral, "_raw_forms", skewed)
         cfg = hemi(2, 2, Problem.BUCKLING, N=16, K=4)
@@ -156,19 +155,26 @@ class TestAssembly:
             assemble_mode(cfg, 0)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5])
-    def test_trial_coeffs_match_chebmul_rows(self, p):
-        # referee: row j is chebmul of a^p (1 + s)^p with T_j, a the
-        # half-width (1 - x0)/2
+    def test_trial_jets_match_chebder(self, p):
+        # referee: the k-th derivative of q_j = a^p (1 + s)^p T_j(s), a the
+        # half-width (1 - x0)/2, from numpy's Chebyshev product and
+        # derivative, at both rules' nodes; rows past the degree vanish
+        orders = p + 3
         for basis_size in (1, 8, 33):
             for theta0 in (0.6, math.pi / 2, 2.6):
                 a = math.sin(theta0 / 2.0) ** 2
+                spectral._trial_jets.cache_clear()
+                jets = spectral._trial_jets(p, basis_size, a, 0.0, 20, orders)
+                s, _ = spectral._shared_rule(0.0, 20)
+                assert jets.shape == (basis_size, orders, 60)
                 factor = a ** p * np.polynomial.chebyshev.chebpow([1.0, 1.0], p)
-                expected = np.zeros((basis_size, p + basis_size))
                 for j in range(basis_size):
-                    row = np.polynomial.chebyshev.chebmul(factor, np.eye(j + 1)[j])
-                    expected[j, : len(row)] = row
-                coeffs = spectral._trial_coeffs(p, basis_size, a)
-                assert np.max(np.abs(coeffs - expected)) <= 1e-15 * np.max(np.abs(expected))
+                    coeffs = np.polynomial.chebyshev.chebmul(factor, np.eye(j + 1)[j])
+                    for k in range(orders):
+                        want = np.polynomial.chebyshev.chebval(
+                            s, np.polynomial.chebyshev.chebder(coeffs, k))
+                        scale = np.max(np.abs(want))
+                        assert np.max(np.abs(jets[j, k] - want)) <= 1e-13 * scale, (j, k)
 
     def test_operator_self_adjoint_under_weight(self):
         # integral (Dq1) q2 w == integral q1 (Dq2) w once both factors vanish
@@ -180,7 +186,6 @@ class TestAssembly:
             a = math.sin(theta0 / 2.0) ** 2  # the half-width (1 - x0)/2
             # 1 + x = 2 - a (1 - s)
             eff_w = w * a ** (gamma + 1.0) * (2.0 - a * (1.0 - s)) ** gamma
-            vander = np.polynomial.chebyshev.chebvander(s, 9)
             for _ in range(3):
                 # prefix a simple zero at x0: multiply by (x - x0) = a(s + 1)
                 lin = a * np.array([1.0, 1.0])
@@ -190,10 +195,11 @@ class TestAssembly:
                 p2 = np.polynomial.chebyshev.chebmul(lin, rng.randint(-5, 6, size=6).astype(float))
                 c1[: len(p1)] = p1
                 c2[: len(p2)] = p2
-                d1 = operator_coeffs(c1, l, n, a)
-                d2 = operator_coeffs(c2, l, n, a)
-                v1, v2 = vander @ c1, vander @ c2
-                dv1, dv2 = vander @ d1, vander @ d2
+                # jets (q, q', q'') at the nodes, from numpy's Chebyshev derivative
+                j1, j2 = ([np.polynomial.chebyshev.chebval(s, np.polynomial.chebyshev.chebder(c, k))
+                           for k in range(3)] for c in (c1, c2))
+                v1, v2 = j1[0], j2[0]
+                (dv1,), (dv2,) = (operator_coeffs(np.array(j), l, n, a, s) for j in (j1, j2))
                 lhs = float(np.sum(dv1 * v2 * eff_w))
                 rhs = float(np.sum(v1 * dv2 * eff_w))
                 scale = max(abs(lhs), abs(rhs), 1.0)
@@ -347,11 +353,18 @@ class TestSpectrumStructure:
 
     @staticmethod
     def _assert_two_rule_builds(n, l_max):
-        # _shared_rule is the only caller of gauss_jacobi_rule
+        builds = []
+
+        def counted(gamma, m):
+            builds.append((gamma, m))
+            return gauss_jacobi_rule(gamma, m)
+
         spectral._shared_rule.cache_clear()
-        spec = solve_spectrum(hemi(n, 2, Problem.BUCKLING, N=32, K=8))
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectral, "gauss_jacobi_rule", counted)
+            spec = solve_spectrum(hemi(n, 2, Problem.BUCKLING, N=32, K=8))
         assert spec.diagnostics["l_max"] == l_max
-        assert spectral._shared_rule.cache_info().misses == 2
+        assert builds == [((n - 2) % 2 / 2.0, 82), ((n - 2) % 2 / 2.0, 164)]
 
     def test_cold_solve_rule_eigensolves_half_size(self, monkeypatch):
         # n = 2 rules carry gamma0 = 0, so the 82- and 164-node rules take
@@ -442,18 +455,31 @@ class TestSpectrumStructure:
         assert "quad_doubling_gap" not in spectrum_to_doc(spec)["meta"]
 
 
+def referee_jets(cfg, s, orders):
+    """The jets of the trial functions at the nodes s, from numpy's
+    Chebyshev product and derivative, stacked (N, orders, len(s))."""
+    cheb = np.polynomial.chebyshev
+    factor = cfg.half_width ** cfg.p * cheb.chebpow([1.0, 1.0], cfg.p)
+    return np.array([[cheb.chebval(s, cheb.chebder(cheb.chebmul(factor, np.eye(j + 1)[j]), k))
+                      for k in range(orders)] for j in range(cfg.basis_size)])
+
+
 def per_mode_forms(cfg, l, quad_m):
     """The forms of mode l from a rule for the full exponent
     gamma = l + (n - 2)/2, as the solver built them before every mode shared
-    one rule per weight parity."""
-    rows, forms = _form_factors(cfg, l)
+    one rule per weight parity, with the referee's trial jets."""
     a = cfg.half_width
     gamma = l + (cfg.n - 2) / 2.0
     s, w = gauss_jacobi_rule(gamma, quad_m)
     eff_w = w * a ** (gamma + 1.0) * (2.0 - a * (1.0 - s)) ** gamma
-    vander_t = np.polynomial.chebyshev.chebvander(s, cfg.p + cfg.basis_size - 1).T
-    return [(((sign * rows[i]) @ vander_t) * eff_w) @ (rows[k] @ vander_t).T
-            for sign, i, k in forms]
+    forms = _form_orders(cfg)
+    top = max(k for _, _, k in forms)
+    image = referee_jets(cfg, s, 2 * top + 1)
+    sampled = [image[:, 0]]
+    for _ in range(top):
+        image = operator_coeffs(image, l, cfg.n, a, s)
+        sampled.append(image[:, 0])
+    return [((sign * sampled[i]) * eff_w) @ sampled[k].T for sign, i, k in forms]
 
 
 class TestSharedRuleAgainstPerModeRule:
@@ -464,38 +490,36 @@ class TestSharedRuleAgainstPerModeRule:
         cfg = SolverConfig(n=n, p=p, theta0=theta0, problem=problem,
                            basis_size=16, requested_count=6)
         for l in range(5):
-            factors = _form_factors(cfg, l)
-            for quad_m in (cfg.quad_base, 2 * cfg.quad_base):
-                shared = _raw_forms(cfg, l, factors, quad_m)
-                for got, want in zip(shared, per_mode_forms(cfg, l, quad_m)):
+            shared = _raw_forms(cfg, l)
+            for quad_m, forms in zip((cfg.quad_base, 2 * cfg.quad_base), shared):
+                for got, want in zip(forms, per_mode_forms(cfg, l, quad_m)):
                     scale = np.max(np.abs(want))
                     assert np.max(np.abs(got - want)) <= 1e-12 * scale, (l, quad_m)
 
 
-def unshared_forms(cfg, l, quad_m):
-    """The forms with one (left, right) coefficient pair per form, the sign
-    on the left factor and every factor sampled on its own, as the solver
-    built them before its factors were shared."""
+def unshared_forms(cfg, l):
+    """The (coarse, fine) forms with the sign on the left factor and every
+    factor D^i q taken from the trial jets on its own, as the solver built
+    them before its factors were shared."""
     a = cfg.half_width
-    coeffs0 = spectral._trial_coeffs(cfg.p, cfg.basis_size, a)
-    op_t = operator_matrix(l, cfg.n, a, coeffs0.shape[1]).T
-    coeffs_m = coeffs0
-    for _ in range(cfg.p // 2):
-        coeffs_m = coeffs_m @ op_t
-    if cfg.p % 2 == 0:
-        stiffness = (coeffs_m, coeffs_m)
-    else:
-        stiffness = (-coeffs_m, coeffs_m @ op_t)
-    if cfg.problem is Problem.CLAMPED:
-        mass = (coeffs0, coeffs0)
-    else:
-        mass = (-coeffs0, coeffs0 @ op_t)
+    base = cfg.quad_base
     gamma0 = cfg.n % 2 / 2.0
     shift = l + (cfg.n - 2) // 2
     gamma = gamma0 + shift
-    s, w, vander_t = spectral._shared_rule(gamma0, quad_m, cfg.p + cfg.basis_size - 1)
+    s, w = spectral._shared_rule(gamma0, base)
     eff_w = w * a ** (gamma + 1.0) * (1.0 - s) ** shift * (2.0 - a * (1.0 - s)) ** gamma
-    return [((left @ vander_t) * eff_w) @ (right @ vander_t).T for left, right in (stiffness, mass)]
+    jets = spectral._trial_jets(cfg.p, cfg.basis_size, a, gamma0, base,
+                                spectral._jet_orders(cfg))
+
+    def factor(i, part):
+        image = jets
+        for _ in range(i):
+            image = operator_coeffs(image, l, cfg.n, a, s)
+        return image[:, 0, part]
+
+    return [[((sign * factor(i, part)) * eff_w[part]) @ factor(k, part).T
+             for sign, i, k in _form_orders(cfg)]
+            for part in (slice(0, base), slice(base, None))]
 
 
 class TestSharedFactors:
@@ -515,12 +539,13 @@ class TestSharedFactors:
     def test_factors_named_once(self, p, problem):
         # an even-order stiffness form pairs one factor with itself, and at
         # p in {2, 3} the buckling mass form's right factor D q is the
-        # stiffness form's left one
+        # stiffness form's left one; the jets reach order 2 top, top the
+        # most operator applications a factor needs
         cfg = SolverConfig(n=3, p=p, theta0=1.2, problem=problem,
                            basis_size=12, requested_count=4)
-        rows, forms = _form_factors(cfg, 1)
+        forms = _form_orders(cfg)
         assert forms == self.FORMS[p, problem]
-        assert len(rows) == 1 + max(k for _, _, k in forms)
+        assert spectral._jet_orders(cfg) == 1 + 2 * max(k for _, _, k in forms)
 
     @pytest.mark.parametrize("p,problem", sorted(FORMS))
     @pytest.mark.parametrize("n", [2, 3])
@@ -528,10 +553,10 @@ class TestSharedFactors:
         cfg = SolverConfig(n=n, p=p, theta0=2.1, problem=problem,
                            basis_size=16, requested_count=6)
         for l in (0, 3):
-            factors = _form_factors(cfg, l)
-            for quad_m in (cfg.quad_base, 2 * cfg.quad_base):
-                shared = _raw_forms(cfg, l, factors, quad_m)
-                for got, want in zip(shared, unshared_forms(cfg, l, quad_m)):
+            shared = _raw_forms(cfg, l)
+            for quad_m, forms, want_forms in zip((cfg.quad_base, 2 * cfg.quad_base), shared,
+                                                 unshared_forms(cfg, l)):
+                for got, want in zip(forms, want_forms):
                     assert got.tobytes() == want.tobytes(), (l, quad_m)
 
 
@@ -813,20 +838,43 @@ class TestValidation:
                          basis_size=4, requested_count=8)
 
     def test_size_limits(self):
-        # the largest accepted sizes, with the automatic quadrature, fit the
-        # rule limit after doubling; one more is refused
+        # every size is checked before anything is allocated: the order, the
+        # basis, the quadrature and the trial jets, which hold
+        # (2 top + 1) * N * 3 * quad_base floats; one more is refused
         def config(**sizes):
             return SolverConfig(n=2, p=sizes.pop("p", 2), theta0=1.0,
-                                problem=Problem.BUCKLING, **sizes)
+                                problem=sizes.pop("problem", Problem.BUCKLING), **sizes)
 
-        largest = config(p=spectral.MAX_ORDER, basis_size=spectral.MAX_BASIS_SIZE)
-        assert 2 * largest.quad_base <= quadrature.MAX_NODES
+        def jet_entries(cfg):
+            return spectral._jet_orders(cfg) * cfg.basis_size * 3 * cfg.quad_base
+
+        # the widest accepted basis takes the largest automatic rule, which
+        # fits the rule limit after doubling
+        widest = config(p=4, basis_size=spectral.MAX_BASIS_SIZE)
+        assert 2 * widest.quad_base <= quadrature.MAX_NODES
+        assert jet_entries(widest) <= spectral.MAX_JET_ENTRIES
+        assert config(p=spectral.MAX_ORDER, basis_size=32).p == spectral.MAX_ORDER
+        assert config(p=3, basis_size=512, problem=Problem.CLAMPED).p == 3
         assert config(quad_size=quadrature.MAX_NODES // 2).quad_base == 2048
+        # the largest the solver resolves (p = 2, N = 256) is far inside
+        assert jet_entries(config(basis_size=256)) < spectral.MAX_JET_ENTRIES // 6
         for sizes, match in (({"p": spectral.MAX_ORDER + 1}, "order"),
                              ({"basis_size": spectral.MAX_BASIS_SIZE + 1}, "basis size"),
-                             ({"quad_size": quadrature.MAX_NODES // 2 + 1}, "quadrature size")):
+                             ({"quad_size": quadrature.MAX_NODES // 2 + 1}, "quadrature size"),
+                             ({"p": 5, "basis_size": spectral.MAX_BASIS_SIZE}, "jet samples"),
+                             ({"p": 64, "basis_size": 128}, "jet samples"),
+                             ({"p": 16, "basis_size": 512, "problem": Problem.CLAMPED},
+                              "jet samples"),
+                             ({"p": 64, "basis_size": 512, "problem": Problem.CLAMPED},
+                              "jet samples"),
+                             ({"p": 8, "basis_size": 512}, "jet samples")):
             with pytest.raises(ValidationError, match=match):
                 config(**sizes)
+        message = ("order 64 at basis size 128 with 398 quadrature nodes needs 9934080 "
+                   f"jet samples, more than {spectral.MAX_JET_ENTRIES}")
+        with pytest.raises(ValidationError) as err:
+            config(p=64, basis_size=128)
+        assert str(err.value) == message
         # the order limit is the solver's: a spectrum file of any order is read
         assert EigenSequence(n=2, p=100, problem=Problem.BUCKLING, values=(1.0,)).p == 100
 
