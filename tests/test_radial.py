@@ -45,11 +45,10 @@ def derivatives(x_coeffs, count: int) -> list:
 
 
 def exact_jet(x_coeffs, a: float, s, orders: int) -> np.ndarray:
-    """Rows a^k F^(k)(x) at x = 1 - a (1 - s), k = 0 .. orders - 1, exact."""
+    """Rows a^k F^(k)(x) at x = 1 - a (1 - s), k = 0 .. orders - 1, exact:
+    the s-derivatives of F composed with x = a s + (1 - a)."""
     a = Fraction(a)
-    xs = [1 - a * (1 - Fraction(v)) for v in np.atleast_1d(s).tolist()]
-    return np.array([[a**k * poly.polyval(x, d) for x in xs]
-                     for k, d in enumerate(derivatives(x_coeffs, orders))], dtype=object)
+    return s_jet(_compose(rational(x_coeffs), [1 - a, a]), s, orders)
 
 
 def closed_image(x_coeffs, l: int, n: int) -> np.ndarray:
