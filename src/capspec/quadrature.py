@@ -1,35 +1,48 @@
 """Gauss-Jacobi quadrature for the weight (1 - s)^gamma on [-1, 1].
 
 Nodes are the roots of the degree-m Jacobi polynomial for parameters
-(gamma, 0), computed by the Golub-Welsch method (Golub & Welsch, Math. Comp.
-23, 1969): they are the eigenvalues of the symmetric tridiagonal Jacobi
+(gamma, 0). Newton's method polishes start nodes to full precision; the
+start depends on gamma.
+
+For gamma = 0 (Legendre) the start comes from an asymptotic formula and
+needs no eigenproblem (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013,
+A652). The rule is symmetric, so only its floor(m/2) positive nodes are
+found, plus the node 0 for odd m. With x = cos(theta), Olver's expansion
+puts the k-th positive node, counted from x = 1, at
+
+    theta_k = psi_k + (psi_k cot psi_k - 1) / (8 psi_k rho^2),
+    psi_k = j_{0,k} / rho,    rho = m + 1/2,
+
+where j_{0,k} is the k-th zero of the Bessel function J_0: the first 20
+come from a table, the rest from McMahon's expansion (DLMF 10.21.19). These
+start nodes lie within 0.03 rho^-4 + 1e-15 of the true ones; the 1e-15
+is rounding, which dominates from about m = 2000. The polished half is
+mirrored, so nodes and weights are exactly symmetric.
+
+For any other gamma the start is the Golub-Welsch one (Golub & Welsch,
+Math. Comp. 23, 1969): the eigenvalues of the symmetric tridiagonal Jacobi
 matrix of the three-term recurrence, with diagonal
--gamma^2 / ((2k+gamma)(2k+gamma+2)) (0 when gamma = 0) and off-diagonal
+-gamma^2 / ((2k+gamma)(2k+gamma+2)) and off-diagonal
 2k(k+gamma) / ((2k+gamma) sqrt((2k+gamma)^2 - 1)).
 
-For gamma = 0 (Legendre) the eigenproblem is solved at half size. The
-quadratic transformation (Szego, Orthogonal Polynomials, Section 4.1)
-
-    P_2k(x) ~ P_k^(-1/2, 0)(1 - 2x^2),    P_2k+1(x) ~ x P_k^(1/2, 0)(1 - 2x^2)
-
-puts the nodes at x = +-sqrt((1 - v)/2), with v the k nodes for the weight
-(1 - v)^(-1/2) (m = 2k) or (1 - v)^(1/2) (m = 2k + 1, plus the node 0).
-Both are Jacobi matrices of the same form, of order floor(m/2), and the
-start nodes come out exactly symmetric.
-
-One pass of the three-term recurrence at those nodes gives P_m and P_{m-1};
-the derivative follows from the Jacobi identity
+Each Newton pass runs the three-term recurrence once at the nodes, which
+gives P_m and P_{m-1}. The derivative follows from the Jacobi identity
 
     (2m+gamma) (1 - x^2) P_m' = m (gamma - (2m+gamma) x) P_m + 2m (m+gamma) P_{m-1},
 
-and one Newton step polishes each node to full precision. The derivative is
-carried to the polished node by a first-order step with P_m'', which the
-Jacobi differential equation gives from P_m and P_m':
+and the Jacobi differential equation and its derivative give P_m'' and
+P_m''':
 
-    (1 - x^2) P_m'' = (gamma + (gamma+2) x) P_m' - m (m+gamma+1) P_m.
+    (1 - x^2) P_m''  = (gamma + (gamma+2) x) P_m' - m (m+gamma+1) P_m,
+    (1 - x^2) P_m''' = (gamma + (gamma+4) x) P_m'' + (gamma + 2 - m (m+gamma+1)) P_m'.
 
-With the second parameter fixed at 0 the classical weight normalization
-collapses to 2^(gamma+1), so no Gamma functions appear:
+The passes stop once the error Newton predicts for the next pass,
+|P_m'' / (2 P_m')| step^2, is below every node's ulp. That takes one pass
+from a Golub-Welsch start and from the Legendre start at m >= 37, and at
+most three below that. The derivative is carried to the polished node to
+second order in the last step. With the second parameter fixed at 0 the
+classical weight normalization collapses to 2^(gamma+1), so no Gamma
+functions appear:
 
     w_i = 2^(gamma+1) / ((1 - x_i^2) * P_m'(x_i)^2)
 
@@ -49,17 +62,30 @@ import numpy as np
 from .errors import NoConvergence, ValidationError
 
 # the largest rule built (--quad 2048, doubled; the largest automatic rule
-# has 2092 nodes), and a dense Jacobi matrix at this size is 128 MB
+# has 2092 nodes); a Golub-Welsch start (gamma != 0) forms a dense Jacobi
+# matrix, 128 MB at this size
 MAX_NODES = 4096
+
+# Newton passes before a rule is refused; the Legendre start needs at most 3
+MAX_PASSES = 6
+
+# the first 20 zeros of the Bessel function J_0
+_J0_ZEROS = np.array([
+    2.404825557695773, 5.520078110286311, 8.653727912911013, 11.791534439014281,
+    14.930917708487787, 18.071063967910924, 21.21163662987926, 24.352471530749302,
+    27.493479132040253, 30.634606468431976, 33.77582021357357, 36.917098353664045,
+    40.05842576462824, 43.19979171317673, 46.341188371661815, 49.482609897397815,
+    52.624051841115, 55.76551075501998, 58.90698392608094, 62.048469190227166,
+])
 
 
 def gauss_jacobi_rule(gamma: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (ascending, inside (-1, 1)) and positive weights.
 
     gamma >= 0 is the weight exponent; 1 <= m <= MAX_NODES the node count.
-    Raises NoConvergence only if the eigenvalue nodes after the Newton step
-    are not strictly ascending or a weight is not positive, which signals
-    an implementation bug for any m <= 512.
+    Raises NoConvergence if the Newton passes have not converged after
+    MAX_PASSES, or if the polished nodes are not strictly ascending or a
+    weight is not positive; either signals an implementation bug.
     """
     if not (isinstance(m, (int, np.integer)) and 1 <= m <= MAX_NODES):
         raise ValidationError(
@@ -68,31 +94,58 @@ def gauss_jacobi_rule(gamma: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     if not (gamma >= 0.0 and np.isfinite(gamma)):
         raise ValidationError(f"weight exponent must be finite and >= 0, got {gamma}")
     m = int(m)
-    x = _start_nodes(gamma, m)
-    p_m, p_prev = _jacobi_recurrence(gamma, m, x)
-    t = 2.0 * m + gamma
-    one_minus_x2 = 1.0 - x * x
-    deriv = (m * (gamma - t * x) * p_m + 2.0 * m * (m + gamma) * p_prev) / (t * one_minus_x2)
-    second = ((gamma + (gamma + 2.0) * x) * deriv - m * (m + gamma + 1.0) * p_m) / one_minus_x2
-    step = -p_m / deriv
-    x = x + step
-    deriv = deriv + second * step
-    weights = 2.0 ** (gamma + 1.0) / ((1.0 - x * x) * deriv * deriv)
+    x, weights = _newton(gamma, m, _start_nodes(gamma, m))
+    if gamma == 0.0:
+        half = m // 2
+        x = np.concatenate((-x[::-1][:half], x))
+        weights = np.concatenate((weights[::-1][:half], weights))
     if not (np.all(np.diff(x) > 0.0) and np.all(weights > 0.0)):
         raise NoConvergence("polished nodes not strictly ascending with positive weights")
     return x, weights
 
 
 def _start_nodes(gamma: float, m: int) -> np.ndarray:
-    """The m Golub-Welsch nodes, ascending, before the Newton step; for
-    gamma = 0 from the half-size eigenproblem of the quadratic
-    transformation (see the module docstring)."""
+    """Start nodes, ascending: for gamma = 0 the floor(m/2) positive ones
+    from Olver's expansion, after the node 0 for odd m; otherwise all m
+    Golub-Welsch nodes (see the module docstring)."""
     if gamma != 0.0:
         return np.linalg.eigvalsh(_jacobi_matrix(gamma, m))
-    k, odd = divmod(m, 2)
-    v = np.linalg.eigvalsh(_jacobi_matrix(0.5 if odd else -0.5, k))
-    half = np.sqrt(0.5 * (1.0 - v))  # descending in (0, 1)
-    return np.concatenate((-half, np.zeros(odd), half[::-1]))
+    half, odd = divmod(m, 2)
+    rho = m + 0.5
+    psi = _j0_zeros(half) / rho
+    theta = psi + (psi / np.tan(psi) - 1.0) / (8.0 * psi * rho * rho)
+    return np.concatenate((np.zeros(odd), np.cos(theta[::-1])))
+
+
+def _j0_zeros(count: int) -> np.ndarray:
+    """The first count zeros of J_0: the table, then McMahon's expansion in
+    1/beta with beta = (k - 1/4) pi."""
+    beta = (np.arange(len(_J0_ZEROS) + 1, count + 1) - 0.25) * np.pi
+    r = 1.0 / beta
+    r2 = r * r
+    tail = beta + r * (0.125 + r2 * (-31.0 / 384.0 + r2 * (
+        3779.0 / 15360.0 - r2 * 6277237.0 / 3440640.0)))
+    return np.concatenate((_J0_ZEROS[:count], tail))
+
+
+def _newton(gamma: float, m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Newton passes from the start nodes x until the predicted next error
+    is below every node's ulp; the polished nodes and their weights."""
+    t = 2.0 * m + gamma
+    for _ in range(MAX_PASSES):
+        p_m, p_prev = _jacobi_recurrence(gamma, m, x)
+        one_minus_x2 = 1.0 - x * x
+        deriv = (m * (gamma - t * x) * p_m + 2.0 * m * (m + gamma) * p_prev) / (t * one_minus_x2)
+        second = ((gamma + (gamma + 2.0) * x) * deriv - m * (m + gamma + 1.0) * p_m) / one_minus_x2
+        step = -p_m / deriv
+        polished = x + step
+        if np.all(np.abs(second / (2.0 * deriv)) * step * step < np.spacing(np.abs(polished))):
+            third = ((gamma + (gamma + 4.0) * x) * second
+                     + (gamma + 2.0 - m * (m + gamma + 1.0)) * deriv) / one_minus_x2
+            deriv = deriv + second * step + 0.5 * third * step * step
+            return polished, 2.0 ** (gamma + 1.0) / ((1.0 - polished * polished) * deriv * deriv)
+        x = polished
+    raise NoConvergence(f"{m}-node Gauss-Jacobi rule not converged after {MAX_PASSES} Newton passes")
 
 
 def _jacobi_matrix(gamma: float, m: int) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from capspec import quadrature
-from capspec.errors import ValidationError
+from capspec.errors import NoConvergence, ValidationError
 from capspec.quadrature import gauss_jacobi_rule
 
 from oracles import jacobi_moment
@@ -99,7 +99,10 @@ def mpmath_rule(mpmath, gamma, m, starts):
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 3.0, 8.5])
 def test_against_mpmath_rule(gamma):
     mpmath = pytest.importorskip("mpmath")
-    for m in (5, 20, 41):
+    # m = 37 is the least accurate Legendre start that takes one Newton
+    # pass; its weights need the derivative carried to second order in the
+    # step (to first order they miss by 1.9e-13)
+    for m in (5, 20, 37, 41):
         x, w = gauss_jacobi_rule(gamma, m)
         exact_x, exact_w = mpmath_rule(mpmath, gamma, m, x)
         # each root found once: the float nodes start Newton in distinct basins
@@ -124,15 +127,15 @@ def test_against_mpmath_rule_at_solver_sizes(gamma, m):
 
 @pytest.mark.parametrize("m", [83, 512])
 def test_against_mpmath_legendre_rule(m):
-    """The half-size start nodes at an odd solver-like size and at the
-    largest size the module promises, on every 8th node and both ends.
+    """The Legendre rule at an odd solver-like size and at 512 nodes, on
+    every 8th node and both ends.
 
     A weight's relative sensitivity to its node is 2|x| / (1 - x^2), so
     the last bit of an end node at m = 512 (1.1e-5 from 1) alone moves
     its weight by ~1e-11. The weight tolerance is the larger of 1e-12 and
-    two bits' worth of that sensitivity, 4 eps |x| / (1 - x^2); the dense
-    full-size eigensolve misses the m = 512 end weights by 3.4e-12, the
-    half-size one by 2.6e-12."""
+    two bits' worth of that sensitivity, 4 eps |x| / (1 - x^2); one Newton
+    pass from the dense full-size eigensolve misses the m = 512 end weights
+    by 3.4e-12, the Legendre rule by 2.6e-12."""
     mpmath = pytest.importorskip("mpmath")
     x, w = gauss_jacobi_rule(0.0, m)
     spots = np.unique(np.r_[np.arange(0, m, 8), m - 1])
@@ -144,32 +147,104 @@ def test_against_mpmath_legendre_rule(m):
     assert np.all(np.abs(w[spots] - exact_w) / exact_w <= tol)
 
 
-def test_half_size_start_nodes_match_dense_eigensolve():
-    # gamma = 0 takes its nodes from the order floor(m/2) eigenproblem of
-    # the quadratic transformation; the full Legendre Jacobi matrix is the
-    # referee, odd m (with the node 0) included
+def mpmath_legendre_rule(mpmath, m, starts):
+    """Legendre nodes and weights at 40 digits: two Newton steps on P_m from
+    each float node, with P_m and P_{m-1} from the three-term recurrence
+    and P_m' = m (P_{m-1} - x P_m) / (1 - x^2). A float node is within a
+    few ulps of its root, so two steps pass 40 digits even at m = 2092,
+    and this referee runs in a third of mpmath_rule's time there."""
+    with mpmath.workdps(40):
+        def value_and_slope(r):
+            p_prev, p = mpmath.mpf(1), r
+            for k in range(2, m + 1):
+                p_prev, p = p, ((2 * k - 1) * r * p - (k - 1) * p_prev) / k
+            return p, m * (p_prev - r * p) / (1 - r * r)
+
+        nodes, weights = [], []
+        for xi in starts:
+            r = mpmath.mpf(float(xi))
+            for _ in range(2):
+                p, slope = value_and_slope(r)
+                r -= p / slope
+            _, slope = value_and_slope(r)
+            nodes.append(float(r))
+            weights.append(float(2 / ((1 - r * r) * slope * slope)))
+        return np.array(nodes), np.array(weights)
+
+
+@pytest.mark.parametrize("m", [1024, 2092])
+def test_against_mpmath_large_legendre_rule(m):
+    """The largest automatic rule (2092 nodes) and one of 1024, on both end
+    nodes, the two nodes nearest 0 and every 64th node, with the weight
+    tolerance of test_against_mpmath_legendre_rule."""
+    mpmath = pytest.importorskip("mpmath")
+    x, w = gauss_jacobi_rule(0.0, m)
+    spots = np.unique(np.r_[np.arange(0, m, 64), m // 2 - 1, m // 2, m - 1])
+    exact_x, exact_w = mpmath_legendre_rule(mpmath, m, x[spots])
+    assert np.all(np.diff(exact_x) > 0.0)
+    assert np.max(np.abs(x[spots] - exact_x)) <= 1e-15
+    xs = x[spots]
+    tol = np.maximum(1e-12, 4.0 * np.finfo(float).eps * np.abs(xs) / (1.0 - xs * xs))
+    assert np.all(np.abs(w[spots] - exact_w) / exact_w <= tol)
+
+
+def test_bessel_zeros_against_mpmath():
+    # the table (k <= 20) and McMahon's expansion past it give j_{0,k} to
+    # within an ulp
+    mpmath = pytest.importorskip("mpmath")
+    exact = np.array([float(mpmath.besseljzero(0, k)) for k in range(1, 61)])
+    assert np.max(np.abs(quadrature._j0_zeros(60) - exact) / exact) <= 2.3e-16
+
+
+def test_legendre_start_nodes_near_dense_eigensolve():
+    # gamma = 0 starts from Olver's expansion at the floor(m/2) positive
+    # nodes, after the node 0 for odd m; the full Legendre Jacobi matrix is
+    # the referee, and the start is within 0.03 rho^-4 of it (rho = m + 1/2;
+    # measured 0.0264 rho^-4 at m = 200, 1.9e-4 at m = 2)
     for m in range(1, 201):
-        referee = np.linalg.eigvalsh(quadrature._jacobi_matrix(0.0, m))
+        referee = np.linalg.eigvalsh(quadrature._jacobi_matrix(0.0, m))[m // 2:]
         start = quadrature._start_nodes(0.0, m)
-        assert start.shape == (m,)
-        assert np.max(np.abs(start - referee)) <= 1e-13, m
-        assert np.array_equal(start, -start[::-1]), m
+        assert start.shape == (m - m // 2,), m
+        assert np.max(np.abs(start - referee)) <= 0.03 * (m + 0.5) ** -4, m
+        if m % 2:
+            assert start[0] == 0.0
 
 
-def test_half_size_only_for_legendre(monkeypatch):
-    orders = []
-    eigvalsh = np.linalg.eigvalsh
+def test_legendre_rule_exactly_symmetric():
+    for m in range(1, 601):
+        x, w = gauss_jacobi_rule(0.0, m)
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1]), m
 
-    def recorded(a):
-        orders.append(a.shape[-1])
-        return eigvalsh(a)
 
-    monkeypatch.setattr(quadrature.np.linalg, "eigvalsh", recorded)
-    quadrature._start_nodes(0.0, 164)
-    quadrature._start_nodes(0.0, 83)
-    quadrature._start_nodes(0.5, 82)
-    quadrature._start_nodes(2.0, 9)
-    assert orders == [82, 41, 82, 9]
+def counted_recurrence(monkeypatch):
+    passes = []
+
+    def counted(gamma, m, x):
+        passes.append(m)
+        return recurrence(gamma, m, x)
+
+    recurrence = quadrature._jacobi_recurrence
+    monkeypatch.setattr(quadrature, "_jacobi_recurrence", counted)
+    return passes
+
+
+def test_one_newton_pass_from_m_64(monkeypatch):
+    passes = counted_recurrence(monkeypatch)
+    sizes = range(64, 601)
+    for m in sizes:
+        gauss_jacobi_rule(0.0, m)
+    assert passes == list(sizes)
+
+
+def test_unconvergeable_start_refused_in_one_line(monkeypatch):
+    # Newton from outside [-1, 1] closes in on the largest node by about
+    # 1/m per pass, so 41 starts at x = 2 cannot converge at m = 82
+    passes = counted_recurrence(monkeypatch)
+    monkeypatch.setattr(quadrature, "_start_nodes", lambda gamma, m: np.full(41, 2.0))
+    with pytest.raises(NoConvergence, match="82-node") as caught:
+        gauss_jacobi_rule(0.0, 82)
+    assert "\n" not in str(caught.value)
+    assert passes == [82] * quadrature.MAX_PASSES
 
 
 def test_determinism():

@@ -366,21 +366,23 @@ class TestSpectrumStructure:
         assert spec.diagnostics["l_max"] == l_max
         assert builds == [((n - 2) % 2 / 2.0, 82), ((n - 2) % 2 / 2.0, 164)]
 
-    def test_cold_solve_rule_eigensolves_half_size(self, monkeypatch):
-        # n = 2 rules carry gamma0 = 0, so the 82- and 164-node rules take
-        # their nodes from eigensolves of order 41 and 82
-        orders = []
+    @pytest.mark.parametrize("n,orders", [(2, []), (3, [82, 164])])
+    def test_cold_solve_rule_eigensolves_only_for_odd_n(self, monkeypatch, n, orders):
+        # n = 2 rules carry gamma0 = 0 and start from the asymptotic Legendre
+        # nodes, with no eigensolve; n = 3 rules (gamma0 = 1/2) take their
+        # start nodes from the full-size eigensolves of order 82 and 164
+        seen = []
         eigvalsh = np.linalg.eigvalsh
 
         def recorded(a):
             if sys._getframe(1).f_globals["__name__"] == quadrature.__name__:
-                orders.append(a.shape[-1])
+                seen.append(a.shape[-1])
             return eigvalsh(a)
 
         monkeypatch.setattr(quadrature.np.linalg, "eigvalsh", recorded)
         spectral._shared_rule.cache_clear()
-        solve_spectrum(hemi(2, 2, Problem.BUCKLING, N=32, K=8))
-        assert sorted(orders) == [41, 82]
+        solve_spectrum(hemi(n, 2, Problem.BUCKLING, N=32, K=8))
+        assert sorted(seen) == orders
 
     def test_cold_solve_recurrence_passes_and_eigensolves(self, monkeypatch):
         # each rule build runs one recurrence pass (P_m and P_{m-1} give the
