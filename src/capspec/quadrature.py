@@ -46,6 +46,12 @@ functions appear:
 
     w_i = 2^(gamma+1) / ((1 - x_i^2) * P_m'(x_i)^2)
 
+Both 1 - x^2 are formed without cancelling near the ends: at the start
+node as (1 - x)(1 + x), and at the polished node x + step, before it is
+rounded to a float, as (1 - x)(1 + x) - step (2x + step), where the
+derivative is carried. 1 - x*x would cost up to eps / (1 - x^2) relative
+at the end nodes, and so would the rounding of the node.
+
 The resulting rule integrates polynomials of degree <= 2m - 1 against the
 weight to relative 1e-13 (relative to the weight mass). Any gamma >= 0 and
 any m <= MAX_NODES are accepted, but the solver asks only for gamma in
@@ -134,7 +140,7 @@ def _newton(gamma: float, m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
     t = 2.0 * m + gamma
     for _ in range(MAX_PASSES):
         p_m, p_prev = _jacobi_recurrence(gamma, m, x)
-        one_minus_x2 = 1.0 - x * x
+        one_minus_x2 = (1.0 - x) * (1.0 + x)
         deriv = (m * (gamma - t * x) * p_m + 2.0 * m * (m + gamma) * p_prev) / (t * one_minus_x2)
         second = ((gamma + (gamma + 2.0) * x) * deriv - m * (m + gamma + 1.0) * p_m) / one_minus_x2
         step = -p_m / deriv
@@ -143,7 +149,8 @@ def _newton(gamma: float, m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
             third = ((gamma + (gamma + 4.0) * x) * second
                      + (gamma + 2.0 - m * (m + gamma + 1.0)) * deriv) / one_minus_x2
             deriv = deriv + second * step + 0.5 * third * step * step
-            return polished, 2.0 ** (gamma + 1.0) / ((1.0 - polished * polished) * deriv * deriv)
+            one_minus_root2 = one_minus_x2 - step * (2.0 * x + step)
+            return polished, 2.0 ** (gamma + 1.0) / (one_minus_root2 * deriv * deriv)
         x = polished
     raise NoConvergence(f"{m}-node Gauss-Jacobi rule not converged after {MAX_PASSES} Newton passes")
 

@@ -68,6 +68,9 @@ QUAD_DOUBLING_REL = 1e-11
 ASYMMETRY_WARN = 1e-8
 MODE_SAFETY = 1.05
 MONOTONE_SLACK = 1e-10
+# a radial mu at or below 0 by at most this * size * eps * mu_max is taken
+# as roundoff (see _inverted)
+ROUNDOFF_MU = 4
 COMPANION_DROP = 4
 # size limits, checked before anything is allocated: the doubled rule has
 # 2 * quad_base <= MAX_NODES nodes (the automatic base always fits), and the
@@ -105,8 +108,8 @@ class SolverConfig:
 
     mode_cap / quad_size of None mean automatic selection: the mode loop
     extends until the last mode's smallest radial value clears the current
-    K-th merged value by 5%, and the quadrature base size is
-    2 * (max polynomial degree) + 16.
+    K-th merged value by 5%, and the quadrature base size is set by the
+    parity of n (see quad_base).
     """
 
     n: int
@@ -170,10 +173,22 @@ class SolverConfig:
 
     @property
     def quad_base(self) -> int:
-        """Quadrature node count before the doubling check."""
+        """Quadrature node count before the doubling check.
+
+        For even n the form integrands of mode l are polynomials of degree
+        2 (p + N - 1) + 2l + n - 2 (two trial functions of degree p + N - 1
+        and the folded (1 - s)^j (2 - a (1 - s))^j, j = l + (n - 2)/2), which
+        p + N + 16 + (n - 2)/2 nodes integrate exactly for every l <= 16.
+        For odd n the folded (2 - a (1 - s))^(l + 1/2) is no polynomial and
+        the base is 2 (p + N - 1) + 16, which also caps the even-n base.
+        Past that reach the doubling check decides.
+        """
         if self.quad_size is not None:
             return int(self.quad_size)
-        return 2 * (self.p + self.basis_size - 1) + 16
+        base = 2 * (self.p + self.basis_size - 1) + 16
+        if self.n % 2 == 0:
+            return min(base, self.p + self.basis_size + 16 + (self.n - 2) // 2)
+        return base
 
 
 @dataclass(frozen=True)
@@ -357,13 +372,33 @@ def _leading_values(reduced, modes, size: int) -> list:
 
 
 def _inverted(mu, l: int) -> np.ndarray:
-    """Ascending lambda = 1/mu from the ascending mu of mode l."""
+    """Ascending lambda = 1/mu from the ascending mu of mode l.
+
+    The smallest mu belong to the largest lambda, which no solve reports;
+    on an ill-conditioned pencil they sink to the roundoff floor, where
+    their sign is that of a rounding error. A mu at or below 0 but no
+    further below than ROUNDOFF_MU * size * eps * mu_max is taken as such
+    roundoff: its lambda is inf, past every reported value (see
+    `_reportable`). A mu further below, or a nonpositive mu_max, is refused.
+    """
     mu = mu[::-1]
-    if float(mu[-1]) <= 0.0:
+    floor = -ROUNDOFF_MU * len(mu) * np.finfo(float).eps * float(mu[0])
+    if not (float(mu[0]) > 0.0 and float(mu[-1]) >= floor):
         raise NumericalError(
             f"nonpositive radial eigenvalue (1/mu with mu = {mu[-1]:.6e}) at mode {l}"
         )
-    return 1.0 / mu
+    lam = np.full(len(mu), np.inf)
+    return np.divide(1.0, mu, out=lam, where=mu > 0.0)
+
+
+def _reportable(values, what: str):
+    """values, unless one is the inf of a radial value lost to roundoff
+    (see `_inverted`), which no written value may carry."""
+    if not np.all(np.isfinite(values)):
+        raise NumericalError(
+            f"{what} needs a radial eigenvalue lost to roundoff (1/mu with mu within "
+            f"{ROUNDOFF_MU} * size * eps * mu_max of 0)")
+    return values
 
 
 def solve_spectrum(cfg: SolverConfig) -> Spectrum:
@@ -420,6 +455,7 @@ def _solve_modes(cfg: SolverConfig):
         values.append(radial_values)
         reduced.append(mode_reduced)
         covering = _merge(values, cfg.n, want)
+        # a value lost to roundoff (inf) never clears this, so none is returned
         if covering and ground > MODE_SAFETY * covering[-1][0]:
             return values, reduced, worst, covering
         if l >= hard_cap:
@@ -488,7 +524,8 @@ def _convergence_estimates(records, reduced, companion: int):
     The companion values of the merged modes are the eigenvalues of the
     leading companion-by-companion blocks of their reduced matrices, in one
     stacked call. A record whose radial index the companion does not reach
-    has no estimate, and the solve is refused with ValidationError.
+    has no estimate, and the solve is refused with ValidationError; one
+    whose companion value is lost to roundoff is refused with NumericalError.
     """
     for _, l, j in records:
         if j >= companion:
@@ -498,7 +535,8 @@ def _convergence_estimates(records, reduced, companion: int):
             )
     modes = sorted({l for _, l, _ in records})
     coarse = dict(zip(modes, _leading_values(reduced, modes, companion)))
-    return [abs(float(coarse[l][j]) - v) / v for v, l, j in records]
+    return _reportable([abs(float(coarse[l][j]) - v) / v for v, l, j in records],
+                       "a convergence estimate")
 
 
 @dataclass(frozen=True)
@@ -541,7 +579,7 @@ def convergence_study(cfg: SolverConfig, basis_sizes) -> ConvergenceStudy:
             _leading_values(reduced, modes, size), cfg.n, want)
         rows.append([v for v, l, _ in records for _ in range(multiplicity(l, cfg.n))][:want])
 
-    values = np.array(rows)
+    values = _reportable(np.array(rows), "a convergence study row")
     for t in range(1, len(sizes)):
         jump = values[t] - values[t - 1]
         worst = float(np.max(jump))

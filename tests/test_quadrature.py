@@ -114,8 +114,8 @@ def test_against_mpmath_rule(gamma):
 @pytest.mark.parametrize("gamma", [0.0, 0.5])
 @pytest.mark.parametrize("m", [82, 164])
 def test_against_mpmath_rule_at_solver_sizes(gamma, m):
-    """The rules a solve builds at N = 32, p = 2 (82 nodes and the doubled
-    164), on every 8th node and both end nodes."""
+    """The rules an odd-n solve builds at N = 32, p = 2 (82 nodes and the
+    doubled 164), on every 8th node and both end nodes."""
     mpmath = pytest.importorskip("mpmath")
     x, w = gauss_jacobi_rule(gamma, m)
     spots = np.unique(np.r_[np.arange(0, m, 8), m - 1])
@@ -123,6 +123,20 @@ def test_against_mpmath_rule_at_solver_sizes(gamma, m):
     assert np.all(np.diff(exact_x) > 0.0)
     assert np.max(np.abs(x[spots] - exact_x)) <= 1e-15
     assert np.max(np.abs(w[spots] - exact_w) / exact_w) <= 1e-12
+
+
+@pytest.mark.parametrize("m", [100, 164, 512])
+def test_legendre_end_weight_against_mpmath(m):
+    """The end-node weight of the doubled rule of an even-n solve at N = 32,
+    p = 2 (100 nodes), and of 164 and 512 nodes, where 1 - x^2 is 5.7e-4,
+    2.1e-4 and 2.2e-5. Formed as 1 - x*x it cost eps / (1 - x^2) relative:
+    the 164-node end weight missed by 4.0e-13. Formed at the rounded node
+    it misses at 512 nodes by 1.0e-12."""
+    mpmath = pytest.importorskip("mpmath")
+    x, w = gauss_jacobi_rule(0.0, m)
+    _, exact_w = mpmath_rule(mpmath, 0.0, m, x[-1:])
+    assert abs(w[-1] - exact_w[0]) / exact_w[0] <= 1.5e-13
+    assert w[0] == w[-1]
 
 
 @pytest.mark.parametrize("m", [83, 512])
@@ -133,9 +147,10 @@ def test_against_mpmath_legendre_rule(m):
     A weight's relative sensitivity to its node is 2|x| / (1 - x^2), so
     the last bit of an end node at m = 512 (1.1e-5 from 1) alone moves
     its weight by ~1e-11. The weight tolerance is the larger of 1e-12 and
-    two bits' worth of that sensitivity, 4 eps |x| / (1 - x^2); one Newton
-    pass from the dense full-size eigensolve misses the m = 512 end weights
-    by 3.4e-12, the Legendre rule by 2.6e-12."""
+    two bits' worth of that sensitivity, 4 eps |x| / (1 - x^2). The weights
+    are formed at the Newton point before it is rounded, so the Legendre
+    rule misses the m = 512 weights by at most 7.1e-14 (2.6e-12 with
+    1 - x*x at the rounded node)."""
     mpmath = pytest.importorskip("mpmath")
     x, w = gauss_jacobi_rule(0.0, m)
     spots = np.unique(np.r_[np.arange(0, m, 8), m - 1])

@@ -20,6 +20,7 @@ from capspec.bounds import EigenSequence
 from capspec.errors import (
     ModeCapTooSmall,
     MonotonicityViolation,
+    NumericalError,
     QuadratureNotConverged,
     ValidationError,
 )
@@ -32,9 +33,11 @@ from capspec.spectral import (
     Problem,
     SolverConfig,
     Spectrum,
+    _convergence_estimates,
     _form_orders,
-    _merge,
     _inverted,
+    _leading_values,
+    _merge,
     _merge_key,
     _raw_forms,
     _solve_mode,
@@ -147,6 +150,38 @@ class TestAssembly:
         va = solve_spectrum(coarse).expanded_values()
         vb = solve_spectrum(fine).expanded_values()
         assert np.max(np.abs(va - vb) / vb) < 1e-9
+
+    @pytest.mark.parametrize("n,p,basis,base", [
+        (2, 2, 32, 50), (4, 2, 32, 51), (6, 3, 16, 37), (2, 1, 8, 25),
+        (3, 2, 32, 82), (5, 3, 16, 52),
+        # never above 2 (p + N - 1) + 16, the base of odd n
+        (66, 1, 16, 48), (1000, 2, 32, 82)])
+    def test_quad_base_by_parity(self, n, p, basis, base):
+        # even n: p + N + 16 + (n - 2)/2 nodes integrate every form of mode
+        # l <= 16 exactly; odd n: 2 (p + N - 1) + 16
+        cfg = SolverConfig(n=n, p=p, theta0=1.0, problem=Problem.CLAMPED,
+                           basis_size=basis, requested_count=4)
+        assert cfg.quad_base == base
+        assert replace(cfg, quad_size=40).quad_base == 40
+
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    @pytest.mark.parametrize("p,problem", [(1, Problem.CLAMPED), (2, Problem.CLAMPED),
+                                           (3, Problem.CLAMPED), (2, Problem.BUCKLING)])
+    def test_even_n_base_rule_exact_to_mode_16(self, n, p, problem):
+        # for even n the form integrands of mode l are polynomials of degree
+        # 2 (p + N - 1) + 2l + n - 2, which the automatic base rule integrates
+        # exactly up to l = 16: its forms equal those of a rule 4x its size
+        # to roundoff (measured <= 2.1e-15), and at l = 20 they do not
+        # (measured 3.7e-11 to 1.8e-9)
+        cfg = SolverConfig(n=n, p=p, theta0=2.6, problem=problem, basis_size=32)
+        wide = replace(cfg, quad_size=4 * cfg.quad_base)
+        modes = list(range(17)) + [20]
+        base = [_raw_forms(cfg, l)[0] for l in modes]
+        ref = [_raw_forms(wide, l)[0] for l in modes]
+        gaps = [np.max(np.abs(b - r), axis=(1, 2)) / np.max(np.abs(r), axis=(1, 2))
+                for b, r in zip(base, ref)]
+        assert max(np.max(g) for g in gaps[:-1]) <= 1e-14
+        assert np.max(gaps[-1]) > 1e-12
 
     def test_underresolved_quadrature_raises(self):
         cfg = SolverConfig(n=2, p=2, theta0=1.0, problem=Problem.CLAMPED,
@@ -344,15 +379,18 @@ class TestSpectrumStructure:
     def test_cold_solve_rule_builds(self):
         # one base and one doubled rule serve every solved mode (0..4): the
         # rule carries (1 - s)^gamma0 with gamma0 = (n - 2)/2 mod 1 = 0, and
-        # the companion reuses the main assembly and builds none
-        self._assert_two_rule_builds(2, l_max=4)
+        # the companion reuses the main assembly and builds none; the
+        # integrands are polynomials, so p + N + 16 = 50 nodes are exact
+        self._assert_two_rule_builds(2, l_max=4, base=50)
 
     def test_cold_solve_rule_builds_odd_dimension(self):
-        # n = 3: gamma0 = 1/2, still one rule pair for modes 0..3
-        self._assert_two_rule_builds(3, l_max=3)
+        # n = 3: gamma0 = 1/2, still one rule pair for modes 0..3, of
+        # 2 (p + N - 1) + 16 = 82 nodes: (2 - a (1 - s))^(l + 1/2) is no
+        # polynomial
+        self._assert_two_rule_builds(3, l_max=3, base=82)
 
     @staticmethod
-    def _assert_two_rule_builds(n, l_max):
+    def _assert_two_rule_builds(n, l_max, base):
         builds = []
 
         def counted(gamma, m):
@@ -364,7 +402,7 @@ class TestSpectrumStructure:
             patch.setattr(spectral, "gauss_jacobi_rule", counted)
             spec = solve_spectrum(hemi(n, 2, Problem.BUCKLING, N=32, K=8))
         assert spec.diagnostics["l_max"] == l_max
-        assert builds == [((n - 2) % 2 / 2.0, 82), ((n - 2) % 2 / 2.0, 164)]
+        assert builds == [((n - 2) % 2 / 2.0, base), ((n - 2) % 2 / 2.0, 2 * base)]
 
     @pytest.mark.parametrize("n,orders", [(2, []), (3, [82, 164])])
     def test_cold_solve_rule_eigensolves_only_for_odd_n(self, monkeypatch, n, orders):
@@ -560,6 +598,63 @@ class TestSharedFactors:
                                                  unshared_forms(cfg, l)):
                 for got, want in zip(forms, want_forms):
                     assert got.tobytes() == want.tobytes(), (l, quad_m)
+
+
+class TestRoundoffRadialValues:
+    """A mode's smallest mu belongs to its largest lambda, which no solve
+    reports; within 4 * size * eps * mu_max of 0 its sign is roundoff."""
+
+    def test_roundoff_mu_inverts_to_inf(self):
+        size = 8
+        floor = 4 * size * np.finfo(float).eps
+        for low in (-0.99 * floor, 0.0, -0.0):
+            mu = np.array([low, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 1.0])
+            lam = _inverted(mu, 3)
+            assert np.array_equal(lam[:-1], 1.0 / mu[:0:-1]) and lam[-1] == np.inf
+
+    @pytest.mark.parametrize("low,top", [(-1e-10, 1.0), (-1.01 * 4 * 8 * 2.0**-52, 1.0),
+                                         (-1e-3, -1e-20), (0.0, 0.0)])
+    def test_below_the_band_refused(self, low, top):
+        mu = np.array([low] + [top] * 7)
+        with pytest.raises(NumericalError) as err:
+            _inverted(mu, 3)
+        assert str(err.value) == (f"nonpositive radial eigenvalue (1/mu with mu = "
+                                  f"{low:.6e}) at mode 3")
+
+    def test_reduced_matrix_below_the_band_raises(self):
+        # a reduced matrix whose smallest mu is -1e-10 mu_max
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((12, 12)))
+        mu = np.r_[-1e-10, np.linspace(0.1, 1.0, 11)]
+        reduced = (q * mu) @ q.T
+        with pytest.raises(NumericalError, match="nonpositive radial eigenvalue"):
+            _leading_values({0: (reduced + reduced.T) / 2.0}, [0], 12)
+
+    def test_estimate_from_a_lost_value_refused(self):
+        # the companion block (4 x 4) holds one roundoff mu: the entries it
+        # does not reach get estimates, the one it does is refused
+        reduced = {0: np.diag([1.0, 0.5, 0.25, -1e-17, 0.125, 0.0625])}
+        records = [(1.0, 0, 0), (2.0, 0, 1), (4.0, 0, 2)]
+        assert _convergence_estimates(records, reduced, 4) == [0.0, 0.0, 0.0]
+        with pytest.raises(NumericalError, match="convergence estimate needs a radial "
+                                                 "eigenvalue lost to roundoff"):
+            _convergence_estimates(records + [(7.9, 0, 3)], reduced, 4)
+
+    @pytest.mark.parametrize("quad", ["auto", "odd-n base"])
+    @pytest.mark.parametrize("n,p,basis,theta0", [
+        (2, 3, 64, 1.0), (2, 3, 64, math.pi / 2), (3, 3, 64, 1.0), (2, 9, 16, 1.0)])
+    def test_roundoff_inputs_solve(self, n, p, basis, theta0, quad):
+        # clamped caps whose smallest mu in a solved mode came out between
+        # -0.9 and 0 size * eps * mu_max under some rule size or weight
+        # formula, and was refused for its sign; they solve with the
+        # automatic rule and with the odd-n base 2 (p + N - 1) + 16
+        size = None if quad == "auto" else 2 * (p + basis - 1) + 16
+        cfg = SolverConfig(n=n, p=p, theta0=theta0, problem=Problem.CLAMPED,
+                           basis_size=basis, requested_count=8, quad_size=size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            spec = solve_spectrum(cfg)
+        assert np.all(np.isfinite(spec.expanded_values()))
+        assert max(spec.diagnostics["convergence"]) < 1e-10
 
 
 class TestPencilAccuracy:
@@ -844,38 +939,45 @@ class TestValidation:
         # basis, the quadrature and the trial jets, which hold
         # (2 top + 1) * N * 3 * quad_base floats; one more is refused
         def config(**sizes):
-            return SolverConfig(n=2, p=sizes.pop("p", 2), theta0=1.0,
+            return SolverConfig(n=sizes.pop("n", 2), p=sizes.pop("p", 2), theta0=1.0,
                                 problem=sizes.pop("problem", Problem.BUCKLING), **sizes)
 
         def jet_entries(cfg):
             return spectral._jet_orders(cfg) * cfg.basis_size * 3 * cfg.quad_base
 
-        # the widest accepted basis takes the largest automatic rule, which
-        # fits the rule limit after doubling
-        widest = config(p=4, basis_size=spectral.MAX_BASIS_SIZE)
-        assert 2 * widest.quad_base <= quadrature.MAX_NODES
+        # the widest accepted basis takes the largest automatic rule (odd n),
+        # which fits the rule limit after doubling
+        widest = config(n=3, p=4, basis_size=spectral.MAX_BASIS_SIZE)
+        assert 2 * widest.quad_base == 2092 <= quadrature.MAX_NODES
         assert jet_entries(widest) <= spectral.MAX_JET_ENTRIES
         assert config(p=spectral.MAX_ORDER, basis_size=32).p == spectral.MAX_ORDER
         assert config(p=3, basis_size=512, problem=Problem.CLAMPED).p == 3
         assert config(quad_size=quadrature.MAX_NODES // 2).quad_base == 2048
         # the largest the solver resolves (p = 2, N = 256) is far inside
         assert jet_entries(config(basis_size=256)) < spectral.MAX_JET_ENTRIES // 6
+        # the even-n base, about half the odd-n one, lets these pass at n = 2
+        # and not at n = 3
+        for sizes in ({"p": 5, "basis_size": 512}, {"p": 8, "basis_size": 512},
+                      {"p": 64, "basis_size": 128}):
+            assert jet_entries(config(**sizes)) <= spectral.MAX_JET_ENTRIES
+            with pytest.raises(ValidationError, match="jet samples"):
+                config(n=3, **sizes)
         for sizes, match in (({"p": spectral.MAX_ORDER + 1}, "order"),
                              ({"basis_size": spectral.MAX_BASIS_SIZE + 1}, "basis size"),
                              ({"quad_size": quadrature.MAX_NODES // 2 + 1}, "quadrature size"),
-                             ({"p": 5, "basis_size": spectral.MAX_BASIS_SIZE}, "jet samples"),
-                             ({"p": 64, "basis_size": 128}, "jet samples"),
+                             ({"p": 9, "basis_size": spectral.MAX_BASIS_SIZE}, "jet samples"),
+                             ({"p": 35, "basis_size": 256}, "jet samples"),
                              ({"p": 16, "basis_size": 512, "problem": Problem.CLAMPED},
                               "jet samples"),
                              ({"p": 64, "basis_size": 512, "problem": Problem.CLAMPED},
-                              "jet samples"),
-                             ({"p": 8, "basis_size": 512}, "jet samples")):
+                              "jet samples")):
             with pytest.raises(ValidationError, match=match):
                 config(**sizes)
-        message = ("order 64 at basis size 128 with 398 quadrature nodes needs 9934080 "
+        assert jet_entries(config(p=34, basis_size=256)) <= spectral.MAX_JET_ENTRIES
+        message = ("order 9 at basis size 512 with 537 quadrature nodes needs 9073152 "
                    f"jet samples, more than {spectral.MAX_JET_ENTRIES}")
         with pytest.raises(ValidationError) as err:
-            config(p=64, basis_size=128)
+            config(p=9, basis_size=512)
         assert str(err.value) == message
         # the order limit is the solver's: a spectrum file of any order is read
         assert EigenSequence(n=2, p=100, problem=Problem.BUCKLING, values=(1.0,)).p == 100
