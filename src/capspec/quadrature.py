@@ -1,14 +1,12 @@
 """Gauss-Jacobi quadrature for the weight (1 - s)^gamma on [-1, 1].
 
 Nodes are the roots of the degree-m Jacobi polynomial for parameters
-(gamma, 0). Newton's method polishes start nodes to full precision; the
-start depends on gamma.
-
-For gamma = 0 (Legendre) the start comes from an asymptotic formula and
-needs no eigenproblem (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013,
-A652). The rule is symmetric, so only its floor(m/2) positive nodes are
-found, plus the node 0 for odd m. With x = cos(theta), Olver's expansion
-puts the k-th positive node, counted from x = 1, at
+(gamma, 0). Newton's method polishes start nodes from an asymptotic
+formula, so no eigenproblem is solved (Hale & Townsend, SIAM J. Sci.
+Comput. 35, 2013, A652). For gamma = 0 (Legendre) the rule is symmetric, so
+only its floor(m/2) positive nodes are found, plus the node 0 for odd m.
+With x = cos(theta), Olver's expansion puts the k-th of them, counted from
+x = 1, at
 
     theta_k = psi_k + (psi_k cot psi_k - 1) / (8 psi_k rho^2),
     psi_k = j_{0,k} / rho,    rho = m + 1/2,
@@ -19,11 +17,16 @@ start nodes lie within 0.03 rho^-4 + 1e-15 of the true ones; the 1e-15
 is rounding, which dominates from about m = 2000. The polished half is
 mirrored, so nodes and weights are exactly symmetric.
 
-For any other gamma the start is the Golub-Welsch one (Golub & Welsch,
-Math. Comp. 23, 1969): the eigenvalues of the symmetric tridiagonal Jacobi
-matrix of the three-term recurrence, with diagonal
--gamma^2 / ((2k+gamma)(2k+gamma+2)) and off-diagonal
-2k(k+gamma) / ((2k+gamma) sqrt((2k+gamma)^2 - 1)).
+For gamma = 1/2 (odd n) Szego's quadratic transformation (Orthogonal
+Polynomials, Theorem 4.1), P_{2m+1}(u) = c u P_m^(0,1/2)(2u^2 - 1), puts
+the nodes at 1 - 2u_k^2 for the m positive nodes u_k of the (2m + 1)-node
+Legendre rule, so they start at -cos(2 theta_k) with Olver's angles for
+2m + 1 nodes. Any other gamma in (0, MAX_EXPONENT] starts from Gatteschi &
+Pittaluga's expansion (Teubner-Texte Math. 79, 1985) with the second
+parameter 0: x_k = cos(theta_k), k = 1..m counted from x = 1, with
+
+    theta_k = t_k + ((1/4 - gamma^2) cot(t_k/2) - tan(t_k/2) / 4) / (4 rho^2),
+    t_k = (k + gamma/2 - 1/4) pi / rho,    rho = m + (gamma + 1)/2.
 
 Each Newton pass runs the three-term recurrence once at the nodes, which
 gives P_m and P_{m-1}. The derivative follows from the Jacobi identity
@@ -37,12 +40,13 @@ P_m''':
     (1 - x^2) P_m''' = (gamma + (gamma+4) x) P_m'' + (gamma + 2 - m (m+gamma+1)) P_m'.
 
 The passes stop once the error Newton predicts for the next pass,
-|P_m'' / (2 P_m')| step^2, is below every node's ulp. That takes one pass
-from a Golub-Welsch start and from the Legendre start at m >= 37, and at
-most three below that. The derivative is carried to the polished node to
-second order in the last step. With the second parameter fixed at 0 the
-classical weight normalization collapses to 2^(gamma+1), so no Gamma
-functions appear:
+|P_m'' / (2 P_m')| step^2, is below every node's ulp. From m = 37 on that
+takes one pass from the Legendre start (three at most below), from m = 24
+on one from the gamma = 1/2 start (two at most below), and at most five
+from the Gatteschi-Pittaluga start (measured up to m = 4096). The
+derivative is carried to the polished node to second order in the last
+step. With the second parameter fixed at 0 the classical weight
+normalization collapses to 2^(gamma+1), so no Gamma functions appear:
 
     w_i = 2^(gamma+1) / ((1 - x_i^2) * P_m'(x_i)^2)
 
@@ -53,12 +57,12 @@ derivative is carried. 1 - x*x would cost up to eps / (1 - x^2) relative
 at the end nodes, and so would the rounding of the node.
 
 The resulting rule integrates polynomials of degree <= 2m - 1 against the
-weight to relative 1e-13 (relative to the weight mass). Any gamma >= 0 and
-any m <= MAX_NODES are accepted, but the solver asks only for gamma in
-{0, 1/2}: the integer part of its weight exponent is folded into the
-integrand (see capspec.spectral), so a solve builds one rule per node count.
-Each call builds its rule afresh and returns arrays the caller owns; the
-solver caches its two rules, read-only, in capspec.spectral._shared_rule.
+weight to relative 1e-13 (relative to the weight mass). The solver asks
+only for gamma in {0, 1/2}: the integer part of its weight exponent is
+folded into the integrand (see capspec.spectral), so a solve builds one
+rule per node count. Each call builds its rule afresh and returns arrays
+the caller owns; the solver caches its two rules, read-only, in
+capspec.spectral._shared_rule.
 """
 
 from __future__ import annotations
@@ -67,13 +71,16 @@ import numpy as np
 
 from .errors import NoConvergence, ValidationError
 
-# the largest rule built (--quad 2048, doubled; the largest automatic rule
-# has 2092 nodes); a Golub-Welsch start (gamma != 0) forms a dense Jacobi
-# matrix, 128 MB at this size
+# the largest rule built: --quad 2048, doubled (the largest automatic rule
+# has 2092 nodes); a Newton pass there forms a 134 MB recurrence array
 MAX_NODES = 4096
 
-# Newton passes before a rule is refused; the Legendre start needs at most 3
+# Newton passes before a rule is refused; every start needs at most five
 MAX_PASSES = 6
+
+# the largest weight exponent accepted: past it the Gatteschi-Pittaluga start
+# needs all MAX_PASSES (gamma = 7) or runs out of them (8.5, from m = 11)
+MAX_EXPONENT = 6
 
 # the first 20 zeros of the Bessel function J_0
 _J0_ZEROS = np.array([
@@ -88,17 +95,18 @@ _J0_ZEROS = np.array([
 def gauss_jacobi_rule(gamma: float, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes (ascending, inside (-1, 1)) and positive weights.
 
-    gamma >= 0 is the weight exponent; 1 <= m <= MAX_NODES the node count.
-    Raises NoConvergence if the Newton passes have not converged after
-    MAX_PASSES, or if the polished nodes are not strictly ascending or a
-    weight is not positive; either signals an implementation bug.
+    0 <= gamma <= MAX_EXPONENT is the weight exponent, 1 <= m <= MAX_NODES
+    the node count. Raises NoConvergence if the Newton passes have not
+    converged after MAX_PASSES, or if the polished nodes are not strictly
+    ascending or a weight is not positive; either signals an implementation
+    bug.
     """
     if not (isinstance(m, (int, np.integer)) and 1 <= m <= MAX_NODES):
         raise ValidationError(
             f"node count must be an integer in 1..{MAX_NODES}, got {m!r}")
     gamma = float(gamma)
-    if not (gamma >= 0.0 and np.isfinite(gamma)):
-        raise ValidationError(f"weight exponent must be finite and >= 0, got {gamma}")
+    if not 0.0 <= gamma <= MAX_EXPONENT:
+        raise ValidationError(f"weight exponent must be in [0, {MAX_EXPONENT}], got {gamma}")
     m = int(m)
     x, weights = _newton(gamma, m, _start_nodes(gamma, m))
     if gamma == 0.0:
@@ -111,16 +119,24 @@ def gauss_jacobi_rule(gamma: float, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _start_nodes(gamma: float, m: int) -> np.ndarray:
-    """Start nodes, ascending: for gamma = 0 the floor(m/2) positive ones
-    from Olver's expansion, after the node 0 for odd m; otherwise all m
-    Golub-Welsch nodes (see the module docstring)."""
-    if gamma != 0.0:
-        return np.linalg.eigvalsh(_jacobi_matrix(gamma, m))
-    half, odd = divmod(m, 2)
+    """Start nodes, ascending (see the module docstring); for gamma = 0 only
+    the floor(m/2) positive ones, after the node 0 for odd m."""
+    if gamma == 0.0:
+        return np.concatenate((np.zeros(m % 2), np.cos(_olver_angles(m)[::-1])))
+    if gamma == 0.5:
+        return -np.cos(2.0 * _olver_angles(2 * m + 1))
+    rho = m + 0.5 * (gamma + 1.0)
+    t = (np.arange(1.0, m + 1.0) + 0.5 * gamma - 0.25) * np.pi / rho
+    tan = np.tan(0.5 * t)
+    theta = t + ((0.25 - gamma * gamma) / tan - 0.25 * tan) / (4.0 * rho * rho)
+    return np.cos(theta[::-1])
+
+
+def _olver_angles(m: int) -> np.ndarray:
+    """Olver's angles, ascending, of the m-node Legendre rule's positive nodes."""
     rho = m + 0.5
-    psi = _j0_zeros(half) / rho
-    theta = psi + (psi / np.tan(psi) - 1.0) / (8.0 * psi * rho * rho)
-    return np.concatenate((np.zeros(odd), np.cos(theta[::-1])))
+    psi = _j0_zeros(m // 2) / rho
+    return psi + (psi / np.tan(psi) - 1.0) / (8.0 * psi * rho * rho)
 
 
 def _j0_zeros(count: int) -> np.ndarray:
@@ -153,23 +169,6 @@ def _newton(gamma: float, m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray
             return polished, 2.0 ** (gamma + 1.0) / (one_minus_root2 * deriv * deriv)
         x = polished
     raise NoConvergence(f"{m}-node Gauss-Jacobi rule not converged after {MAX_PASSES} Newton passes")
-
-
-def _jacobi_matrix(gamma: float, m: int) -> np.ndarray:
-    """Symmetric tridiagonal Jacobi matrix of the orthonormal polynomials
-    for the weight (1 - s)^gamma; its eigenvalues are the m nodes."""
-    k = np.arange(m, dtype=float)
-    t = 2.0 * k + gamma
-    diag = np.zeros(m) if gamma == 0.0 else -gamma * gamma / (t * (t + 2.0))
-    k = k[1:]
-    t = t[1:]
-    off = 2.0 * k * (k + gamma) / (t * np.sqrt(t * t - 1.0))
-    mat = np.zeros((m, m))
-    flat = mat.reshape(-1)  # row-major view: a step of m + 1 walks a diagonal
-    flat[:: m + 1] = diag
-    flat[1 :: m + 1] = off
-    flat[m :: m + 1] = off
-    return mat
 
 
 def _jacobi_recurrence(gamma: float, m: int, x: np.ndarray):

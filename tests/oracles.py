@@ -2,12 +2,15 @@
 
 Nothing here imports the package under test: Bessel zeros come from the
 ascending series plus bisection, quadrature moments from exact rational
-arithmetic, tiny eigenproblems from the quadratic formula, and the n = 2
-membrane ground value on a cap from a Legendre-function zero (mpmath).
+arithmetic, Gauss nodes from the dense Jacobi matrix, tiny eigenproblems
+from the quadratic formula, and the n = 2 membrane ground value on a cap
+from a Legendre-function zero (mpmath).
 """
 
 import math
 from fractions import Fraction
+
+import numpy as np
 
 
 def bessel_j(nu, x, terms=80):
@@ -81,6 +84,31 @@ def jacobi_moment(gamma, j):
     for i in range(j + 1):
         total += Fraction(math.comb(j, i)) * Fraction(-2) ** i / (g2 + i + 1)
     return float(total) * 2.0 ** (gamma + 1.0)
+
+
+def jacobi_moments(gamma, top):
+    """[jacobi_moment(gamma, j) for j in 0..top], exactly the same floats,
+    from the recurrence (gamma + 1 + j) M_j = (-1)^j 2^(gamma+1) + j M_{j-1}
+    (integration by parts) in Fractions: linear in top where the binomial
+    sums are quadratic."""
+    g2 = Fraction(gamma).limit_denominator(4)
+    assert abs(float(g2) - gamma) < 1e-15, "oracle expects (half-)integer gamma"
+    scaled = [1 / (g2 + 1)]
+    for j in range(1, top + 1):
+        scaled.append(((-1) ** j + j * scaled[-1]) / (g2 + 1 + j))
+    return [float(v) * 2.0 ** (gamma + 1.0) for v in scaled]
+
+
+def jacobi_matrix(gamma, m):
+    """Symmetric tridiagonal Jacobi matrix of the orthonormal polynomials
+    for the weight (1 - s)^gamma on [-1, 1]; its eigenvalues are the m
+    Gauss-Jacobi nodes (Golub & Welsch, Math. Comp. 23, 1969)."""
+    k = np.arange(m, dtype=float)
+    t = 2.0 * k + gamma
+    diag = np.zeros(m) if gamma == 0.0 else -gamma * gamma / (t * (t + 2.0))
+    k, t = k[1:], t[1:]
+    off = 2.0 * k * (k + gamma) / (t * np.sqrt(t * t - 1.0))
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
 def generalized_eigen_2x2(a, b):

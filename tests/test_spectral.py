@@ -404,23 +404,24 @@ class TestSpectrumStructure:
         assert spec.diagnostics["l_max"] == l_max
         assert builds == [((n - 2) % 2 / 2.0, base), ((n - 2) % 2 / 2.0, 2 * base)]
 
-    @pytest.mark.parametrize("n,orders", [(2, []), (3, [82, 164])])
-    def test_cold_solve_rule_eigensolves_only_for_odd_n(self, monkeypatch, n, orders):
-        # n = 2 rules carry gamma0 = 0 and start from the asymptotic Legendre
-        # nodes, with no eigensolve; n = 3 rules (gamma0 = 1/2) take their
-        # start nodes from the full-size eigensolves of order 82 and 164
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_cold_solve_rules_need_no_eigensolve(self, monkeypatch, n):
+        # n = 2 rules (gamma0 = 0) and n = 3 rules (gamma0 = 1/2) both start
+        # from asymptotic nodes; the solver's own eigensolves stay allowed
         seen = []
-        eigvalsh = np.linalg.eigvalsh
 
-        def recorded(a):
-            if sys._getframe(1).f_globals["__name__"] == quadrature.__name__:
-                seen.append(a.shape[-1])
-            return eigvalsh(a)
+        def recorder(wrapped):
+            def recorded(a, *args, **kwargs):
+                if sys._getframe(1).f_globals["__name__"] == quadrature.__name__:
+                    seen.append(a.shape[-1])
+                return wrapped(a, *args, **kwargs)
+            return recorded
 
-        monkeypatch.setattr(quadrature.np.linalg, "eigvalsh", recorded)
+        for name in ("eigvalsh", "eigh"):
+            monkeypatch.setattr(np.linalg, name, recorder(getattr(np.linalg, name)))
         spectral._shared_rule.cache_clear()
         solve_spectrum(hemi(n, 2, Problem.BUCKLING, N=32, K=8))
-        assert sorted(seen) == orders
+        assert seen == []
 
     def test_cold_solve_recurrence_passes_and_eigensolves(self, monkeypatch):
         # each rule build runs one recurrence pass (P_m and P_{m-1} give the
@@ -997,12 +998,18 @@ class TestValidation:
 
 
 STORED = Path(__file__).resolve().parents[1] / "benchmark" / "data" / "spectra"
+PINNED = Path(__file__).resolve().parent / "data" / "spectra"
 
 
-@pytest.mark.parametrize("path", sorted(STORED.glob("*.json")), ids=lambda p: p.stem)
+@pytest.mark.parametrize(
+    "path",
+    sorted(STORED.glob("*.json")) + sorted(
+        p for p in PINNED.glob("*.json") if not p.name.endswith(".summary.json")),
+    ids=lambda p: p.stem)
 def test_stored_spectra_resolve(path):
     """Drift guard: re-solving each stored spectrum from its header gives
-    its expanded values to 1e-12 relative."""
+    its expanded values to 1e-12 relative: the 27 p = 2 buckling spectra of
+    the benchmark and the clamped and p = 3 ones under tests/data."""
     doc = read_spectrum(path)
     cfg = SolverConfig(n=doc.n, p=doc.p, theta0=doc.theta0, problem=doc.problem,
                        basis_size=doc.meta["basis_size"],

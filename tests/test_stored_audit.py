@@ -1,10 +1,12 @@
 """verify and compare on every stored spectrum against the benchmark's
-reference reports (benchmark/data/reference.json, read only).
+reference reports (benchmark/data/reference.json, read only), and verify on
+the clamped and p = 3 spectra under tests/data/spectra against the reports
+stored next to them.
 
 The benchmark refuses a run whose bounds move by more than 1e-9 relative
 or whose exit codes, rows, holds flags or violation counts change; this
 guard is ten times tighter on the bounds, so such a change fails here
-first.
+first. The tests/data reports must come back byte for byte.
 """
 
 import contextlib
@@ -18,6 +20,8 @@ import pytest
 from capspec.cli import main
 
 DATA = Path(__file__).resolve().parents[1] / "benchmark" / "data"
+PINNED = sorted(p for p in (Path(__file__).resolve().parent / "data" / "spectra").glob("*.json")
+                if not p.name.endswith(".summary.json"))
 REFERENCE = json.loads((DATA / "reference.json").read_text(encoding="utf-8"))["audit"]
 COUNTS = {"verify": ("violations",),
           "compare": ("twin_violations", "dominance_violations")}
@@ -51,3 +55,21 @@ def test_matches_reference(tmp_path, name):
             [(k, fam, holds) for k, fam, _, holds in want["rows"]], command
         for (k, fam, bound, _), ref in zip(rows, want["rows"]):
             assert abs(bound - ref[2]) <= REL_TOL * abs(ref[2]), (command, k, fam)
+
+
+def test_pinned_spectra_cover_clamped_and_p3():
+    # n = 2 and 3, clamped p = 1, 2, 3 and buckling p = 3, all at 2 pi / 3
+    assert [p.stem for p in PINNED] == [f"n{n}-{kind}-2pi_3" for n in (2, 3) for kind in (
+        "buckling-p3", "clamped-p1", "clamped-p2", "clamped-p3")]
+
+
+@pytest.mark.parametrize("spectrum", PINNED, ids=lambda p: p.stem)
+def test_pinned_verify_reports_byte_identical(tmp_path, spectrum):
+    out = tmp_path / "verify.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["verify", "--in", str(spectrum), "--out", str(out)])
+    assert code == 0
+    stored = spectrum.with_suffix(".verify.csv")
+    assert out.read_bytes() == stored.read_bytes()
+    assert out.with_suffix(".summary.json").read_bytes() == \
+        stored.with_suffix(".summary.json").read_bytes()
