@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 from dataclasses import dataclass
 
 from .bounds import EigenSequence, check_sequence_length
@@ -269,8 +271,15 @@ def summary_path(out_path: str) -> str:
 
 
 def _write_text(path, text: str) -> None:
+    # An existing file is written over in place and cut to the new length
+    # afterwards: opening with O_TRUNC frees all its blocks first, which on
+    # some filesystems costs far more than the write. Only regular files are
+    # truncated, so FIFOs and /dev/null still take a write.
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0), 0o666)
+        with open(fd, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                handle.truncate()
     except OSError as err:
         raise ValidationError(f"cannot write {path}: {err}") from err

@@ -182,6 +182,11 @@ def _jacobi_recurrence(gamma: float, m: int, x: np.ndarray):
     c = (2.0 * (k + gamma - 1.0) * (k - 1.0) * t / den).tolist()
     p_prev = np.ones_like(x)
     p = 0.5 * (gamma + 2.0) * x + 0.5 * gamma
-    for lin, ck in zip(np.outer(a, x) + b[:, None], c):
-        p_prev, p = p, lin * p - ck * p_prev
+    # the rows a_k x + b_k are formed a block at a time, about 2^16 entries,
+    # so a large rule never holds an (m - 1) x m array; m <= 256 is one block
+    rows = max(1, 2**16 // m)
+    for start in range(0, m - 1, rows):
+        block = np.outer(a[start:start + rows], x) + b[start:start + rows, None]
+        for lin, ck in zip(block, c[start:start + rows]):
+            p_prev, p = p, lin * p - ck * p_prev
     return p, p_prev

@@ -111,6 +111,23 @@ def jacobi_matrix(gamma, m):
     return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
 
 
+def jacobi_recurrence_outer(gamma, m, x):
+    """P_m and P_{m-1} at x, Jacobi parameters (gamma, 0), by the three-term
+    recurrence with every row a_k x + b_k formed at once as one
+    (m - 1) x len(x) outer product."""
+    k = np.arange(2.0, m + 1.0)
+    t = 2.0 * k + gamma
+    den = 2.0 * k * (k + gamma) * (t - 2.0)
+    a = (t - 1.0) * t * (t - 2.0) / den
+    b = (t - 1.0) * gamma * gamma / den
+    c = (2.0 * (k + gamma - 1.0) * (k - 1.0) * t / den).tolist()
+    p_prev = np.ones_like(x)
+    p = 0.5 * (gamma + 2.0) * x + 0.5 * gamma
+    for lin, ck in zip(np.outer(a, x) + b[:, None], c):
+        p_prev, p = p, lin * p - ck * p_prev
+    return p, p_prev
+
+
 def generalized_eigen_2x2(a, b):
     """Both roots of det(A - x B) = 0 for 2x2 symmetric A, B via the quadratic
     formula, ascending."""

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
 
@@ -374,3 +375,41 @@ class TestWriteErrors:
         target = tmp_path / "no" / "such" / "dir" / "x.csv"
         with pytest.raises(ValidationError, match="cannot write"):
             fmt.write_report_csv([], target)
+
+    def test_directory_target_refused_in_one_line(self, tmp_path):
+        with pytest.raises(ValidationError, match="cannot write") as info:
+            fmt.write_report_csv([], tmp_path)
+        assert "\n" not in str(info.value)
+
+
+class TestRewrite:
+    """An existing file is written over in place: same inode, new bytes only."""
+
+    ROWS = ["1,2.5,f,2,0.5,true,,,", "2,4.5,f,3,1.5,true,,,"]
+    TEXT = "\n".join([fmt.REPORT_HEADER] + ROWS) + "\n"
+
+    def test_longer_file_cut_to_new_length(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_bytes(b"x" * 20000)
+        inode = path.stat().st_ino
+        fmt.write_report_csv(self.ROWS, path)
+        assert path.read_bytes() == self.TEXT.encode()
+        assert path.stat().st_ino == inode
+
+    def test_shorter_file_grown_to_new_length(self, tmp_path):
+        path = tmp_path / "report.csv"
+        path.write_bytes(b"x" * 5)
+        inode = path.stat().st_ino
+        fmt.write_report_csv(self.ROWS, path)
+        assert path.read_bytes() == self.TEXT.encode()
+        assert path.stat().st_ino == inode
+
+    def test_device_target_accepted(self):
+        fmt.write_report_csv(self.ROWS, os.devnull)
+
+    def test_new_file_mode_follows_umask(self, tmp_path):
+        umask = os.umask(0o022)
+        os.umask(umask)
+        path = tmp_path / "summary.json"
+        fmt.write_summary_json({"k": 1}, path)
+        assert path.stat().st_mode & 0o777 == 0o666 & ~umask

@@ -1,5 +1,7 @@
 """Quadrature: exact-moment oracle, hand values, node/weight contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,7 @@ from capspec import quadrature
 from capspec.errors import NoConvergence, ValidationError
 from capspec.quadrature import gauss_jacobi_rule
 
-from oracles import jacobi_matrix, jacobi_moment, jacobi_moments
+from oracles import jacobi_matrix, jacobi_moment, jacobi_moments, jacobi_recurrence_outer
 
 # frozen hand values: integral of (1-s)^gamma over [-1,1] is 2 for gamma in
 # {0, 1}; integral of s^2 ds is 2/3
@@ -267,6 +269,29 @@ def test_unconvergeable_start_refused_in_one_line(monkeypatch):
         gauss_jacobi_rule(0.0, 82)
     assert "\n" not in str(caught.value)
     assert passes == [82] * quadrature.MAX_PASSES
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 3.0])
+def test_blocked_recurrence_equals_outer_product_form(gamma):
+    # past m = 256 the rows a_k x + b_k come in blocks; every value must be
+    # the one the single outer product gives, bit for bit. A strided subset
+    # of the start nodes keeps the oracle's array small at 4096 nodes
+    for m in [1, 2, 3, 199, 256, 257, 512, 1046, 2092, 4096]:
+        x = quadrature._start_nodes(gamma, m)[::max(1, m // 256)]
+        got = quadrature._jacobi_recurrence(gamma, m, x)
+        want = jacobi_recurrence_outer(gamma, m, x)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), m
+
+
+def test_large_rule_memory_peak():
+    # the recurrence never holds an (m - 1) x m array, 34 MB at 2048 nodes
+    tracemalloc.start()
+    try:
+        gauss_jacobi_rule(0.5, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def test_determinism():
