@@ -28,9 +28,12 @@ evaluates it (_KERNELS):
 
 Every evaluator takes all requested prefixes k at once: each prefix is a
 row over the whole sequence, zeroed past k, so one array pass (stacked
-eigvals calls for the roots, one probe classification for the intervals,
-one closed-form call per delta-opt search round) serves them all. The
-per-k entry points are the one-row case of the same passes.
+eigvals calls for the roots, one probe classification per family for the
+intervals, one closed-form call per delta-opt search round) serves them
+all, and one call serves every family of a check: the rows of the sqrt
+families and of the delta-opt seeds share one _first_failures pass, and
+the quadratic and gap families one (S, T). The per-family and per-k entry
+points are the one-family, one-row case of that call.
 
 Sphere buckling families share the coefficient functions
 
@@ -308,11 +311,11 @@ def _rowsum(x: np.ndarray) -> np.ndarray:
 
 
 def _checked_prefixes(fam: BoundFamily, seq: EigenSequence, ks) -> _Prefixes:
-    """The prefixes of the lengths ks, once the family applies to the
-    sequence and, if the family needs the sphere guard, every eigenvalue
-    exceeds n - 2."""
+    """The prefixes of the lengths ks (ks itself if it is already the
+    prefixes), once the family applies to the sequence and, if the family
+    needs the sphere guard, every eigenvalue exceeds n - 2."""
     _check_compat(fam, seq)
-    pre = _prefixes(seq, ks)
+    pre = ks if isinstance(ks, _Prefixes) else _prefixes(seq, ks)
     floor = seq.n - 2
     if fam.needs_guard and seq.values[0] <= floor:
         raise DomainError(
@@ -427,7 +430,7 @@ def _holds(lhs, rhs):
     return lhs <= rhs + INEQ_SLACK * (np.abs(lhs) + np.abs(rhs))
 
 
-def _implied_rows(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes) -> list:
+def _implied_rows(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes, shared):
     """implied_bound's (bound, aux) or error for every prefix: the delta
     family's closed form (see _delta_closed_form), or the sqrt families'
     first failure (see _sqrt_bounds). BracketFailure when no failure lies
@@ -439,7 +442,7 @@ def _implied_rows(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes) -> list:
         bounds = _delta_closed_form(_delta_terms(pre), np.array([[fam.delta]]))[:, 0]
         aux = {"delta": fam.delta}
     else:
-        bounds = _sqrt_bounds(fam, seq, pre)
+        bounds = yield from _sqrt_bounds(fam, seq, pre)
         aux = {}
     out = []
     for bound, limit in zip(bounds.tolist(), limits.tolist()):
@@ -454,11 +457,12 @@ def _implied_rows(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes) -> list:
     return out
 
 
-def _sqrt_bounds(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes) -> np.ndarray:
+def _sqrt_bounds(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes):
     """The sqrt families' implied bounds, Lambda_k plus the first failure
     of (1-eps) L <= 2 (1+eps) sqrt(G) sqrt(H), eps = INEQ_SLACK, whose
     probes evaluate_predicate classifies: inf where the predicate holds up
-    to Lambda_k 2^64, NaN where the coefficients overflow."""
+    to Lambda_k 2^64, NaN where the coefficients overflow. It yields its
+    rows of the shared search and is sent their first failures."""
     n, vals = seq.n, pre.values
     g = _coeff_g(vals, n, seq.p) if fam.name == SQRT else _coeff_g_p2(vals, n)
     weights = [pre.masked(w) for w in (_sqrt_lhs_weight(vals, n), g, _coeff_h(vals, n))]
@@ -466,7 +470,7 @@ def _sqrt_bounds(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes) -> np.nda
     def fails(rows, x):
         return ~evaluate_predicate(fam, seq, pre.lengths[rows], pre.last[rows] + x).holds
 
-    return pre.last + _first_failures(weights, pre.shifts(), pre.last, fails)
+    return pre.last + (yield weights, pre.shifts(), pre.last, fails)
 
 
 def implied_bound(fam: BoundFamily, seq: EigenSequence, k: int,
@@ -533,25 +537,39 @@ def _positive_real_roots(coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def _first_failures(weights, e: np.ndarray, unit: np.ndarray, fails) -> np.ndarray:
-    """Per prefix (row), the least x >= 0 at which
-    (1-eps) L(x) <= 2 (1+eps) sqrt(G(x) H(x)), eps = INEQ_SLACK, fails,
+def _first_failures(blocks) -> list:
+    """Per row of each block (weights, e, unit, fails), the least x >= 0 at
+    which (1-eps) L(x) <= 2 (1+eps) sqrt(G(x) H(x)), eps = INEQ_SLACK, fails,
     where L, G and H are sum_i w_i (x + e_i)^m for the weight rows
     weights = (L, G, H) and m = 2, 2, 1; inf where it holds at every
     x <= unit (2^64 - 1), NaN where the quartic's coefficients overflow.
-    unit is Lambda_k in the units of x and e.
+    unit is Lambda_k in the units of x and e. All rows run in one stacked
+    pass, which a row's value does not depend on (see _Prefixes).
 
     For x >= 0, L and H are non-negative, so the predicate fails exactly
     where the quartic (1-eps)^2 L^2 - 4 (1+eps)^2 G H is positive: where
     G < 0 it is at least (1-eps)^2 L^2. A root of G therefore never begins
     a failing interval, and the quartic's positive real roots alone cut
-    [0, inf) into intervals of one verdict each. fails(rows, x) classifies
-    the points x of the given rows (True where the predicate fails); it is
-    asked once, for x = 0 and an interior point of every interval that
-    starts below the limit, with overflow ignored. x = 0 is probed on its
-    own: a prefix that fails there needs no root, and the roots can lose
-    small ones when the coefficients span decades. The last interval is
-    probed at left + max(left, unit, 1)."""
+    [0, inf) into intervals of one verdict each. A block's fails(rows, x)
+    classifies the points x of its given rows (True where the predicate
+    fails); it is asked once, for x = 0 and an interior point of every
+    interval that starts below the limit, with overflow ignored. x = 0 is
+    probed on its own: a prefix that fails there needs no root, and the
+    roots can lose small ones when the coefficients span decades. The last
+    interval is probed at left + max(left, unit, 1)."""
+    if not blocks:
+        return []
+    weights = [np.concatenate(w) for w in zip(*(block[0] for block in blocks))]
+    e, unit = (np.concatenate([block[j] for block in blocks]) for j in (1, 2))
+    starts = np.cumsum([0] + [len(block[2]) for block in blocks])
+
+    def fails(rows, x):
+        out = np.empty(len(rows), dtype=bool)
+        for block, lo, hi in zip(blocks, starts.tolist(), starts[1:].tolist()):
+            mine = (lo <= rows) & (rows < hi)
+            out[mine] = block[3](rows[mine] - lo, x[mine])
+        return out
+
     with np.errstate(over="ignore", invalid="ignore"):
         quartic = _slack_quartic(_shifted_sum(weights[0], e, 2),
                                  _shifted_sum(weights[1], e, 2),
@@ -574,7 +592,7 @@ def _first_failures(weights, e: np.ndarray, unit: np.ndarray, fails) -> np.ndarr
     out = np.full(len(finite), math.nan)
     out[finite] = np.where(failing.any(axis=1),
                            lefts[np.arange(len(lefts)), np.argmax(failing, axis=1)], math.inf)
-    return out
+    return np.split(out, starts[1:-1])
 
 
 def _first_positive(a, b, c):
@@ -690,14 +708,19 @@ def _st_terms(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes):
     return s, t
 
 
-def _closed_form_rows(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes) -> list:
+def _closed_form_rows(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes, shared):
     """closed_form_bound's (bound, aux) or error for every prefix. Every
     family's coefficients are per eigenvalue, so they are formed once for
-    the whole sequence; the sphere buckling families report S and T."""
+    the whole sequence, and once per call for the quadratic and gap families
+    (both c_i = g_i h_i); the sphere buckling families report S and T."""
+    yield from ()  # no search rows
+    key = QUADRATIC if fam.name == GAP else fam.name
     # huge eigenvalues overflow the sums to inf and the bound to NaN, which
     # is refused below, and a prefix its caller never reaches must not warn
     with np.errstate(over="ignore", invalid="ignore"):
-        s, t = _st_terms(fam, seq, pre)
+        if key not in shared:
+            shared[key] = _st_terms(fam, seq, pre)
+        s, t = shared[key]
         disc, root, negative = _disc_roots(s, t)
         bounds = pre.last + 2.0 * root if fam.name == GAP else s + root
         low = bounds < pre.last * (1.0 - 1e-12)
@@ -771,7 +794,7 @@ def _delta_weight_slope(values: np.ndarray, n: int, d) -> np.ndarray:
     return values + (1.0 - c / values) * (1.0 - (c / (d * values + c)) ** 2) / 4.0
 
 
-def _delta_seeds(pre: _Prefixes) -> np.ndarray:
+def _delta_seeds(pre: _Prefixes):
     """Per prefix, log10 of the best delta with the delta weights frozen at
     their large-delta limit W_i = lambda_i + (1 - (n-2)/lambda_i) / 4, or
     NaN if that frozen family has no failure at or below Lambda_k 2^64.
@@ -783,7 +806,8 @@ def _delta_seeds(pre: _Prefixes) -> np.ndarray:
     weights (L, M, H) (see _sqrt_sides), and the seed is sqrt(H/M) there. At
     n = 2 the weights do not depend on delta and the seed is the optimum
     itself. x, e_i and H are taken in units of Lambda_k (H in units of
-    Lambda_k^2), so no eigenvalue under- or overflows the coefficients."""
+    Lambda_k^2), so no eigenvalue under- or overflows the coefficients. It
+    yields its rows of the shared search, as _sqrt_bounds does."""
     n, vals = pre.n, pre.values
     e = pre.shifts(unit=True)
     weights = [pre.masked(2.0), pre.masked(vals + (1.0 - (n - 2) / vals) / 4.0),
@@ -793,8 +817,7 @@ def _delta_seeds(pre: _Prefixes) -> np.ndarray:
         d = np.where(pre.mask[rows], x[:, None] + e[rows], 0.0)
         return _sqrt_sides(d, [w[rows] for w in weights])
 
-    x = _first_failures(weights, e, np.ones(len(e)),
-                        lambda rows, x: ~_holds(*sides(rows, x)[:2]))
+    x = yield weights, e, np.ones(len(e)), lambda rows, x: ~_holds(*sides(rows, x)[:2])
     found = np.isfinite(x)
     seeds = np.full(len(x), math.nan)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -875,13 +898,13 @@ def _delta_search(seed: float):
             side = -1
 
 
-def _delta_opt_rows(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes) -> list:
+def _delta_opt_rows(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes, shared):
     """best_delta_bound's (bound, aux) or error for every prefix. The
     searches run in lockstep: each round evaluates the closed form once for
     every prefix whose search is still open."""
     out = [None] * len(pre.lengths)
     open_rows = {}  # row -> (search, the log10 delta it asks for)
-    for row, seed in enumerate(_delta_seeds(pre).tolist()):
+    for row, seed in enumerate((yield from _delta_seeds(pre)).tolist()):
         if math.isnan(seed):
             out[row] = BracketFailure(
                 "the delta family has no finite implied bound even with its "
@@ -931,23 +954,50 @@ _KERNELS = {"implied": _implied_rows, "closed-form": _closed_form_rows,
             "delta-opt": _delta_opt_rows}
 
 
+def evaluate_families(fams, seq: EigenSequence, ks, actuals=None) -> list:
+    """evaluate_bounds for each family of fams, one list each, in one pass
+    that builds the prefixes once. Each kernel (see _KERNELS) is a generator
+    that yields its rows of the one _first_failures search, if it has any,
+    and is sent their first failures; shared holds the (S, T) of the call.
+    Rows are independent, so each family gets the bits it gets alone, and
+    an error of a whole family, such as a problem mismatch, fills only its
+    entries."""
+    fams, lengths = list(fams), np.atleast_1d(ks).tolist()
+    actuals = [None] * len(lengths) if actuals is None else list(actuals)
+    try:
+        pre = _prefixes(seq, ks)
+    except ValidationError:
+        pre = ks  # each family raises it after its own checks
+    shared, outcomes, runs = {}, [None] * len(fams), {}
+    for at, fam in enumerate(fams):
+        try:
+            run = _KERNELS[fam.kind](fam, seq, _checked_prefixes(fam, seq, pre), shared)
+            runs[at] = run, next(run)
+        except StopIteration as done:
+            outcomes[at] = done.value
+        except CapspecError as error:
+            outcomes[at] = [error] * len(lengths)
+    found = _first_failures([block for _, block in runs.values()])
+    for (at, (run, _)), x in zip(runs.items(), found):
+        try:
+            run.send(x)
+        except StopIteration as done:
+            outcomes[at] = done.value
+    return [[outcome if isinstance(outcome, CapspecError)
+             else BoundResult(family=fam, k=k, bound=outcome[0], aux=outcome[1],
+                              actual=actual)
+             for outcome, k, actual in zip(family_outcomes, lengths, actuals)]
+            for fam, family_outcomes in zip(fams, outcomes)]
+
+
 def evaluate_bounds(fam: BoundFamily, seq: EigenSequence, ks,
                     actuals=None) -> list:
     """evaluate_bound at every prefix length of ks (with the matching entry
-    of actuals), in array passes over all of them. One entry per k: its
-    BoundResult, or the error evaluate_bound raises at that k; an error of
-    the whole family, such as a problem mismatch, fills every entry. So a
-    caller can raise errors in its own order."""
-    lengths = np.atleast_1d(ks).tolist()
-    actuals = [None] * len(lengths) if actuals is None else list(actuals)
-    try:
-        outcomes = _KERNELS[fam.kind](fam, seq, _checked_prefixes(fam, seq, ks))
-    except CapspecError as error:
-        return [error] * len(lengths)
-    return [outcome if isinstance(outcome, CapspecError)
-            else BoundResult(family=fam, k=k, bound=outcome[0], aux=outcome[1],
-                             actual=actual)
-            for outcome, k, actual in zip(outcomes, lengths, actuals)]
+    of actuals), in array passes over all of them: the one-family case of
+    evaluate_families. One entry per k: its BoundResult, or the error
+    evaluate_bound raises at that k. So a caller can raise errors in its
+    own order."""
+    return evaluate_families([fam], seq, ks, actuals)[0]
 
 
 def _one_result(kind: str, fam: BoundFamily, seq: EigenSequence, k: int,

@@ -138,6 +138,16 @@ def _need(doc, key, kinds, where):
     return value
 
 
+def _need_real(doc, key, where) -> float:
+    """_need for a JSON number, as a float; an integer past the float range
+    is refused, with its size and not its digits."""
+    value = _need(doc, key, (int, float), where)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(f"{where}[{key!r}] is past the float range: {shown(value)}") from None
+
+
 def read_spectrum(path) -> SpectrumDocument:
     try:
         with open(path, encoding="utf-8") as handle:
@@ -157,7 +167,7 @@ def read_spectrum(path) -> SpectrumDocument:
         raise SchemaError(f"unsupported schema tag {schema!r}, expected {SPECTRUM_SCHEMA!r}")
     n = _need(doc, "n", int, "spectrum file")
     p = _need(doc, "p", int, "spectrum file")
-    theta0 = float(_need(doc, "theta0", (int, float), "spectrum file"))
+    theta0 = _need_real(doc, "theta0", "spectrum file")
     problem_raw = _need(doc, "problem", str, "spectrum file")
     try:
         problem = Problem(problem_raw)
@@ -176,7 +186,7 @@ def read_spectrum(path) -> SpectrumDocument:
         where = f"entries[{i}]"
         if not isinstance(raw, dict):
             raise SchemaError(f"{where} must be an object")
-        value = float(_need(raw, "value", (int, float), where))
+        value = _need_real(raw, "value", where)
         l = _need(raw, "l", int, where)
         radial_index = _need(raw, "radial_index", int, where)
         mult = _need(raw, "multiplicity", int, where)

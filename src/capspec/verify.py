@@ -22,7 +22,7 @@ from .bounds import (
     BoundResult,
     EigenSequence,
     delta_bounds,
-    evaluate_bounds,
+    evaluate_families,
     family,
 )
 from .errors import GuardViolation, ValidationError
@@ -85,9 +85,9 @@ def check_spectrum(spec, families) -> VerificationReport:
                 f"n - 2 = {seq.n - 2}; got {seq.values[0]:.6g}"
             )
     ks = range(1, len(seq))
-    # one all-prefix pass per family; an error surfaces at its (k, family)
-    # in row order, as a per-row evaluation would raise it
-    per_family = [evaluate_bounds(fam, seq, ks, seq.values[1:]) for fam in families]
+    # one all-prefix pass for every family; an error surfaces at its
+    # (k, family) in row order, as a per-row evaluation would raise it
+    per_family = evaluate_families(families, seq, ks, seq.values[1:])
     rows = []
     for k, results in zip(ks, zip(*per_family)):
         actual = seq.values[k]

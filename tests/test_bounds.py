@@ -27,6 +27,7 @@ from capspec.bounds import (
     delta_bounds,
     evaluate_bound,
     evaluate_bounds,
+    evaluate_families,
     evaluate_predicate,
     family,
     implied_bound,
@@ -1152,25 +1153,40 @@ def referee_sqrt_bounds(fam, seq, pre):
     return bounds
 
 
-def outcome_keys(fam, seq):
-    """Every prefix's (k, bound, aux), or its error's class and message."""
+def outcome_keys(rows):
+    """Every prefix's (k, bound bits, aux bits), or its error's class and
+    message."""
     return [(type(row).__name__, str(row)) if isinstance(row, CapspecError)
-            else (row.k, row.bound, row.aux)
-            for row in evaluate_bounds(fam, seq, range(1, len(seq) + 1))]
+            else (row.k, row.bound.hex(), {key: v.hex() for key, v in row.aux.items()})
+            for row in rows]
 
 
 def assert_referees_agree(seq):
-    """The sqrt, quadratic and gap families, bitwise, against the same
-    evaluation with the referees in place of the shared search and sums."""
+    """The sqrt, quadratic and gap families, evaluated together, bitwise
+    against the same call with the referees building the sqrt families'
+    bounds (in place of their rows of the shared search) and the shared
+    (S, T). Each referee must have run, and (S, T) once for both closed
+    forms; otherwise the call would be compared with itself."""
     names = ["sphere-buckling-sqrt", "sphere-buckling-quadratic", "sphere-buckling-gap"]
     if seq.p == 2:
         names.append("sphere-buckling-sqrt-p2")
-    for fam in map(family, names):
-        with mock.patch.object(bounds_module, "_sqrt_bounds", referee_sqrt_bounds), \
-                mock.patch.object(bounds_module, "_st_terms",
-                                  lambda fam, seq, pre: referee_quadratic_terms(seq, pre)):
-            want = outcome_keys(fam, seq)
-        assert outcome_keys(fam, seq) == want, (fam, seq.values)
+    fams, ks, ran = list(map(family, names)), range(1, len(seq) + 1), []
+
+    def sqrt_rows(fam, seq, pre):
+        ran.append(fam.name)
+        return referee_sqrt_bounds(fam, seq, pre)
+        yield  # a row builder that adds no rows to the shared search
+
+    def st_terms(fam, seq, pre):
+        ran.append("S, T")
+        return referee_quadratic_terms(seq, pre)
+
+    with mock.patch.object(bounds_module, "_sqrt_bounds", sqrt_rows), \
+            mock.patch.object(bounds_module, "_st_terms", st_terms):
+        want = [outcome_keys(rows) for rows in evaluate_families(fams, seq, ks)]
+    assert sorted(ran) == sorted(["S, T"] + [name for name in names if "sqrt" in name])
+    assert [outcome_keys(rows) for rows in evaluate_families(fams, seq, ks)] == want, \
+        seq.values
 
 
 @st.composite
@@ -1193,6 +1209,65 @@ class TestRefereesForFoldedPaths:
     @given(seq=wide_prefixes())
     def test_wide_prefixes(self, seq):
         assert_referees_agree(seq)
+
+
+PINNED = Path(__file__).resolve().parent / "data" / "spectra"
+
+
+def every_family():
+    """Every registry family in registry order, the delta family at 0.01."""
+    return [family(name, delta=0.01 if name == "sphere-buckling-delta" else None)
+            for name in FAMILY_NAMES]
+
+
+def assert_together_equals_alone(seq, fams):
+    """Each family's outcomes from one call for all of fams, bitwise equal
+    to its outcomes from a call of its own: bound and aux bits, or the
+    error's class and message."""
+    ks = range(1, len(seq) + 1)
+    together = evaluate_families(fams, seq, ks)
+    assert len(together) == len(fams)
+    for fam, rows in zip(fams, together):
+        assert outcome_keys(rows) == outcome_keys(evaluate_families([fam], seq, ks)[0]), fam
+
+
+def assert_every_order(seq):
+    """The registry order (with families that raise for the whole
+    sequence), its reverse and the sequence's verify defaults."""
+    for fams in every_family(), every_family()[::-1], default_families(seq):
+        assert_together_equals_alone(seq, fams)
+
+
+class TestFamiliesTogether:
+    def test_stored_spectra(self):
+        paths = sorted(STORED.glob("*.json")) + sorted(
+            p for p in PINNED.glob("*.json") if not p.name.endswith(".summary.json"))
+        assert len(paths) == 38  # 35 distinct: three p = 2 pins copy benchmark spectra
+        for path in paths:
+            assert_every_order(read_spectrum(path).sequence())
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=any_prefixes())
+    def test_any_prefixes(self, case):
+        assert_every_order(case[0])
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seq=wide_prefixes())
+    def test_wide_prefixes(self, seq):
+        assert_every_order(seq)
+
+    @pytest.mark.parametrize("seq, error", [
+        (buck((0.5, 2.0, 3.0), n=3), DomainError),  # fails the sphere guard
+        (buck((5.0, 9.0), n=3, p=600), BracketFailure),  # the factor overflows
+    ], ids=["guard", "factor-overflow"])
+    def test_whole_family_errors_stay_per_family(self, seq, error):
+        outcomes = evaluate_families(every_family(), seq, [1, 2])
+        for fam, rows in zip(every_family(), outcomes):
+            if fam.name in ("sphere-buckling-sqrt", "sphere-buckling-quadratic",
+                            "sphere-buckling-gap"):
+                assert all(type(row) is error for row in rows), fam
+        assert any(isinstance(row, BoundResult) for rows in outcomes for row in rows)
+        assert_every_order(seq)
 
 
 class TestSequenceLength:

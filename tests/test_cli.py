@@ -483,6 +483,20 @@ class TestMalformedStoredSpectrum:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "SchemaError" in err and reason in err
 
+    @pytest.mark.parametrize("command", ["verify", "compare", "bounds"])
+    @pytest.mark.parametrize("mutate,where", [
+        (lambda d: d.update(theta0=10**400), "spectrum file['theta0']"),
+        (lambda d: d["entries"][2].update(value=10**400), "entries[2]['value']"),
+    ], ids=["theta0", "value"])
+    def test_integer_past_float_range_exits_2(self, tmp_path, capsys, command, mutate, where):
+        # 10^400 parses as a JSON integer, but no float holds it
+        args = ["--family", "sphere-buckling-sqrt"] if command == "bounds" else []
+        code = run(command, "--in", mutated_copy(tmp_path, mutate), *args,
+                   "--out", tmp_path / "v.csv")
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: SchemaError: {where} is past the float range: an integer of 1329 bits\n")
+
     def test_order_the_values_cannot_have_exits_3(self, tmp_path, capsys):
         # p = 27 over a p = 2 spectrum is schema-valid, and the reader cannot
         # tell it from a genuine header; the sqrt family then has no finite

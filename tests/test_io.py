@@ -201,6 +201,16 @@ class TestReadSpectrumRejects:
         with pytest.raises(SchemaError, match="theta0"):
             fmt.read_spectrum(self.write(tmp_path, doc))
 
+    @pytest.mark.parametrize("key", ["theta0", "value"])
+    def test_integer_past_float_range(self, tmp_path, key):
+        # a JSON integer of 310 to 4300 digits parses, but no float holds it
+        doc = self.base()
+        (doc if key == "theta0" else doc["entries"][1])[key] = 10**400
+        where = r"spectrum file\['theta0'\]" if key == "theta0" else r"entries\[1\]\['value'\]"
+        with pytest.raises(SchemaError, match=where + " is past the float range: "
+                           "an integer of 1329 bits$"):
+            fmt.read_spectrum(self.write(tmp_path, doc))
+
     def test_multiplicity_floor(self, tmp_path):
         doc = self.base()
         doc["entries"][1]["multiplicity"] = 0

@@ -1,7 +1,9 @@
 """verify and compare on every stored spectrum against the benchmark's
 reference reports (benchmark/data/reference.json, read only), and verify on
-the clamped and p = 3 spectra under tests/data/spectra against the reports
-stored next to them.
+the spectra under tests/data/spectra against the reports stored next to
+them: clamped p = 1, 2, 3 and buckling p = 3 at n = 2 and 3, and three
+p = 2 buckling spectra (copies of benchmark spectra at n = 2, 3 and 4),
+whose compare reports are stored too.
 
 The benchmark refuses a run whose bounds move by more than 1e-9 relative
 or whose exit codes, rows, holds flags or violation counts change; this
@@ -57,19 +59,38 @@ def test_matches_reference(tmp_path, name):
             assert abs(bound - ref[2]) <= REL_TOL * abs(ref[2]), (command, k, fam)
 
 
+# p = 2 buckling: every default family, the delta-opt rows' aux_delta and
+# the sqrt-p2 rows included, and a compare report each
+PINNED_P2 = [p for p in PINNED if "-buckling-p2-" in p.name]
+
+
 def test_pinned_spectra_cover_clamped_and_p3():
-    # n = 2 and 3, clamped p = 1, 2, 3 and buckling p = 3, all at 2 pi / 3
-    assert [p.stem for p in PINNED] == [f"n{n}-{kind}-2pi_3" for n in (2, 3) for kind in (
-        "buckling-p3", "clamped-p1", "clamped-p2", "clamped-p3")]
+    # n = 2 and 3, clamped p = 1, 2, 3 and buckling p = 3, all at 2 pi / 3;
+    # buckling p = 2 at n = 2, 3, 4 on the caps pi/2, 2 pi/5 and 5 pi/8
+    assert [p.stem for p in PINNED] == sorted(
+        [f"n{n}-{kind}-2pi_3" for n in (2, 3) for kind in (
+            "buckling-p3", "clamped-p1", "clamped-p2", "clamped-p3")]
+        + ["n2-buckling-p2-pi_2", "n3-buckling-p2-2pi_5", "n4-buckling-p2-5pi_8"])
+    assert [p.stem for p in PINNED_P2] == [
+        "n2-buckling-p2-pi_2", "n3-buckling-p2-2pi_5", "n4-buckling-p2-5pi_8"]
+
+
+def assert_report_byte_identical(tmp_path, command, spectrum):
+    out = tmp_path / f"{command}.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--in", str(spectrum), "--out", str(out)])
+    assert code == 0
+    stored = spectrum.with_suffix(f".{command}.csv")
+    assert out.read_bytes() == stored.read_bytes()
+    assert out.with_suffix(".summary.json").read_bytes() == \
+        stored.with_suffix(".summary.json").read_bytes()
 
 
 @pytest.mark.parametrize("spectrum", PINNED, ids=lambda p: p.stem)
 def test_pinned_verify_reports_byte_identical(tmp_path, spectrum):
-    out = tmp_path / "verify.csv"
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = main(["verify", "--in", str(spectrum), "--out", str(out)])
-    assert code == 0
-    stored = spectrum.with_suffix(".verify.csv")
-    assert out.read_bytes() == stored.read_bytes()
-    assert out.with_suffix(".summary.json").read_bytes() == \
-        stored.with_suffix(".summary.json").read_bytes()
+    assert_report_byte_identical(tmp_path, "verify", spectrum)
+
+
+@pytest.mark.parametrize("spectrum", PINNED_P2, ids=lambda p: p.stem)
+def test_pinned_compare_reports_byte_identical(tmp_path, spectrum):
+    assert_report_byte_identical(tmp_path, "compare", spectrum)
