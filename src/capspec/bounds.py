@@ -29,11 +29,11 @@ evaluates it (_KERNELS):
 Every evaluator takes all requested prefixes k at once: each prefix is a
 row over the whole sequence, zeroed past k, so one array pass (stacked
 eigvals calls for the roots, one probe classification per family for the
-intervals, one closed-form call per delta-opt search round) serves them
+intervals, one single-product closed form per delta-opt round) serves them
 all, and one call serves every family of a check: the rows of the sqrt
-families and of the delta-opt seeds share one _first_failures pass, and
-the quadratic and gap families one (S, T). The per-family and per-k entry
-points are the one-family, one-row case of that call.
+families and delta-opt seeds share one _first_failures pass, the quadratic
+and gap families one (S, T), and all one g (EigenSequence.coeff_g). The
+per-family and per-k entry points are the one-family, one-row case.
 
 Sphere buckling families share the coefficient functions
 
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -150,6 +151,17 @@ class EigenSequence:
 
     def __len__(self):
         return len(self.values)
+
+    @cached_property
+    def coeff_g(self) -> np.ndarray:
+        """g_i of the sphere buckling families, read-only, from scalar factor
+        calls (numpy's array powers differ in rare last bits). Errors are not
+        kept: a factor past the float range raises on every read."""
+        vals = np.array(self.values)
+        g = np.array([sphere_buckling_factor(v, self.n, self.p) for v in self.values])
+        g -= vals / (vals - (self.n - 2))
+        g.flags.writeable = False
+        return g
 
 
 def check_sequence_length(length: int) -> None:
@@ -268,8 +280,7 @@ class _Prefixes(NamedTuple):
     last: np.ndarray  # (R,) Lambda_k
 
     def take(self, rows) -> _Prefixes:
-        return self._replace(lengths=self.lengths[rows], mask=self.mask[rows],
-                             last=self.last[rows])
+        return self._replace(lengths=self.lengths[rows], mask=self.mask[rows], last=self.last[rows])
 
     def masked(self, w) -> np.ndarray:
         """w (per eigenvalue, or per row and eigenvalue) zeroed past each
@@ -325,11 +336,6 @@ def _checked_prefixes(fam: BoundFamily, seq: EigenSequence, ks) -> _Prefixes:
     return pre
 
 
-def _coeff_g(values: np.ndarray, n: int, p: int) -> np.ndarray:
-    factors = np.array([sphere_buckling_factor(v, n, p) for v in values.tolist()])
-    return factors - values / (values - (n - 2))
-
-
 def _coeff_g_p2(values: np.ndarray, n: int) -> np.ndarray:
     return values - (n - 2) / (values - (n - 2))
 
@@ -344,11 +350,10 @@ def _sqrt_lhs_weight(values: np.ndarray, n: int) -> np.ndarray:
 
 def _delta_weight(values: np.ndarray, n: int, d):
     """The delta family's weight on (c - lambda_i)^2, divided by d:
-    lambda + d (lambda - (n-2)) / (4 (d lambda + n - 2)), written so that
-    no d^2 is formed and the n = 2 denominator cannot cancel to zero. For
-    subnormal d, (n-2)/d overflows to inf, the right limit."""
-    with np.errstate(over="ignore"):
-        return values + (values - (n - 2)) / (4.0 * (values + (n - 2) / d))
+    lambda + d (lambda - (n-2)) / (4 (d lambda + n - 2)), with no d^2 formed
+    and no n = 2 denominator that can cancel to zero. A subnormal d overflows
+    (n-2)/d to inf, the right limit; callers ignore the overflow."""
+    return values + (values - (n - 2)) / (4.0 * (values + (n - 2) / d))
 
 
 def quadratic_terms(seq: EigenSequence, k: int) -> tuple[float, float]:
@@ -396,23 +401,21 @@ def evaluate_predicate(fam: BoundFamily, seq: EigenSequence, k,
     diffs = pre.masked(candidates[:, None] - vals)
     h = _coeff_h(vals, n)
     if fam.name in (SQRT, SQRT_P2):
-        g = _coeff_g(vals, n, seq.p) if fam.name == SQRT else _coeff_g_p2(vals, n)
+        g = seq.coeff_g if fam.name == SQRT else _coeff_g_p2(vals, n)
         lhs, rhs, _, _ = _sqrt_sides(diffs, (_sqrt_lhs_weight(vals, n), g, h))
     elif fam.name == QUADRATIC:
-        g = _coeff_g(vals, n, seq.p)
         lhs = _rowsum(diffs**2)
-        rhs = _rowsum(diffs * g * h)
+        rhs = _rowsum(diffs * seq.coeff_g * h)
     else:  # DELTA
         d = fam.delta
-        mult = d * _delta_weight(vals, n, d)
+        with np.errstate(over="ignore"):
+            mult = d * _delta_weight(vals, n, d)
         lhs = 2.0 * _rowsum(diffs**2)
         rhs = _rowsum(diffs**2 * mult) + _rowsum(diffs * h) / d
     holds = _holds(lhs, rhs)
     if lengths.ndim == 0:
         return PredicateResult(lhs=float(lhs[0]), rhs=float(rhs[0]), holds=bool(holds[0]))
-    shape = lengths.shape
-    return PredicateResult(lhs=lhs.reshape(shape), rhs=rhs.reshape(shape),
-                           holds=holds.reshape(shape))
+    return PredicateResult(*(side.reshape(lengths.shape) for side in (lhs, rhs, holds)))
 
 
 def _sqrt_sides(d: np.ndarray, weights):
@@ -464,7 +467,7 @@ def _sqrt_bounds(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes):
     to Lambda_k 2^64, NaN where the coefficients overflow. It yields its
     rows of the shared search and is sent their first failures."""
     n, vals = seq.n, pre.values
-    g = _coeff_g(vals, n, seq.p) if fam.name == SQRT else _coeff_g_p2(vals, n)
+    g = seq.coeff_g if fam.name == SQRT else _coeff_g_p2(vals, n)
     weights = [pre.masked(w) for w in (_sqrt_lhs_weight(vals, n), g, _coeff_h(vals, n))]
 
     def fails(rows, x):
@@ -561,14 +564,12 @@ def _first_failures(blocks) -> list:
         return []
     weights = [np.concatenate(w) for w in zip(*(block[0] for block in blocks))]
     e, unit = (np.concatenate([block[j] for block in blocks]) for j in (1, 2))
-    starts = np.cumsum([0] + [len(block[2]) for block in blocks])
+    starts = np.cumsum([0] + [len(block[2]) for block in blocks]).tolist()
 
-    def fails(rows, x):
-        out = np.empty(len(rows), dtype=bool)
-        for block, lo, hi in zip(blocks, starts.tolist(), starts[1:].tolist()):
-            mine = (lo <= rows) & (rows < hi)
-            out[mine] = block[3](rows[mine] - lo, x[mine])
-        return out
+    def fails(rows, x):  # rows ascend, so each block's rows are one run
+        cuts = np.searchsorted(rows, starts).tolist()
+        return np.concatenate([block[3](rows[lo:hi] - start, x[lo:hi])
+                               for block, start, lo, hi in zip(blocks, starts, cuts, cuts[1:])])
 
     with np.errstate(over="ignore", invalid="ignore"):
         quartic = _slack_quartic(_shifted_sum(weights[0], e, 2),
@@ -592,7 +593,7 @@ def _first_failures(blocks) -> list:
     out = np.full(len(finite), math.nan)
     out[finite] = np.where(failing.any(axis=1),
                            lefts[np.arange(len(lefts)), np.argmax(failing, axis=1)], math.inf)
-    return np.split(out, starts[1:-1])
+    return [out[lo:hi] for lo, hi in zip(starts, starts[1:])]
 
 
 def _first_positive(a, b, c):
@@ -606,9 +607,10 @@ def _first_positive(a, b, c):
     # quotient is kept only where its denominator is non-zero, and one that
     # overflows is a root beyond every finite candidate
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = np.where(a > 0.0, np.where(q == 0.0, 0.0, np.maximum(q / a, c / q)), math.inf)
-        x = np.where((a < 0.0) & (disc > 0.0) & (b > 0.0), c / q, x)
-        x = np.where((a == 0.0) & (b > 0.0), -c / b, x)
+        rising, near = b > 0.0, c / q
+        x = np.where(a > 0.0, np.where(q == 0.0, 0.0, np.maximum(q / a, near)), math.inf)
+        x = np.where((a < 0.0) & (disc > 0.0) & rising, near, x)
+        x = np.where((a == 0.0) & rising, -c / b, x)
     return np.where(c > 0.0, 0.0, x)
 
 
@@ -625,18 +627,19 @@ class _DeltaTerms(NamedTuple):
     powers: np.ndarray  # (R, 3, K): 1, e_i and e_i^2 on each prefix
     lhs: np.ndarray  # (R, 3): coefficients in x of 2 sum_i (x + e_i)^2
     h_sums: np.ndarray  # (R, 2): sum_i h_i and sum_i h_i e_i
+    h: np.ndarray  # (R, K): h_i on each prefix, not in units of Lambda_k
 
     def take(self, rows) -> _DeltaTerms:
-        return _DeltaTerms(self.pre.take(rows), self.powers[rows], self.lhs[rows],
-                           self.h_sums[rows])
+        return _DeltaTerms(self.pre.take(rows), *(rows_of[rows] for rows_of in self[1:]))
 
 
 def _delta_terms(pre: _Prefixes) -> _DeltaTerms:
     e = pre.shifts(unit=True)
     powers = np.stack([pre.mask.astype(float), e, e * e], axis=1)
-    h = pre.masked(_coeff_h(pre.values, pre.n) / pre.last[:, None])
+    h = pre.masked(_coeff_h(pre.values, pre.n))
+    h_unit = h / pre.last[:, None]
     return _DeltaTerms(pre, powers, 2.0 * _rowsum(powers) * [1.0, 2.0, 1.0],
-                       np.array([_rowsum(h), _rowsum(h * e)]).T)
+                       np.array([_rowsum(h_unit), _rowsum(h_unit * e)]).T, h)
 
 
 def _delta_closed_form(terms: _DeltaTerms, deltas: np.ndarray) -> np.ndarray:
@@ -646,32 +649,35 @@ def _delta_closed_form(terms: _DeltaTerms, deltas: np.ndarray) -> np.ndarray:
     (1-eps) lhs - (1+eps) rhs > 0, a quadratic in x = c - Lambda_k. Rows
     are evaluated in blocks of at most _BLOCK elements per temporary, which
     a row's value does not depend on."""
-    n, vals, last = terms.pre.n, terms.pre.values, terms.pre.last[:, None]
-    deltas = np.broadcast_to(deltas, (len(last), deltas.shape[1]))
-    lo, hi = 1.0 - INEQ_SLACK, 1.0 + INEQ_SLACK
-    out = np.empty(deltas.shape)
-    step = max(1, _BLOCK // max(1, deltas.shape[1] * len(vals)))
-    for rows in (slice(i, i + step) for i in range(0, len(last), step)):
-        d = deltas[rows]
-        weight = _delta_weight(vals, n, d[:, :, None])  # (r, D, K)
-        m_sums = [_rowsum(weight * terms.powers[rows, None, j]) for j in range(3)]
-        # the quadratic is divided by max(d, 1/d) so that no coefficient can
-        # overflow: with r = min(d, 1/d) the lhs, d-weighted and h / d sums
-        # carry the factors r, d r and r / d, each at most 1
-        large = d >= 1.0
-        r = np.where(large, 1.0 / np.maximum(d, 1.0), d)
-        m_scale = np.where(large, 1.0, r * r)
-        h_scale = np.where(large, r * r, 1.0)
-        l_part, h_part = terms.lhs[rows, None, :], terms.h_sums[rows, None, :]
-        a = lo * (r * l_part[..., 0]) - hi * (m_scale * m_sums[0])
-        b = (lo * (r * l_part[..., 1])
-             - hi * (2.0 * (m_scale * m_sums[1]) + h_scale * h_part[..., 0]))
-        c = (lo * (r * l_part[..., 2])
-             - hi * (m_scale * m_sums[2] + h_scale * h_part[..., 1]))
-        with np.errstate(over="ignore", invalid="ignore"):
-            out[rows] = last[rows] + last[rows] * _first_positive(a, b, c)
+    rows = len(terms.pre.last)
+    step = max(1, _BLOCK // max(1, deltas.shape[1] * len(terms.pre.values)))
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.where(out <= last * 2.0**LIMIT_LOG2, out, math.inf)
+        if rows <= step:
+            return _delta_block(terms, deltas)
+        deltas = np.broadcast_to(deltas, (rows, deltas.shape[1]))
+        return np.concatenate([_delta_block(terms.take(slice(i, i + step)), deltas[i:i + step])
+                               for i in range(0, rows, step)])
+
+
+def _delta_block(terms: _DeltaTerms, d: np.ndarray) -> np.ndarray:
+    """_delta_closed_form on one block of rows, d (R, D) or (1, D)."""
+    last = terms.pre.last[:, None]
+    weight = _delta_weight(terms.pre.values, terms.pre.n, d[:, :, None])  # (R or 1, D, K)
+    # the three weighted power sums, (R, D, 3), in one product and reduction
+    m_sums = _rowsum(weight[:, :, None] * terms.powers[:, None])
+    # the quadratic is divided by max(d, 1/d) so that no coefficient can
+    # overflow: with r = min(d, 1/d) the lhs, d-weighted and h / d sums
+    # carry the factors r, d r and r / d, each at most 1
+    large = d >= 1.0
+    r = np.where(large, 1.0 / np.maximum(d, 1.0), d)
+    squared = r * r
+    # the right side's coefficients of x^2, x and 1, each (R, D)
+    rhs = np.where(large, 1.0, squared)[..., None] * m_sums * [1.0, 2.0, 1.0]
+    rhs[..., 1:] += np.where(large, squared, 1.0)[..., None] * terms.h_sums[:, None]
+    coeffs = ((1.0 - INEQ_SLACK) * (r[..., None] * terms.lhs[:, None])
+              - (1.0 + INEQ_SLACK) * rhs)
+    out = last + last * _first_positive(coeffs[..., 0], coeffs[..., 1], coeffs[..., 2])
+    return np.where(out <= last * 2.0**LIMIT_LOG2, out, math.inf)
 
 
 def delta_bounds(seq: EigenSequence, k, deltas) -> np.ndarray:
@@ -702,7 +708,8 @@ def _disc_roots(s: np.ndarray, t: np.ndarray):
 def _st_terms(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes):
     """The averaged pair (S, T) of a closed-form family for every prefix."""
     vals, k = pre.values, pre.lengths
-    c = _root_coeffs(fam, vals, seq.n, seq.p)
+    c = (seq.coeff_g * _coeff_h(vals, seq.n) if fam.name in (QUADRATIC, GAP)
+         else _root_coeffs(fam, vals, seq.n, seq.p))
     s = _rowsum(pre.masked(vals)) / k + _rowsum(pre.masked(c)) / (2 * k)
     t = _rowsum(pre.masked(vals**2)) / k + _rowsum(pre.masked(vals * c)) / k
     return s, t
@@ -750,9 +757,7 @@ def _closed_form_rows(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes, shar
 
 
 def _root_coeffs(fam: BoundFamily, vals: np.ndarray, n: int, p: int) -> np.ndarray:
-    """Per-eigenvalue coefficients c_i of the closed-form families."""
-    if fam.name in (QUADRATIC, GAP):
-        return _coeff_g(vals, n, p) * _coeff_h(vals, n)
+    """c_i of the closed-form families but quadratic and gap (see _st_terms)."""
     # formed in floats: a large order overflows to inf or NaN, never to an
     # exact integer power, and the caller refuses the non-finite bound
     q = _float_order(p)
@@ -794,7 +799,7 @@ def _delta_weight_slope(values: np.ndarray, n: int, d) -> np.ndarray:
     return values + (1.0 - c / values) * (1.0 - (c / (d * values + c)) ** 2) / 4.0
 
 
-def _delta_seeds(pre: _Prefixes):
+def _delta_seeds(terms: _DeltaTerms):
     """Per prefix, log10 of the best delta with the delta weights frozen at
     their large-delta limit W_i = lambda_i + (1 - (n-2)/lambda_i) / 4, or
     NaN if that frozen family has no failure at or below Lambda_k 2^64.
@@ -808,10 +813,9 @@ def _delta_seeds(pre: _Prefixes):
     itself. x, e_i and H are taken in units of Lambda_k (H in units of
     Lambda_k^2), so no eigenvalue under- or overflows the coefficients. It
     yields its rows of the shared search, as _sqrt_bounds does."""
-    n, vals = pre.n, pre.values
-    e = pre.shifts(unit=True)
-    weights = [pre.masked(2.0), pre.masked(vals + (1.0 - (n - 2) / vals) / 4.0),
-               pre.masked(_coeff_h(vals, n) / pre.last[:, None])]  # L, M and H
+    pre, e, vals = terms.pre, terms.powers[:, 1], terms.pre.values
+    weights = [pre.masked(2.0), pre.masked(vals + (1.0 - (pre.n - 2) / vals) / 4.0),
+               terms.h / pre.last[:, None]]  # L, M and H
 
     def sides(rows, x):
         d = np.where(pre.mask[rows], x[:, None] + e[rows], 0.0)
@@ -837,7 +841,7 @@ def _delta_points(terms: _DeltaTerms, ts: np.ndarray) -> list:
     d = pre.masked((at - pre.values) / at)
     with np.errstate(divide="ignore", invalid="ignore"):
         slope = _rowsum(d * d * _delta_weight_slope(pre.values, pre.n, deltas[:, None]))
-        ratio = slope / _rowsum(pre.masked(_coeff_h(pre.values, pre.n)) * d)
+        ratio = slope / _rowsum(terms.h * d)
         residuals = 2.0 * LN10 * ts + np.log(ratio) + np.log(at[:, 0])
     return [(t, bound, residual if ok else None, delta) for t, bound, residual, delta, ok
             in zip(ts.tolist(), bounds.tolist(), residuals.tolist(), deltas.tolist(),
@@ -902,9 +906,9 @@ def _delta_opt_rows(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes, shared
     """best_delta_bound's (bound, aux) or error for every prefix. The
     searches run in lockstep: each round evaluates the closed form once for
     every prefix whose search is still open."""
-    out = [None] * len(pre.lengths)
+    out, terms = [None] * len(pre.lengths), _delta_terms(pre)
     open_rows = {}  # row -> (search, the log10 delta it asks for)
-    for row, seed in enumerate((yield from _delta_seeds(pre)).tolist()):
+    for row, seed in enumerate((yield from _delta_seeds(terms)).tolist()):
         if math.isnan(seed):
             out[row] = BracketFailure(
                 "the delta family has no finite implied bound even with its "
@@ -912,12 +916,13 @@ def _delta_opt_rows(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes, shared
         else:
             search = _delta_search(seed)
             open_rows[row] = search, next(search)
-    terms = _delta_terms(pre)
+    held = range(len(out))  # the rows terms holds: every open row, in order
     while open_rows:
-        rows = list(open_rows)
-        points = _delta_points(terms.take(rows),
-                               np.array([open_rows[row][1] for row in rows]))
-        for row, point in zip(rows, points):
+        if len(held) > len(open_rows):
+            keep = [at for at, row in enumerate(held) if row in open_rows]
+            terms, held = terms.take(keep), [held[at] for at in keep]
+        points = _delta_points(terms, np.array([open_rows[row][1] for row in held]))
+        for row, point in zip(held, points):
             search = open_rows.pop(row)[0]
             try:
                 open_rows[row] = search, search.send(point)
@@ -984,8 +989,7 @@ def evaluate_families(fams, seq: EigenSequence, ks, actuals=None) -> list:
         except StopIteration as done:
             outcomes[at] = done.value
     return [[outcome if isinstance(outcome, CapspecError)
-             else BoundResult(family=fam, k=k, bound=outcome[0], aux=outcome[1],
-                              actual=actual)
+             else BoundResult(family=fam, k=k, bound=outcome[0], aux=outcome[1], actual=actual)
              for outcome, k, actual in zip(family_outcomes, lengths, actuals)]
             for fam, family_outcomes in zip(fams, outcomes)]
 

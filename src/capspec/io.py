@@ -25,12 +25,8 @@ REPORT_HEADER = "k,actual,family,bound,margin,holds,aux_S,aux_T,aux_delta"
 
 
 def format_real(x) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
-    return f"{x:.17g}"
+    """x to 17 digits, which round-trip; nan, inf and -inf where not finite."""
+    return f"{float(x):.17g}"
 
 
 def _emit(obj, out, indent):

@@ -44,6 +44,7 @@ call.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import itertools
@@ -437,11 +438,11 @@ def _solve_modes(cfg: SolverConfig):
     merged value by 5%; returns (values, reduced, health, records), where
     values[l] and reduced[l] are mode l's radial values and reduced matrix,
     health holds the worst health numbers and records is the final `_merge`
-    of the values. Raises ModeCapTooSmall if a ground value drops
-    or the mode cap comes first."""
+    of the values, each mode's records inserted into it once. Raises
+    ModeCapTooSmall if a ground value drops or the mode cap comes first."""
     want = cfg.requested_count
     hard_cap = cfg.mode_cap if cfg.mode_cap is not None else max(64, 2 * want + 8)
-    values, reduced, worst = [], [], {}
+    values, reduced, worst, merger = [], [], {}, _Merger(cfg.n, want)
     for l in itertools.count():
         radial_values, mode_reduced, health = _solve_mode(cfg, l)
         for key, value in health.items():
@@ -454,7 +455,8 @@ def _solve_modes(cfg: SolverConfig):
             )
         values.append(radial_values)
         reduced.append(mode_reduced)
-        covering = _merge(values, cfg.n, want)
+        merger.add(radial_values)
+        covering = merger.covering()
         # a value lost to roundoff (inf) never clears this, so none is returned
         if covering and ground > MODE_SAFETY * covering[-1][0]:
             return values, reduced, worst, covering
@@ -477,11 +479,38 @@ def _merge(mode_values, n: int, want: int):
     radial indices below `want` are read: a later one has `want` records of
     its own mode before it in both orders, so no cut reaches it.
     """
-    records = [(float(v), l, j) for l, values in enumerate(mode_values)
-               for j, v in enumerate(values[:want])]
-    labels = [(l, j) for _, l, j in sorted(records, key=_merge_key)]
-    values = sorted(v for v, _, _ in records)
-    return _covering_prefix([(v, l, j) for v, (l, j) in zip(values, labels)], n, want)
+    merger = _Merger(n, want)
+    for values in mode_values:
+        merger.add(values)
+    return merger.covering()
+
+
+class _Merger:
+    """The running `_merge` of modes 0, 1, ...: each added mode's records
+    are inserted into the two orders once, with one `_merge_key` each. The
+    keys are distinct (no two records share (l, radial_index)), and equal
+    values are indistinguishable, so insertion gives the orders a sort of
+    all records gives."""
+
+    def __init__(self, n: int, want: int):
+        self.n, self.want, self.modes = n, want, 0
+        self.keys, self.labels, self.values = [], [], []
+
+    def add(self, values):
+        """Insert the radial values of the next mode."""
+        l, self.modes = self.modes, self.modes + 1
+        for j, v in enumerate(values[:self.want]):
+            v = float(v)
+            key = _merge_key((v, l, j))
+            at = bisect.bisect(self.keys, key)
+            self.keys.insert(at, key)
+            self.labels.insert(at, (l, j))
+            bisect.insort(self.values, v)
+
+    def covering(self):
+        """`_merge` of the modes added so far."""
+        return _covering_prefix([(v, l, j) for v, (l, j) in zip(self.values, self.labels)],
+                                self.n, self.want)
 
 
 def _merge_key(record):

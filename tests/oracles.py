@@ -4,7 +4,9 @@ Nothing here imports the package under test: Bessel zeros come from the
 ascending series plus bisection, quadrature moments from exact rational
 arithmetic, Gauss nodes from the dense Jacobi matrix, tiny eigenproblems
 from the quadratic formula, and the n = 2 membrane ground value on a cap
-from a Legendre-function zero (mpmath).
+from a Legendre-function zero (mpmath). The delta family's closed form is
+kept as it was formed in blocks of three reductions, as a referee for the
+bits of the package's one-pass form.
 """
 
 import math
@@ -141,3 +143,72 @@ def generalized_eigen_2x2(a, b):
     r1 = (-c1 - disc) / (2.0 * c2)
     r2 = (-c1 + disc) / (2.0 * c2)
     return (r1, r2) if r1 <= r2 else (r2, r1)
+
+
+# The delta family's closed form as it was formed before its lean rewrite,
+# kept verbatim (with the constants and helpers it reads) so that the
+# rewrite can be held to the same bits: three weighted power sums of one
+# product and one reduction each, per block of rows.
+INEQ_SLACK = 1e-12
+LIMIT_LOG2 = 64
+_BLOCK = 1 << 16
+
+
+def _rowsum(x):
+    return np.add.reduce(x, axis=-1)
+
+
+def _delta_weight(values, n, d):
+    with np.errstate(over="ignore"):
+        return values + (values - (n - 2)) / (4.0 * (values + (n - 2) / d))
+
+
+def blocked_first_positive(a, b, c):
+    """Elementwise smallest x >= 0 at which a x^2 + b x + c > 0 (inf if none)."""
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
+    scale[scale == 0.0] = 1.0
+    a, b, c = a / scale, b / scale, c / scale
+    disc = b * b - 4.0 * a * c
+    q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
+    # q / a and c / q are the two roots (Press et al.'s stable form); each
+    # quotient is kept only where its denominator is non-zero, and one that
+    # overflows is a root beyond every finite candidate
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = np.where(a > 0.0, np.where(q == 0.0, 0.0, np.maximum(q / a, c / q)), math.inf)
+        x = np.where((a < 0.0) & (disc > 0.0) & (b > 0.0), c / q, x)
+        x = np.where((a == 0.0) & (b > 0.0), -c / b, x)
+    return np.where(c > 0.0, 0.0, x)
+
+
+def blocked_delta_closed_form(terms, deltas):
+    """The delta family's implied bound for each prefix (row) at each delta
+    of its row of deltas, an (R, D) or (1, D) array; inf where the
+    predicate holds up to Lambda_k 2^64. terms has the fields of the
+    package's _DeltaTerms (pre.n, pre.values, pre.last, powers, lhs,
+    h_sums)."""
+    n, vals, last = terms.pre.n, terms.pre.values, terms.pre.last[:, None]
+    deltas = np.broadcast_to(deltas, (len(last), deltas.shape[1]))
+    lo, hi = 1.0 - INEQ_SLACK, 1.0 + INEQ_SLACK
+    out = np.empty(deltas.shape)
+    step = max(1, _BLOCK // max(1, deltas.shape[1] * len(vals)))
+    for rows in (slice(i, i + step) for i in range(0, len(last), step)):
+        d = deltas[rows]
+        weight = _delta_weight(vals, n, d[:, :, None])  # (r, D, K)
+        m_sums = [_rowsum(weight * terms.powers[rows, None, j]) for j in range(3)]
+        # the quadratic is divided by max(d, 1/d) so that no coefficient can
+        # overflow: with r = min(d, 1/d) the lhs, d-weighted and h / d sums
+        # carry the factors r, d r and r / d, each at most 1
+        large = d >= 1.0
+        r = np.where(large, 1.0 / np.maximum(d, 1.0), d)
+        m_scale = np.where(large, 1.0, r * r)
+        h_scale = np.where(large, r * r, 1.0)
+        l_part, h_part = terms.lhs[rows, None, :], terms.h_sums[rows, None, :]
+        a = lo * (r * l_part[..., 0]) - hi * (m_scale * m_sums[0])
+        b = (lo * (r * l_part[..., 1])
+             - hi * (2.0 * (m_scale * m_sums[1]) + h_scale * h_part[..., 0]))
+        c = (lo * (r * l_part[..., 2])
+             - hi * (m_scale * m_sums[2] + h_scale * h_part[..., 1]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            out[rows] = last[rows] + last[rows] * blocked_first_positive(a, b, c)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(out <= last * 2.0**LIMIT_LOG2, out, math.inf)

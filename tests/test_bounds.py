@@ -6,7 +6,9 @@ integer evaluation of the five terms).
 """
 
 import contextlib
+import io
 import math
+import re
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -50,8 +52,10 @@ from capspec.errors import (
     FamilyMismatch,
     ValidationError,
 )
+from capspec.cli import main as cli_main
 from capspec.io import read_spectrum
 from capspec.spectral import Problem, SolverConfig, solve_spectrum
+from oracles import blocked_delta_closed_form, blocked_first_positive
 
 
 def buck(values, n=2, p=2):
@@ -1104,7 +1108,7 @@ def referee_quadratic_terms(seq, pre):
     """The (S, T) sums of the quadratic and gap families as they were formed
     apart from the other closed-form families."""
     vals, k = pre.values, pre.lengths
-    gh = bounds_module._coeff_g(vals, seq.n, seq.p) * bounds_module._coeff_h(vals, seq.n)
+    gh = seq.coeff_g * bounds_module._coeff_h(vals, seq.n)
     s = _rowsum(pre.masked(vals)) / k + _rowsum(pre.masked(gh)) / (2 * k)
     t = _rowsum(pre.masked(vals**2)) / k + _rowsum(pre.masked(vals * gh)) / k
     return s, t
@@ -1123,8 +1127,7 @@ def referee_sqrt_bounds(fam, seq, pre):
     root of the quartic, and a root of G never begins a failing interval."""
     n, vals = seq.n, pre.values
     e = pre.shifts()
-    g = (bounds_module._coeff_g(vals, n, seq.p) if fam.name == "sphere-buckling-sqrt"
-         else bounds_module._coeff_g_p2(vals, n))
+    g = seq.coeff_g if fam.name == "sphere-buckling-sqrt" else bounds_module._coeff_g_p2(vals, n)
     with np.errstate(over="ignore", invalid="ignore"):
         gsum = _shifted_sum(pre.masked(g), e, 2)
         quartic = bounds_module._slack_quartic(
@@ -1280,3 +1283,121 @@ class TestSequenceLength:
         assert len(buck(tuple(1.0 + np.arange(limit)))) == limit
         with pytest.raises(ValidationError, match=f"has {limit + 1} values.*at most {limit}"):
             buck(tuple(1.0 + np.arange(limit + 1)))
+
+
+def hex_rows(x):
+    return [v.hex() for v in np.asarray(x, dtype=float).ravel().tolist()]
+
+
+def random_delta_terms(rng, n, size, scale):
+    """The delta terms of every prefix of a random buckling sequence of the
+    given size whose distances above n - 2 are scaled by scale."""
+    seq = buck(tuple(n - 2 + scale * np.cumsum(rng.uniform(0.05, 3.0, size))), n=n)
+    pre = bounds_module._prefixes(seq, np.arange(1, size + 1))
+    return bounds_module._delta_terms(pre)
+
+
+class TestLeanClosedForm:
+    """The one-pass delta closed form against the blocked form it replaced
+    (tests/oracles.py), bit for bit."""
+
+    EDGE_DELTAS = [5e-324, 1e-300, 1e-6, 0.5, 1.0, 3.0, 1e6, 1e300]
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e8])
+    def test_every_delta_shape(self, n, scale):
+        rng = np.random.default_rng(int(n * 1000 + math.log10(scale) * 10 + 30))
+        terms = random_delta_terms(rng, n, 9, scale)
+        rows = len(terms.pre.lengths)
+        grid = 10.0 ** rng.uniform(-6.0, 6.0, 32)
+        for deltas in (np.array([[0.37]]), grid[None, :1], grid[None, :],
+                       np.array([self.EDGE_DELTAS]),
+                       10.0 ** rng.uniform(-6.0, 6.0, (rows, 1)),  # a delta per row
+                       rng.choice(self.EDGE_DELTAS, (rows, 1))):
+            got = bounds_module._delta_closed_form(terms, deltas)
+            assert hex_rows(got) == hex_rows(blocked_delta_closed_form(terms, deltas))
+
+    @pytest.mark.parametrize("width", [1, 32])
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_rows_split_into_blocks(self, n, width):
+        rng = np.random.default_rng(n + width)
+        terms = random_delta_terms(rng, n, 600, 10.0)
+        step = bounds_module._BLOCK // (width * 600)
+        assert len(terms.pre.lengths) > 2 * step  # at least three blocks
+        for deltas in (10.0 ** rng.uniform(-6.0, 6.0, (1, width)),
+                       10.0 ** rng.uniform(-6.0, 6.0, (600, width))):
+            got = bounds_module._delta_closed_form(terms, deltas)
+            assert hex_rows(got) == hex_rows(blocked_delta_closed_form(terms, deltas))
+        one = bounds_module._delta_closed_form(terms.take([150]), deltas[150:151])
+        assert hex_rows(one) == hex_rows(got[150])
+
+    def test_first_positive_every_sign_and_scale(self):
+        rng = np.random.default_rng(5)
+        pick = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e300, 5e-324, math.inf, -math.inf, math.nan]
+        coeffs = np.where(rng.random((3, 4000)) < 0.3, rng.choice(pick, (3, 4000)),
+                          rng.standard_normal((3, 4000)) * 10.0 ** rng.uniform(-300, 300, (3, 4000)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _first_positive(*coeffs.copy())
+            want = blocked_first_positive(*coeffs.copy())
+        assert hex_rows(got) == hex_rows(want)
+
+
+def counted_factor_calls():
+    """A patch of sphere_buckling_factor whose mock counts the calls
+    (call_count) and returns the real factor."""
+    return mock.patch.object(bounds_module, "sphere_buckling_factor",
+                             side_effect=bounds_module.sphere_buckling_factor)
+
+
+PINNED_P2 = Path(__file__).resolve().parent / "data" / "spectra" / "n2-buckling-p2-pi_2.json"
+
+
+class TestCoefficientTable:
+    """g is formed once per EigenSequence object, and no error is kept."""
+
+    @pytest.mark.parametrize("command", ["verify", "compare"])
+    def test_one_factor_call_per_value_per_command(self, command, tmp_path):
+        # a CLI command reads its file into one sequence, whose sqrt family,
+        # (S, T) and probe classifications all read one table of K factors
+        assert len(read_spectrum(PINNED_P2).sequence()) == 8
+        with counted_factor_calls() as factor, contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main([command, "--in", str(PINNED_P2), "--out", str(tmp_path / "r.csv")])
+        assert code == 0
+        assert factor.call_count == 8
+
+    def test_each_object_forms_its_own_table(self):
+        values = (6.0, 10.5, 17.0, 20.0)
+        first, second = buck(values), buck(values)
+        assert first == second and first is not second
+        with counted_factor_calls() as factor:
+            table = first.coeff_g
+            assert factor.call_count == 4
+            assert first.coeff_g is table
+            quadratic_terms(first, 3)
+            evaluate_families([family("sphere-buckling-sqrt")], first, [1, 2, 3])
+            assert factor.call_count == 4
+            assert hex_rows(second.coeff_g) == hex_rows(table)
+            assert factor.call_count == 8
+        assert not table.flags.writeable
+
+    def test_overflow_raised_on_every_use(self):
+        seq = EigenSequence(n=3, p=600, problem=Problem.BUCKLING, values=(5.0, 9.0))
+        with pytest.raises(BracketFailure) as first:
+            seq.coeff_g
+        message = str(first.value)
+        assert "order p = 600" in message
+        needs_g = [family(name) for name in ("sphere-buckling-sqrt",
+                                             "sphere-buckling-quadratic",
+                                             "sphere-buckling-gap")]
+        with counted_factor_calls() as factor:
+            for _ in range(2):
+                for outcomes in evaluate_families(needs_g, seq, [1]):
+                    assert isinstance(outcomes[0], BracketFailure)
+                    assert str(outcomes[0]) == message
+                for name in ("sphere-buckling-sqrt", "sphere-buckling-quadratic"):
+                    with pytest.raises(BracketFailure, match=re.escape(message)):
+                        evaluate_predicate(family(name), seq, 1, 9.0)
+                with pytest.raises(BracketFailure, match=re.escape(message)):
+                    quadratic_terms(seq, 1)
+            assert factor.call_count == 2 * 6  # one failing call per use
+        assert "coeff_g" not in vars(seq)

@@ -53,6 +53,26 @@ class TestFormatReal:
         assert fmt.format_real(2.0) == "2"
         assert fmt.format_real(-6.0) == "-6"
 
+    def test_one_format_matches_the_branched_form(self):
+        # the format alone spells NaN (of either sign) and the infinities as
+        # the branches it replaced did
+        def branched(x):
+            x = float(x)
+            if math.isnan(x):
+                return "nan"
+            if math.isinf(x):
+                return "inf" if x > 0 else "-inf"
+            return f"{x:.17g}"
+
+        rng = np.random.default_rng(11)
+        random_bits = rng.integers(0, 2**64, 2000, dtype=np.uint64).view(np.float64)
+        xs = [math.nan, -math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324,
+              1.7976931348623157e308, -1.7976931348623157e308,
+              *rng.standard_normal(500), *random_bits, np.float32(0.1), 3]
+        assert math.copysign(1.0, -math.nan) == -1.0  # the NaN's sign is set
+        for x in xs:
+            assert fmt.format_real(x) == branched(x), x
+
 
 class TestJsonEmitter:
     def test_scalars_and_nesting(self):

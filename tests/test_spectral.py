@@ -459,9 +459,9 @@ class TestSpectrumStructure:
         assert shapes == [(1, 32, 32)] * 5 + [(4, 28, 28)]
 
     def test_spectrum_is_the_mode_loop_merge(self, monkeypatch):
-        # each solved mode merges the records so far once (20 per mode at
-        # K = 20, modes 0..6), and the spectrum takes the loop's last merge
-        # rather than merging again
+        # each solved mode inserts its records into the running merge once
+        # (20 per mode at K = 20, modes 0..6), and the spectrum takes the
+        # loop's last merge rather than merging again
         keys = []
 
         def counted(record):
@@ -471,7 +471,7 @@ class TestSpectrumStructure:
         monkeypatch.setattr(spectral, "_merge_key", counted)
         spec = solve_spectrum(hemi(2, 2, Problem.BUCKLING, N=32, K=20))
         assert spec.diagnostics["l_max"] == 6
-        assert len(keys) == 20 * sum(range(1, 8)) == 560
+        assert len(keys) == 20 * 7 == 140
         assert [(e.l, e.radial_index) for e in spec.entries] == [
             (0, 0), (1, 0), (2, 0), (0, 1), (3, 0), (1, 1), (4, 0), (2, 1), (0, 2),
             (5, 0), (3, 1), (1, 2)]
