@@ -1,37 +1,35 @@
 """Dense symmetric linear algebra on small matrices.
 
 Everything here is sized for spectral-Galerkin systems (order <= a few
-hundred): the Cholesky reduction of the generalized symmetric-definite
-problem followed by LAPACK's symmetric eigensolver. The factor is LAPACK's,
-checked afterwards against the pivot threshold below; the triangular solves
-of the reduction go to LAPACK through `numpy.linalg.solve`.
+hundred). LAPACK's symmetric eigensolver is backward stable, so each
+eigenvalue of the reduced matrix comes with an absolute error of a few ulps
+of its largest eigenvalue. The cap pencils are strongly graded (at N=32,
+p=3 their eigenvalues span 75 to 4e9), so that error is large relative to
+the smallest eigenvalues, which are the wanted ones: reducing
+A x = lambda B x by the Cholesky of B loses up to 2e-10 relative in them,
+and Rayleigh-Ritz monotonicity across nested bases then fails its 1e-10
+slack. The solver therefore passes the pencil inverted, B x = mu A x with
+lambda = 1/mu, reduced by the Cholesky of the positive definite stiffness
+form A. The wanted values are then the largest mu, which the eigensolver
+resolves to full relative accuracy (about 1e-13 at N=32, p=3).
 
-LAPACK's symmetric eigensolver is backward stable, so each eigenvalue of the
-reduced matrix comes with an absolute error of a few ulps of its largest
-eigenvalue. The cap pencils are strongly graded (at N=32, p=3 their
-eigenvalues span 75 to 4e9), so that error is large relative to the smallest
-eigenvalues, which are the wanted ones: reducing A x = lambda B x by the
-Cholesky of B loses up to 2e-10 relative in them, and Rayleigh-Ritz
-monotonicity across nested bases then fails its 1e-10 slack. The solver
-therefore passes the pencil inverted, B x = mu A x with lambda = 1/mu,
-reduced by the Cholesky of the positive definite stiffness form A. The
-wanted values are then the largest mu, which the eigensolver resolves to
-full relative accuracy (about 1e-13 at N=32, p=3).
-
-Pencils are plain arrays, and two entries share one reduction (`_reduce`:
-unit-diagonal scaling, checked Cholesky, C = L^{-1} A L^{-T} by two LU
-solves). The solver reduces each mode's pencil once and keeps the reduced
-matrix C; its values are `eigvalsh` of C (`_eigen`). L is lower triangular,
-so the leading blocks of C are the reduced leading blocks of the pencil, and
-the values at every smaller nested basis are `eigvalsh` of those blocks,
-with no second factorization or solve (a stack of equal-order blocks in one
-call; LAPACK runs once per matrix, so each row equals its block solved
-alone). The vectors path `generalized_sym_eigen`, kept for tests and
-acceptance criterion 7, checks and symmetrizes array-likes, ends in `eigh`
-and maps the vectors back. Both keep the two solves against L: on the
-inverted clamped n=5, p=3, theta0=2.6, l=7 pencil at N=32 they agree to
-~1e-15 relative in the first 8 lambda, while forming inv(L) explicitly
-moves those values by up to 1.5e-5.
+Pencils are plain arrays, or stacks of them along a leading axis, one per
+angular mode of a block. One `_reduce` call scales to unit diagonal,
+factors (LAPACK's Cholesky, checked against the pivot threshold below) and
+reduces the whole stack to C = L^{-1} A L^{-T} by two LU solves
+(`numpy.linalg.solve`), and one `eigvalsh` call (`_eigen`) gives the values
+of every C, inverted to lambda = 1/mu with their roundoff floor
+(`_inverted`). LAPACK runs once per matrix of a stack, so each C and its
+values equal those of its pencil alone; a stack whose factor fails raises
+for its first failing pencil. L is lower triangular, so the leading blocks
+of C are the reduced leading blocks of the pencil, and the values at every
+smaller nested basis are `eigvalsh` of those blocks (`_leading_values`),
+with no second factorization or solve. The vectors path
+`generalized_sym_eigen`, kept for tests and acceptance criterion 7, checks
+and symmetrizes array-likes, ends in `eigh` and maps the vectors back. Both
+keep the two solves against L: on the inverted clamped n=5, p=3,
+theta0=2.6, l=7 pencil at N=32 they agree to ~1e-15 relative in the first
+8 lambda, while forming inv(L) explicitly moves those values by up to 1.5e-5.
 
 Tolerances:
   - Cholesky pivot failure: pivot diag(L)^2 <= order * 1e-14 * max(diag),
@@ -46,9 +44,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotPositiveDefinite, ValidationError
+from .errors import NoConvergence, NotPositiveDefinite, NumericalError, ValidationError
 
 PIVOT_RELATIVE = 1e-14
+ROUNDOFF_MU = 4  # the roundoff band of a radial mu at or below 0 (see _inverted)
 
 
 @dataclass(frozen=True)
@@ -92,23 +91,24 @@ def _symmetrized(mat) -> np.ndarray:
 def _reduce(a, b):
     """(C, L, d) of the scaled Cholesky reduction of A x = lambda B x.
 
-    a and b are exactly symmetric arrays of one order. d = diag(B)^{-1/2}
-    scales both operands to unit diagonal of B, the scaled B is L L^T
-    (pivot-checked), and C = L^{-1} A L^{-T} is symmetrized. L is lower
-    triangular, so the leading c-by-c blocks of L and C are the factor and
-    the reduced matrix of the pencil's leading c-by-c blocks.
+    a and b are exactly symmetric arrays of one order, or stacks of them
+    along a leading axis. d = diag(B)^{-1/2} scales both operands to unit
+    diagonal of B, the scaled B is L L^T (pivot-checked), and
+    C = L^{-1} A L^{-T} is symmetrized. L is lower triangular, so the
+    leading c-by-c blocks of L and C are the factor and the reduced matrix
+    of the pencil's leading c-by-c blocks.
     """
     if a.shape != b.shape:
         raise ValidationError(f"operand orders differ: {a.shape[-1]} vs {b.shape[-1]}")
-    diag = b.diagonal()
+    diag = b.diagonal(axis1=-2, axis2=-1)
     # a pencil that is not positive definite keeps unit scaling; the pivot
     # check then says so
-    d = 1.0 / np.sqrt(diag if np.all(diag > 0.0) else np.ones_like(diag))
-    scale = d[:, None] * d[None, :]
+    d = 1.0 / np.sqrt(np.where(np.all(diag > 0.0, axis=-1, keepdims=True), diag, 1.0))
+    scale = d[..., :, None] * d[..., None, :]
     low = _checked_cholesky(b * scale)
     half = np.linalg.solve(low, a * scale)
-    c = np.linalg.solve(low, half.T)
-    return (c + c.T) / 2.0, low, d
+    c = np.linalg.solve(low, np.swapaxes(half, -1, -2))
+    return (c + np.swapaxes(c, -1, -2)) / 2.0, low, d
 
 
 def _eigen(c, vectors: bool):
@@ -121,18 +121,43 @@ def _eigen(c, vectors: bool):
         raise NoConvergence(f"LAPACK {name} did not converge: {err}") from None
 
 
-def _checked_cholesky(b):
-    """Lower Cholesky factor of exactly symmetric b, pivot-checked.
+def _leading_values(reduced, modes, size: int) -> list:
+    """Radial values of each listed mode l at basis size `size`, from the leading
+    size-by-size blocks of reduced[l] in one stacked values-only call."""
+    mu = _eigen(np.array([reduced[l][:size, :size] for l in modes]), vectors=False)
+    return [_inverted(row, l) for row, l in zip(mu, modes)]
 
-    LAPACK factors b; the factor is accepted only if every pivot diag(L)^2
-    exceeds order * 1e-14 * max(diag), a test LAPACK itself applies only
-    against 0. On failure the first bad pivot is found by bisection over
-    leading blocks, whose pivots are the leading pivots of b.
+
+def _inverted(mu, l: int) -> np.ndarray:
+    """Ascending lambda = 1/mu from the ascending mu of mode l.
+
+    The smallest mu belong to the largest lambda, which no solve reports; on
+    an ill-conditioned pencil they sink to the roundoff floor, where their
+    sign is that of a rounding error. A mu at or below 0 by at most
+    ROUNDOFF_MU * size * eps * mu_max is taken as such roundoff, with lambda
+    inf; a mu further below, or a nonpositive mu_max, is refused.
     """
-    n = b.shape[0]
-    maxdiag = float(np.max(b.diagonal())) if n else 0.0
-    threshold = n * PIVOT_RELATIVE * maxdiag
+    mu = mu[::-1]
+    floor = -ROUNDOFF_MU * len(mu) * np.finfo(float).eps * float(mu[0])
+    if not (float(mu[0]) > 0.0 and float(mu[-1]) >= floor):
+        raise NumericalError(
+            f"nonpositive radial eigenvalue (1/mu with mu = {mu[-1]:.6e}) at mode {l}")
+    lam = np.full(len(mu), np.inf)
+    return np.divide(1.0, mu, out=lam, where=mu > 0.0)
+
+
+def _checked_cholesky(b):
+    """Lower Cholesky factor of exactly symmetric b, or of each matrix of a
+    stack, pivot-checked: LAPACK factors b, and the factor is accepted only
+    if every pivot diag(L)^2 exceeds order * 1e-14 * max(diag), a test LAPACK
+    itself applies only against 0. On failure the first bad pivot is found
+    by bisection over leading blocks, whose pivots are the leading pivots of
+    b; a stack that fails raises for its first failing matrix."""
+    n = b.shape[-1]
+    threshold = n * PIVOT_RELATIVE * (np.max(b.diagonal(axis1=-2, axis2=-1), axis=-1) if n else 0.0)
     low = _factor_above(b, threshold)
+    if low is None and b.ndim > 2:
+        return np.array([_checked_cholesky(one) for one in b])
     if low is None:
         good, bad = 0, n  # leading blocks of order `good` pass, of order `bad` fail
         while bad - good > 1:
@@ -146,10 +171,11 @@ def _checked_cholesky(b):
 
 
 def _factor_above(b, threshold):
-    """LAPACK's lower Cholesky factor of b, or None if a pivot is at or
-    below threshold (LAPACK stops at the first one at or below 0)."""
+    """LAPACK's lower Cholesky factor of b (or a stack), or None if a pivot
+    is at or below threshold (LAPACK stops at the first one at or below 0)."""
     try:
         low = np.linalg.cholesky(b)
     except np.linalg.LinAlgError:
         return None
-    return low if np.all(low.diagonal() ** 2 > threshold) else None
+    pivots = low.diagonal(axis1=-2, axis2=-1) ** 2
+    return low if np.all(pivots > np.asarray(threshold)[..., None]) else None

@@ -60,21 +60,21 @@ def multiplicity(l: int, n: int) -> int:
     return (2 * l + n - 2) * math.comb(l + n - 3, l) // (n - 2)
 
 
-def operator_coeffs(jet: np.ndarray, l: int, n: int, half_width: float,
+def operator_coeffs(jet: np.ndarray, l, n: int, half_width: float,
                     s: np.ndarray) -> np.ndarray:
     """D_{l,n} applied to a jet at the nodes s, for the cap of the given
     half-width: jet[..., k, :] holds the k-th s-derivative of f at s, and the
     result holds those of D_{l,n} f, two orders fewer.
 
     Row k of the result is D_{l+k,n} applied to f^(k), by the shift identity
-    (see the module docstring).
+    (see the module docstring); l may be a mode array broadcast against jet[..., 0, 0].
     """
     a = float(half_width)
     one_minus_s = 1.0 - s
     c2 = one_minus_s * (2.0 - a * one_minus_s) / a  # (1 - x^2) / a^2
     c1 = (1.0 - a * one_minus_s) / a  # x / a
-    lk = np.arange(l, l + jet.shape[-2] - 2, dtype=float)[:, None]
-    out = c2 * jet[..., 2:, :]
-    out -= ((2.0 * lk + n) * c1) * jet[..., 1:-1, :]
+    lk = (np.asarray(l, dtype=float)[..., None] + np.arange(jet.shape[-2] - 2))[..., None]
+    out = ((2.0 * lk + n) * c1) * jet[..., 1:-1, :]  # first: it has the mode axis too
+    np.subtract(c2 * jet[..., 2:, :], out, out=out)
     out -= (lk * (lk + (n - 1))) * jet[..., :-2, :]
     return out

@@ -1,4 +1,4 @@
-"""Per-mode Galerkin assembly and the merged cap spectrum.
+"""Galerkin assembly of the angular modes and the merged cap spectrum.
 
 For a cap of radius theta0 and mode l, trial functions are
 
@@ -22,24 +22,35 @@ per node count serves every mode of a solve; the polynomial factor
 (1 - s)^j and the smooth factor (1 + x)^gamma are folded into the effective
 weight. Every factor is formed from a = sin(theta0/2)^2, never from the
 rounded x0, which would cost a small cap ~1e-16/theta0^2 relative.
-Assemblies are validated by node doubling.
+Assemblies are validated by node doubling. The jets of the trial functions
+(their s-derivatives to order 2 top, top the most applications of D a form
+needs) are sampled once per solve at both rules' nodes.
 
-The forms are assembled at the nodes. The jets of the trial functions (their
-s-derivatives to order 2 top, top the most applications of D a form needs)
-are sampled once per solve at both rules' nodes and serve every mode; each
-mode applies D to them point by point (capspec.radial.operator_coeffs).
+Modes are solved in blocks: one pass applies D to the jets of every mode of
+a block (capspec.radial.operator_coeffs with a mode axis) and forms their
+forms in stacked products, one stacked call reduces each inverted pencil
+B x = mu A x, lambda = 1/mu, to C = L^{-1} B L^{-T}, A = L L^T, and one
+stacked eigvalsh gives the values of every C (see capspec.linalg; a mode
+gets the same bytes in any block). The first block is modes 0 .. L, clipped
+to the mode cap and to BLOCK_JET_ENTRIES floats of images; every later block
+is one mode. In the flat limit the values of mode l are powers of the Bessel
+zeros j_{nu,k}, nu = l + (n-2)/2, spaced by McMahon's expansion (DLMF
+10.21.19) as (k + nu/2 - 1/4) pi: raising l by 2 costs one more radial zero.
+So the least L with sum_{l<L} mult(l, n) (floor((L-1-l)/2) + 1) >= K counts
+the modes holding the first K values, and mode L is the first whose ground
+value can clear the K-th. The modes are walked in order under the one-mode
+rules (asymmetry warning, health maxima, ground-drop check, 5% sufficiency
+rule, mode cap); if a mode of the first block warns or fails, the block is
+dropped and its modes are solved one at a time as the walk reaches them, so
+a mode past the stop has no effect. The spectrum merges modes by value (ties
+by (radial_index, l)) and expands each by its mode's harmonic multiplicity.
 
-Each mode's inverted pencil B x = mu A x, lambda = 1/mu, is reduced once
-to the symmetric matrix C = L^{-1} B L^{-T}, A = L L^T (see capspec.linalg),
-and its values are those of C; the spectrum merges modes by value (ties
-broken by (radial_index, l)) and expands each by the harmonic multiplicity
-of its mode. Since q_j does not depend on N, the forms of a smaller basis
-are leading blocks of the forms of a larger one, and since L is lower
-triangular, so are their reduced matrices. One assembly and one reduction
-per mode at the largest size thus serve every size a run needs: the
-companion at basis N - 4 and each row of a convergence study are the
-eigenvalues of leading blocks of C, those of all their modes in one stacked
-call.
+Since q_j does not depend on N, the forms of a smaller basis are leading
+blocks of the forms of a larger one, and since L is lower triangular, so are
+their reduced matrices. One assembly and one reduction per mode at the
+largest size thus serve every size a run needs: the companion at basis N - 4
+and each row of a convergence study are the eigenvalues of leading blocks of
+C, those of all their modes in one stacked call.
 """
 
 from __future__ import annotations
@@ -55,13 +66,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import (
+    CapspecError,
     ModeCapTooSmall,
     MonotonicityViolation,
     NumericalError,
     QuadratureNotConverged,
     ValidationError,
 )
-from .linalg import _eigen, _reduce
+from .linalg import ROUNDOFF_MU, _leading_values, _reduce
 from .quadrature import MAX_NODES, gauss_jacobi_rule
 from .radial import MAX_DIMENSION, multiplicity, operator_coeffs, shown
 
@@ -69,9 +81,6 @@ QUAD_DOUBLING_REL = 1e-11
 ASYMMETRY_WARN = 1e-8
 MODE_SAFETY = 1.05
 MONOTONE_SLACK = 1e-10
-# a radial mu at or below 0 by at most this * size * eps * mu_max is taken
-# as roundoff (see _inverted)
-ROUNDOFF_MU = 4
 COMPANION_DROP = 4
 # size limits, checked before anything is allocated: the doubled rule has
 # 2 * quad_base <= MAX_NODES nodes (the automatic base always fits), and the
@@ -80,6 +89,7 @@ COMPANION_DROP = 4
 MAX_BASIS_SIZE = 512
 MAX_ORDER = 64
 MAX_JET_ENTRIES = 2**23
+BLOCK_JET_ENTRIES = 2**19  # the first block's images fit in this many floats (4 MB)
 
 
 class Problem(str, enum.Enum):
@@ -91,16 +101,22 @@ def _checked_problem(problem, n, p) -> Problem:
     """Problem(problem), once n is an integer >= 2 and p an integer at or
     above the problem's least order (2 for buckling, 1 for clamped)."""
     problem = Problem(problem)
-    if not (isinstance(n, (int, np.integer)) and n >= 2):
-        raise ValidationError(f"dimension must be an integer >= 2, got {n!r}")
-    if n > MAX_DIMENSION:
-        raise ValidationError(f"dimension must be at most {MAX_DIMENSION}, got {shown(n)}")
+    _require(_is_int(n) and n >= 2, f"dimension must be an integer >= 2, got {n!r}")
+    _require(n <= MAX_DIMENSION, f"dimension must be at most {MAX_DIMENSION}, got {shown(n)}")
     min_p = 2 if problem is Problem.BUCKLING else 1
-    if not (isinstance(p, (int, np.integer)) and p >= min_p):
-        raise ValidationError(
-            f"order must be an integer >= {min_p} for {problem.value}, got {p!r}"
-        )
+    _require(_is_int(p) and p >= min_p,
+             f"order must be an integer >= {min_p} for {problem.value}, got {p!r}")
     return problem
+
+
+def _is_int(value) -> bool:
+    """value is an integer and not a bool (which Python counts as one)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValidationError(message)
 
 
 @dataclass(frozen=True)
@@ -124,48 +140,30 @@ class SolverConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "problem", _checked_problem(self.problem, self.n, self.p))
-        if self.p > MAX_ORDER:
-            raise ValidationError(f"order must be at most {MAX_ORDER} for a solve, got {self.p}")
-        if not (
-            isinstance(self.theta0, (int, float)) and 0.0 < float(self.theta0) < math.pi
-        ):
-            raise ValidationError(f"cap radius must lie in (0, pi), got {self.theta0!r}")
+        _require(self.p <= MAX_ORDER,
+                 f"order must be at most {MAX_ORDER} for a solve, got {self.p}")
+        _require(isinstance(self.theta0, (int, float)) and 0.0 < float(self.theta0) < math.pi,
+                 f"cap radius must lie in (0, pi), got {self.theta0!r}")
         object.__setattr__(self, "theta0", float(self.theta0))
-        if math.cos(self.theta0) == 1.0:
-            raise ValidationError(
-                f"cap radius {self.theta0!r} is too small: its cosine rounds to 1")
-        if not (isinstance(self.requested_count, (int, np.integer)) and self.requested_count >= 1):
-            raise ValidationError(
-                f"requested count must be a positive integer, got {self.requested_count!r}"
-            )
-        if not (
-            isinstance(self.basis_size, (int, np.integer))
-            and self.basis_size >= self.requested_count
-        ):
-            raise ValidationError(
-                f"basis size must be an integer >= requested count "
-                f"({self.requested_count}), got {self.basis_size!r}"
-            )
-        if self.basis_size > MAX_BASIS_SIZE:
-            raise ValidationError(
-                f"basis size must be at most {MAX_BASIS_SIZE}, got {self.basis_size}")
-        if self.mode_cap is not None and not (
-            isinstance(self.mode_cap, (int, np.integer)) and self.mode_cap >= 0
-        ):
-            raise ValidationError(f"mode cap must be None or an integer >= 0, got {self.mode_cap!r}")
-        if self.quad_size is not None and not (
-            isinstance(self.quad_size, (int, np.integer))
-            and 2 <= self.quad_size <= MAX_NODES // 2
-        ):
-            raise ValidationError(
-                f"quadrature size must be None or an integer in 2..{MAX_NODES // 2} "
-                f"(doubled to at most {MAX_NODES} nodes), got {self.quad_size!r}"
-            )
-        entries = _jet_orders(self) * self.basis_size * 3 * self.quad_base
-        if entries > MAX_JET_ENTRIES:
-            raise ValidationError(
-                f"order {self.p} at basis size {self.basis_size} with {self.quad_base} "
-                f"quadrature nodes needs {entries} jet samples, more than {MAX_JET_ENTRIES}")
+        _require(math.cos(self.theta0) != 1.0,
+                 f"cap radius {self.theta0!r} is too small: its cosine rounds to 1")
+        _require(_is_int(self.requested_count) and self.requested_count >= 1,
+                 f"requested count must be a positive integer, got {self.requested_count!r}")
+        _require(_is_int(self.basis_size) and self.basis_size >= self.requested_count,
+                 f"basis size must be an integer >= requested count "
+                 f"({self.requested_count}), got {self.basis_size!r}")
+        _require(self.basis_size <= MAX_BASIS_SIZE,
+                 f"basis size must be at most {MAX_BASIS_SIZE}, got {self.basis_size}")
+        _require(self.mode_cap is None or (_is_int(self.mode_cap) and self.mode_cap >= 0),
+                 f"mode cap must be None or an integer >= 0, got {self.mode_cap!r}")
+        _require(self.quad_size is None or (
+            _is_int(self.quad_size) and 2 <= self.quad_size <= MAX_NODES // 2),
+            f"quadrature size must be None or an integer in 2..{MAX_NODES // 2} "
+            f"(doubled to at most {MAX_NODES} nodes), got {self.quad_size!r}")
+        entries = _jet_entries(self)
+        _require(entries <= MAX_JET_ENTRIES,
+                 f"order {self.p} at basis size {self.basis_size} with {self.quad_base} "
+                 f"quadrature nodes needs {entries} jet samples, more than {MAX_JET_ENTRIES}")
 
     @property
     def half_width(self) -> float:
@@ -224,39 +222,39 @@ def expanded(entries, count=None) -> list:
     return values
 
 
-def assemble_mode(cfg: SolverConfig, l: int):
-    """(A, B, health): the stiffness-like and mass-like forms of mode l,
-    doubling-validated, symmetrized and read-only.
-
-    Forms past the float range (a non-finite entry, with no overflow
-    warning, or all zero) raise ValidationError; forms that move by more
-    than 1e-11 of their scale under node doubling raise
-    QuadratureNotConverged. health holds the worst asymmetry defect
-    max|M - M^T| / max|M| and the worst relative doubling gap.
-    """
+def assemble_modes(cfg: SolverConfig, modes):
+    """(forms, health) of the listed modes (an integer array, or one mode):
+    their stiffness and mass forms, doubling-validated, symmetrized, read-only
+    and shaped np.shape(modes) + (2, N, N), and per mode the worst asymmetry
+    defect max|M - M^T| / max|M| and relative doubling gap. Forms past the
+    float range (a non-finite entry, with no overflow warning, or all zero)
+    raise ValidationError, forms moving by over 1e-11 of their scale under node
+    doubling QuadratureNotConverged."""
     base = cfg.quad_base
     with np.errstate(over="ignore", invalid="ignore"):
-        coarse, fine = _raw_forms(cfg, l)
-    if not (np.all(np.isfinite(coarse)) and np.all(np.isfinite(fine))):
-        raise ValidationError("matrix entries must be finite")
-    # both forms at once, stacked (stiffness, mass)
-    scales = np.max(np.abs(fine), axis=(1, 2))
-    gaps = np.max(np.abs(coarse - fine), axis=(1, 2))
-    for tag, scale, gap in zip(("stiffness", "mass"), scales.tolist(), gaps.tolist()):
+        coarse, fine = _raw_forms(cfg, modes)
+    _require(np.isfinite(coarse).all() and np.isfinite(fine).all(), "matrix entries must be finite")
+    scales = np.max(np.abs(fine), axis=(-2, -1))
+    gaps = np.max(np.abs(coarse - fine), axis=(-2, -1))
+    labels = itertools.product(np.ravel(modes).tolist(), ("stiffness", "mass"))
+    for (l, tag), scale, gap in zip(labels, scales.ravel().tolist(), gaps.ravel().tolist()):
         if scale == 0.0:
-            raise ValidationError(
-                f"{tag} form of mode {l} underflows to zero in double precision")
+            raise ValidationError(f"{tag} form of mode {l} underflows to zero in double precision")
         if gap > QUAD_DOUBLING_REL * scale:
-            raise QuadratureNotConverged(
-                f"{tag} form moved by {gap:.3e} (scale {scale:.3e}) "
-                f"under node doubling {base} -> {2 * base} at mode {l}"
-            )
-    fine_t = np.swapaxes(fine, 1, 2)
-    defects = np.max(np.abs(fine - fine_t), axis=(1, 2)) / scales
-    health = {"max_form_asymmetry": float(np.max(defects)),
-              "quad_doubling_gap": float(np.max(gaps / scales))}
+            raise QuadratureNotConverged(f"{tag} form moved by {gap:.3e} (scale {scale:.3e}) under "
+                                         f"node doubling {base} -> {2 * base} at mode {l}")
+    fine_t = np.swapaxes(fine, -1, -2)
+    defects = np.max(np.abs(fine - fine_t), axis=(-2, -1)) / scales
+    health = [{"max_form_asymmetry": d, "quad_doubling_gap": g} for d, g in zip(
+        np.max(defects, axis=-1).ravel().tolist(), np.max(gaps / scales, axis=-1).ravel().tolist())]
     forms = (fine + fine_t) / 2.0
     forms.flags.writeable = False
+    return forms, health
+
+
+def assemble_mode(cfg: SolverConfig, l: int):
+    """(A, B, health) of mode l: the one-mode case of `assemble_modes`."""
+    forms, (health,) = assemble_modes(cfg, l)
     return forms[0], forms[1], health
 
 
@@ -275,32 +273,38 @@ def _jet_orders(cfg: SolverConfig) -> int:
     return 2 * max(k for _, _, k in _form_orders(cfg)) + 1
 
 
-def _raw_forms(cfg: SolverConfig, l: int):
-    """The stiffness and mass forms of mode l under the base rule and the
-    doubled rule, each stacked (2, N, N).
+def _jet_entries(cfg: SolverConfig) -> int:
+    """Floats in the trial jets at both rules' nodes, as in one mode's images."""
+    return _jet_orders(cfg) * cfg.basis_size * 3 * cfg.quad_base
 
-    D is applied to the trial jets at both rules' nodes at once; only row 0
-    of each image is kept, as a copy, so no image outlives its use.
-    """
+
+def _raw_forms(cfg: SolverConfig, modes):
+    """The stiffness and mass forms of the modes (an integer array, or one
+    mode) under the base rule and the doubled rule, each shaped
+    np.shape(modes) + (2, N, N). D is applied to the trial jets of every
+    mode at both rules' nodes at once; only row 0 of each image is kept, as
+    a copy, so no image outlives its use."""
     a = cfg.half_width
     base = cfg.quad_base
     gamma0 = cfg.n % 2 / 2.0
-    shift = l + (cfg.n - 2) // 2
-    gamma = gamma0 + shift
     s, w = _shared_rule(gamma0, base)
-    eff_w = w * a ** (gamma + 1.0) * (1.0 - s) ** shift * (2.0 - a * (1.0 - s)) ** gamma
+    one_minus_s = 1.0 - s
+    wide = 2.0 - a * one_minus_s  # 1 + x
+    eff_w = np.reshape([w * a ** (gamma0 + j + 1.0) * one_minus_s ** j * wide ** (gamma0 + j)
+                        for j in (l + (cfg.n - 2) // 2 for l in np.ravel(modes).tolist())],
+                       np.shape(modes) + (1, -1))
     jets = _trial_jets(cfg.p, cfg.basis_size, a, gamma0, base, _jet_orders(cfg))
     forms = _form_orders(cfg)
     used = {i for _, i, _ in forms} | {k for _, _, k in forms}
     sampled = {0: jets[:, 0]}
     image = jets
     for order in range(1, max(used) + 1):
-        image = operator_coeffs(image, l, cfg.n, a, s)
+        image = operator_coeffs(image, np.expand_dims(modes, -1), cfg.n, a, s)
         if order in used:
-            sampled[order] = image[:, 0].copy()
+            sampled[order] = image[..., 0, :].copy()
     return tuple(
-        np.array([(sampled[i][:, part] * (sign * eff_w[part])) @ sampled[k][:, part].T
-                  for sign, i, k in forms])
+        np.stack([(sampled[i][..., part] * (sign * eff_w[..., part]))
+                  @ np.swapaxes(sampled[k][..., part], -1, -2) for sign, i, k in forms], axis=-3)
         for part in (slice(0, base), slice(base, None)))
 
 
@@ -344,57 +348,33 @@ def _trial_jets(p: int, basis_size: int, half_width: float, gamma0: float, base:
     return jets
 
 
+def _solve_block(cfg: SolverConfig, modes, strict: bool = False) -> list:
+    """(values, reduced, health) of each listed mode (radial values ascending,
+    the reduced matrix read-only), raising the first error of any mode. A form
+    asymmetry past ASYMMETRY_WARN warns; with `strict` it raises NumericalError,
+    and overflow, invalid values and division by zero raise FloatingPointError."""
+    with np.errstate(**dict.fromkeys(("over", "invalid", "divide"), "raise" if strict else None)):
+        forms, health = assemble_modes(cfg, modes)
+        for l, defect in zip(modes, (h["max_form_asymmetry"] for h in health)):
+            if defect > ASYMMETRY_WARN:
+                text = f"form asymmetry defect {defect:.3e} at mode {l} exceeds {ASYMMETRY_WARN:g}"
+                if strict:
+                    raise NumericalError(text)
+                warnings.warn(text, RuntimeWarning, stacklevel=4)
+        reduced, _, _ = _reduce(forms[:, 1], forms[:, 0])
+        reduced.flags.writeable = False
+        values = _leading_values(dict(zip(modes, reduced)), modes, cfg.basis_size)
+    return list(zip(values, reduced, health))
+
+
 def _solve_mode(cfg: SolverConfig, l: int):
-    """All radial eigenvalues of mode l (ascending), the read-only reduced
-    matrix C of its inverted pencil B x = mu A x, and its health numbers
-    from `assemble_mode`.
-
-    The wanted smallest lambda are the largest mu, which the eigensolver
-    resolves to full relative accuracy on these graded pencils.
-    """
-    a, b, health = assemble_mode(cfg, l)
-    defect = health["max_form_asymmetry"]
-    if defect > ASYMMETRY_WARN:
-        warnings.warn(f"form asymmetry defect {defect:.3e} at mode {l} exceeds "
-                      f"{ASYMMETRY_WARN:g}", RuntimeWarning, stacklevel=3)
-    reduced, _, _ = _reduce(b, a)
-    reduced.flags.writeable = False
-    (values,) = _leading_values({l: reduced}, [l], cfg.basis_size)
-    return values, reduced, health
-
-
-def _leading_values(reduced, modes, size: int) -> list:
-    """Radial values of each listed mode at basis size `size`: the
-    eigenvalues of the leading size-by-size blocks of the modes' reduced
-    matrices, which are the reduced leading blocks of their pencils, in one
-    stacked values-only call."""
-    mu = _eigen(np.array([reduced[l][:size, :size] for l in modes]), vectors=False)
-    return [_inverted(row, l) for row, l in zip(mu, modes)]
-
-
-def _inverted(mu, l: int) -> np.ndarray:
-    """Ascending lambda = 1/mu from the ascending mu of mode l.
-
-    The smallest mu belong to the largest lambda, which no solve reports;
-    on an ill-conditioned pencil they sink to the roundoff floor, where
-    their sign is that of a rounding error. A mu at or below 0 but no
-    further below than ROUNDOFF_MU * size * eps * mu_max is taken as such
-    roundoff: its lambda is inf, past every reported value (see
-    `_reportable`). A mu further below, or a nonpositive mu_max, is refused.
-    """
-    mu = mu[::-1]
-    floor = -ROUNDOFF_MU * len(mu) * np.finfo(float).eps * float(mu[0])
-    if not (float(mu[0]) > 0.0 and float(mu[-1]) >= floor):
-        raise NumericalError(
-            f"nonpositive radial eigenvalue (1/mu with mu = {mu[-1]:.6e}) at mode {l}"
-        )
-    lam = np.full(len(mu), np.inf)
-    return np.divide(1.0, mu, out=lam, where=mu > 0.0)
+    """(values, reduced, health) of mode l: the one-mode case of `_solve_block`."""
+    return _solve_block(cfg, [l])[0]
 
 
 def _reportable(values, what: str):
     """values, unless one is the inf of a radial value lost to roundoff
-    (see `_inverted`), which no written value may carry."""
+    (see `linalg._inverted`), which no written value may carry."""
     if not np.all(np.isfinite(values)):
         raise NumericalError(
             f"{what} needs a radial eigenvalue lost to roundoff (1/mu with mu within "
@@ -418,41 +398,36 @@ def solve_spectrum(cfg: SolverConfig) -> Spectrum:
     companion = _companion_basis(cfg)
     mode_values, reduced, health, records = _solve_modes(cfg)
     estimates = _convergence_estimates(records, reduced, companion)
-    entries = tuple(
-        SpectrumEntry(value=float(v), l=l, radial_index=j, multiplicity=multiplicity(l, cfg.n))
-        for v, l, j in records
-    )
-    diagnostics = {
+    entries = tuple(SpectrumEntry(value=float(v), l=l, radial_index=j,
+                                  multiplicity=multiplicity(l, cfg.n)) for v, l, j in records)
+    return Spectrum(config=cfg, entries=entries, diagnostics={
         **health,
         "convergence": estimates,
         "l_max": len(mode_values) - 1,
         "quad_size": cfg.quad_base,
         "basis_companion": companion,
         "lambda1_guard_ok": bool(entries[0].value > cfg.n - 2),
-    }
-    return Spectrum(config=cfg, entries=entries, diagnostics=diagnostics)
+    })
 
 
 def _solve_modes(cfg: SolverConfig):
-    """Solve modes 0, 1, ... until the last ground value clears the K-th
-    merged value by 5%; returns (values, reduced, health, records), where
-    values[l] and reduced[l] are mode l's radial values and reduced matrix,
-    health holds the worst health numbers and records is the final `_merge`
-    of the values, each mode's records inserted into it once. Raises
-    ModeCapTooSmall if a ground value drops or the mode cap comes first."""
+    """Walk the modes of `_blocks` until the last ground value clears the
+    K-th merged value by 5%; returns (values, reduced, health, records),
+    where values[l] and reduced[l] are mode l's radial values and reduced
+    matrix, health holds the worst health numbers and records is the final
+    `_merge` of the values, each mode's records inserted into it once.
+    Raises ModeCapTooSmall if a ground value drops or the mode cap comes first."""
     want = cfg.requested_count
     hard_cap = cfg.mode_cap if cfg.mode_cap is not None else max(64, 2 * want + 8)
     values, reduced, worst, merger = [], [], {}, _Merger(cfg.n, want)
-    for l in itertools.count():
-        radial_values, mode_reduced, health = _solve_mode(cfg, l)
+    for l, (radial_values, mode_reduced, health) in enumerate(_blocks(cfg, hard_cap)):
         for key, value in health.items():
             worst[key] = max(worst.get(key, 0.0), value)
         ground = float(radial_values[0])
         if values and ground < float(values[-1][0]) * (1.0 - 1e-12):
             raise ModeCapTooSmall(
                 f"per-mode ground value dropped from {values[-1][0]:.6e} to {ground:.6e} "
-                f"at mode {l}; the sufficiency rule does not apply"
-            )
+                f"at mode {l}; the sufficiency rule does not apply")
         values.append(radial_values)
         reduced.append(mode_reduced)
         merger.add(radial_values)
@@ -463,8 +438,22 @@ def _solve_modes(cfg: SolverConfig):
         if l >= hard_cap:
             raise ModeCapTooSmall(
                 f"modes 0..{l} cannot certify the first {want} eigenvalues "
-                f"(need last ground value > {MODE_SAFETY:g} * K-th merged value)"
-            )
+                f"(need last ground value > {MODE_SAFETY:g} * K-th merged value)")
+
+
+def _blocks(cfg: SolverConfig, cap: int):
+    """`_solve_block`'s solutions of modes 0, 1, ...: the first block, then one
+    mode at a time (see the module docstring)."""
+    count = next((c for c in range(1, cap + 1) if cfg.requested_count <= sum(
+        multiplicity(l, cfg.n) * ((c - 1 - l) // 2 + 1) for l in range(c))), cap)
+    first = range(min(count + 1, max(1, BLOCK_JET_ENTRIES // _jet_entries(cfg))))
+    try:
+        block = _solve_block(cfg, first, strict=True)
+    except (CapspecError, FloatingPointError):
+        block = []
+    yield from block
+    for l in itertools.count(len(block)):
+        yield from _solve_block(cfg, [l])
 
 
 def _merge(mode_values, n: int, want: int):
@@ -479,10 +468,7 @@ def _merge(mode_values, n: int, want: int):
     radial indices below `want` are read: a later one has `want` records of
     its own mode before it in both orders, so no cut reaches it.
     """
-    merger = _Merger(n, want)
-    for values in mode_values:
-        merger.add(values)
-    return merger.covering()
+    return _Merger(n, want, mode_values).covering()
 
 
 class _Merger:
@@ -492,9 +478,11 @@ class _Merger:
     values are indistinguishable, so insertion gives the orders a sort of
     all records gives."""
 
-    def __init__(self, n: int, want: int):
+    def __init__(self, n: int, want: int, mode_values=()):
         self.n, self.want, self.modes = n, want, 0
         self.keys, self.labels, self.values = [], [], []
+        for values in mode_values:
+            self.add(values)
 
     def add(self, values):
         """Insert the radial values of the next mode."""
@@ -539,11 +527,8 @@ def _companion_basis(cfg: SolverConfig) -> int:
     """N - 4, the basis size of the companion solve; a basis of 4 or less
     has none and is refused."""
     companion = cfg.basis_size - COMPANION_DROP
-    if companion < 1:
-        raise ValidationError(
-            f"basis size {cfg.basis_size} leaves no companion basis for the convergence "
-            f"estimates; it must exceed {COMPANION_DROP}"
-        )
+    _require(companion >= 1, f"basis size {cfg.basis_size} leaves no companion basis for the "
+                             f"convergence estimates; it must exceed {COMPANION_DROP}")
     return companion
 
 
@@ -557,11 +542,8 @@ def _convergence_estimates(records, reduced, companion: int):
     whose companion value is lost to roundoff is refused with NumericalError.
     """
     for _, l, j in records:
-        if j >= companion:
-            raise ValidationError(
-                f"entry (l={l}, radial index {j}) has no convergence estimate: the "
-                f"companion basis {companion} (basis - {COMPANION_DROP}) is too small"
-            )
+        _require(j < companion, f"entry (l={l}, radial index {j}) has no convergence estimate: "
+                 f"the companion basis {companion} (basis - {COMPANION_DROP}) is too small")
     modes = sorted({l for _, l, _ in records})
     coarse = dict(zip(modes, _leading_values(reduced, modes, companion)))
     return _reportable([abs(float(coarse[l][j]) - v) / v for v, l, j in records],
@@ -592,31 +574,23 @@ def convergence_study(cfg: SolverConfig, basis_sizes) -> ConvergenceStudy:
     MonotonicityViolation. Estimates are |last - previous| / last per index.
     """
     sizes = [int(b) for b in basis_sizes]
-    if len(sizes) < 2:
-        raise ValidationError("need at least two basis sizes")
-    if any(b <= 0 for b in sizes) or any(
-        sizes[i] > sizes[i + 1] for i in range(len(sizes) - 1)
-    ):
-        raise ValidationError(f"basis sizes must be positive and ascending, got {sizes}")
+    _require(len(sizes) >= 2, "need at least two basis sizes")
+    _require(min(sizes) > 0 and sizes == sorted(sizes),
+             f"basis sizes must be positive and ascending, got {sizes}")
     replace(cfg, basis_size=sizes[0])  # every size must be >= requested_count
     want = cfg.requested_count
     _, reduced, _, top = _solve_modes(replace(cfg, basis_size=sizes[-1]))
-    modes = range(len(reduced))
     rows = []
     for size in sizes:
         records = top if size == sizes[-1] else _merge(
-            _leading_values(reduced, modes, size), cfg.n, want)
+            _leading_values(reduced, range(len(reduced)), size), cfg.n, want)
         rows.append([v for v, l, _ in records for _ in range(multiplicity(l, cfg.n))][:want])
 
     values = _reportable(np.array(rows), "a convergence study row")
-    for t in range(1, len(sizes)):
-        jump = values[t] - values[t - 1]
-        worst = float(np.max(jump))
-        if worst > MONOTONE_SLACK:
-            idx = int(np.argmax(jump))
+    for t, jump in enumerate(np.diff(values, axis=0), 1):
+        if jump.max() > MONOTONE_SLACK:
             raise MonotonicityViolation(
-                f"eigenvalue {idx + 1} increased by {worst:.3e} when the basis "
-                f"grew from {sizes[t - 1]} to {sizes[t]}"
-            )
+                f"eigenvalue {jump.argmax() + 1} increased by {jump.max():.3e} when the basis "
+                f"grew from {sizes[t - 1]} to {sizes[t]}")
     estimates = np.abs(values[-1] - values[-2]) / values[-1]
     return ConvergenceStudy(tuple(sizes), values, estimates)

@@ -33,6 +33,24 @@ def hemi_clamped(tmp_path):
     return spec, path
 
 
+def test_solve_write_read_round_trip(tmp_path):
+    # every integer of the file is a JSON integer that the reader takes
+    # back; a bool in their place is refused before the solve
+    cfg = SolverConfig(n=2, p=1, theta0=1.0, problem=Problem.CLAMPED, basis_size=16,
+                       requested_count=4, mode_cap=8)
+    spec = solve_spectrum(cfg)
+    path = tmp_path / "spec.json"
+    fmt.write_spectrum(spec, path)
+    doc = fmt.read_spectrum(path)
+    assert (type(doc.n), type(doc.p), doc.n, doc.p) == (int, int, 2, 1)
+    assert doc.entries == spec.entries
+    assert doc.sequence().values == tuple(spec.expanded_values())
+    assert '"p": 1,' in path.read_text()
+    with pytest.raises(ValidationError, match="order must be an integer >= 1 for clamped, "
+                                              "got True"):
+        SolverConfig(n=2, p=True, theta0=1.0, problem=Problem.CLAMPED)
+
+
 class TestFormatReal:
     def test_round_trips_doubles(self):
         rng = np.random.default_rng(7)

@@ -14,18 +14,22 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capspec import linalg, quadrature, spectral
 from capspec.bounds import EigenSequence
 from capspec.errors import (
+    CapspecError,
     ModeCapTooSmall,
     MonotonicityViolation,
+    NotPositiveDefinite,
     NumericalError,
     QuadratureNotConverged,
     ValidationError,
 )
 from capspec.io import read_spectrum, spectrum_to_doc
-from capspec.linalg import generalized_sym_eigen
+from capspec.linalg import _inverted, generalized_sym_eigen
 from capspec.quadrature import gauss_jacobi_rule
 from capspec.radial import multiplicity, operator_coeffs
 from capspec.spectral import (
@@ -35,7 +39,6 @@ from capspec.spectral import (
     Spectrum,
     _convergence_estimates,
     _form_orders,
-    _inverted,
     _leading_values,
     _merge,
     _merge_key,
@@ -112,8 +115,10 @@ class TestAssembly:
 
     def test_asymmetric_form_warns_and_is_recorded(self, monkeypatch):
         # a stiffness form pushed 1e-6 (relative) out of symmetry at both
-        # node counts passes the doubling check, warns once per mode past
-        # ASYMMETRY_WARN, and the worst defect is the recorded diagnostic
+        # node counts passes the doubling check, warns once per reached mode
+        # past ASYMMETRY_WARN (the stacked first block warns of none: it is
+        # dropped and its modes are solved alone as the mode loop reaches
+        # them), and the worst defect is the recorded diagnostic
         bump = 1e-6
         assert bump > spectral.ASYMMETRY_WARN
         unwrapped = spectral._raw_forms
@@ -121,7 +126,8 @@ class TestAssembly:
         def skewed(*args):
             coarse, fine = unwrapped(*args)
             for forms in (coarse, fine):
-                forms[0, 0, 1] += bump * float(np.max(np.abs(forms[0])))
+                stiffness = forms[..., 0, :, :]
+                stiffness[..., 0, 1] += bump * np.max(np.abs(stiffness), axis=(-2, -1))
             return coarse, fine
 
         monkeypatch.setattr(spectral, "_raw_forms", skewed)
@@ -130,7 +136,9 @@ class TestAssembly:
         assert all(bump * (1 - 1e-6) < d < bump * (1 + 1e-6) for d in defects)
         with pytest.warns(RuntimeWarning, match="form asymmetry defect") as record:
             spec = solve_spectrum(cfg)
-        assert len(record) == spec.diagnostics["l_max"] + 1
+        reached = range(spec.diagnostics["l_max"] + 1)
+        assert [str(w.message).split(" at mode ")[1].split()[0] for w in record] == [
+            str(l) for l in reached]
         assert spec.diagnostics["max_form_asymmetry"] == max(
             assemble_mode(cfg, l)[2]["max_form_asymmetry"]
             for l in range(spec.diagnostics["l_max"] + 1))
@@ -426,14 +434,14 @@ class TestSpectrumStructure:
     def test_cold_solve_recurrence_passes_and_eigensolves(self, monkeypatch):
         # each rule build runs one recurrence pass (P_m and P_{m-1} give the
         # Newton step and, through the derivative identity, the weights);
-        # modes 0..4 take one reduction each (one Cholesky, two solves) and
-        # one values-only eigensolve of the 32-by-32 reduced matrix (a stack
-        # of one), and the companions of the modes l = 0..3 that hold the 8
-        # requested values take one stacked values call on 4 leading
-        # 28-by-28 blocks, with no reduction of their own; no solve computes
-        # eigenvectors
+        # modes 0..4 are one block: one stacked reduction (one Cholesky and
+        # two solves, each on a stack of five 32-by-32 matrices, so one
+        # reduction per mode) and one values-only eigensolve of the stack,
+        # and the companions of the modes l = 0..3 that hold the 8 requested
+        # values take one stacked values call on 4 leading 28-by-28 blocks,
+        # with no reduction of their own; no solve computes eigenvectors
         counts = {"recurrence": 0, "vectors": 0, "reduce": 0, "cholesky": 0, "solve": 0}
-        shapes = []
+        shapes, reduced = [], []
 
         def counted(key, wrapped):
             def call(*args):
@@ -441,22 +449,29 @@ class TestSpectrumStructure:
                 return wrapped(*args)
             return call
 
+        eigen = linalg._eigen
+
         def values_only(c, vectors):
             shapes.append(c.shape)
-            return linalg._eigen(c, vectors)
+            return eigen(c, vectors)
 
         monkeypatch.setattr(quadrature, "_jacobi_recurrence",
                             counted("recurrence", quadrature._jacobi_recurrence))
         monkeypatch.setattr(linalg, "generalized_sym_eigen",
                             counted("vectors", linalg.generalized_sym_eigen))
-        monkeypatch.setattr(spectral, "_reduce", counted("reduce", spectral._reduce))
+        def reduction(b, a):
+            reduced.append(b.shape)
+            return linalg._reduce(b, a)
+
+        monkeypatch.setattr(spectral, "_reduce", counted("reduce", reduction))
         monkeypatch.setattr(np.linalg, "cholesky", counted("cholesky", np.linalg.cholesky))
         monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
-        monkeypatch.setattr(spectral, "_eigen", values_only)
+        monkeypatch.setattr(linalg, "_eigen", values_only)
         spectral._shared_rule.cache_clear()
         solve_spectrum(hemi(2, 2, Problem.BUCKLING, N=32, K=8))
-        assert counts == {"recurrence": 2, "vectors": 0, "reduce": 5, "cholesky": 5, "solve": 10}
-        assert shapes == [(1, 32, 32)] * 5 + [(4, 28, 28)]
+        assert counts == {"recurrence": 2, "vectors": 0, "reduce": 1, "cholesky": 1, "solve": 2}
+        assert reduced == [(5, 32, 32)]
+        assert shapes == [(5, 32, 32), (4, 28, 28)]
 
     def test_spectrum_is_the_mode_loop_merge(self, monkeypatch):
         # each solved mode inserts its records into the running merge once
@@ -494,6 +509,172 @@ class TestSpectrumStructure:
         gap = spec.diagnostics["quad_doubling_gap"]
         assert 0.0 <= gap <= 1e-11
         assert "quad_doubling_gap" not in spectrum_to_doc(spec)["meta"]
+
+
+def injected(kind, target):
+    """A `_raw_forms` that gives mode `target`, wherever it is assembled,
+    one failure: a non-finite entry, a stiffness doubling gap of 1e-9 of its
+    scale, a stiffness asymmetry of 1e-6 of its scale, a negative first
+    stiffness pivot, or a negated mass form (every mu below the band)."""
+    unwrapped = spectral._raw_forms
+
+    def forms(cfg, modes):
+        coarse, fine = unwrapped(cfg, modes)
+        for part, stack in enumerate(f.reshape((-1,) + f.shape[-3:]) for f in (coarse, fine)):
+            for i in np.flatnonzero(np.ravel(modes) == target):
+                scale = np.max(np.abs(stack[i, 0]))
+                if kind == "nonfinite":
+                    stack[i, 0, 0, 0] = np.nan
+                elif kind == "gap" and part == 0:
+                    stack[i, 0, 0, 0] += 1e-9 * scale
+                elif kind == "asymmetry":
+                    stack[i, 0, 0, 1] += 1e-6 * scale
+                elif kind == "indefinite":
+                    stack[i, 0, 0, 0] = -stack[i, 0, 0, 0]
+                elif kind == "below_band":
+                    stack[i, 1] = -stack[i, 1]
+                forms.hits += part == 0
+        return coarse, fine
+
+    forms.hits = 0
+    return forms
+
+
+def solved_quietly(cfg):
+    """solve_spectrum(cfg) and the messages of every warning it gives."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        spec = solve_spectrum(cfg)
+    return spec, [str(w.message) for w in caught]
+
+
+class TestModeBlocks:
+    # a cap whose first block (modes 0..4 by the Bessel-zero count) holds
+    # one mode past the stop: mode 3 is the last mode the loop reaches
+    OVERSHOT = SolverConfig(n=2, p=2, theta0=2.6, problem=Problem.BUCKLING,
+                            basis_size=16, requested_count=8)
+    FAILURES = ("nonfinite", "gap", "asymmetry", "indefinite", "below_band")
+    # class and message of each failure at a reached mode, as the mode-by-mode
+    # solver before the blocks gave them
+    PARENT = {
+        ("nonfinite", 1): (ValidationError, "matrix entries must be finite"),
+        ("gap", 1): (QuadratureNotConverged, "stiffness form moved by 6.691e-05 (scale "
+                     "6.691e+04) under node doubling 34 -> 68 at mode 1"),
+        ("asymmetry", 1): (RuntimeWarning,
+                           "form asymmetry defect 1.000e-06 at mode 1 exceeds 1e-08"),
+        ("indefinite", 1): (NotPositiveDefinite, "pivot 1 of 16 at or below threshold 1.070e-08"),
+        ("below_band", 1): (NumericalError, "nonpositive radial eigenvalue (1/mu with mu = "
+                            "-2.592970e-01) at mode 1"),
+        ("nonfinite", 3): (ValidationError, "matrix entries must be finite"),
+        ("gap", 3): (QuadratureNotConverged, "stiffness form moved by 3.628e-05 (scale "
+                     "3.628e+04) under node doubling 34 -> 68 at mode 3"),
+        ("asymmetry", 3): (RuntimeWarning,
+                           "form asymmetry defect 1.000e-06 at mode 3 exceeds 1e-08"),
+        ("indefinite", 3): (NotPositiveDefinite, "pivot 1 of 16 at or below threshold 5.805e-09"),
+        ("below_band", 3): (NumericalError, "nonpositive radial eigenvalue (1/mu with mu = "
+                            "-7.927654e-02) at mode 3"),
+    }
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(2, 5),
+           order=st.sampled_from([(1, Problem.CLAMPED), (2, Problem.CLAMPED), (3, Problem.CLAMPED),
+                                  (2, Problem.BUCKLING), (3, Problem.BUCKLING)]),
+           theta0=st.floats(0.3, 2.8), basis=st.sampled_from([8, 16, 24, 32]),
+           start=st.integers(0, 6), length=st.integers(1, 5))
+    def test_block_gives_the_bytes_of_blocks_of_one(self, n, order, theta0, basis, start, length):
+        # LAPACK runs once per matrix of a stack and every other step is
+        # elementwise or per matrix, so a mode's forms, health, reduced
+        # matrix and values do not depend on the block it is solved in; a
+        # block that fails raises the error of one of its modes alone
+        p, problem = order
+        cfg = SolverConfig(n=n, p=p, theta0=theta0, problem=problem, basis_size=basis,
+                           requested_count=4)
+        modes = range(start, start + length)
+        alone, errors = [], []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for l in modes:
+                try:
+                    forms, (health,) = spectral.assemble_modes(cfg, [l])
+                    alone.append((forms[0], health, *spectral._solve_block(cfg, [l])[0]))
+                except (CapspecError, RuntimeWarning) as err:
+                    errors.append((type(err), str(err)))
+            try:
+                forms, health = spectral.assemble_modes(cfg, modes)
+                solved = spectral._solve_block(cfg, modes)
+            except (CapspecError, RuntimeWarning) as err:
+                assert (type(err), str(err)) in errors
+                return
+        assert not errors and forms.shape == (length, 2, basis, basis)
+        for one, block in zip(alone, zip(forms, health, *zip(*solved))):
+            one_forms, one_health, values, reduced, solve_health = one
+            assert one_forms.tobytes() == block[0].tobytes()
+            assert one_health == block[1] == solve_health == block[4]
+            assert values.tobytes() == block[2].tobytes()
+            assert reduced.tobytes() == block[3].tobytes()
+
+    @pytest.mark.parametrize("kind", FAILURES)
+    def test_failure_past_the_stop_has_no_effect(self, monkeypatch, kind):
+        clean, clean_warnings = solved_quietly(self.OVERSHOT)
+        assert clean.diagnostics["l_max"] == 3
+        hook = injected(kind, 4)
+        monkeypatch.setattr(spectral, "_raw_forms", hook)
+        spec, caught = solved_quietly(self.OVERSHOT)
+        assert hook.hits == 1  # mode 4 was assembled, in the first block
+        assert caught == clean_warnings == []
+        assert spec.entries == clean.entries
+        assert spec.diagnostics == clean.diagnostics
+        assert spectrum_to_doc(spec) == spectrum_to_doc(clean)
+
+    @pytest.mark.parametrize("target", [1, 3])
+    @pytest.mark.parametrize("kind", FAILURES)
+    def test_failure_at_a_reached_mode_raises_as_before(self, monkeypatch, kind, target):
+        monkeypatch.setattr(spectral, "_raw_forms", injected(kind, target))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(Exception) as err:
+                solve_spectrum(self.OVERSHOT)
+        kind_of, message = self.PARENT[kind, target]
+        assert type(err.value) is kind_of and str(err.value) == message
+
+    @pytest.mark.parametrize("n,l_max", [(2, 4), (3, 3), (4, 3)])
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_one_block_holds_the_benchmark_modes(self, monkeypatch, n, l_max, p):
+        # on every benchmark cap the Bessel-zero count names exactly the
+        # modes the solve needs, so they are one block and nothing else
+        calls = []
+        unwrapped = spectral._solve_block
+
+        def counted(cfg, modes, strict=False):
+            calls.append(list(modes))
+            return unwrapped(cfg, modes, strict)
+
+        monkeypatch.setattr(spectral, "_solve_block", counted)
+        for cap in (1, 1.125, 1.2, 4 / 3, 1.5, 5 / 3, 1.8, 1.875, 2):
+            calls.clear()
+            spec = solve_spectrum(SolverConfig(n=n, p=p, theta0=cap * math.pi / 3,
+                                               problem=Problem.BUCKLING))
+            assert spec.diagnostics["l_max"] == l_max, cap
+            assert calls == [list(range(l_max + 1))], cap
+
+    def test_first_block_fits_the_image_limit(self, monkeypatch):
+        # with room for the images of three modes only, modes 0..2 are one
+        # block and every later mode is solved alone; the spectrum is the
+        # same to the last bit
+        cfg = hemi(2, 2, Problem.BUCKLING, N=32, K=8)
+        whole = solve_spectrum(cfg)
+        calls = []
+        unwrapped = spectral._solve_block
+
+        def counted(cfg, modes, strict=False):
+            calls.append(list(modes))
+            return unwrapped(cfg, modes, strict)
+
+        monkeypatch.setattr(spectral, "_solve_block", counted)
+        monkeypatch.setattr(spectral, "BLOCK_JET_ENTRIES", 3 * spectral._jet_entries(cfg) + 1)
+        spec = solve_spectrum(cfg)
+        assert calls == [[0, 1, 2], [3], [4]]
+        assert spec.entries == whole.entries and spec.diagnostics == whole.diagnostics
 
 
 def referee_jets(cfg, s, orders):
@@ -782,28 +963,30 @@ class TestConvergenceStudy:
 
     def test_one_assembly_per_mode(self, monkeypatch):
         # the README study: every size is a leading block of the top size's
-        # forms, so it assembles exactly the modes one top-size solve does
+        # forms, so it assembles exactly the modes one top-size solve does,
+        # modes 0..4, each once (all of them in one block)
         calls = []
-        unwrapped = spectral.assemble_mode
+        unwrapped = spectral.assemble_modes
 
-        def counted(cfg, l):
-            calls.append(l)
-            return unwrapped(cfg, l)
+        def counted(cfg, modes):
+            calls.append(list(modes))
+            return unwrapped(cfg, modes)
 
-        monkeypatch.setattr(spectral, "assemble_mode", counted)
+        monkeypatch.setattr(spectral, "assemble_modes", counted)
         cfg = hemi(2, 2, Problem.BUCKLING, N=32, K=8)
         spec = solve_spectrum(cfg)
         solve_calls = list(calls)
         calls.clear()
         study = convergence_study(cfg, (8, 16, 32))
-        assert solve_calls == calls == [0, 1, 2, 3, 4]
+        assert solve_calls == calls == [[0, 1, 2, 3, 4]]
         assert np.array_equal(study.values[-1], spec.expanded_values())
 
     @pytest.mark.parametrize("n,p,problem,theta0", [
         (2, 2, Problem.BUCKLING, math.pi / 2), (3, 3, Problem.BUCKLING, 2.6),
         (4, 3, Problem.CLAMPED, 1.0)])
     def test_rows_are_leading_blocks_of_one_reduction(self, monkeypatch, n, p, problem, theta0):
-        # each mode is reduced once, at the top size; every row is the merge
+        # each mode is reduced once, at the top size (the first block's modes
+        # in one stacked call, each later mode alone); every row is the merge
         # of the eigenvalues of the leading blocks of those reduced matrices,
         # exactly, and the rows do not rise beyond the monotone slack
         sizes = (8, 16, 24, 32)
@@ -819,7 +1002,8 @@ class TestConvergenceStudy:
 
         monkeypatch.setattr(spectral, "_reduce", counted)
         study = convergence_study(cfg, sizes)
-        assert reductions == [(32, 32)] * len(reduced)
+        assert sum(shape[0] for shape in reductions) == len(reduced)
+        assert all(shape[1:] == (32, 32) for shape in reductions)
         for size, row in zip(sizes, study.values):
             values = [_inverted(np.linalg.eigvalsh(c[:size, :size]), l)
                       for l, c in enumerate(reduced)]
@@ -889,6 +1073,20 @@ class TestValidation:
         with pytest.raises(ValidationError) as sequence_err:
             EigenSequence(n=n, p=p, problem=problem, values=(1.0, 2.0))
         assert str(config_err.value) == str(sequence_err.value) == message
+
+    @pytest.mark.parametrize("flag", [True, False])
+    @pytest.mark.parametrize("name", ["n", "p", "basis_size", "requested_count", "mode_cap",
+                                      "quad_size"])
+    def test_rejects_bools(self, name, flag):
+        # bool is an int to Python, but not a count: p=True would solve and
+        # write "p": true, which the spectrum reader refuses, and
+        # mode_cap=False would cap the modes at 0
+        fields = dict(n=2, p=1, theta0=1.0, problem=Problem.CLAMPED, basis_size=16,
+                      requested_count=4, mode_cap=8, quad_size=40)
+        with pytest.raises(ValidationError) as err:
+            SolverConfig(**{**fields, name: flag})
+        assert str(err.value).endswith(f"got {flag!r}") and "\n" not in str(err.value)
+        assert SolverConfig(**fields).p == 1
 
     def test_rejects_bad_radius(self):
         for theta0 in (0.0, math.pi, -0.3, 4.0):
