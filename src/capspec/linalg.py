@@ -48,6 +48,7 @@ from .errors import NoConvergence, NotPositiveDefinite, NumericalError, Validati
 
 PIVOT_RELATIVE = 1e-14
 ROUNDOFF_MU = 4  # the roundoff band of a radial mu at or below 0 (see _inverted)
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ def _inverted(mu, l: int) -> np.ndarray:
     inf; a mu further below, or a nonpositive mu_max, is refused.
     """
     mu = mu[::-1]
-    floor = -ROUNDOFF_MU * len(mu) * np.finfo(float).eps * float(mu[0])
+    floor = -ROUNDOFF_MU * len(mu) * _EPS * float(mu[0])
     if not (float(mu[0]) > 0.0 and float(mu[-1]) >= floor):
         raise NumericalError(
             f"nonpositive radial eigenvalue (1/mu with mu = {mu[-1]:.6e}) at mode {l}")

@@ -74,7 +74,8 @@ from .errors import (
     ValidationError,
 )
 from .linalg import ROUNDOFF_MU, _leading_values, _reduce
-from .quadrature import MAX_NODES, gauss_jacobi_rule
+# gauss_jacobi_rule stays bound here too, where benchmark/spans.py wraps it
+from .quadrature import MAX_NODES, gauss_jacobi_pair, gauss_jacobi_rule  # noqa: F401
 from .radial import MAX_DIMENSION, multiplicity, operator_coeffs, shown
 
 QUAD_DOUBLING_REL = 1e-11
@@ -160,6 +161,9 @@ class SolverConfig:
             _is_int(self.quad_size) and 2 <= self.quad_size <= MAX_NODES // 2),
             f"quadrature size must be None or an integer in 2..{MAX_NODES // 2} "
             f"(doubled to at most {MAX_NODES} nodes), got {self.quad_size!r}")
+        for name in ("n", "p", "basis_size", "requested_count", "mode_cap", "quad_size"):
+            if getattr(self, name) is not None:  # a numpy integer becomes an int
+                object.__setattr__(self, name, int(getattr(self, name)))
         entries = _jet_entries(self)
         _require(entries <= MAX_JET_ENTRIES,
                  f"order {self.p} at basis size {self.basis_size} with {self.quad_base} "
@@ -311,9 +315,9 @@ def _raw_forms(cfg: SolverConfig, modes):
 @functools.lru_cache(maxsize=32)
 def _shared_rule(gamma0: float, base: int):
     """Nodes and weights of the Gauss-Jacobi rules for (1 - s)^gamma0 with
-    base and 2 * base nodes, concatenated, shared by every mode."""
-    rules = [gauss_jacobi_rule(gamma0, m) for m in (base, 2 * base)]
-    s, w = (np.concatenate(parts) for parts in zip(*rules))
+    base and 2 * base nodes, concatenated, shared by every mode; one
+    `gauss_jacobi_pair` call builds both in shared Newton passes."""
+    s, w = (np.concatenate(parts) for parts in zip(*gauss_jacobi_pair(gamma0, base)))
     for arr in (s, w):
         arr.flags.writeable = False
     return s, w
@@ -336,12 +340,13 @@ def _trial_jets(p: int, basis_size: int, half_width: float, gamma0: float, base:
     for k in range(min(orders, p + 1)):
         jets[0, k] = half_width ** p * falling * (1.0 + s) ** (p - k)
         falling *= p - k
-    two_k = 2.0 * np.arange(1, orders, dtype=float)[:, None]
+    ks = np.arange(1, orders, dtype=float)[:, None]
+    steps = ((s, ks), (2.0 * s, 2.0 * ks))  # q_1 = s q_0 is half of 2s q_0
     for j in range(basis_size - 1):
-        half = 0.5 if j == 0 else 1.0  # q_1 = s q_0 is half of 2s q_0
+        two_s, two_k = steps[j > 0]
         nxt = jets[j + 1]
-        np.multiply(jets[j], 2.0 * half * s, out=nxt)
-        nxt[1:] += half * two_k * jets[j, :-1]
+        np.multiply(jets[j], two_s, out=nxt)
+        nxt[1:] += two_k * jets[j, :-1]
         if j:
             nxt -= jets[j - 1]
     jets.flags.writeable = False

@@ -130,6 +130,53 @@ def jacobi_recurrence_outer(gamma, m, x):
     return p, p_prev
 
 
+def one_rule_build(gamma, m, j0_zeros):
+    """The m-node Gauss-Jacobi rule for (1 - s)^gamma built on its own, as
+    the package built every rule before a solve's two rules shared their
+    Newton passes: start nodes from the asymptotic formulas, then Newton
+    passes with a scalar m, each running the recurrence as one outer
+    product, until the predicted next error is below every node's ulp.
+    j0_zeros(count) gives the first count zeros of J_0."""
+    def olver(size):
+        rho = size + 0.5
+        psi = j0_zeros(size // 2) / rho
+        return psi + (psi / np.tan(psi) - 1.0) / (8.0 * psi * rho * rho)
+
+    if gamma == 0.0:
+        x = np.concatenate((np.zeros(m % 2), np.cos(olver(m)[::-1])))
+    elif gamma == 0.5:
+        x = -np.cos(2.0 * olver(2 * m + 1))
+    else:
+        rho = m + 0.5 * (gamma + 1.0)
+        t = (np.arange(1.0, m + 1.0) + 0.5 * gamma - 0.25) * np.pi / rho
+        tan = np.tan(0.5 * t)
+        theta = t + ((0.25 - gamma * gamma) / tan - 0.25 * tan) / (4.0 * rho * rho)
+        x = np.cos(theta[::-1])
+    t = 2.0 * m + gamma
+    for _ in range(6):
+        p_m, p_prev = jacobi_recurrence_outer(gamma, m, x)
+        one_minus_x2 = (1.0 - x) * (1.0 + x)
+        deriv = (m * (gamma - t * x) * p_m + 2.0 * m * (m + gamma) * p_prev) / (t * one_minus_x2)
+        second = ((gamma + (gamma + 2.0) * x) * deriv - m * (m + gamma + 1.0) * p_m) / one_minus_x2
+        step = -p_m / deriv
+        polished = x + step
+        if np.all(np.abs(second / (2.0 * deriv)) * step * step < np.spacing(np.abs(polished))):
+            third = ((gamma + (gamma + 4.0) * x) * second
+                     + (gamma + 2.0 - m * (m + gamma + 1.0)) * deriv) / one_minus_x2
+            deriv = deriv + second * step + 0.5 * third * step * step
+            one_minus_root2 = one_minus_x2 - step * (2.0 * x + step)
+            weights = 2.0 ** (gamma + 1.0) / (one_minus_root2 * deriv * deriv)
+            break
+        x = polished
+    else:
+        raise AssertionError(f"{m}-node rule not converged")
+    if gamma == 0.0:
+        half = m // 2
+        polished = np.concatenate((-polished[::-1][:half], polished))
+        weights = np.concatenate((weights[::-1][:half], weights))
+    return polished, weights
+
+
 def generalized_eigen_2x2(a, b):
     """Both roots of det(A - x B) = 0 for 2x2 symmetric A, B via the quadratic
     formula, ascending."""

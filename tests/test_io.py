@@ -51,6 +51,21 @@ def test_solve_write_read_round_trip(tmp_path):
         SolverConfig(n=2, p=True, theta0=1.0, problem=Problem.CLAMPED)
 
 
+def test_numpy_integer_config_writes_like_its_int_twin(tmp_path):
+    # n, p and the sizes are stored as ints, so a config built from numpy
+    # integers solves and writes the bytes of its Python-int twin
+    fields = dict(n=2, p=2, basis_size=16, requested_count=4, mode_cap=8, quad_size=40)
+    written = []
+    for cast in (int, np.int64):
+        cfg = SolverConfig(theta0=1.0, problem=Problem.BUCKLING,
+                           **{name: cast(value) for name, value in fields.items()})
+        assert all(type(getattr(cfg, name)) is int for name in fields)
+        path = tmp_path / f"{cast.__name__}.json"
+        fmt.write_spectrum(solve_spectrum(cfg), path)
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+
+
 class TestFormatReal:
     def test_round_trips_doubles(self):
         rng = np.random.default_rng(7)

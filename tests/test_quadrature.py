@@ -4,14 +4,20 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from capspec import quadrature
 from capspec.errors import NoConvergence, ValidationError
-from capspec.quadrature import gauss_jacobi_rule
+from capspec.quadrature import gauss_jacobi_pair, gauss_jacobi_rule
 
-from oracles import jacobi_matrix, jacobi_moment, jacobi_moments, jacobi_recurrence_outer
+from oracles import (
+    jacobi_matrix,
+    jacobi_moment,
+    jacobi_moments,
+    jacobi_recurrence_outer,
+    one_rule_build,
+)
 
 # frozen hand values: integral of (1-s)^gamma over [-1,1] is 2 for gamma in
 # {0, 1}; integral of s^2 ds is 2/3
@@ -284,14 +290,67 @@ def test_blocked_recurrence_equals_outer_product_form(gamma):
 
 
 def test_large_rule_memory_peak():
-    # the recurrence never holds an (m - 1) x m array, 34 MB at 2048 nodes
-    tracemalloc.start()
-    try:
-        gauss_jacobi_rule(0.5, 2048)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6
+    # the recurrence never holds an (m - 1) x m array, 34 MB at 2048 nodes;
+    # the pair at base 2048 runs one recurrence over 2048 + 4096 nodes and
+    # still forms its rows in blocks (one 4095 x 6144 array is 201 MB; the
+    # two rules built apart peaked at 2.0 MB)
+    peaks = []
+    for build, m in ((gauss_jacobi_rule, 2048), (gauss_jacobi_pair, 2048)):
+        tracemalloc.start()
+        try:
+            build(0.5, m)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] < 16e6
+    assert peaks[1] < 4e6
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.5])
+def test_rule_is_the_one_rule_build(gamma):
+    # the one-size case of the shared builder gives every rule the bits of
+    # the build that started and polished it alone
+    for m in [*range(1, 130), 255, 256, 257, 600]:
+        got = gauss_jacobi_rule(gamma, m)
+        want = one_rule_build(gamma, m, quadrature._j0_zeros)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(gamma=st.sampled_from([0.0, 0.5, 2.5]), m=st.integers(1, 600))
+@example(gamma=0.0, m=19)
+@example(gamma=0.5, m=12)
+@example(gamma=2.5, m=68)
+def test_pair_is_both_rules_bit_for_bit(gamma, m):
+    # one start computation and shared Newton passes give each rule of the
+    # pair the bits it has alone; in the examples the base rule takes one
+    # more pass than the doubled one, so the two stop in different passes
+    pair = gauss_jacobi_pair(gamma, m)
+    for (x, w), size in zip(pair, (m, 2 * m)):
+        alone = gauss_jacobi_rule(gamma, size)
+        assert np.array_equal(x, alone[0]) and np.array_equal(w, alone[1]), size
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 3.0])
+def test_shared_recurrence_equals_each_degree_alone(gamma):
+    # nodes of a lower degree sit at the tail and leave the recurrence at
+    # their degree; a strided subset of the start nodes keeps the oracle small
+    for top, low in [(2, 1), (9, 4), (514, 257), (4096, 2048)]:
+        parts = [quadrature._start_nodes(gamma, m)[::max(1, m // 128)] for m in (top, low)]
+        degrees = np.repeat([float(top), float(low)], [len(part) for part in parts])
+        got = quadrature._jacobi_recurrence(gamma, degrees, np.concatenate(parts))
+        want = [np.concatenate(values) for values in zip(
+            *(jacobi_recurrence_outer(gamma, m, part) for m, part in zip((top, low), parts)))]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want)), top
+
+
+def test_pair_size_refused_past_half_the_limit():
+    with pytest.raises(ValidationError, match="node count must be an integer in 1..2048,"):
+        gauss_jacobi_pair(0.0, quadrature.MAX_NODES // 2 + 1)
+    with pytest.raises(ValidationError, match="weight exponent"):
+        gauss_jacobi_pair(7.0, 4)
+    base, doubled = gauss_jacobi_pair(0.5, quadrature.MAX_NODES // 2)
+    assert (len(base[0]), len(doubled[0])) == (2048, 4096)
 
 
 def test_determinism():

@@ -30,7 +30,7 @@ from capspec.errors import (
 )
 from capspec.io import read_spectrum, spectrum_to_doc
 from capspec.linalg import _inverted, generalized_sym_eigen
-from capspec.quadrature import gauss_jacobi_rule
+from capspec.quadrature import gauss_jacobi_pair, gauss_jacobi_rule
 from capspec.radial import multiplicity, operator_coeffs
 from capspec.spectral import (
     ConvergenceStudy,
@@ -385,32 +385,36 @@ class TestSpectrumStructure:
             assert np.max(np.abs(one - two) / two) <= 1e-11, l
 
     def test_cold_solve_rule_builds(self):
-        # one base and one doubled rule serve every solved mode (0..4): the
+        # one pair request builds the base and the doubled rule, which serve
+        # every solved mode (0..4): the
         # rule carries (1 - s)^gamma0 with gamma0 = (n - 2)/2 mod 1 = 0, and
         # the companion reuses the main assembly and builds none; the
         # integrands are polynomials, so p + N + 16 = 50 nodes are exact
         self._assert_two_rule_builds(2, l_max=4, base=50)
 
     def test_cold_solve_rule_builds_odd_dimension(self):
-        # n = 3: gamma0 = 1/2, still one rule pair for modes 0..3, of
+        # n = 3: gamma0 = 1/2, still one pair request for modes 0..3, of
         # 2 (p + N - 1) + 16 = 82 nodes: (2 - a (1 - s))^(l + 1/2) is no
         # polynomial
         self._assert_two_rule_builds(3, l_max=3, base=82)
 
     @staticmethod
     def _assert_two_rule_builds(n, l_max, base):
-        builds = []
+        builds, sizes = [], []
 
         def counted(gamma, m):
             builds.append((gamma, m))
-            return gauss_jacobi_rule(gamma, m)
+            rules = gauss_jacobi_pair(gamma, m)
+            sizes.extend(len(x) for x, _ in rules)
+            return rules
 
         spectral._shared_rule.cache_clear()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(spectral, "gauss_jacobi_rule", counted)
+            patch.setattr(spectral, "gauss_jacobi_pair", counted)
             spec = solve_spectrum(hemi(n, 2, Problem.BUCKLING, N=32, K=8))
         assert spec.diagnostics["l_max"] == l_max
-        assert builds == [((n - 2) % 2 / 2.0, base), ((n - 2) % 2 / 2.0, 2 * base)]
+        assert builds == [((n - 2) % 2 / 2.0, base)]
+        assert sizes == [base, 2 * base]
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_cold_solve_rules_need_no_eigensolve(self, monkeypatch, n):
@@ -432,8 +436,9 @@ class TestSpectrumStructure:
         assert seen == []
 
     def test_cold_solve_recurrence_passes_and_eigensolves(self, monkeypatch):
-        # each rule build runs one recurrence pass (P_m and P_{m-1} give the
-        # Newton step and, through the derivative identity, the weights);
+        # the base and doubled rules share one recurrence pass (P_m and
+        # P_{m-1} at both rules' nodes give the Newton steps and, through the
+        # derivative identity, the weights);
         # modes 0..4 are one block: one stacked reduction (one Cholesky and
         # two solves, each on a stack of five 32-by-32 matrices, so one
         # reduction per mode) and one values-only eigensolve of the stack,
@@ -469,7 +474,7 @@ class TestSpectrumStructure:
         monkeypatch.setattr(linalg, "_eigen", values_only)
         spectral._shared_rule.cache_clear()
         solve_spectrum(hemi(2, 2, Problem.BUCKLING, N=32, K=8))
-        assert counts == {"recurrence": 2, "vectors": 0, "reduce": 1, "cholesky": 1, "solve": 2}
+        assert counts == {"recurrence": 1, "vectors": 0, "reduce": 1, "cholesky": 1, "solve": 2}
         assert reduced == [(5, 32, 32)]
         assert shapes == [(5, 32, 32), (4, 28, 28)]
 
