@@ -389,7 +389,14 @@ def evaluate_predicate(fam: BoundFamily, seq: EigenSequence, k,
         raise FamilyMismatch(f"family {fam.name} has no candidate predicate")
     lengths, candidates = np.broadcast_arrays(k, np.asarray(candidate, dtype=float))
     pre = _checked_prefixes(fam, seq, lengths.ravel())
-    candidates = _checked_candidates(candidates.ravel(), pre.last)
+    candidates = candidates.ravel()
+    bad = ~(np.isfinite(candidates) & (candidates >= pre.last))
+    if bad.any():
+        at = int(np.argmax(bad))
+        raise ValidationError(
+            f"candidate must be >= the k-th eigenvalue {pre.last[at]:.6g}, "
+            f"got {float(candidates[at])!r}"
+        )
     n, vals = seq.n, pre.values
     diffs = pre.masked(candidates[:, None] - vals)
     h = _coeff_h(vals, n)
@@ -409,19 +416,6 @@ def evaluate_predicate(fam: BoundFamily, seq: EigenSequence, k,
     if lengths.ndim == 0:
         return PredicateResult(lhs=float(lhs[0]), rhs=float(rhs[0]), holds=bool(holds[0]))
     return PredicateResult(*(side.reshape(lengths.shape) for side in (lhs, rhs, holds)))
-
-
-def _checked_candidates(candidates: np.ndarray, last: np.ndarray) -> np.ndarray:
-    """candidates, refused unless each is finite and at or above its row's
-    Lambda_k (last)."""
-    bad = ~(np.isfinite(candidates) & (candidates >= last))
-    if bad.any():
-        at = int(np.argmax(bad))
-        raise ValidationError(
-            f"candidate must be >= the k-th eigenvalue {last[at]:.6g}, "
-            f"got {float(candidates[at])!r}"
-        )
-    return candidates
 
 
 def _sqrt_sides(d: np.ndarray, weights):
@@ -468,23 +462,16 @@ def _implied_rows(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes, shared):
 
 def _sqrt_bounds(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes):
     """The sqrt families' implied bounds, Lambda_k plus the first failure
-    of (1-eps) L <= 2 (1+eps) sqrt(G) sqrt(H), eps = INEQ_SLACK: inf where
-    the predicate holds up to Lambda_k 2^64, NaN where the coefficients
-    overflow. Its probes are classified from these prefixes and weights with
-    evaluate_predicate's arithmetic (the weights unmasked, the differences
-    zeroed past each prefix). It yields its rows of the shared search and is
-    sent their first failures."""
+    of (1-eps) L <= 2 (1+eps) sqrt(G) sqrt(H), eps = INEQ_SLACK, whose
+    probes evaluate_predicate classifies: inf where the predicate holds up
+    to Lambda_k 2^64, NaN where the coefficients overflow. It yields its
+    rows of the shared search and is sent their first failures."""
     n, vals = seq.n, pre.values
     g = seq.coeff_g if fam.name == SQRT else _coeff_g_p2(vals, n)
-    sides = (_sqrt_lhs_weight(vals, n), g, _coeff_h(vals, n))
-    weights = [pre.masked(w) for w in sides]
+    weights = [pre.masked(w) for w in (_sqrt_lhs_weight(vals, n), g, _coeff_h(vals, n))]
 
     def fails(rows, x):
-        last = pre.last[rows]
-        candidates = _checked_candidates(last + x, last)
-        lhs, rhs, _, _ = _sqrt_sides(np.where(pre.mask[rows], candidates[:, None] - vals, 0.0),
-                                     sides)
-        return ~_holds(lhs, rhs)
+        return ~evaluate_predicate(fam, seq, pre.lengths[rows], pre.last[rows] + x).holds
 
     return pre.last + (yield weights, pre.shifts(), pre.last, fails)
 

@@ -1365,20 +1365,6 @@ class TestCoefficientTable:
         assert code == 0
         assert factor.call_count == 8
 
-    @pytest.mark.parametrize("command", ["verify", "compare"])
-    def test_probes_are_classified_without_the_public_predicate(self, command, tmp_path,
-                                                                 monkeypatch):
-        # the sqrt families classify their probes from the check's own
-        # prefixes and weights; evaluate_predicate, which rebuilds both on
-        # every call, stays the tests' oracle (see referee_sqrt_bounds)
-        def refuse(*args, **kwargs):
-            raise AssertionError("evaluate_predicate called")
-
-        monkeypatch.setattr(bounds_module, "evaluate_predicate", refuse)
-        with contextlib.redirect_stdout(io.StringIO()):
-            code = cli_main([command, "--in", str(PINNED_P2), "--out", str(tmp_path / "r.csv")])
-        assert code == 0
-
     def test_each_object_forms_its_own_table(self):
         values = (6.0, 10.5, 17.0, 20.0)
         first, second = buck(values), buck(values)
