@@ -32,7 +32,9 @@ eigvals calls for the roots, one probe classification per family for the
 intervals, one single-product closed form per delta-opt round) serves them
 all, and one call serves every family of a check: the rows of the sqrt
 families and delta-opt seeds share one _first_failures pass, the quadratic
-and gap families one (S, T), and all one g (EigenSequence.coeff_g). The
+and gap families one (S, T), and all one g (EigenSequence.coeff_g). A sqrt
+family's weights (w, g, h) come from _sqrt_weights alone, for both its
+search and evaluate_predicate, which classifies the search's probes. The
 per-family and per-k entry points are the one-family, one-row case.
 
 Sphere buckling families share the coefficient functions
@@ -336,16 +338,17 @@ def _checked_prefixes(fam: BoundFamily, seq: EigenSequence, ks) -> _Prefixes:
     return pre
 
 
-def _coeff_g_p2(values: np.ndarray, n: int) -> np.ndarray:
-    return values - (n - 2) / (values - (n - 2))
-
-
 def _coeff_h(values: np.ndarray, n: int) -> np.ndarray:
     return values + (n - 2) ** 2 / 4.0
 
 
-def _sqrt_lhs_weight(values: np.ndarray, n: int) -> np.ndarray:
-    return 2.0 + (n - 2) / (values - (n - 2))
+def _sqrt_weights(fam: BoundFamily, seq: EigenSequence, values: np.ndarray):
+    """(w, g, h) of a sqrt family at the sequence's values: the weights of
+    L = sum w_i d_i^2, G = sum g_i d_i^2 and H = sum h_i d_i (see
+    _sqrt_sides), with g = seq.coeff_g, or its p = 2 form for SQRT_P2."""
+    above = values - (seq.n - 2)
+    g = seq.coeff_g if fam.name == SQRT else values - (seq.n - 2) / above
+    return 2.0 + (seq.n - 2) / above, g, _coeff_h(values, seq.n)
 
 
 def _delta_weight(values: np.ndarray, n: int, d):
@@ -399,19 +402,17 @@ def evaluate_predicate(fam: BoundFamily, seq: EigenSequence, k,
         )
     n, vals = seq.n, pre.values
     diffs = pre.masked(candidates[:, None] - vals)
-    h = _coeff_h(vals, n)
     if fam.name in (SQRT, SQRT_P2):
-        g = seq.coeff_g if fam.name == SQRT else _coeff_g_p2(vals, n)
-        lhs, rhs, _, _ = _sqrt_sides(diffs, (_sqrt_lhs_weight(vals, n), g, h))
+        lhs, rhs, _, _ = _sqrt_sides(diffs, _sqrt_weights(fam, seq, vals))
     elif fam.name == QUADRATIC:
         lhs = _rowsum(diffs**2)
-        rhs = _rowsum(diffs * seq.coeff_g * h)
+        rhs = _rowsum(diffs * seq.coeff_g * _coeff_h(vals, n))
     else:  # DELTA
         d = fam.delta
         with np.errstate(over="ignore"):
             mult = d * _delta_weight(vals, n, d)
         lhs = 2.0 * _rowsum(diffs**2)
-        rhs = _rowsum(diffs**2 * mult) + _rowsum(diffs * h) / d
+        rhs = _rowsum(diffs**2 * mult) + _rowsum(diffs * _coeff_h(vals, n)) / d
     holds = _holds(lhs, rhs)
     if lengths.ndim == 0:
         return PredicateResult(lhs=float(lhs[0]), rhs=float(rhs[0]), holds=bool(holds[0]))
@@ -466,9 +467,7 @@ def _sqrt_bounds(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes):
     probes evaluate_predicate classifies: inf where the predicate holds up
     to Lambda_k 2^64, NaN where the coefficients overflow. It yields its
     rows of the shared search and is sent their first failures."""
-    n, vals = seq.n, pre.values
-    g = seq.coeff_g if fam.name == SQRT else _coeff_g_p2(vals, n)
-    weights = [pre.masked(w) for w in (_sqrt_lhs_weight(vals, n), g, _coeff_h(vals, n))]
+    weights = [pre.masked(w) for w in _sqrt_weights(fam, seq, pre.values)]
 
     def fails(rows, x):
         return ~evaluate_predicate(fam, seq, pre.lengths[rows], pre.last[rows] + x).holds
@@ -533,8 +532,7 @@ def _positive_real_roots(coeffs: np.ndarray) -> np.ndarray:
         companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
         below = np.arange(degree - 1)
         companion[:, below + 1, below] = 1.0
-        # a linear factor's root is its companion's one entry, -c1 / c0
-        roots = companion[:, :, 0] if degree == 1 else np.linalg.eigvals(companion)
+        roots = np.linalg.eigvals(companion)
         real = np.where(np.abs(roots.imag) <= 1e-8 * np.abs(roots), roots.real, np.nan)
         out[pick, :degree] = np.where(real > 0.0, real, np.nan)
     return out
@@ -647,24 +645,23 @@ def _delta_closed_form(terms: _DeltaTerms, deltas: np.ndarray) -> np.ndarray:
     of its row of deltas, an (R, D) or (1, D) array; inf where the
     predicate holds up to Lambda_k 2^64. The predicate fails where
     (1-eps) lhs - (1+eps) rhs > 0, a quadratic in x = c - Lambda_k. Rows
-    are evaluated in blocks of at most _BLOCK elements per temporary, which
-    a row's value does not depend on."""
+    are evaluated in blocks of at most _BLOCK elements per temporary (one
+    block when there are none), which a row's value does not depend on."""
     rows = len(terms.pre.last)
     step = max(1, _BLOCK // max(1, deltas.shape[1] * len(terms.pre.values)))
     with np.errstate(over="ignore", invalid="ignore"):
-        if rows <= step:
-            return _delta_block(terms, deltas)
-        deltas = np.broadcast_to(deltas, (rows, deltas.shape[1]))
-        return np.concatenate([_delta_block(terms.take(slice(i, i + step)), deltas[i:i + step])
-                               for i in range(0, rows, step)])
+        return np.concatenate([_delta_block(terms, slice(i, i + step),
+                                            deltas[i:i + step] if len(deltas) > 1 else deltas)
+                               for i in range(0, max(rows, 1), step)])
 
 
-def _delta_block(terms: _DeltaTerms, d: np.ndarray) -> np.ndarray:
-    """_delta_closed_form on one block of rows, d (R, D) or (1, D)."""
-    last = terms.pre.last[:, None]
+def _delta_block(terms: _DeltaTerms, rows: slice, d: np.ndarray) -> np.ndarray:
+    """_delta_closed_form on the rows of terms in the slice rows, d (R, D)
+    or (1, D)."""
+    last = terms.pre.last[rows, None]
     weight = _delta_weight(terms.pre.values, terms.pre.n, d[:, :, None])  # (R or 1, D, K)
     # the three weighted power sums, (R, D, 3), in one product and reduction
-    m_sums = _rowsum(weight[:, :, None] * terms.powers[:, None])
+    m_sums = _rowsum(weight[:, :, None] * terms.powers[rows, None])
     # the quadratic is divided by max(d, 1/d) so that no coefficient can
     # overflow: with r = min(d, 1/d) the lhs, d-weighted and h / d sums
     # carry the factors r, d r and r / d, each at most 1
@@ -673,8 +670,8 @@ def _delta_block(terms: _DeltaTerms, d: np.ndarray) -> np.ndarray:
     squared = r * r
     # the right side's coefficients of x^2, x and 1, each (R, D)
     rhs = np.where(large, 1.0, squared)[..., None] * m_sums * [1.0, 2.0, 1.0]
-    rhs[..., 1:] += np.where(large, squared, 1.0)[..., None] * terms.h_sums[:, None]
-    coeffs = ((1.0 - INEQ_SLACK) * (r[..., None] * terms.lhs[:, None])
+    rhs[..., 1:] += np.where(large, squared, 1.0)[..., None] * terms.h_sums[rows, None]
+    coeffs = ((1.0 - INEQ_SLACK) * (r[..., None] * terms.lhs[rows, None])
               - (1.0 + INEQ_SLACK) * rhs)
     out = last + last * _first_positive(coeffs[..., 0], coeffs[..., 1], coeffs[..., 2])
     return np.where(out <= last * 2.0**LIMIT_LOG2, out, math.inf)
@@ -801,8 +798,9 @@ def _delta_weight_slope(values: np.ndarray, n: int, d) -> np.ndarray:
 
 def _delta_seeds(terms: _DeltaTerms):
     """Per prefix, log10 of the best delta with the delta weights frozen at
-    their large-delta limit W_i = lambda_i + (1 - (n-2)/lambda_i) / 4, or
-    NaN if that frozen family has no failure at or below Lambda_k 2^64.
+    their large-delta limit W_i = lambda_i + (1 - (n-2)/lambda_i) / 4
+    (_delta_weight_slope at delta = inf), or NaN if that frozen family has
+    no failure at or below Lambda_k 2^64.
 
     Frozen, the predicate fails where (1-eps) L > (1+eps) (delta M + H/delta)
     with L = 2 sum d_i^2, M = sum W_i d_i^2, H = sum h_i d_i, d_i = x + e_i.
@@ -813,8 +811,8 @@ def _delta_seeds(terms: _DeltaTerms):
     itself. x, e_i and H are taken in units of Lambda_k (H in units of
     Lambda_k^2), so no eigenvalue under- or overflows the coefficients. It
     yields its rows of the shared search, as _sqrt_bounds does."""
-    pre, e, vals = terms.pre, terms.powers[:, 1], terms.pre.values
-    weights = [pre.masked(2.0), pre.masked(vals + (1.0 - (pre.n - 2) / vals) / 4.0),
+    pre, e = terms.pre, terms.powers[:, 1]
+    weights = [pre.masked(2.0), pre.masked(_delta_weight_slope(pre.values, pre.n, math.inf)),
                terms.h / pre.last[:, None]]  # L, M and H
 
     def sides(rows, x):

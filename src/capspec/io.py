@@ -57,8 +57,8 @@ def _emit(obj, out, indent):
         out.append("true" if obj else "false")
     elif isinstance(obj, (int,)):
         out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format_real(obj))
+    elif isinstance(obj, float):  # JSON has no nan or inf
+        out.append(format_real(obj) if math.isfinite(obj) else "null")
     elif isinstance(obj, str):
         out.append(json.dumps(obj))
     elif obj is None:
@@ -271,9 +271,9 @@ def write_convergence(study, config, path) -> None:
 
 
 def summary_path(out_path: str) -> str:
-    stem, dot, _ = str(out_path).rpartition(".")
-    base = stem if dot else str(out_path)
-    return base + ".summary.json"
+    """The report's path with the file name's extension, if any, replaced
+    by .summary.json."""
+    return os.path.splitext(str(out_path))[0] + ".summary.json"
 
 
 def _write_text(path, text: str) -> None:

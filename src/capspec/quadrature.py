@@ -69,7 +69,9 @@ nodes (the 2m-node rule first, the m-node rule at the tail, leaving at
 degree m) and one evaluation of the formulas above with m per node. The
 stop rule applies per rule (a rule that stops first keeps the nodes and
 weights of that pass), as do the mirroring and the checks, so each rule
-gets the bits it gets alone; gauss_jacobi_rule is the one-size case.
+gets the bits it gets alone. The Newton passes and the recurrence always
+take a degree per node, so gauss_jacobi_rule, the one-size case, runs the
+pair's code with a single rule.
 Each call builds its rules afresh and returns arrays the caller owns; the
 solver caches its pair, read-only, in capspec.spectral._shared_rule.
 """
@@ -216,7 +218,7 @@ def _newton(gamma: float, sizes: list, x: np.ndarray) -> list:
     counts = [m - m // 2 if gamma == 0.0 else m for m in sizes]
     ends = [sum(counts[:i + 1]) for i in range(len(counts))]
     spans = list(zip([0, *ends[:-1]], ends))
-    m = sizes[0] if len(sizes) == 1 else _per_node(sizes, counts)
+    m = _per_node(sizes, counts)
     t = 2.0 * m + gamma
     c_prev = 2.0 * m * (m + gamma)
     c_m = m * (m + gamma + 1.0)
@@ -245,16 +247,15 @@ def _newton(gamma: float, sizes: list, x: np.ndarray) -> list:
                         f"after {MAX_PASSES} Newton passes")
 
 
-def _jacobi_recurrence(gamma: float, m, x: np.ndarray):
+def _jacobi_recurrence(gamma: float, m: np.ndarray, x: np.ndarray):
     """P_m and P_{m-1} at x, Jacobi parameters (gamma, 0), by the three-term
-    recurrence P_k = (a_k x + b_k) P_{k-1} - c_k P_{k-2}. m is one degree or
-    a degree per node, non-increasing along x: a rule of a lower degree sits
-    at the tail and leaves at its degree, so every rule shares the steps up
-    to it (a_k, b_k and c_k do not depend on m)."""
-    per_node = isinstance(m, np.ndarray)
+    recurrence P_k = (a_k x + b_k) P_{k-1} - c_k P_{k-2}. m holds a degree
+    per node, non-increasing along x: a rule of a lower degree sits at the
+    tail and leaves at its degree, so every rule shares the steps up to it
+    (a_k, b_k and c_k do not depend on m)."""
     # the first node of each degree
-    firsts = [0, *((m[1:] != m[:-1]).nonzero()[0] + 1).tolist()] if per_node else [0]
-    k = np.arange(2.0, (int(m[0]) if per_node else m) + 1.0)
+    firsts = [0, *((m[1:] != m[:-1]).nonzero()[0] + 1).tolist()]
+    k = np.arange(2.0, int(m[0]) + 1.0)
     t = 2.0 * k + gamma
     den = 2.0 * k * (k + gamma) * (t - 2.0)
     a = (t - 1.0) * t * (t - 2.0) / den
@@ -265,7 +266,7 @@ def _jacobi_recurrence(gamma: float, m, x: np.ndarray):
     tails = []
     reached = 1
     for first in firsts[::-1]:
-        degree = int(m[first]) if per_node else m
+        degree = int(m[first])
         live = x[:len(p)]
         # the rows a_k x + b_k are formed a block at a time, about 2^16
         # entries, so a large rule never holds a (degree - 1) x nodes array
@@ -278,6 +279,4 @@ def _jacobi_recurrence(gamma: float, m, x: np.ndarray):
         reached = degree
         tails.append((p[first:], p_prev[first:]))
         p, p_prev = p[:first], p_prev[:first]
-    if len(tails) == 1:
-        return tails[0]
     return tuple(np.concatenate(parts[::-1]) for parts in zip(*tails))

@@ -33,9 +33,11 @@ B x = mu A x, lambda = 1/mu, to C = L^{-1} B L^{-T}, A = L L^T, and one
 stacked eigvalsh gives the values of every C (see capspec.linalg; a mode
 gets the same bytes in any block). The first block is modes 0 .. L, clipped
 to the mode cap and to BLOCK_JET_ENTRIES floats of images; every later block
-is one mode. In the flat limit the values of mode l are powers of the Bessel
-zeros j_{nu,k}, nu = l + (n-2)/2, spaced by McMahon's expansion (DLMF
-10.21.19) as (k + nu/2 - 1/4) pi: raising l by 2 costs one more radial zero.
+is one mode. The assembly and solve kernels take only a list of modes, so
+one mode is the list [l] (assemble_mode is that case of assemble_modes).
+In the flat limit the values of mode l are powers of the Bessel zeros
+j_{nu,k}, nu = l + (n-2)/2, spaced by McMahon's expansion (DLMF 10.21.19)
+as (k + nu/2 - 1/4) pi: raising l by 2 costs one more radial zero.
 So the least L with sum_{l<L} mult(l, n) (floor((L-1-l)/2) + 1) >= K counts
 the modes holding the first K values, and mode L is the first whose ground
 value can clear the K-th. The modes are walked in order under the one-mode
@@ -143,7 +145,8 @@ class SolverConfig:
         object.__setattr__(self, "problem", _checked_problem(self.problem, self.n, self.p))
         _require(self.p <= MAX_ORDER,
                  f"order must be at most {MAX_ORDER} for a solve, got {self.p}")
-        _require(isinstance(self.theta0, (int, float)) and 0.0 < float(self.theta0) < math.pi,
+        _require(isinstance(self.theta0, (int, float)) and not isinstance(self.theta0, bool)
+                 and 0.0 < float(self.theta0) < math.pi,
                  f"cap radius must lie in (0, pi), got {self.theta0!r}")
         object.__setattr__(self, "theta0", float(self.theta0))
         _require(math.cos(self.theta0) != 1.0,
@@ -227,9 +230,9 @@ def expanded(entries, count=None) -> list:
 
 
 def assemble_modes(cfg: SolverConfig, modes):
-    """(forms, health) of the listed modes (an integer array, or one mode):
-    their stiffness and mass forms, doubling-validated, symmetrized, read-only
-    and shaped np.shape(modes) + (2, N, N), and per mode the worst asymmetry
+    """(forms, health) of a list of modes: their stiffness and mass forms,
+    doubling-validated, symmetrized, read-only and shaped
+    (len(modes), 2, N, N), and per mode the worst asymmetry
     defect max|M - M^T| / max|M| and relative doubling gap. Forms past the
     float range (a non-finite entry, with no overflow warning, or all zero)
     raise ValidationError, forms moving by over 1e-11 of their scale under node
@@ -240,7 +243,7 @@ def assemble_modes(cfg: SolverConfig, modes):
     _require(np.isfinite(coarse).all() and np.isfinite(fine).all(), "matrix entries must be finite")
     scales = np.max(np.abs(fine), axis=(-2, -1))
     gaps = np.max(np.abs(coarse - fine), axis=(-2, -1))
-    labels = itertools.product(np.ravel(modes).tolist(), ("stiffness", "mass"))
+    labels = itertools.product(modes, ("stiffness", "mass"))
     for (l, tag), scale, gap in zip(labels, scales.ravel().tolist(), gaps.ravel().tolist()):
         if scale == 0.0:
             raise ValidationError(f"{tag} form of mode {l} underflows to zero in double precision")
@@ -250,7 +253,7 @@ def assemble_modes(cfg: SolverConfig, modes):
     fine_t = np.swapaxes(fine, -1, -2)
     defects = np.max(np.abs(fine - fine_t), axis=(-2, -1)) / scales
     health = [{"max_form_asymmetry": d, "quad_doubling_gap": g} for d, g in zip(
-        np.max(defects, axis=-1).ravel().tolist(), np.max(gaps / scales, axis=-1).ravel().tolist())]
+        np.max(defects, axis=-1).tolist(), np.max(gaps / scales, axis=-1).tolist())]
     forms = (fine + fine_t) / 2.0
     forms.flags.writeable = False
     return forms, health
@@ -258,7 +261,7 @@ def assemble_modes(cfg: SolverConfig, modes):
 
 def assemble_mode(cfg: SolverConfig, l: int):
     """(A, B, health) of mode l: the one-mode case of `assemble_modes`."""
-    forms, (health,) = assemble_modes(cfg, l)
+    (forms,), (health,) = assemble_modes(cfg, [l])
     return forms[0], forms[1], health
 
 
@@ -283,20 +286,18 @@ def _jet_entries(cfg: SolverConfig) -> int:
 
 
 def _raw_forms(cfg: SolverConfig, modes):
-    """The stiffness and mass forms of the modes (an integer array, or one
-    mode) under the base rule and the doubled rule, each shaped
-    np.shape(modes) + (2, N, N). D is applied to the trial jets of every
-    mode at both rules' nodes at once; only row 0 of each image is kept, as
-    a copy, so no image outlives its use."""
+    """The stiffness and mass forms of a list of modes under the base rule
+    and the doubled rule, each shaped (len(modes), 2, N, N). D is applied to
+    the trial jets of every mode at both rules' nodes at once; only row 0 of
+    each image is kept, as a copy, so no image outlives its use."""
     a = cfg.half_width
     base = cfg.quad_base
     gamma0 = cfg.n % 2 / 2.0
     s, w = _shared_rule(gamma0, base)
     one_minus_s = 1.0 - s
     wide = 2.0 - a * one_minus_s  # 1 + x
-    eff_w = np.reshape([w * a ** (gamma0 + j + 1.0) * one_minus_s ** j * wide ** (gamma0 + j)
-                        for j in (l + (cfg.n - 2) // 2 for l in np.ravel(modes).tolist())],
-                       np.shape(modes) + (1, -1))
+    eff_w = np.array([w * a ** (gamma0 + j + 1.0) * one_minus_s ** j * wide ** (gamma0 + j)
+                      for j in (l + (cfg.n - 2) // 2 for l in modes)])[:, None]
     jets = _trial_jets(cfg.p, cfg.basis_size, a, gamma0, base, _jet_orders(cfg))
     forms = _form_orders(cfg)
     used = {i for _, i, _ in forms} | {k for _, _, k in forms}
@@ -370,11 +371,6 @@ def _solve_block(cfg: SolverConfig, modes, strict: bool = False) -> list:
         reduced.flags.writeable = False
         values = _leading_values(dict(zip(modes, reduced)), modes, cfg.basis_size)
     return list(zip(values, reduced, health))
-
-
-def _solve_mode(cfg: SolverConfig, l: int):
-    """(values, reduced, health) of mode l: the one-mode case of `_solve_block`."""
-    return _solve_block(cfg, [l])[0]
 
 
 def _reportable(values, what: str):
@@ -485,7 +481,7 @@ class _Merger:
 
     def __init__(self, n: int, want: int, mode_values=()):
         self.n, self.want, self.modes = n, want, 0
-        self.keys, self.labels, self.values = [], [], []
+        self.keys, self.values = [], []
         for values in mode_values:
             self.add(values)
 
@@ -495,14 +491,12 @@ class _Merger:
         for j, v in enumerate(values[:self.want]):
             v = float(v)
             key = _merge_key((v, l, j))
-            at = bisect.bisect(self.keys, key)
-            self.keys.insert(at, key)
-            self.labels.insert(at, (l, j))
+            bisect.insort(self.keys, key)
             bisect.insort(self.values, v)
 
     def covering(self):
         """`_merge` of the modes added so far."""
-        return _covering_prefix([(v, l, j) for v, (l, j) in zip(self.values, self.labels)],
+        return _covering_prefix([(v, l, j) for v, (_, j, l) in zip(self.values, self.keys)],
                                 self.n, self.want)
 
 
@@ -569,7 +563,8 @@ class ConvergenceStudy:
 
 
 def convergence_study(cfg: SolverConfig, basis_sizes) -> ConvergenceStudy:
-    """First K eigenvalues of cfg at each of the ascending basis sizes.
+    """First K eigenvalues of cfg at each of the strictly ascending basis
+    sizes.
 
     The modes are solved once, at the largest size and with its sufficiency
     rule; every smaller size merges the radial values of the same modes from
@@ -580,8 +575,8 @@ def convergence_study(cfg: SolverConfig, basis_sizes) -> ConvergenceStudy:
     """
     sizes = [int(b) for b in basis_sizes]
     _require(len(sizes) >= 2, "need at least two basis sizes")
-    _require(min(sizes) > 0 and sizes == sorted(sizes),
-             f"basis sizes must be positive and ascending, got {sizes}")
+    _require(sizes[0] > 0 and all(a < b for a, b in zip(sizes, sizes[1:])),
+             f"basis sizes must be positive and strictly ascending, got {sizes}")
     replace(cfg, basis_size=sizes[0])  # every size must be >= requested_count
     want = cfg.requested_count
     _, reduced, _, top = _solve_modes(replace(cfg, basis_size=sizes[-1]))

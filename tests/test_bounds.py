@@ -1125,14 +1125,12 @@ def referee_sqrt_bounds(fam, seq, pre):
     quartic (1-eps)^2 L^2 - 4 (1+eps)^2 G H is positive: where G < 0 the
     quartic is at least (1-eps)^2 L^2. The verdict can change only at a
     root of the quartic, and a root of G never begins a failing interval."""
-    n, vals = seq.n, pre.values
     e = pre.shifts()
-    g = seq.coeff_g if fam.name == "sphere-buckling-sqrt" else bounds_module._coeff_g_p2(vals, n)
+    w, g, h = bounds_module._sqrt_weights(fam, seq, pre.values)
     with np.errstate(over="ignore", invalid="ignore"):
         gsum = _shifted_sum(pre.masked(g), e, 2)
         quartic = bounds_module._slack_quartic(
-            _shifted_sum(pre.masked(bounds_module._sqrt_lhs_weight(vals, n)), e, 2), gsum,
-            _shifted_sum(pre.masked(bounds_module._coeff_h(vals, n)), e, 1))
+            _shifted_sum(pre.masked(w), e, 2), gsum, _shifted_sum(pre.masked(h), e, 1))
     finite = np.isfinite(quartic).all(axis=1) & np.isfinite(gsum).all(axis=1)
     edges = np.sort(np.concatenate([_positive_real_roots(quartic[finite]),
                                     _positive_real_roots(gsum[finite])], axis=1), axis=1)

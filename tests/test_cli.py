@@ -349,6 +349,18 @@ class TestVerifyCommand:
         assert summary["violations"] == 1
         assert summary["min_margin"] < -7.9
 
+    @pytest.mark.parametrize("command", ["verify", "bounds"])
+    def test_one_entry_summary_is_json(self, tmp_path, capsys, command):
+        # one value gives no rows, so no margin: the summary writes null,
+        # which every JSON reader accepts, where stdout prints nan
+        path = write_synthetic(tmp_path, (3.0,))
+        extra = ("--family", "sphere-buckling-sqrt") if command == "bounds" else ()
+        assert run(command, "--in", path, *extra, "--out", tmp_path / "v.csv") == 0
+        summary = json.loads((tmp_path / "v.summary.json").read_text(encoding="utf-8"))
+        assert summary["rows"] == 0 and summary["min_margin"] is None
+        if command == "verify":
+            assert "min margin nan" in capsys.readouterr().out
+
     def test_clamped_defaults_to_clamped_family(self, tmp_path):
         clamped = tmp_path / "c.json"
         run("solve", "--n", 3, "--p", 2, "--theta0", "pi/2",
@@ -693,6 +705,15 @@ class TestConvergenceCommand:
                    "--out", tmp_path / "x.json")
         assert code == 2
         capsys.readouterr()
+
+    def test_repeated_sizes_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        code = run("convergence", "--n", 2, "--p", 2, "--theta0", "pi/2",
+                   "--problem", "buckling", "--basis-list", "16,32,32", "--out", out)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "strictly ascending" in err, err
+        assert not out.exists()
 
     def test_unparseable_sizes_exit_2(self, tmp_path, capsys):
         code = run("convergence", "--n", 2, "--p", 2, "--theta0", "pi/2",

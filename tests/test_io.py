@@ -410,6 +410,15 @@ class TestReportCsv:
     def test_summary_path_swaps_extension(self):
         assert fmt.summary_path("out/report.csv") == "out/report.summary.json"
         assert fmt.summary_path("report") == "report.summary.json"
+        assert fmt.summary_path("verify.csv") == "verify.summary.json"
+        # only the file name loses its extension: a dot in a directory name
+        # or in "./" is not one
+        assert fmt.summary_path("runs.v2/report") == "runs.v2/report.summary.json"
+        assert fmt.summary_path("./verify") == "./verify.summary.json"
+
+    def test_non_finite_floats_written_as_null(self):
+        text = fmt.json_dumps({"a": math.nan, "b": [math.inf, -math.inf, 1.5]})
+        assert json.loads(text) == {"a": None, "b": [None, None, 1.5]}
 
 
 class TestConvergenceDoc:

@@ -21,7 +21,7 @@ from oracles import generalized_eigen_2x2
 
 def assembled(monkeypatch, a_raw, b_raw):
     """assemble_mode on fixed raw forms, the same at both node counts."""
-    forms = np.array([a_raw, b_raw], dtype=float)
+    forms = np.array([[a_raw, b_raw]], dtype=float)  # a stack of one mode
     monkeypatch.setattr(spectral, "_raw_forms", lambda *args: (forms.copy(), forms.copy()))
     cfg = SolverConfig(n=2, p=1, theta0=1.0, problem=Problem.CLAMPED,
                        basis_size=2, requested_count=1)

@@ -43,7 +43,7 @@ from capspec.spectral import (
     _merge,
     _merge_key,
     _raw_forms,
-    _solve_mode,
+    _solve_block,
     assemble_mode,
     convergence_study,
     solve_spectrum,
@@ -76,7 +76,7 @@ class TestHemisphereClosedForms:
 
     def test_mode0_n2_radial_values(self):
         # l = 0 keeps the odd-degree values d(d+1), d = 1, 3, 5.
-        radial_values, _, _ = _solve_mode(hemi(2, 1, Problem.CLAMPED), 0)
+        radial_values, _, _ = _solve_block(hemi(2, 1, Problem.CLAMPED), [0])[0]
         assert np.allclose(radial_values[:3], [2, 12, 30], rtol=0, atol=1e-9)
 
     def test_assembled_forms_ground_value(self):
@@ -104,7 +104,7 @@ class TestAssembly:
         # referee: the defect and doubling gap of each raw form, taken by hand
         cfg = SolverConfig(n=3, p=3, theta0=1.0, problem=Problem.BUCKLING,
                            basis_size=24, requested_count=8)
-        coarse, fine = _raw_forms(cfg, 1)
+        (coarse,), (fine,) = _raw_forms(cfg, [1])
         scales = [float(np.max(np.abs(f))) for f in fine]
         defects = [float(np.max(np.abs(f - f.T))) / m for f, m in zip(fine, scales)]
         gaps = [float(np.max(np.abs(c - f))) / m for c, f, m in zip(coarse, fine, scales)]
@@ -184,8 +184,8 @@ class TestAssembly:
         cfg = SolverConfig(n=n, p=p, theta0=2.6, problem=problem, basis_size=32)
         wide = replace(cfg, quad_size=4 * cfg.quad_base)
         modes = list(range(17)) + [20]
-        base = [_raw_forms(cfg, l)[0] for l in modes]
-        ref = [_raw_forms(wide, l)[0] for l in modes]
+        base = [_raw_forms(cfg, [l])[0][0] for l in modes]
+        ref = [_raw_forms(wide, [l])[0][0] for l in modes]
         gaps = [np.max(np.abs(b - r), axis=(1, 2)) / np.max(np.abs(r), axis=(1, 2))
                 for b, r in zip(base, ref)]
         assert max(np.max(g) for g in gaps[:-1]) <= 1e-14
@@ -356,7 +356,7 @@ class TestSpectrumStructure:
         assert size == 20
         expected = []
         for e in spec.entries:
-            _, reduced, _ = _solve_mode(cfg, e.l)
+            _, reduced, _ = _solve_block(cfg, [e.l])[0]
             coarse = _inverted(np.linalg.eigvalsh(reduced[:size, :size]), e.l)
             expected.append(abs(float(coarse[e.radial_index]) - e.value) / e.value)
         assert spec.diagnostics["convergence"] == expected
@@ -377,7 +377,7 @@ class TestSpectrumStructure:
         size = spec.diagnostics["basis_companion"]
         for l in sorted({e.l for e in spec.entries}):
             wanted = [e.radial_index for e in spec.entries if e.l == l]
-            _, reduced, _ = _solve_mode(cfg, l)
+            _, reduced, _ = _solve_block(cfg, [l])[0]
             one = _inverted(np.linalg.eigvalsh(reduced[:size, :size]), l)[wanted]
             a_form, b_form, _ = assemble_mode(cfg, l)
             second, _, _ = linalg._reduce(b_form[:size, :size], a_form[:size, :size])
@@ -717,7 +717,7 @@ class TestSharedRuleAgainstPerModeRule:
         cfg = SolverConfig(n=n, p=p, theta0=theta0, problem=problem,
                            basis_size=16, requested_count=6)
         for l in range(5):
-            shared = _raw_forms(cfg, l)
+            shared = [forms[0] for forms in _raw_forms(cfg, [l])]
             for quad_m, forms in zip((cfg.quad_base, 2 * cfg.quad_base), shared):
                 for got, want in zip(forms, per_mode_forms(cfg, l, quad_m)):
                     scale = np.max(np.abs(want))
@@ -780,7 +780,7 @@ class TestSharedFactors:
         cfg = SolverConfig(n=n, p=p, theta0=2.1, problem=problem,
                            basis_size=16, requested_count=6)
         for l in (0, 3):
-            shared = _raw_forms(cfg, l)
+            shared = [forms[0] for forms in _raw_forms(cfg, [l])]
             for quad_m, forms, want_forms in zip((cfg.quad_base, 2 * cfg.quad_base), shared,
                                                  unshared_forms(cfg, l)):
                 for got, want in zip(forms, want_forms):
@@ -861,7 +861,7 @@ class TestPencilAccuracy:
                 c = low_inv * mpmath.matrix(b_form.tolist()) * low_inv.T
                 mu = mpmath.eigsy((c + c.T) / 2, eigvals_only=True)
                 ref = np.array(sorted(float(1 / m) for m in mu)[:8])
-            got = _solve_mode(cfg, l)[0][:8]
+            got = _solve_block(cfg, [l])[0][0][:8]
             assert np.max(np.abs(got - ref) / ref) <= 1e-12, l
 
     def test_values_only_matches_vectors_path(self):
@@ -874,7 +874,7 @@ class TestPencilAccuracy:
                            basis_size=32, requested_count=8)
         a_form, b_form, _ = assemble_mode(cfg, 7)
         want = 1.0 / generalized_sym_eigen(b_form, a_form).values[::-1][:8]
-        got = _solve_mode(cfg, 7)[0][:8]
+        got = _solve_block(cfg, [7])[0][0][:8]
         assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
@@ -1034,12 +1034,14 @@ class TestConvergenceStudy:
                     want = ref.expanded_values()
                     assert np.max(np.abs(row - want) / want) <= 1e-12, (n, p, size)
 
-    def test_repeated_sizes_identical(self):
+    @pytest.mark.parametrize("sizes", [(16, 16), (16, 32, 32), (8, 16, 16, 32)])
+    def test_repeated_sizes_refused(self, sizes):
+        # a repeated size would give an estimate of 0 for every value
         cfg = SolverConfig(n=3, p=2, theta0=1.0, problem=Problem.CLAMPED,
                            basis_size=16, requested_count=4)
-        study = convergence_study(cfg, (16, 16))
-        assert np.array_equal(study.values[0], study.values[1])
-        assert np.all(study.estimates == 0.0)
+        with pytest.raises(ValidationError, match="strictly ascending") as err:
+            convergence_study(cfg, sizes)
+        assert "\n" not in str(err.value)
 
     def test_bad_size_lists(self):
         cfg = SolverConfig(n=2, p=2, theta0=1.0, problem=Problem.CLAMPED,
@@ -1081,11 +1083,12 @@ class TestValidation:
 
     @pytest.mark.parametrize("flag", [True, False])
     @pytest.mark.parametrize("name", ["n", "p", "basis_size", "requested_count", "mode_cap",
-                                      "quad_size"])
+                                      "quad_size", "theta0"])
     def test_rejects_bools(self, name, flag):
-        # bool is an int to Python, but not a count: p=True would solve and
-        # write "p": true, which the spectrum reader refuses, and
-        # mode_cap=False would cap the modes at 0
+        # bool is an int to Python, but neither a count nor a radius: p=True
+        # would solve and write "p": true, which the spectrum reader refuses,
+        # mode_cap=False would cap the modes at 0 and theta0=True would solve
+        # a cap of radius 1
         fields = dict(n=2, p=1, theta0=1.0, problem=Problem.CLAMPED, basis_size=16,
                       requested_count=4, mode_cap=8, quad_size=40)
         with pytest.raises(ValidationError) as err:
