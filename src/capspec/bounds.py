@@ -27,15 +27,16 @@ evaluates it (_KERNELS):
   Lambda_k + 2 sqrt(S^2 - T).
 
 Every evaluator takes all requested prefixes k at once: each prefix is a
-row over the whole sequence, zeroed past k, so one array pass (stacked
-eigvals calls for the roots, one probe classification per family for the
-intervals, one single-product closed form per delta-opt round) serves them
-all, and one call serves every family of a check: the rows of the sqrt
-families and delta-opt seeds share one _first_failures pass, the quadratic
-and gap families one (S, T), and all one g (EigenSequence.coeff_g). A sqrt
-family's weights (w, g, h) come from _sqrt_weights alone, for both its
-search and evaluate_predicate, which classifies the search's probes. The
-per-family and per-k entry points are the one-family, one-row case.
+row over the whole sequence, zeroed past k, so one array pass (one stacked
+eigvals call for the roots of degree 2 and up, -c1/c0 for linear rows, one
+probe classification per family for the intervals, one single-product
+closed form per delta-opt round) serves them all, and one call serves every
+family of a check: the rows of the sqrt families and delta-opt seeds share
+one _first_failures pass, the quadratic and gap families one (S, T), and
+all one g (EigenSequence.coeff_g). A sqrt family's weights (w, g, h) come
+from _sqrt_weights alone, for both its search and evaluate_predicate, which
+classifies the search's probes. The per-family and per-k entry points are
+the one-family, one-row case; a prefix length is an integer, never a bool.
 
 Sphere buckling families share the coefficient functions
 
@@ -50,6 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -141,7 +143,7 @@ class EigenSequence:
             raise ValidationError("eigenvalue sequence is empty")
         if vals[0] <= 0.0 or not all(math.isfinite(v) for v in vals):
             raise ValidationError("eigenvalues must be positive finite reals")
-        if any(vals[i] > vals[i + 1] for i in range(len(vals) - 1)):
+        if any(a > b for a, b in zip(vals, vals[1:])):
             raise ValidationError("eigenvalues must be ascending")
         object.__setattr__(self, "values", vals)
 
@@ -298,16 +300,24 @@ class _Prefixes(NamedTuple):
 
 
 def _prefixes(seq: EigenSequence, ks) -> _Prefixes:
-    """The prefixes of the lengths ks, an integer or a 1-D array of them."""
+    """The prefixes of the lengths ks, an integer or a 1-D array of them;
+    a bool is no length."""
     lengths = np.atleast_1d(np.asarray(ks))
-    if not (lengths.ndim == 1 and lengths.dtype.kind in "biu"
-            and np.all((1 <= lengths) & (lengths <= len(seq)))):
+    if _has_bool(ks) or not (lengths.ndim == 1 and lengths.dtype.kind in "iu"
+                             and ((1 <= lengths) & (lengths <= len(seq))).all()):
         raise ValidationError(f"prefix length must be in 1..{len(seq)}, got {ks!r}")
     lengths = lengths.astype(int)
     values = np.array(seq.values)
     return _Prefixes(n=seq.n, lengths=lengths, values=values,
                      mask=np.arange(len(values)) < lengths[:, None],
                      last=values[lengths - 1])
+
+
+def _has_bool(ks) -> bool:
+    """ks is a bool or a list or tuple that holds one (numpy reads [True, 2]
+    as integers)."""
+    return (isinstance(ks, (bool, np.bool_))
+            or isinstance(ks, (list, tuple)) and any(map(_has_bool, ks)))
 
 
 def _one_prefix(seq: EigenSequence, k):
@@ -391,11 +401,11 @@ def evaluate_predicate(fam: BoundFamily, seq: EigenSequence, k,
     if fam.name not in _PREDICATE_FAMILIES:
         raise FamilyMismatch(f"family {fam.name} has no candidate predicate")
     lengths, candidates = np.broadcast_arrays(k, np.asarray(candidate, dtype=float))
-    pre = _checked_prefixes(fam, seq, lengths.ravel())
+    pre = _checked_prefixes(fam, seq, k if _has_bool(k) else lengths.ravel())
     candidates = candidates.ravel()
-    bad = ~(np.isfinite(candidates) & (candidates >= pre.last))
-    if bad.any():
-        at = int(np.argmax(bad))
+    ok = np.isfinite(candidates) & (candidates >= pre.last)
+    if not ok.all():
+        at = ok.argmin()
         raise ValidationError(
             f"candidate must be >= the k-th eigenvalue {pre.last[at]:.6g}, "
             f"got {float(candidates[at])!r}"
@@ -415,7 +425,7 @@ def evaluate_predicate(fam: BoundFamily, seq: EigenSequence, k,
         rhs = _rowsum(diffs**2 * mult) + _rowsum(diffs * _coeff_h(vals, n)) / d
     holds = _holds(lhs, rhs)
     if lengths.ndim == 0:
-        return PredicateResult(lhs=float(lhs[0]), rhs=float(rhs[0]), holds=bool(holds[0]))
+        return PredicateResult(float(lhs[0]), float(rhs[0]), bool(holds[0]))
     return PredicateResult(*(side.reshape(lengths.shape) for side in (lhs, rhs, holds)))
 
 
@@ -440,8 +450,6 @@ def _implied_rows(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes, shared):
     first failure (see _sqrt_bounds). BracketFailure when no failure lies
     at or below Lambda_k 2^64, or when the polynomial's coefficients
     overflow the float range."""
-    with np.errstate(over="ignore"):  # an infinite limit is no limit
-        limits = pre.last * 2.0**LIMIT_LOG2
     if fam.name == DELTA:
         bounds = _delta_closed_form(_delta_terms(pre), np.array([[fam.delta]]))[:, 0]
         aux = {"delta": fam.delta}
@@ -449,13 +457,13 @@ def _implied_rows(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes, shared):
         bounds = yield from _sqrt_bounds(fam, seq, pre)
         aux = {}
     out = []
-    for bound, limit in zip(bounds.tolist(), limits.tolist()):
+    for bound, last in zip(bounds.tolist(), pre.last.tolist()):
         if math.isnan(bound):
             out.append(BracketFailure(f"the coefficients of the {fam} predicate "
                                       f"overflow; no finite implied bound"))
         elif math.isinf(bound):
-            out.append(BracketFailure(f"predicate of {fam} holds at every candidate "
-                                      f"up to {limit:.6g}; no finite implied bound"))
+            out.append(BracketFailure(f"predicate of {fam} holds at every candidate up to "
+                                      f"{last * 2.0**LIMIT_LOG2:.6g}; no finite implied bound"))
         else:
             out.append((bound, aux))
     return out
@@ -467,7 +475,7 @@ def _sqrt_bounds(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes):
     probes evaluate_predicate classifies: inf where the predicate holds up
     to Lambda_k 2^64, NaN where the coefficients overflow. It yields its
     rows of the shared search and is sent their first failures."""
-    weights = [pre.masked(w) for w in _sqrt_weights(fam, seq, pre.values)]
+    weights = pre.masked(np.array(_sqrt_weights(fam, seq, pre.values))[:, None])
 
     def fails(rows, x):
         return ~evaluate_predicate(fam, seq, pre.lengths[rows], pre.last[rows] + x).holds
@@ -488,9 +496,8 @@ def _shifted_sum(w: np.ndarray, e: np.ndarray, power: int) -> np.ndarray:
     w and e are zero past each row's prefix."""
     we = w * e
     if power == 1:
-        return np.stack([_rowsum(w), _rowsum(we)], axis=1)
-    return np.stack([_rowsum(w), 2.0 * _rowsum(we),
-                     _rowsum(we * e)], axis=1)
+        return np.array([_rowsum(w), _rowsum(we)]).T
+    return np.array([_rowsum(w), 2.0 * _rowsum(we), _rowsum(we * e)]).T
 
 
 def _poly_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -517,24 +524,28 @@ def _positive_real_roots(coeffs: np.ndarray) -> np.ndarray:
     NaN-padded to the degree. As in np.roots, leading and trailing zero
     coefficients are stripped first (a trailing zero is an exact root at
     0, never positive) and the roots are the eigenvalues of the companion
-    matrix; rows that strip alike share one stacked eigvals call."""
+    matrix; rows that strip alike share one stacked eigvals call. A linear
+    row's root is -c1/c0, its eigvals bit for bit wherever LAPACK's geev
+    leaves a 1x1 matrix unscaled, for magnitudes in [2^-459, 2^459]."""
     rows, width = coeffs.shape
     out = np.full((rows, width - 1), np.nan)
     nonzero = coeffs != 0.0
-    lead = np.argmax(nonzero, axis=1)
-    tail = width - np.argmax(nonzero[:, ::-1], axis=1)
+    lead = nonzero.argmax(axis=1)
+    tail = width - nonzero[:, ::-1].argmax(axis=1)
     live = nonzero.any(axis=1) & (tail - lead > 1)
     for first, end in set(zip(lead[live].tolist(), tail[live].tolist())):
         pick = live & (lead == first) & (tail == end)
         poly = coeffs[pick, first:end]
         degree = end - first - 1
-        companion = np.zeros((len(poly), degree, degree))
-        companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
-        below = np.arange(degree - 1)
-        companion[:, below + 1, below] = 1.0
-        roots = np.linalg.eigvals(companion)
-        real = np.where(np.abs(roots.imag) <= 1e-8 * np.abs(roots), roots.real, np.nan)
-        out[pick, :degree] = np.where(real > 0.0, real, np.nan)
+        roots = -poly[:, 1:] / poly[:, :1]  # the companion's first row
+        size = abs(roots)
+        if degree > 1 or not ((2.0**-459 <= size) & (size <= 2.0**459)).all():
+            companion = np.zeros((len(poly), degree, degree))
+            companion[:, 0, :] = roots
+            companion[:, 1:, :-1] = np.eye(degree - 1)
+            roots = np.linalg.eigvals(companion)
+            roots = np.where(abs(roots.imag) <= 1e-8 * abs(roots), roots.real, np.nan)
+        out[pick, :degree] = np.where(roots > 0.0, roots, np.nan)
     return out
 
 
@@ -560,26 +571,30 @@ def _first_failures(blocks) -> list:
     interval is probed at left + max(left, unit, 1)."""
     if not blocks:
         return []
-    weights = [np.concatenate(w) for w in zip(*(block[0] for block in blocks))]
+    weights = np.concatenate([block[0] for block in blocks], axis=1)
     e, unit = (np.concatenate([block[j] for block in blocks]) for j in (1, 2))
-    starts = np.cumsum([0] + [len(block[2]) for block in blocks]).tolist()
+    starts = [0, *accumulate(len(block[2]) for block in blocks)]
 
     def fails(rows, x):  # rows ascend, so each block's rows are one run
-        cuts = np.searchsorted(rows, starts).tolist()
+        runs = np.searchsorted(rows, starts).tolist()
         return np.concatenate([block[3](rows[lo:hi] - start, x[lo:hi])
-                               for block, start, lo, hi in zip(blocks, starts, cuts, cuts[1:])])
+                               for block, start, lo, hi in zip(blocks, starts, runs, runs[1:])])
 
     with np.errstate(over="ignore", invalid="ignore"):
         quartic = _slack_quartic(_shifted_sum(weights[0], e, 2),
                                  _shifted_sum(weights[1], e, 2),
                                  _shifted_sum(weights[2], e, 1))
     finite = np.isfinite(quartic).all(axis=1)
-    edges = np.sort(_positive_real_roots(quartic[finite]), axis=1)  # NaN sorts last
-    edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = np.nan
-    edges = np.sort(edges, axis=1)
-    zero = np.zeros((len(edges), 1))
-    lefts = np.concatenate([zero, zero, edges], axis=1)
-    rights = np.concatenate([zero, edges, zero + np.nan], axis=1)
+    # the cuts 0, 0 and the sorted distinct roots, then NaN: interval j
+    # runs from cut j to cut j + 1, the first from 0 to 0 (the point x = 0)
+    cuts = np.zeros((finite.sum(), quartic.shape[1] + 2))
+    cuts[:, -1] = math.nan
+    edges = cuts[:, 2:-1]
+    edges[:] = _positive_real_roots(quartic[finite])
+    edges.sort(axis=1)  # NaN sorts last
+    edges[:, 1:][edges[:, 1:] == edges[:, :-1]] = math.nan
+    edges.sort(axis=1)
+    lefts, rights = cuts[:, :-1], cuts[:, 1:]
     scale = unit[finite, None]
     failing = np.zeros(lefts.shape, dtype=bool)
     # an overflowed probe compares inf with inf, and the predicate holds
@@ -589,27 +604,31 @@ def _first_failures(blocks) -> list:
         rows, cols = np.nonzero(scale + lefts <= scale * 2.0**LIMIT_LOG2)  # NaN is False
         failing[rows, cols] = fails(np.flatnonzero(finite)[rows], probes[rows, cols])
     out = np.full(len(finite), math.nan)
-    out[finite] = np.where(failing.any(axis=1),
-                           lefts[np.arange(len(lefts)), np.argmax(failing, axis=1)], math.inf)
+    out[finite] = np.where(failing, lefts, math.inf).min(axis=1)  # the lefts ascend
     return [out[lo:hi] for lo, hi in zip(starts, starts[1:])]
 
 
 def _first_positive(a, b, c):
-    """Elementwise smallest x >= 0 at which a x^2 + b x + c > 0 (inf if none)."""
-    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), np.abs(c))
+    """Elementwise smallest x >= 0 at which a x^2 + b x + c > 0 (inf if
+    none), for arrays a, b and c of one shape."""
+    abc = np.array([a, b, c])
+    scale = abs(abc).max(axis=0)
     scale[scale == 0.0] = 1.0
-    a, b, c = a / scale, b / scale, c / scale
+    a, b, c = abc / scale
     disc = b * b - 4.0 * a * c
     q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(disc, 0.0)), b))
     # q / a and c / q are the two roots (Press et al.'s stable form); each
     # quotient is kept only where its denominator is non-zero, and one that
     # overflows is a root beyond every finite candidate
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(all="ignore"):
         rising, near = b > 0.0, c / q
-        x = np.where(a > 0.0, np.where(q == 0.0, 0.0, np.maximum(q / a, near)), math.inf)
-        x = np.where((a < 0.0) & (disc > 0.0) & rising, near, x)
-        x = np.where((a == 0.0) & rising, -c / b, x)
-    return np.where(c > 0.0, 0.0, x)
+        x = np.maximum(q / a, near)
+        x[q == 0.0] = 0.0
+        x[~(a > 0.0)] = math.inf
+        np.copyto(x, near, where=(a < 0.0) & (disc > 0.0) & rising)
+        np.copyto(x, -c / b, where=(a == 0.0) & rising)
+    x[c > 0.0] = 0.0
+    return x
 
 
 _BLOCK = 1 << 16  # elements of one (rows, deltas, eigenvalues) temporary
@@ -626,18 +645,21 @@ class _DeltaTerms(NamedTuple):
     lhs: np.ndarray  # (R, 3): coefficients in x of 2 sum_i (x + e_i)^2
     h_sums: np.ndarray  # (R, 2): sum_i h_i and sum_i h_i e_i
     h: np.ndarray  # (R, K): h_i on each prefix, not in units of Lambda_k
+    fade: np.ndarray  # (K,): 1 - (n-2)/lambda_i, see _delta_weight_slope
 
     def take(self, rows) -> _DeltaTerms:
-        return _DeltaTerms(self.pre.take(rows), *(rows_of[rows] for rows_of in self[1:]))
+        return _DeltaTerms(self.pre.take(rows), *(rows_of[rows] for rows_of in self[1:-1]),
+                           self.fade)
 
 
 def _delta_terms(pre: _Prefixes) -> _DeltaTerms:
     e = pre.shifts(unit=True)
-    powers = np.stack([pre.mask.astype(float), e, e * e], axis=1)
+    powers = np.stack([pre.mask, e, e * e], axis=1)
     h = pre.masked(_coeff_h(pre.values, pre.n))
     h_unit = h / pre.last[:, None]
     return _DeltaTerms(pre, powers, 2.0 * _rowsum(powers) * [1.0, 2.0, 1.0],
-                       np.array([_rowsum(h_unit), _rowsum(h_unit * e)]).T, h)
+                       np.array([_rowsum(h_unit), _rowsum(h_unit * e)]).T, h,
+                       1.0 - (pre.n - 2) / pre.values)
 
 
 def _delta_closed_form(terms: _DeltaTerms, deltas: np.ndarray) -> np.ndarray:
@@ -646,13 +668,16 @@ def _delta_closed_form(terms: _DeltaTerms, deltas: np.ndarray) -> np.ndarray:
     predicate holds up to Lambda_k 2^64. The predicate fails where
     (1-eps) lhs - (1+eps) rhs > 0, a quadratic in x = c - Lambda_k. Rows
     are evaluated in blocks of at most _BLOCK elements per temporary (one
-    block when there are none), which a row's value does not depend on."""
+    block when they fit, or when there are none), which a row's value does
+    not depend on."""
     rows = len(terms.pre.last)
     step = max(1, _BLOCK // max(1, deltas.shape[1] * len(terms.pre.values)))
     with np.errstate(over="ignore", invalid="ignore"):
+        if rows <= step:
+            return _delta_block(terms, slice(None), deltas)
         return np.concatenate([_delta_block(terms, slice(i, i + step),
                                             deltas[i:i + step] if len(deltas) > 1 else deltas)
-                               for i in range(0, max(rows, 1), step)])
+                               for i in range(0, rows, step)])
 
 
 def _delta_block(terms: _DeltaTerms, rows: slice, d: np.ndarray) -> np.ndarray:
@@ -664,17 +689,17 @@ def _delta_block(terms: _DeltaTerms, rows: slice, d: np.ndarray) -> np.ndarray:
     m_sums = _rowsum(weight[:, :, None] * terms.powers[rows, None])
     # the quadratic is divided by max(d, 1/d) so that no coefficient can
     # overflow: with r = min(d, 1/d) the lhs, d-weighted and h / d sums
-    # carry the factors r, d r and r / d, each at most 1
-    large = d >= 1.0
-    r = np.where(large, 1.0 / np.maximum(d, 1.0), d)
-    squared = r * r
+    # carry the factors r, d r = min(d^2, 1) and r / d = min(1/d^2, 1)
+    inv = 1.0 / d
+    r = np.minimum(d, inv)
     # the right side's coefficients of x^2, x and 1, each (R, D)
-    rhs = np.where(large, 1.0, squared)[..., None] * m_sums * [1.0, 2.0, 1.0]
-    rhs[..., 1:] += np.where(large, squared, 1.0)[..., None] * terms.h_sums[rows, None]
+    rhs = np.minimum(d * d, 1.0)[..., None] * m_sums * [1.0, 2.0, 1.0]
+    rhs[..., 1:] += np.minimum(inv * inv, 1.0)[..., None] * terms.h_sums[rows, None]
     coeffs = ((1.0 - INEQ_SLACK) * (r[..., None] * terms.lhs[rows, None])
               - (1.0 + INEQ_SLACK) * rhs)
-    out = last + last * _first_positive(coeffs[..., 0], coeffs[..., 1], coeffs[..., 2])
-    return np.where(out <= last * 2.0**LIMIT_LOG2, out, math.inf)
+    out = last + last * _first_positive(*coeffs.transpose(2, 0, 1))
+    out[~(out <= last * 2.0**LIMIT_LOG2)] = math.inf
+    return out
 
 
 def delta_bounds(seq: EigenSequence, k, deltas) -> np.ndarray:
@@ -684,7 +709,7 @@ def delta_bounds(seq: EigenSequence, k, deltas) -> np.ndarray:
     prefix length, or a 1-D array of them for one row of bounds each."""
     pre = _checked_prefixes(family(DELTA_OPT), seq, k)
     deltas = np.asarray(deltas, dtype=float).ravel()
-    if not np.all(np.isfinite(deltas) & (deltas > 0.0)):
+    if not (np.isfinite(deltas) & (deltas > 0.0)).all():
         raise ValidationError("every delta must be a positive finite real")
     bounds = _delta_closed_form(_delta_terms(pre), deltas[None, :])
     return bounds if np.ndim(k) else bounds[0]
@@ -707,9 +732,8 @@ def _st_terms(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes):
     vals, k = pre.values, pre.lengths
     c = (seq.coeff_g * _coeff_h(vals, seq.n) if fam.name in (QUADRATIC, GAP)
          else _root_coeffs(fam, vals, seq.n, seq.p))
-    s = _rowsum(pre.masked(vals)) / k + _rowsum(pre.masked(c)) / (2 * k)
-    t = _rowsum(pre.masked(vals**2)) / k + _rowsum(pre.masked(vals * c)) / k
-    return s, t
+    sums = _rowsum(pre.masked(np.array([vals, c, vals**2, vals * c])[:, None]))
+    return sums[0] / k + sums[1] / (2 * k), sums[2] / k + sums[3] / k
 
 
 def _closed_form_rows(fam: BoundFamily, seq: EigenSequence, pre: _Prefixes, shared):
@@ -787,13 +811,14 @@ def closed_form_bound(fam: BoundFamily, seq: EigenSequence, k: int,
     return _one_result("closed-form", fam, seq, k, actual)
 
 
-def _delta_weight_slope(values: np.ndarray, n: int, d) -> np.ndarray:
+def _delta_weight_slope(terms: _DeltaTerms, d) -> np.ndarray:
     """d/d delta of delta * _delta_weight: with c = n - 2,
-    lambda + (1 - c/lambda) (1 - (c / (delta lambda + c))^2) / 4. It rises
-    from lambda as delta -> 0 to lambda + (1 - c/lambda) / 4 as delta -> inf,
-    and is lambda + 1/4 at every delta when n = 2."""
-    c = n - 2
-    return values + (1.0 - c / values) * (1.0 - (c / (d * values + c)) ** 2) / 4.0
+    lambda + (1 - c/lambda) (1 - (c / (delta lambda + c))^2) / 4, whose
+    delta-free factor 1 - c/lambda is terms.fade. It rises from lambda as
+    delta -> 0 to lambda + (1 - c/lambda) / 4 as delta -> inf, and is
+    lambda + 1/4 at every delta when n = 2."""
+    c, values = terms.pre.n - 2, terms.pre.values
+    return values + terms.fade * (1.0 - (c / (d * values + c)) ** 2) / 4.0
 
 
 def _delta_seeds(terms: _DeltaTerms):
@@ -812,17 +837,17 @@ def _delta_seeds(terms: _DeltaTerms):
     Lambda_k^2), so no eigenvalue under- or overflows the coefficients. It
     yields its rows of the shared search, as _sqrt_bounds does."""
     pre, e = terms.pre, terms.powers[:, 1]
-    weights = [pre.masked(2.0), pre.masked(_delta_weight_slope(pre.values, pre.n, math.inf)),
-               terms.h / pre.last[:, None]]  # L, M and H
+    weights = np.array([pre.masked(2.0), pre.masked(_delta_weight_slope(terms, math.inf)),
+                        terms.h / pre.last[:, None]])  # L, M and H
 
     def sides(rows, x):
         d = np.where(pre.mask[rows], x[:, None] + e[rows], 0.0)
-        return _sqrt_sides(d, [w[rows] for w in weights])
+        return _sqrt_sides(d, weights[:, rows])
 
     x = yield weights, e, np.ones(len(e)), lambda rows, x: ~_holds(*sides(rows, x)[:2])
     found = np.isfinite(x)
     seeds = np.full(len(x), math.nan)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(all="ignore"):
         _, _, msum, hsum = sides(np.flatnonzero(found), x[found])
         seeds[found] = 0.5 * np.log10(hsum / msum)
     return seeds
@@ -838,12 +863,11 @@ def _delta_points(terms: _DeltaTerms, ts: np.ndarray) -> list:
     at = np.where(finite, bounds, 1.0)[:, None]
     d = pre.masked((at - pre.values) / at)
     with np.errstate(divide="ignore", invalid="ignore"):
-        slope = _rowsum(d * d * _delta_weight_slope(pre.values, pre.n, deltas[:, None]))
+        slope = _rowsum(d * d * _delta_weight_slope(terms, deltas[:, None]))
         ratio = slope / _rowsum(terms.h * d)
         residuals = 2.0 * LN10 * ts + np.log(ratio) + np.log(at[:, 0])
-    return [(t, bound, residual if ok else None, delta) for t, bound, residual, delta, ok
-            in zip(ts.tolist(), bounds.tolist(), residuals.tolist(), deltas.tolist(),
-                   finite.tolist())]
+    return list(zip(ts.tolist(), bounds.tolist(), np.where(finite, residuals, None).tolist(),
+                    deltas.tolist()))
 
 
 def _delta_search(seed: float):

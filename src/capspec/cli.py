@@ -225,7 +225,7 @@ _COMMANDS = {
     "convergence": ("eigenvalues over nested basis sizes", _cmd_convergence, (
         *_PROBLEM_OPTIONS,
         ("--basis-list", dict(required=True,
-                              help="comma-separated ascending basis sizes")),
+                              help="comma-separated strictly ascending basis sizes")),
         ("--count", dict(type=_positive_int, default=8)),
         ("--out", dict(required=True, help="study JSON path")),
     )),

@@ -218,29 +218,21 @@ def read_spectrum(path) -> SpectrumDocument:
                             entries=tuple(entries), meta=dict(meta))
 
 
-def _aux_columns(result) -> tuple[str, str, str]:
-    """The aux_S, aux_T and aux_delta cells: the result's "S", "T" and
-    "delta_star" or "delta" entries, empty where it has none."""
-    aux = result.aux
-    delta = "delta_star" if "delta_star" in aux else "delta"
-    return tuple(format_real(aux[key]) if key in aux else "" for key in ("S", "T", delta))
-
-
 def verification_rows(report) -> list[str]:
     """CSV rows (no header) for a VerificationReport: k ascending, families
-    in the report's order."""
-    lines = []
+    in the report's order. The aux cells are the result's "S", "T" and
+    "delta_star" or "delta" entries, empty where it has none."""
+    lines, key = [], None
     for row in report.rows:
-        s, t, delta = _aux_columns(row.result)
-        lines.append(",".join([
-            str(row.k),
-            format_real(row.actual),
-            row.result.family.name,
-            format_real(row.result.bound),
-            format_real(row.result.margin),
-            "true" if row.holds else "false",
-            s, t, delta,
-        ]))
+        if (row.k, row.actual) != key:  # the rows of one k share their first cells
+            key, head = (row.k, row.actual), f"{row.k},{format_real(row.actual)},"
+        result, aux = row.result, row.result.aux
+        delta = aux.get("delta_star", aux.get("delta"))
+        lines.append(f"{head}{result.family.name},{format_real(result.bound)},"
+                     f"{format_real(result.margin)},{'true' if row.holds else 'false'},"
+                     f"{format_real(aux['S']) if 'S' in aux else ''},"
+                     f"{format_real(aux['T']) if 'T' in aux else ''},"
+                     f"{'' if delta is None else format_real(delta)}")
     return lines
 
 

@@ -88,7 +88,7 @@ def check_spectrum(spec, families) -> VerificationReport:
     # one all-prefix pass for every family; an error surfaces at its
     # (k, family) in row order, as a per-row evaluation would raise it
     per_family = evaluate_families(families, seq, ks, seq.values[1:])
-    rows = []
+    rows, sharpest = [], {}
     for k, results in zip(ks, zip(*per_family)):
         actual = seq.values[k]
         for result in results:
@@ -96,21 +96,16 @@ def check_spectrum(spec, families) -> VerificationReport:
                 raise result
             holds = actual <= result.bound + HOLDS_SLACK * actual
             rows.append(ReportRow(k=k, actual=actual, result=result, holds=holds))
-    margins = [r.result.margin for r in rows]
-    sharpest = {}
-    for start in range(0, len(rows), len(families)):
-        group = rows[start:start + len(families)]
-        least = min(r.result.bound for r in group)
+        least = min(result.bound for result in results)
         # a bound within SHARPEST_TIE_REL of the least is a tie, which goes to
         # the earliest family, so rounding (the p = 2 sqrt twins) cannot flip it
-        best = next(r for r in group
-                    if r.result.bound <= least + SHARPEST_TIE_REL * abs(least))
-        name = best.result.family.name
+        name = next(result.family.name for result in results
+                    if result.bound <= least + SHARPEST_TIE_REL * abs(least))
         sharpest[name] = sharpest.get(name, 0) + 1
     summary = {
         "rows": len(rows),
         "violations": sum(1 for r in rows if not r.holds),
-        "min_margin": min(margins) if margins else float("nan"),
+        "min_margin": min(r.result.margin for r in rows) if rows else float("nan"),
         "families": [str(f) for f in families],
         "sharpest_family_counts": sharpest,
     }
@@ -163,18 +158,15 @@ def compare_sharpness(spec, delta_grid=(1e-3, 1e3, 32)) -> SharpnessReport:
             f"delta grid COUNT must be at most {MAX_DELTA_GRID}, got {count}")
     deltas = np.logspace(math.log10(lo), math.log10(hi), count)
     verification = check_spectrum(seq, map(family, ORDER_TWO_FAMILIES))
-    per_k = np.array([r.result.bound for r in verification.rows]).reshape(-1, 3)
+    sqrt_bound, _, p2_bound = np.array([r.result.bound for r in verification.rows]).reshape(-1, 3).T
     grid = delta_bounds(seq, np.arange(1, len(seq)), deltas)  # one row per k
-    rows = []
-    for k, (sqrt_bound, _, p2_bound), grid_bounds in zip(
-            range(1, len(seq)), per_k.tolist(), grid):
-        slack = DOMINANCE_SLACK * max(1.0, sqrt_bound)
-        rows.append(SharpnessRow(
-            k=k,
-            twins_agree=abs(sqrt_bound - p2_bound) <= TWIN_REL_TOL * sqrt_bound,
-            grid_min_bound=float(grid_bounds.min()),
-            dominated_count=int(np.count_nonzero(sqrt_bound > grid_bounds + slack)),
-        ))
+    slack = DOMINANCE_SLACK * np.maximum(1.0, sqrt_bound)  # every bound is finite
+    rows = [SharpnessRow(k=k, twins_agree=agree, grid_min_bound=least, dominated_count=count)
+            for k, agree, least, count in zip(
+                range(1, len(seq)),
+                (abs(sqrt_bound - p2_bound) <= TWIN_REL_TOL * sqrt_bound).tolist(),
+                grid.min(axis=1).tolist(),
+                np.count_nonzero(sqrt_bound[:, None] > grid + slack[:, None], axis=1).tolist())]
     summary = {
         "rows": len(rows),
         "twin_violations": sum(1 for r in rows if not r.twins_agree),

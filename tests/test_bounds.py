@@ -16,7 +16,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from capspec.bounds import (
@@ -1013,6 +1013,31 @@ class TestSequencesAndFamilies:
                 with pytest.raises(ValidationError, match="prefix length"):
                     evaluate_bound(fam, ONE, k)
 
+    def test_bool_prefix_lengths_refused(self):
+        # numpy reads True as 1, and inside a list [True, 2] as integers
+        seq = buck((6.0, 10.5, 17.0, 20.0))
+        sqrt = family("sphere-buckling-sqrt")
+        message = re.escape("prefix length must be in 1..4")
+        for k in (True, False, np.True_, [True], (1, False), np.array([True, True])):
+            with pytest.raises(ValidationError, match=message):
+                implied_bound(sqrt, seq, k)
+            with pytest.raises(ValidationError, match=message):
+                best_delta_bound(seq, k)
+            with pytest.raises(ValidationError, match=message):
+                quadratic_terms(seq, k)
+            with pytest.raises(ValidationError, match=message):
+                delta_bounds(seq, k, [1.0])
+            for fam in (sqrt, family("sphere-buckling-quadratic")):
+                with pytest.raises(ValidationError, match=message):
+                    evaluate_predicate(fam, seq, k, 21.0)
+        for ks in ([True, 2], (2, np.True_), [[True, 2]]):
+            rows = evaluate_bounds(sqrt, seq, ks)
+            assert all(isinstance(row, ValidationError) and re.match(message, str(row))
+                       for row in rows), ks
+            with pytest.raises(ValidationError, match=message):
+                evaluate_predicate(sqrt, seq, ks, 21.0)
+        assert evaluate_bounds(sqrt, seq, [1, 2])[0].k == 1
+
     def test_family_construction_errors(self):
         with pytest.raises(ValidationError):
             family("no-such-family")
@@ -1399,3 +1424,71 @@ class TestCoefficientTable:
                     quadratic_terms(seq, 1)
             assert factor.call_count == 2 * 6  # one failing call per use
         assert "coeff_g" not in vars(seq)
+
+
+PINNED_P2_SPECTRA = [PINNED_P2.parent / f"{stem}.json" for stem in (
+    "n2-buckling-p2-pi_2", "n3-buckling-p2-2pi_5", "n4-buckling-p2-5pi_8")]
+
+
+def linear_root_bits(c0, c1):
+    """float.hex of the root of c0 x + c1 from np.linalg.eigvals of its 1x1
+    companion [[-c1/c0]], NaN unless it is real and positive."""
+    root = np.linalg.eigvals(np.array([[[-c1 / c0]]]))[0, 0]
+    return (root.real if root.real > 0.0 else math.nan).hex()
+
+
+# coefficients of one sign pattern and magnitude each, so that the root
+# -c1/c0 runs from subnormal to near the float range
+coefficient = st.builds(
+    lambda sign, mantissa, exponent: sign * mantissa * 10.0**exponent,
+    st.sampled_from([1.0, -1.0]), st.floats(1.0, 10.0), st.integers(-300, 300))
+subnormal = st.floats(min_value=5e-324, max_value=2.2e-308)
+
+
+class TestOneEigvalsCall:
+    """A linear row's root is -c1/c0, the eigvals root of its 1x1 companion
+    bit for bit, so a check's bound pass makes one eigvals call."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(c0=st.one_of(coefficient, subnormal, subnormal.map(lambda x: -x)),
+           c1=st.one_of(coefficient, subnormal, subnormal.map(lambda x: -x)))
+    @example(c0=1.0, c1=-(2.0**-459))  # the ends of geev's unscaled range
+    @example(c0=1.0, c1=-np.nextafter(2.0**-459, 0.0))
+    @example(c0=1.0, c1=-(2.0**459))
+    @example(c0=1.0, c1=-np.nextafter(2.0**459, math.inf))
+    @example(c0=-3.0, c1=7.0)
+    def test_linear_root_is_the_companion_eigenvalue(self, c0, c1):
+        assume(math.isfinite(c1 / c0))  # eigvals refuses an infinite entry
+        # a k = 1 quartic strips to its first two coefficients; leading
+        # zeros strip too, and the root comes first in its row
+        coeffs = np.array([[c0, c1, 0.0, 0.0, 0.0], [0.0, c0, c1, 0.0, 0.0]])
+        got = _positive_real_roots(coeffs)
+        assert hex_rows(got[:, 0]) == [linear_root_bits(c0, c1)] * 2
+        assert np.isnan(got[:, 1:]).all()
+
+    @pytest.mark.parametrize("command", ["verify", "compare"])
+    def test_one_eigvals_call_per_command(self, command, tmp_path):
+        # at n = 2, K = 8 the three search blocks (the sqrt families and the
+        # delta-opt seeds) hold 21 rows: the 18 quartics share one call, and
+        # the three k = 1 rows are linear
+        real, shapes = np.linalg.eigvals, []
+
+        def counting(a):
+            shapes.append(np.shape(a))
+            return real(a)
+
+        with mock.patch.object(np.linalg, "eigvals", counting), \
+                contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main([command, "--in", str(PINNED_P2), "--out", str(tmp_path / "r.csv")])
+        assert code == 0
+        assert shapes == [(18, 4, 4)]
+
+    @pytest.mark.parametrize("path,rounds", zip(PINNED_P2_SPECTRA, [1, 4, 4]),
+                             ids=lambda x: getattr(x, "stem", x))
+    def test_delta_opt_rounds(self, path, rounds):
+        # the searches run in lockstep, one closed form per round
+        seq = read_spectrum(path).sequence()
+        with mock.patch.object(bounds_module, "_delta_points",
+                               wraps=bounds_module._delta_points) as points:
+            evaluate_bounds(family("sphere-buckling-delta-opt"), seq, range(1, len(seq)))
+        assert points.call_count == rounds

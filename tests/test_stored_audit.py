@@ -8,11 +8,15 @@ whose compare reports are stored too.
 The benchmark refuses a run whose bounds move by more than 1e-9 relative
 or whose exit codes, rows, holds flags or violation counts change; this
 guard is ten times tighter on the bounds, so such a change fails here
-first. The tests/data reports must come back byte for byte.
+first. The tests/data reports must come back byte for byte, and so must
+the verify and compare reports of every benchmark spectrum: their digests
+are stored in tests/data/audit-digests.json, one sha256 per file and
+command over the CSV bytes followed by the summary bytes.
 """
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 from pathlib import Path
@@ -28,6 +32,8 @@ REFERENCE = json.loads((DATA / "reference.json").read_text(encoding="utf-8"))["a
 COUNTS = {"verify": ("violations",),
           "compare": ("twin_violations", "dominance_violations")}
 REL_TOL = 1e-10
+DIGESTS = json.loads((Path(__file__).resolve().parent / "data" / "audit-digests.json")
+                     .read_text(encoding="utf-8"))
 
 
 def audit(command, spectrum, out):
@@ -94,3 +100,19 @@ def test_pinned_verify_reports_byte_identical(tmp_path, spectrum):
 @pytest.mark.parametrize("spectrum", PINNED_P2, ids=lambda p: p.stem)
 def test_pinned_compare_reports_byte_identical(tmp_path, spectrum):
     assert_report_byte_identical(tmp_path, "compare", spectrum)
+
+
+def test_digests_cover_every_benchmark_spectrum():
+    assert sorted(DIGESTS) == sorted(REFERENCE)
+    assert all(sorted(digests) == ["compare", "verify"] for digests in DIGESTS.values())
+
+
+@pytest.mark.parametrize("command", ["verify", "compare"])
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_benchmark_reports_match_digest(tmp_path, name, command):
+    out = tmp_path / f"{command}.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([command, "--in", str(DATA / "spectra" / name), "--out", str(out)])
+    assert code == REFERENCE[name][command]["exit"]
+    report = out.read_bytes() + out.with_suffix(".summary.json").read_bytes()
+    assert hashlib.sha256(report).hexdigest() == DIGESTS[name][command]
