@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, product
 from typing import NamedTuple
 
 import numpy as np
@@ -63,6 +63,9 @@ from .errors import (
     DomainError,
     FamilyMismatch,
     ValidationError,
+    _is_int,
+    _real,
+    _reals,
 )
 from .radial import shown
 from .spectral import Problem, Spectrum, _checked_problem
@@ -136,8 +139,9 @@ class EigenSequence:
     values: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "problem", _checked_problem(self.problem, self.n, self.p))
-        vals = tuple(float(v) for v in self.values)
+        for name, value in zip(("problem", "n", "p"), _checked_problem(self.problem, self.n, self.p)):
+            object.__setattr__(self, name, value)
+        vals = tuple(_real(v, "eigenvalues must be positive finite reals") for v in self.values)
         check_sequence_length(len(vals))
         if not vals:
             raise ValidationError("eigenvalue sequence is empty")
@@ -185,7 +189,7 @@ def family(name: str, delta: float | None = None) -> BoundFamily:
     if name == DELTA:
         if delta is None:
             raise ValidationError(f"{DELTA} requires a positive delta parameter")
-        delta = float(delta)
+        delta = _real(delta, "delta must be a positive finite real")
         if not (math.isfinite(delta) and delta > 0.0):
             raise ValidationError(f"delta must be a positive finite real, got {delta!r}")
     elif delta is not None:
@@ -228,11 +232,8 @@ def sphere_buckling_factor(lam: float, n: int, p: int) -> float:
     lam + 1 at p = 2. Terms with a vanishing integer coefficient are exact
     zeros, so p = 2, 3 never meet a negative exponent. It is formed in
     floats; a factor past the float range raises BracketFailure."""
-    if not (isinstance(n, (int, np.integer)) and n >= 2):
-        raise ValidationError(f"dimension must be an integer >= 2, got {n!r}")
-    if not (isinstance(p, (int, np.integer)) and p >= 2):
-        raise ValidationError(f"order must be an integer >= 2, got {p!r}")
-    lam = float(lam)
+    _, n, p = _checked_problem(Problem.BUCKLING, n, p)
+    lam = _real(lam, "eigenvalue must be a positive real")
     if not (math.isfinite(lam) and lam > 0.0):
         raise DomainError(f"eigenvalue must be positive, got {lam!r}")
     q = _float_order(p)
@@ -300,24 +301,18 @@ class _Prefixes(NamedTuple):
 
 
 def _prefixes(seq: EigenSequence, ks) -> _Prefixes:
-    """The prefixes of the lengths ks, an integer or a 1-D array of them;
-    a bool is no length."""
+    """The prefixes of the lengths ks, an integer or a 1-D array of them; a
+    list or tuple is read entry by entry, as numpy reads [True, 2] as integers."""
     lengths = np.atleast_1d(np.asarray(ks))
-    if _has_bool(ks) or not (lengths.ndim == 1 and lengths.dtype.kind in "iu"
-                             and ((1 <= lengths) & (lengths <= len(seq))).all()):
+    if not (lengths.ndim == 1 and lengths.dtype.kind in "iu"
+            and (not isinstance(ks, (list, tuple)) or all(map(_is_int, ks)))
+            and ((1 <= lengths) & (lengths <= len(seq))).all()):
         raise ValidationError(f"prefix length must be in 1..{len(seq)}, got {ks!r}")
     lengths = lengths.astype(int)
     values = np.array(seq.values)
     return _Prefixes(n=seq.n, lengths=lengths, values=values,
                      mask=np.arange(len(values)) < lengths[:, None],
                      last=values[lengths - 1])
-
-
-def _has_bool(ks) -> bool:
-    """ks is a bool or a list or tuple that holds one (numpy reads [True, 2]
-    as integers)."""
-    return (isinstance(ks, (bool, np.bool_))
-            or isinstance(ks, (list, tuple)) and any(map(_has_bool, ks)))
 
 
 def _one_prefix(seq: EigenSequence, k):
@@ -400,15 +395,18 @@ def evaluate_predicate(fam: BoundFamily, seq: EigenSequence, k,
     entry is the scalar call's value."""
     if fam.name not in _PREDICATE_FAMILIES:
         raise FamilyMismatch(f"family {fam.name} has no candidate predicate")
-    lengths, candidates = np.broadcast_arrays(k, np.asarray(candidate, dtype=float))
-    pre = _checked_prefixes(fam, seq, k if _has_bool(k) else lengths.ravel())
+    if isinstance(k, (list, tuple)):  # checked before numpy reads [True, 2] as integers
+        k = _prefixes(seq, k).lengths
+    candidate = _reals(candidate, "candidate must be a real >= the k-th eigenvalue")
+    lengths, candidates = np.broadcast_arrays(k, candidate)
+    pre = _checked_prefixes(fam, seq, lengths.ravel())
     candidates = candidates.ravel()
     ok = np.isfinite(candidates) & (candidates >= pre.last)
     if not ok.all():
         at = ok.argmin()
         raise ValidationError(
             f"candidate must be >= the k-th eigenvalue {pre.last[at]:.6g}, "
-            f"got {float(candidates[at])!r}"
+            f"got {candidates[at].item()!r}"
         )
     n, vals = seq.n, pre.values
     diffs = pre.masked(candidates[:, None] - vals)
@@ -666,18 +664,18 @@ def _delta_closed_form(terms: _DeltaTerms, deltas: np.ndarray) -> np.ndarray:
     """The delta family's implied bound for each prefix (row) at each delta
     of its row of deltas, an (R, D) or (1, D) array; inf where the
     predicate holds up to Lambda_k 2^64. The predicate fails where
-    (1-eps) lhs - (1+eps) rhs > 0, a quadratic in x = c - Lambda_k. Rows
-    are evaluated in blocks of at most _BLOCK elements per temporary (one
-    block when they fit, or when there are none), which a row's value does
-    not depend on."""
-    rows = len(terms.pre.last)
-    step = max(1, _BLOCK // max(1, deltas.shape[1] * len(terms.pre.values)))
+    (1-eps) lhs - (1+eps) rhs > 0, a quadratic in x = c - Lambda_k. The
+    output is filled in tiles of at most _BLOCK (row, delta, eigenvalue)
+    triples, which no entry's value depends on."""
+    rows, count, size = len(terms.pre.last), deltas.shape[1], len(terms.pre.values)
+    cols = max(1, min(count, _BLOCK // size))
+    step = max(1, _BLOCK // (cols * size))
+    out = np.empty((rows, count))
     with np.errstate(over="ignore", invalid="ignore"):
-        if rows <= step:
-            return _delta_block(terms, slice(None), deltas)
-        return np.concatenate([_delta_block(terms, slice(i, i + step),
-                                            deltas[i:i + step] if len(deltas) > 1 else deltas)
-                               for i in range(0, rows, step)])
+        for i, j in product(range(0, rows, step), range(0, count, cols)):
+            d = deltas[i:i + step] if len(deltas) > 1 else deltas
+            out[i:i + step, j:j + cols] = _delta_block(terms, slice(i, i + step), d[:, j:j + cols])
+    return out
 
 
 def _delta_block(terms: _DeltaTerms, rows: slice, d: np.ndarray) -> np.ndarray:
@@ -708,7 +706,7 @@ def delta_bounds(seq: EigenSequence, k, deltas) -> np.ndarray:
     Lambda_k 2^64 (where implied_bound raises BracketFailure). k is a
     prefix length, or a 1-D array of them for one row of bounds each."""
     pre = _checked_prefixes(family(DELTA_OPT), seq, k)
-    deltas = np.asarray(deltas, dtype=float).ravel()
+    deltas = _reals(deltas, "every delta must be a positive finite real").ravel()
     if not (np.isfinite(deltas) & (deltas > 0.0)).all():
         raise ValidationError("every delta must be a positive finite real")
     bounds = _delta_closed_form(_delta_terms(pre), deltas[None, :])
@@ -991,6 +989,8 @@ def evaluate_families(fams, seq: EigenSequence, ks, actuals=None) -> list:
     entries."""
     fams, lengths = list(fams), np.atleast_1d(ks).tolist()
     actuals = [None] * len(lengths) if actuals is None else list(actuals)
+    if len(actuals) != len(lengths):
+        raise ValidationError(f"got {len(actuals)} actual values for {len(lengths)} prefix lengths")
     try:
         pre = _prefixes(seq, ks)
     except ValidationError:

@@ -2,8 +2,11 @@
 
 Two branches: ValidationError for bad inputs or incompatible requests (the CLI
 maps these to exit code 2) and NumericalError for computations that failed on
-admissible inputs (exit code 3).
+admissible inputs (exit code 3). What counts as an integer or a real is
+decided once, below: numpy integers and floats are, bools and strs never.
 """
+
+import numpy as np
 
 
 class CapspecError(Exception):
@@ -61,3 +64,32 @@ class MonotonicityViolation(NumericalError):
 
 class DiscriminantNegative(NumericalError):
     """Closed-form discriminant negative: the family gives no real bound."""
+
+
+def _is_int(value) -> bool:
+    """An int or a numpy integer, never a bool (which Python counts as one)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    """An integer or a Python or numpy float, never a bool or a str."""
+    return _is_int(value) or isinstance(value, (float, np.floating))
+
+
+def _real(value, message: str) -> float:
+    """value as a float if it is a real within the float range, else ValidationError(message)."""
+    try:
+        if _is_real(value):
+            return float(value)
+    except OverflowError:
+        pass
+    raise ValidationError(message)
+
+
+def _reals(values, message: str) -> np.ndarray:
+    """values as a float array: an integer or float array as it stands, else
+    entry by entry through _real, so no bool or str inside a list passes."""
+    array = values if isinstance(values, np.ndarray) else np.array(values, dtype=object)
+    if array.dtype.kind not in "iuf":
+        array = np.array([_real(value, message) for value in array.flat]).reshape(array.shape)
+    return array.astype(float, copy=False)

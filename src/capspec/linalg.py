@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoConvergence, NotPositiveDefinite, NumericalError, ValidationError
+from .errors import NoConvergence, NotPositiveDefinite, NumericalError, ValidationError, _reals
 
 PIVOT_RELATIVE = 1e-14
 ROUNDOFF_MU = 4  # the roundoff band of a radial mu at or below 0 (see _inverted)
@@ -81,7 +81,7 @@ def generalized_sym_eigen(a_mat, b_mat) -> EigenPairs:
 
 def _symmetrized(mat) -> np.ndarray:
     """(M + M^T) / 2 of a square array-like M with finite entries."""
-    arr = np.array(mat, dtype=float)
+    arr = _reals(mat, "matrix entries must be finite")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):

@@ -78,9 +78,11 @@ solver caches its pair, read-only, in capspec.spectral._shared_rule.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-from .errors import NoConvergence, ValidationError
+from .errors import NoConvergence, ValidationError, _is_int, _real
 
 # the largest rule built: --quad 2048, doubled (the largest automatic rule
 # has 2092 nodes); the recurrence forms its rows in blocks of about 2^16
@@ -131,12 +133,12 @@ def _rules(gamma, m, multiples: tuple) -> list:
     unless m is an integer in 1..MAX_NODES // multiples[0] and gamma lies
     in [0, MAX_EXPONENT]."""
     most = MAX_NODES // multiples[0]
-    if not (isinstance(m, (int, np.integer)) and 1 <= m <= most):
+    if not (_is_int(m) and 1 <= m <= most):
         raise ValidationError(f"node count must be an integer in 1..{most}, got {m!r}")
-    gamma = float(gamma)
+    gamma = _real(gamma, f"weight exponent must be a real in [0, {MAX_EXPONENT}]")
     if not 0.0 <= gamma <= MAX_EXPONENT:
         raise ValidationError(f"weight exponent must be in [0, {MAX_EXPONENT}], got {gamma}")
-    sizes = [int(m) * k for k in multiples]
+    sizes = [operator.index(m) * k for k in multiples]  # ints: numpy ones can overflow
     rules = []
     for size, (x, weights) in zip(sizes, _newton(gamma, sizes, _start_nodes(gamma, *sizes))):
         if gamma == 0.0:

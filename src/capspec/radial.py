@@ -26,10 +26,11 @@ K - 1, node by node, with no derivative taken numerically.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _is_int
 
 # the largest dimension and mode index accepted anywhere: floats formed from
 # them are exact, and the largest multiplicity (l = n = 10000, 19992 bits) takes ~16 ms
@@ -38,9 +39,9 @@ MAX_MODE = 10_000
 
 
 def shown(value) -> str:
-    """repr(value), or the bit length of an integer too wide to print."""
-    if isinstance(value, (int, np.integer)) and int(value).bit_length() > 64:
-        return f"an integer of {int(value).bit_length()} bits"
+    """repr(value), or the bit length of a Python int too wide to print."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"an integer of {value.bit_length()} bits"
     return repr(value)
 
 
@@ -51,10 +52,11 @@ def multiplicity(l: int, n: int) -> int:
     evaluated exactly as (2l+n-2) C(l+n-3, l) / (n-2), whose cost grows with
     min(l, n-3) rather than with l + n, and is bounded by the limits above.
     """
-    if not (isinstance(l, (int, np.integer)) and 0 <= l <= MAX_MODE):
+    if not (_is_int(l) and 0 <= l <= MAX_MODE):
         raise ValidationError(f"mode index must be an integer in 0..{MAX_MODE}, got {shown(l)}")
-    if not (isinstance(n, (int, np.integer)) and 2 <= n <= MAX_DIMENSION):
+    if not (_is_int(n) and 2 <= n <= MAX_DIMENSION):
         raise ValidationError(f"dimension must be an integer in 2..{MAX_DIMENSION}, got {shown(n)}")
+    l, n = operator.index(l), operator.index(n)  # numpy integers overflow below
     if n == 2:
         return 1 if l == 0 else 2
     return (2 * l + n - 2) * math.comb(l + n - 3, l) // (n - 2)

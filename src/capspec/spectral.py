@@ -62,6 +62,7 @@ import enum
 import functools
 import itertools
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -74,6 +75,8 @@ from .errors import (
     NumericalError,
     QuadratureNotConverged,
     ValidationError,
+    _is_int,
+    _real,
 )
 from .linalg import ROUNDOFF_MU, _leading_values, _reduce
 # gauss_jacobi_rule stays bound here too, where benchmark/spans.py wraps it
@@ -100,21 +103,20 @@ class Problem(str, enum.Enum):
     BUCKLING = "buckling"
 
 
-def _checked_problem(problem, n, p) -> Problem:
-    """Problem(problem), once n is an integer >= 2 and p an integer at or
-    above the problem's least order (2 for buckling, 1 for clamped)."""
+def _checked_problem(problem, n, p) -> tuple[Problem, int, int]:
+    """(Problem(problem), n, p), n and p as ints, once problem names one, n is
+    an integer in 2..MAX_DIMENSION and p an integer at or above the problem's
+    least order (2 buckling, 1 clamped). A message is formed only on a
+    refusal: sphere_buckling_factor calls this once per eigenvalue."""
+    if problem not in ("clamped", "buckling"):
+        raise ValidationError(f"problem must be 'clamped' or 'buckling', got {problem!r}")
     problem = Problem(problem)
-    _require(_is_int(n) and n >= 2, f"dimension must be an integer >= 2, got {n!r}")
-    _require(n <= MAX_DIMENSION, f"dimension must be at most {MAX_DIMENSION}, got {shown(n)}")
     min_p = 2 if problem is Problem.BUCKLING else 1
-    _require(_is_int(p) and p >= min_p,
-             f"order must be an integer >= {min_p} for {problem.value}, got {p!r}")
-    return problem
-
-
-def _is_int(value) -> bool:
-    """value is an integer and not a bool (which Python counts as one)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (_is_int(n) and 2 <= n <= MAX_DIMENSION and _is_int(p) and p >= min_p):
+        _require(_is_int(n) and n >= 2, f"dimension must be an integer >= 2, got {n!r}")
+        _require(n <= MAX_DIMENSION, f"dimension must be at most {MAX_DIMENSION}, got {shown(n)}")
+        raise ValidationError(f"order must be an integer >= {min_p} for {problem.value}, got {p!r}")
+    return problem, operator.index(n), operator.index(p)
 
 
 def _require(ok: bool, message: str) -> None:
@@ -142,13 +144,12 @@ class SolverConfig:
     requested_count: int = 8
 
     def __post_init__(self):
-        object.__setattr__(self, "problem", _checked_problem(self.problem, self.n, self.p))
+        object.__setattr__(self, "problem", _checked_problem(self.problem, self.n, self.p)[0])
         _require(self.p <= MAX_ORDER,
                  f"order must be at most {MAX_ORDER} for a solve, got {self.p}")
-        _require(isinstance(self.theta0, (int, float)) and not isinstance(self.theta0, bool)
-                 and 0.0 < float(self.theta0) < math.pi,
-                 f"cap radius must lie in (0, pi), got {self.theta0!r}")
-        object.__setattr__(self, "theta0", float(self.theta0))
+        message = f"cap radius must lie in (0, pi), got {self.theta0!r}"
+        object.__setattr__(self, "theta0", _real(self.theta0, message))
+        _require(0.0 < self.theta0 < math.pi, message)
         _require(math.cos(self.theta0) != 1.0,
                  f"cap radius {self.theta0!r} is too small: its cosine rounds to 1")
         _require(_is_int(self.requested_count) and self.requested_count >= 1,
@@ -166,7 +167,7 @@ class SolverConfig:
             f"(doubled to at most {MAX_NODES} nodes), got {self.quad_size!r}")
         for name in ("n", "p", "basis_size", "requested_count", "mode_cap", "quad_size"):
             if getattr(self, name) is not None:  # a numpy integer becomes an int
-                object.__setattr__(self, name, int(getattr(self, name)))
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
         entries = _jet_entries(self)
         _require(entries <= MAX_JET_ENTRIES,
                  f"order {self.p} at basis size {self.basis_size} with {self.quad_base} "
@@ -190,7 +191,7 @@ class SolverConfig:
         Past that reach the doubling check decides.
         """
         if self.quad_size is not None:
-            return int(self.quad_size)
+            return self.quad_size
         base = 2 * (self.p + self.basis_size - 1) + 16
         if self.n % 2 == 0:
             return min(base, self.p + self.basis_size + 16 + (self.n - 2) // 2)
@@ -573,9 +574,9 @@ def convergence_study(cfg: SolverConfig, basis_sizes) -> ConvergenceStudy:
     rise beyond 1e-10 absolute slack (eigensolver roundoff) raises
     MonotonicityViolation. Estimates are |last - previous| / last per index.
     """
-    sizes = [int(b) for b in basis_sizes]
+    sizes = list(basis_sizes)
     _require(len(sizes) >= 2, "need at least two basis sizes")
-    _require(sizes[0] > 0 and all(a < b for a, b in zip(sizes, sizes[1:])),
+    _require(all(map(_is_int, sizes)) and sizes[0] > 0 and all(map(operator.lt, sizes, sizes[1:])),
              f"basis sizes must be positive and strictly ascending, got {sizes}")
     replace(cfg, basis_size=sizes[0])  # every size must be >= requested_count
     want = cfg.requested_count

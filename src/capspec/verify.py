@@ -25,7 +25,7 @@ from .bounds import (
     evaluate_families,
     family,
 )
-from .errors import GuardViolation, ValidationError
+from .errors import GuardViolation, ValidationError, _is_int, _real
 from .spectral import Problem, Spectrum
 
 HOLDS_SLACK = 1e-8
@@ -149,10 +149,11 @@ def compare_sharpness(spec, delta_grid=(1e-3, 1e3, 32)) -> SharpnessReport:
             f"sharpness comparison applies to order-2 buckling sequences, "
             f"got p = {seq.p} {seq.problem.value}"
         )
+    message = f"bad delta grid {delta_grid!r}: need finite 0 < LO < HI, COUNT >= 2"
     lo, hi, count = delta_grid
-    lo, hi, count = float(lo), float(hi), int(count)
-    if not (0.0 < lo < hi < math.inf and count >= 2):
-        raise ValidationError(f"bad delta grid {delta_grid!r}: need finite 0 < LO < HI, COUNT >= 2")
+    lo, hi = _real(lo, message), _real(hi, message)
+    if not (_is_int(count) and 0.0 < lo < hi < math.inf and count >= 2):
+        raise ValidationError(message)
     if count > MAX_DELTA_GRID:
         raise ValidationError(
             f"delta grid COUNT must be at most {MAX_DELTA_GRID}, got {count}")

@@ -9,6 +9,7 @@ import contextlib
 import io
 import math
 import re
+import tracemalloc
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -1363,6 +1364,41 @@ class TestLeanClosedForm:
             got = _first_positive(*coeffs.copy())
             want = blocked_first_positive(*coeffs.copy())
         assert hex_rows(got) == hex_rows(want)
+
+
+class TestDeltaTiles:
+    """_delta_closed_form fills its output in tiles of rows and deltas, which
+    no entry's value depends on, and holds one tile's temporaries at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([2, 3, 5]), size=st.integers(1, 40), count=st.integers(1, 50),
+           shape=st.sampled_from(["rows", "grid", "one"]), block=st.sampled_from([7, 64]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_tiles_give_the_one_tile_bits(self, n, size, count, shape, block, seed):
+        rng = np.random.default_rng(seed)
+        terms = random_delta_terms(rng, n, size, 10.0 ** rng.uniform(-3.0, 8.0))
+        deltas = 10.0 ** rng.uniform(-6.0, 6.0, {"rows": (size, 1), "grid": (1, count),
+                                                 "one": (1, 1)}[shape])
+        with mock.patch.object(bounds_module, "_BLOCK", 1 << 40):
+            whole = bounds_module._delta_closed_form(terms, deltas)
+        with mock.patch.object(bounds_module, "_BLOCK", block):
+            tiled = bounds_module._delta_closed_form(terms, deltas)
+        assert tiled.shape == whole.shape
+        assert hex_rows(tiled) == hex_rows(whole)
+
+    def test_wide_grid_peak_memory(self):
+        # 39 prefixes at 10000 deltas: a 3.1 MB output. With only the rows
+        # split, one row's (1, 10000, 3, 40) product alone took 9.6 MB
+        seq = buck(tuple(np.arange(3.0, 43.0)))
+        deltas = np.logspace(-3.0, 3.0, 10_000)
+        tracemalloc.start()
+        try:
+            out = delta_bounds(seq, np.arange(1, 40), deltas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (39, 10_000)
+        assert peak < out.nbytes + 4 * 2**20, peak
 
 
 def counted_factor_calls():
