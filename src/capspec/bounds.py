@@ -62,8 +62,10 @@ from .errors import (
     DiscriminantNegative,
     DomainError,
     FamilyMismatch,
+    GuardViolation,
     ValidationError,
     _is_int,
+    _items,
     _real,
     _reals,
 )
@@ -141,12 +143,13 @@ class EigenSequence:
     def __post_init__(self):
         for name, value in zip(("problem", "n", "p"), _checked_problem(self.problem, self.n, self.p)):
             object.__setattr__(self, name, value)
-        vals = tuple(_real(v, "eigenvalues must be positive finite reals") for v in self.values)
+        message = "eigenvalues must be positive finite reals"
+        vals = tuple(_real(v, message) for v in _items(self.values, message))
         check_sequence_length(len(vals))
         if not vals:
             raise ValidationError("eigenvalue sequence is empty")
         if vals[0] <= 0.0 or not all(math.isfinite(v) for v in vals):
-            raise ValidationError("eigenvalues must be positive finite reals")
+            raise ValidationError(message)
         if any(a > b for a, b in zip(vals, vals[1:])):
             raise ValidationError("eigenvalues must be ascending")
         object.__setattr__(self, "values", vals)
@@ -154,8 +157,7 @@ class EigenSequence:
     @classmethod
     def from_spectrum(cls, spectrum: Spectrum, count: int | None = None):
         cfg = spectrum.config
-        return cls(n=cfg.n, p=cfg.p, problem=cfg.problem,
-                   values=tuple(spectrum.expanded_values(count)))
+        return cls(n=cfg.n, p=cfg.p, problem=cfg.problem, values=spectrum.expanded_values(count))
 
     def __len__(self):
         return len(self.values)
@@ -166,7 +168,7 @@ class EigenSequence:
         calls (numpy's array powers differ in rare last bits). Errors are not
         kept: a factor past the float range raises on every read."""
         vals = np.array(self.values)
-        g = np.array([sphere_buckling_factor(v, self.n, self.p) for v in self.values])
+        g = np.array([_buckling_factor(v, self.n, self.p) for v in self.values])
         g -= vals / (vals - (self.n - 2))
         g.flags.writeable = False
         return g
@@ -236,6 +238,11 @@ def sphere_buckling_factor(lam: float, n: int, p: int) -> float:
     lam = _real(lam, "eigenvalue must be a positive real")
     if not (math.isfinite(lam) and lam > 0.0):
         raise DomainError(f"eigenvalue must be positive, got {lam!r}")
+    return _buckling_factor(lam, n, p)
+
+
+def _buckling_factor(lam: float, n: int, p: int) -> float:
+    """sphere_buckling_factor without its checks, for checked arguments."""
     q = _float_order(p)
     try:
         t = lam ** (1.0 / (q - 1))
@@ -330,17 +337,18 @@ def _rowsum(x: np.ndarray) -> np.ndarray:
 
 def _checked_prefixes(fam: BoundFamily, seq: EigenSequence, ks) -> _Prefixes:
     """The prefixes of the lengths ks (ks itself if it is already the
-    prefixes), once the family applies to the sequence and, if the family
-    needs the sphere guard, every eigenvalue exceeds n - 2."""
+    prefixes), once the family applies to the sequence and passes its guard."""
     _check_compat(fam, seq)
     pre = ks if isinstance(ks, _Prefixes) else _prefixes(seq, ks)
-    floor = seq.n - 2
-    if fam.needs_guard and seq.values[0] <= floor:
-        raise DomainError(
-            f"sphere buckling families require every eigenvalue > n - 2 = {floor}; "
-            f"smallest is {seq.values[0]:.6g}"
-        )
+    check_guard(fam, seq)
     return pre
+
+
+def check_guard(fam: BoundFamily, seq: EigenSequence) -> None:
+    """The sphere guard: GuardViolation unless every eigenvalue exceeds n - 2."""
+    if fam.needs_guard and seq.values[0] <= seq.n - 2:
+        raise GuardViolation(f"family {fam.name} requires the smallest eigenvalue to exceed "
+                             f"n - 2 = {seq.n - 2}; got {seq.values[0]:.6g}")
 
 
 def _coeff_h(values: np.ndarray, n: int) -> np.ndarray:
@@ -980,17 +988,16 @@ _KERNELS = {"implied": _implied_rows, "closed-form": _closed_form_rows,
 
 
 def evaluate_families(fams, seq: EigenSequence, ks, actuals=None) -> list:
-    """evaluate_bounds for each family of fams, one list each, in one pass
-    that builds the prefixes once. Each kernel (see _KERNELS) is a generator
-    that yields its rows of the one _first_failures search, if it has any,
-    and is sent their first failures; shared holds the (S, T) of the call.
-    Rows are independent, so each family gets the bits it gets alone, and
-    an error of a whole family, such as a problem mismatch, fills only its
-    entries."""
-    fams, lengths = list(fams), np.atleast_1d(ks).tolist()
-    actuals = [None] * len(lengths) if actuals is None else list(actuals)
-    if len(actuals) != len(lengths):
-        raise ValidationError(f"got {len(actuals)} actual values for {len(lengths)} prefix lengths")
+    """Per family of fams, evaluate_bound's BoundResult or the error it raises
+    at each prefix length of ks (with that entry of actuals), so a caller can
+    raise errors in its own order. Each kernel (see _KERNELS) yields its rows
+    of the one _first_failures search, if any, and is sent their first
+    failures; shared holds the call's (S, T). Rows are independent, so each
+    family gets its bits alone, and a whole-family error fills its entries."""
+    fams = _items(fams, "bound families must be a list of BoundFamily records", BoundFamily)
+    lengths = np.atleast_1d(ks).tolist()
+    actuals = (None,) * len(lengths) if actuals is None else _items(
+        actuals, "actuals must hold one value per prefix length", count=len(lengths))
     try:
         pre = _prefixes(seq, ks)
     except ValidationError:
@@ -1016,23 +1023,13 @@ def evaluate_families(fams, seq: EigenSequence, ks, actuals=None) -> list:
             for fam, family_outcomes in zip(fams, outcomes)]
 
 
-def evaluate_bounds(fam: BoundFamily, seq: EigenSequence, ks,
-                    actuals=None) -> list:
-    """evaluate_bound at every prefix length of ks (with the matching entry
-    of actuals), in array passes over all of them: the one-family case of
-    evaluate_families. One entry per k: its BoundResult, or the error
-    evaluate_bound raises at that k. So a caller can raise errors in its
-    own order."""
-    return evaluate_families([fam], seq, ks, actuals)[0]
-
-
 def _one_result(kind: str, fam: BoundFamily, seq: EigenSequence, k: int,
                 actual) -> BoundResult:
-    """A per-k entry point for families of the given kind: the one-prefix
-    case of evaluate_bounds."""
+    """A per-k entry point for families of the given kind: the one-family,
+    one-prefix case of evaluate_families."""
     if fam.kind != kind:
         raise FamilyMismatch(f"family {fam.name} has no {kind} bound")
-    outcome = evaluate_bounds(fam, seq, _one_prefix(seq, k), [actual])[0]
+    outcome = evaluate_families([fam], seq, _one_prefix(seq, k), [actual])[0][0]
     if isinstance(outcome, CapspecError):
         raise outcome
     return outcome
@@ -1040,6 +1037,6 @@ def _one_result(kind: str, fam: BoundFamily, seq: EigenSequence, k: int,
 
 def evaluate_bound(fam: BoundFamily, seq: EigenSequence, k: int,
                    actual: float | None = None) -> BoundResult:
-    """Single entry point: the one-prefix case of evaluate_bounds, with the
-    kernel of the family's kind."""
+    """Single entry point: the one-prefix case of evaluate_families, with
+    the kernel of the family's kind."""
     return _one_result(fam.kind, fam, seq, k, actual)

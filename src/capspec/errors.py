@@ -2,8 +2,8 @@
 
 Two branches: ValidationError for bad inputs or incompatible requests (the CLI
 maps these to exit code 2) and NumericalError for computations that failed on
-admissible inputs (exit code 3). What counts as an integer or a real is
-decided once, below: numpy integers and floats are, bools and strs never.
+admissible inputs (exit code 3). What counts as an integer, a real or a
+container is decided once, below: numpy numbers are, bools and strs never.
 """
 
 import numpy as np
@@ -29,8 +29,8 @@ class DomainError(ValidationError):
     """Values outside the domain of a bound family (e.g. lambda_1 <= n - 2)."""
 
 
-class GuardViolation(ValidationError):
-    """A spectrum fails a precondition required by the requested check."""
+class GuardViolation(DomainError):
+    """A spectrum fails a family's precondition (the sphere guard)."""
 
 
 class NumericalError(CapspecError):
@@ -93,3 +93,14 @@ def _reals(values, message: str) -> np.ndarray:
     if array.dtype.kind not in "iuf":
         array = np.array([_real(value, message) for value in array.flat]).reshape(array.shape)
     return array.astype(float, copy=False)
+
+
+def _items(values, message: str, kind=object, count=None) -> tuple:
+    """The items of a list, tuple, range, 1-D array or iterator as a tuple, each
+    a kind and count of them if count is given; else ValidationError(message)."""
+    if (isinstance(values, (list, tuple, range)) or hasattr(values, "__next__")
+            or isinstance(values, np.ndarray) and values.ndim == 1):
+        items = tuple(values)
+        if all(isinstance(item, kind) for item in items) and count in (None, len(items)):
+            return items
+    raise ValidationError(message)

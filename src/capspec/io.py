@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from .bounds import EigenSequence, check_sequence_length
 from .errors import SchemaError, ValidationError
-from .radial import MAX_DIMENSION, multiplicity, shown
-from .spectral import Problem, Spectrum, SpectrumEntry, expanded
+from .radial import multiplicity, shown
+from .spectral import Problem, Spectrum, SpectrumEntry, _checked_problem, expanded
 
 SPECTRUM_SCHEMA = "spectrum/1"
 CONVERGENCE_SCHEMA = "convergence/1"
@@ -121,7 +121,7 @@ class SpectrumDocument:
         total = sum(e.multiplicity for e in self.entries)
         check_sequence_length(total if count is None else min(count, total))
         return EigenSequence(n=self.n, p=self.p, problem=self.problem,
-                             values=tuple(expanded(self.entries, count)))
+                             values=expanded(self.entries, count))
 
 
 def _need(doc, key, kinds, where):
@@ -164,15 +164,10 @@ def read_spectrum(path) -> SpectrumDocument:
     n = _need(doc, "n", int, "spectrum file")
     p = _need(doc, "p", int, "spectrum file")
     theta0 = _need_real(doc, "theta0", "spectrum file")
-    problem_raw = _need(doc, "problem", str, "spectrum file")
-    try:
-        problem = Problem(problem_raw)
-    except ValueError:
-        raise SchemaError(f"problem must be 'clamped' or 'buckling', got {problem_raw!r}")
-    if n < 2:
-        raise SchemaError(f"n must be >= 2, got {n}")
-    if n > MAX_DIMENSION:
-        raise SchemaError(f"n must be at most {MAX_DIMENSION}, got {shown(n)}")
+    try:  # every entry point's problem rule, before any multiplicity is formed
+        problem, n, p = _checked_problem(_need(doc, "problem", str, "spectrum file"), n, p)
+    except ValidationError as err:
+        raise SchemaError(str(err)) from None
     raw_entries = _need(doc, "entries", list, "spectrum file")
     if not raw_entries:
         raise SchemaError("spectrum file has no entries")

@@ -76,6 +76,7 @@ from .errors import (
     QuadratureNotConverged,
     ValidationError,
     _is_int,
+    _items,
     _real,
 )
 from .linalg import ROUNDOFF_MU, _leading_values, _reduce
@@ -106,8 +107,7 @@ class Problem(str, enum.Enum):
 def _checked_problem(problem, n, p) -> tuple[Problem, int, int]:
     """(Problem(problem), n, p), n and p as ints, once problem names one, n is
     an integer in 2..MAX_DIMENSION and p an integer at or above the problem's
-    least order (2 buckling, 1 clamped). A message is formed only on a
-    refusal: sphere_buckling_factor calls this once per eigenvalue."""
+    least order (2 buckling, 1 clamped); the spectrum reader's rule too."""
     if problem not in ("clamped", "buckling"):
         raise ValidationError(f"problem must be 'clamped' or 'buckling', got {problem!r}")
     problem = Problem(problem)
@@ -574,10 +574,10 @@ def convergence_study(cfg: SolverConfig, basis_sizes) -> ConvergenceStudy:
     rise beyond 1e-10 absolute slack (eigensolver roundoff) raises
     MonotonicityViolation. Estimates are |last - previous| / last per index.
     """
-    sizes = list(basis_sizes)
+    sizes = _items(basis_sizes, "basis sizes must be a list of integers")
     _require(len(sizes) >= 2, "need at least two basis sizes")
     _require(all(map(_is_int, sizes)) and sizes[0] > 0 and all(map(operator.lt, sizes, sizes[1:])),
-             f"basis sizes must be positive and strictly ascending, got {sizes}")
+             f"basis sizes must be positive and strictly ascending, got {list(sizes)}")
     replace(cfg, basis_size=sizes[0])  # every size must be >= requested_count
     want = cfg.requested_count
     _, reduced, _, top = _solve_modes(replace(cfg, basis_size=sizes[-1]))
@@ -594,4 +594,4 @@ def convergence_study(cfg: SolverConfig, basis_sizes) -> ConvergenceStudy:
                 f"eigenvalue {jump.argmax() + 1} increased by {jump.max():.3e} when the basis "
                 f"grew from {sizes[t - 1]} to {sizes[t]}")
     estimates = np.abs(values[-1] - values[-2]) / values[-1]
-    return ConvergenceStudy(tuple(sizes), values, estimates)
+    return ConvergenceStudy(sizes, values, estimates)

@@ -21,11 +21,12 @@ from .bounds import (
     BoundFamily,
     BoundResult,
     EigenSequence,
+    check_guard,
     delta_bounds,
     evaluate_families,
     family,
 )
-from .errors import GuardViolation, ValidationError, _is_int, _real
+from .errors import ValidationError, _is_int, _items, _real
 from .spectral import Problem, Spectrum
 
 HOLDS_SLACK = 1e-8
@@ -75,15 +76,11 @@ def check_spectrum(spec, families) -> VerificationReport:
     (GuardViolation).
     """
     seq = _as_sequence(spec)
-    families = tuple(families)
+    families = _items(families, "bound families must be a list of BoundFamily records", BoundFamily)
     if not families:
         raise ValidationError("no bound families given")
-    for fam in families:
-        if fam.needs_guard and seq.values[0] <= seq.n - 2:
-            raise GuardViolation(
-                f"family {fam.name} requires the smallest eigenvalue to exceed "
-                f"n - 2 = {seq.n - 2}; got {seq.values[0]:.6g}"
-            )
+    for fam in families:  # the guard comes before any row's error
+        check_guard(fam, seq)
     ks = range(1, len(seq))
     # one all-prefix pass for every family; an error surfaces at its
     # (k, family) in row order, as a per-row evaluation would raise it
@@ -149,8 +146,8 @@ def compare_sharpness(spec, delta_grid=(1e-3, 1e3, 32)) -> SharpnessReport:
             f"sharpness comparison applies to order-2 buckling sequences, "
             f"got p = {seq.p} {seq.problem.value}"
         )
-    message = f"bad delta grid {delta_grid!r}: need finite 0 < LO < HI, COUNT >= 2"
-    lo, hi, count = delta_grid
+    lo, hi, count = grid = _items(delta_grid, "bad delta grid: need LO, HI, COUNT", count=3)
+    message = f"bad delta grid {grid!r}: need finite 0 < LO < HI, COUNT >= 2"
     lo, hi = _real(lo, message), _real(hi, message)
     if not (_is_int(count) and 0.0 < lo < hi < math.inf and count >= 2):
         raise ValidationError(message)

@@ -21,7 +21,7 @@ import math
 import numpy as np
 import pytest
 
-from capspec.bounds import EigenSequence, default_families, delta_bounds, evaluate_bounds, family
+from capspec.bounds import EigenSequence, default_families, delta_bounds, evaluate_families, family
 from capspec.errors import CapspecError
 from capspec.spectral import Problem, SolverConfig, solve_spectrum
 from capspec.verify import check_spectrum
@@ -85,7 +85,7 @@ def test_delta_opt_finds_the_grid_minimum(atlas):
         seq = EigenSequence.from_spectrum(spectrum)
         ks = np.arange(1, len(seq))
         grid_min = delta_bounds(seq, ks, DELTA_GRID).min(axis=1)
-        for k, result, least in zip(ks, evaluate_bounds(fam, seq, ks), grid_min):
+        for k, result, least in zip(ks, evaluate_families([fam], seq, ks)[0], grid_min):
             assert result.bound <= (1.0 + 1e-12) * least, (cap, k)
             checked += 1
     assert checked == 20 * (COUNT - 1)

@@ -29,7 +29,6 @@ from capspec.bounds import (
     default_families,
     delta_bounds,
     evaluate_bound,
-    evaluate_bounds,
     evaluate_families,
     evaluate_predicate,
     family,
@@ -51,6 +50,7 @@ from capspec.errors import (
     DiscriminantNegative,
     DomainError,
     FamilyMismatch,
+    GuardViolation,
     ValidationError,
 )
 from capspec.cli import main as cli_main
@@ -609,8 +609,8 @@ class TestClosedForms:
             spec = solve_spectrum(SolverConfig(n=2, p=3, theta0=theta0,
                                                problem=Problem.CLAMPED, requested_count=8))
             values = spec.expanded_values()
-            rows = evaluate_bounds(family("sphere-clamped"), clamp(tuple(values), p=3),
-                                   range(1, 8))
+            rows = evaluate_families([family("sphere-clamped")], clamp(tuple(values), p=3),
+                                     range(1, 8))[0]
             assert not any(isinstance(row, CapspecError) for row in rows), rows
             return np.array([row.bound for row in rows]) / values[1:] - 1.0
 
@@ -646,7 +646,7 @@ class TestClosedForms:
                            requested_count=10)
         seq = EigenSequence.from_spectrum(solve_spectrum(cfg))
         flat = "euclidean-membrane is a flat-space inequality and need not hold on a cap"
-        results = evaluate_bounds(family("euclidean-membrane"), seq, range(1, 11))
+        results = evaluate_families([family("euclidean-membrane")], seq, range(1, 11))[0]
         kinds = {type(r) for r in results if isinstance(r, CapspecError)}
         assert kinds == {DiscriminantNegative, DomainError}
         for r in results:
@@ -668,7 +668,7 @@ class TestClosedForms:
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(BracketFailure, match="overflow"):
                 closed_form_bound(family(name), seq, 2)
-            results = evaluate_bounds(family(name), seq, [1, 2])
+            results = evaluate_families([family(name)], seq, [1, 2])[0]
         assert all(isinstance(r, BracketFailure) for r in results)
 
     @pytest.mark.parametrize("name", ["sphere-buckling-quadratic", "sphere-buckling-gap"])
@@ -1032,12 +1032,12 @@ class TestSequencesAndFamilies:
                 with pytest.raises(ValidationError, match=message):
                     evaluate_predicate(fam, seq, k, 21.0)
         for ks in ([True, 2], (2, np.True_), [[True, 2]]):
-            rows = evaluate_bounds(sqrt, seq, ks)
+            rows = evaluate_families([sqrt], seq, ks)[0]
             assert all(isinstance(row, ValidationError) and re.match(message, str(row))
                        for row in rows), ks
             with pytest.raises(ValidationError, match=message):
                 evaluate_predicate(sqrt, seq, ks, 21.0)
-        assert evaluate_bounds(sqrt, seq, [1, 2])[0].k == 1
+        assert evaluate_families([sqrt], seq, [1, 2])[0][0].k == 1
 
     def test_family_construction_errors(self):
         with pytest.raises(ValidationError):
@@ -1074,7 +1074,7 @@ def assert_rows_are_per_k_calls(seq, delta):
     the same bound and aux, or an error of the same class and message."""
     ks = range(1, len(seq) + 1)
     for fam in buckling_families(delta):
-        rows = evaluate_bounds(fam, seq, ks)
+        rows = evaluate_families([fam], seq, ks)[0]
         assert len(rows) == len(ks)
         for k, row in zip(ks, rows):
             one = per_k_outcome(fam, seq, k)
@@ -1115,7 +1115,7 @@ class TestAllPrefixPass:
             assert np.array_equal(np.sort(row[~np.isnan(row)]), np.sort(real[real > 0.0]))
 
     def test_whole_family_errors_fill_every_row(self):
-        rows = evaluate_bounds(family("sphere-clamped"), buck((1.0, 2.0, 3.0)), [1, 2])
+        rows = evaluate_families([family("sphere-clamped")], buck((1.0, 2.0, 3.0)), [1, 2])[0]
         assert len(rows) == 2 and all(isinstance(r, FamilyMismatch) for r in rows)
 
     def test_delta_opt_budget_holds_per_prefix(self):
@@ -1124,8 +1124,8 @@ class TestAllPrefixPass:
         for path in sorted(STORED.glob("*.json")):
             seq = read_spectrum(path).sequence()
             with counted_closed_forms() as calls:
-                evaluate_bounds(family("sphere-buckling-delta-opt"), seq,
-                                range(1, len(seq)))
+                evaluate_families([family("sphere-buckling-delta-opt")], seq,
+                                  range(1, len(seq)))
             for k in range(1, len(seq)):
                 assert 1 <= sum(row.count(k) for row in calls) <= MAX_CLOSED_FORMS
 
@@ -1284,7 +1284,7 @@ class TestFamiliesTogether:
         assert_every_order(seq)
 
     @pytest.mark.parametrize("seq, error", [
-        (buck((0.5, 2.0, 3.0), n=3), DomainError),  # fails the sphere guard
+        (buck((0.5, 2.0, 3.0), n=3), GuardViolation),  # fails the sphere guard
         (buck((5.0, 9.0), n=3, p=600), BracketFailure),  # the factor overflows
     ], ids=["guard", "factor-overflow"])
     def test_whole_family_errors_stay_per_family(self, seq, error):
@@ -1402,10 +1402,11 @@ class TestDeltaTiles:
 
 
 def counted_factor_calls():
-    """A patch of sphere_buckling_factor whose mock counts the calls
-    (call_count) and returns the real factor."""
-    return mock.patch.object(bounds_module, "sphere_buckling_factor",
-                             side_effect=bounds_module.sphere_buckling_factor)
+    """A patch of the unchecked factor core, which coeff_g calls once per
+    value, whose mock counts the calls (call_count) and returns the real
+    factor."""
+    return mock.patch.object(bounds_module, "_buckling_factor",
+                             side_effect=bounds_module._buckling_factor)
 
 
 PINNED_P2 = Path(__file__).resolve().parent / "data" / "spectra" / "n2-buckling-p2-pi_2.json"
@@ -1526,5 +1527,5 @@ class TestOneEigvalsCall:
         seq = read_spectrum(path).sequence()
         with mock.patch.object(bounds_module, "_delta_points",
                                wraps=bounds_module._delta_points) as points:
-            evaluate_bounds(family("sphere-buckling-delta-opt"), seq, range(1, len(seq)))
+            evaluate_families([family("sphere-buckling-delta-opt")], seq, range(1, len(seq)))
         assert points.call_count == rounds

@@ -377,6 +377,17 @@ class TestVerifyCommand:
         assert code == 2
         assert "GuardViolation" in capsys.readouterr().err
 
+    def test_guard_comes_before_every_row(self, tmp_path, capsys):
+        # euclidean-buckling overflows at k = 1 (exit 3) on this order, but
+        # the sphere guard of the later family is checked before any row
+        path = write_synthetic(tmp_path, (0.5, 2.0, 3.0), n=3, p=10**400)
+        code = run("verify", "--in", path, "--out", tmp_path / "v.csv",
+                   "--families", "euclidean-buckling,sphere-buckling-sqrt")
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error: GuardViolation: family sphere-buckling-sqrt requires")
+        assert err.count("\n") == 1
+
     def test_malformed_file_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{natural language}")

@@ -1,7 +1,9 @@
-"""The input rule of the Python API: every entry point reads an integer or a
-real through capspec.errors' predicates, so numpy integers and floats pass
-wherever Python ones do, and a bool, a str or a non-integral size is refused
-with a one-line ValidationError instead of being read as a number."""
+"""The input rule of the Python API: every entry point reads an integer, a
+real or a container of them through capspec.errors' helpers, so numpy
+integers, floats and 1-D arrays pass wherever Python ones do, and a bool, a
+str, a non-integral size or a scalar in place of a container is refused with
+a one-line ValidationError instead of being read as a number or escaping as
+a raw TypeError or ValueError."""
 
 import dataclasses
 import math
@@ -13,18 +15,17 @@ import pytest
 from capspec.bounds import (
     EigenSequence,
     delta_bounds,
-    evaluate_bounds,
     evaluate_families,
     evaluate_predicate,
     family,
     sphere_buckling_factor,
 )
-from capspec.errors import ValidationError, _is_int, _is_real, _real, _reals
+from capspec.errors import ValidationError, _is_int, _is_real, _items, _real, _reals
 from capspec.linalg import generalized_sym_eigen
 from capspec.quadrature import gauss_jacobi_pair, gauss_jacobi_rule
 from capspec.radial import multiplicity
 from capspec.spectral import Problem, SolverConfig, convergence_study
-from capspec.verify import compare_sharpness
+from capspec.verify import check_spectrum, compare_sharpness
 
 CONFIG = dict(n=2, p=2, theta0=1.0, problem=Problem.BUCKLING, basis_size=12, requested_count=4)
 VALUES = (6.0, 10.5, 17.0, 20.0)
@@ -61,8 +62,9 @@ CALLS = {
     ("evaluate_predicate", "candidate"): lambda v: evaluate_predicate(SQRT, seq(), 2, v),
     ("delta_bounds", "k"): lambda v: delta_bounds(seq(), v, [0.5, 2.0]),
     ("delta_bounds", "deltas"): lambda v: delta_bounds(seq(), 2, v),
+    ("evaluate_families", "fams"): lambda v: evaluate_families(v, seq(), [1]),
     ("evaluate_families", "actuals"): lambda v: evaluate_families([SQRT], seq(), [1, 2, 3], v),
-    ("evaluate_bounds", "actuals"): lambda v: evaluate_bounds(SQRT, seq(), [1, 2, 3], v),
+    ("check_spectrum", "families"): lambda v: check_spectrum(seq(), v),
     ("gauss_jacobi_rule", "gamma"): lambda v: gauss_jacobi_rule(v, 8),
     ("gauss_jacobi_rule", "m"): lambda v: gauss_jacobi_rule(0.0, v),
     ("gauss_jacobi_pair", "m"): lambda v: gauss_jacobi_pair(0.5, v),
@@ -87,7 +89,20 @@ CALLS = {
     ("generalized_sym_eigen", "a_mat", [["1", "0"], ["0", "1"]]),
     ("SolverConfig", "problem", "Buckling"),  # a raw ValueError
     ("evaluate_families", "actuals", [5.0]),  # one result for three prefixes
-    ("evaluate_bounds", "actuals", [5.0, 6.0, 7.0, 8.0]),
+    ("evaluate_families", "actuals", [5.0, 6.0, 7.0, 8.0]),
+    # a malformed container, which escaped as a raw TypeError, ValueError
+    # or AttributeError before the container rule
+    ("EigenSequence", "values", 5.0),
+    ("EigenSequence", "values", None),
+    ("compare_sharpness", "delta_grid", (1e-3, 1e3)),
+    ("compare_sharpness", "delta_grid", "1e-3:1e3:4"),
+    ("compare_sharpness", "delta_grid", np.geomspace(1e-3, 1e3, 32)),  # a long repr
+    ("check_spectrum", "families", SQRT),
+    ("check_spectrum", "families", ["sphere-buckling-sqrt"]),
+    ("convergence_study", "basis_sizes", 16),
+    ("convergence_study", "basis_sizes", "8,16"),  # read character by character
+    ("evaluate_families", "fams", SQRT),
+    ("evaluate_families", "actuals", 5.0),
     # and the same rule at every other entry point
     ("SolverConfig", "theta0", "1.0"),
     ("SolverConfig", "theta0", 10**400),
@@ -185,6 +200,36 @@ def test_numpy_numbers_accepted(entry, argument, python, numpy):
     # the same value as a numpy integer or float gives the same bits
     call = CALLS[entry, argument]
     assert fields_of(call(numpy)) == fields_of(call(python))
+
+
+@pytest.mark.parametrize("entry, argument, listed, container", [
+    ("EigenSequence", "values", [3.0, 7.0], lambda: np.array([3.0, 7.0])),
+    ("EigenSequence", "values", [3, 7], lambda: range(3, 8, 4)),
+    ("check_spectrum", "families", [SQRT], lambda: map(family, ["sphere-buckling-sqrt"])),
+    ("evaluate_families", "fams", [SQRT], lambda: (fam for fam in [SQRT])),
+    ("evaluate_families", "actuals", [10.5, 17.0, 20.0], lambda: iter((10.5, 17.0, 20.0))),
+    ("convergence_study", "basis_sizes", [8, 12], lambda: range(8, 13, 4)),
+    ("compare_sharpness", "delta_grid", (0.5, 2.0, 8), lambda: [0.5, 2.0, 8]),
+], ids=["values-array", "values-range", "families-map", "fams-generator", "actuals-iterator",
+        "sizes-range", "grid-list"])
+def test_containers_accepted(entry, argument, listed, container):
+    # a 1-D array, range, map, generator, iterator or list (container() makes
+    # a fresh one) gives the bits of the list or tuple
+    call = CALLS[entry, argument]
+    assert fields_of(call(container())) == fields_of(call(listed))
+
+
+def test_items():
+    assert _items(np.arange(3), "m") == (0, 1, 2)
+    assert _items(map(str, range(2)), "m", str, 2) == ("0", "1")
+    assert _items([], "m") == ()
+    # no str, bytes, dict, set, None, scalar, 0-d or 2-D array is a container
+    for values in ("ab", b"ab", {1: 2}, {1, 2}, None, 3, np.array(3.0), np.eye(2)):
+        with pytest.raises(ValidationError, match="^m$"):
+            _items(values, "m")
+    for values, kind, count in [([1, "2"], int, None), ((1, 2), object, 3), (iter([1]), int, 0)]:
+        with pytest.raises(ValidationError, match="^m$"):
+            _items(values, "m", kind, count)
 
 
 def test_predicates():

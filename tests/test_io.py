@@ -279,7 +279,7 @@ class TestReadSpectrumRejects:
     def test_dimension_floor(self, tmp_path):
         doc = self.base()
         doc["n"] = 1
-        with pytest.raises(SchemaError, match="n must be >= 2"):
+        with pytest.raises(SchemaError, match="dimension must be an integer >= 2, got 1"):
             fmt.read_spectrum(self.write(tmp_path, doc))
 
     def test_huge_dimension_refused_promptly(self, tmp_path):

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from capspec.bounds import EigenSequence, evaluate_bound, family
+from capspec.bounds import EigenSequence, evaluate_bound, evaluate_families, family
 from capspec.errors import BracketFailure, DomainError, GuardViolation, ValidationError
 from capspec.io import read_spectrum
 from capspec.spectral import Problem, SolverConfig, solve_spectrum
@@ -65,6 +65,17 @@ class TestCheckSpectrum:
         seq = buck((0.5, 0.9), n=3)
         with pytest.raises(GuardViolation):
             check_spectrum(seq, [SQRT_FAM])
+
+    def test_guard_comes_before_every_row(self):
+        # the sphere guard is checked for every family before any row: in
+        # row order the first error would be euclidean-buckling's overflow
+        # at k = 1 (BracketFailure, exit 3), not the guard (exit 2)
+        seq = buck((0.5, 2.0, 3.0), n=3, p=10**400)
+        fams = [family("euclidean-buckling"), SQRT_FAM]
+        first, second = evaluate_families(fams, seq, [1])
+        assert type(first[0]) is BracketFailure and type(second[0]) is GuardViolation
+        with pytest.raises(GuardViolation, match="sphere-buckling-sqrt requires"):
+            check_spectrum(seq, fams)
 
     def test_no_families_rejected(self):
         with pytest.raises(ValidationError):
